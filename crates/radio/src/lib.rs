@@ -146,6 +146,9 @@ impl<M: Propagation + ?Sized> Propagation for &M {
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
     }
+    fn disk_exact(&self) -> bool {
+        (**self).disk_exact()
+    }
 }
 
 impl<M: Propagation + ?Sized> Propagation for Box<M> {
@@ -157,6 +160,9 @@ impl<M: Propagation + ?Sized> Propagation for Box<M> {
     }
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
+    }
+    fn disk_exact(&self) -> bool {
+        (**self).disk_exact()
     }
 }
 
@@ -179,5 +185,21 @@ mod tests {
         // And references delegate.
         let by_ref: &dyn Propagation = &*model;
         assert_eq!(by_ref.max_range(TxId(0), Point::ORIGIN), 10.0);
+    }
+
+    #[test]
+    fn references_and_boxes_forward_disk_exact() {
+        // Generic over the model, so the `&M` and `Box<M>` impls answer
+        // (method-call auto-deref would reach the inner model directly).
+        fn exact<M: Propagation>(model: M) -> bool {
+            model.disk_exact()
+        }
+        let ideal = IdealDisk::new(10.0);
+        assert!(exact::<&IdealDisk>(&ideal));
+        assert!(exact(Box::new(ideal)));
+        let boxed: Box<dyn Propagation> = Box::new(ideal);
+        assert!(exact::<&Box<dyn Propagation>>(&boxed));
+        let noisy = PerBeaconNoise::new(10.0, 0.3, 1);
+        assert!(!exact::<&PerBeaconNoise>(&noisy));
     }
 }

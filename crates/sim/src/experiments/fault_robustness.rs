@@ -24,6 +24,11 @@
 //! placement — against a baseline of the *original* field at the same
 //! epoch, so epoch-varying faults (bursts, flapping, drift) never
 //! masquerade as placement gains.
+//!
+//! A trial surveys each of its two worlds once: the robot walks the
+//! epoch-0 truth survey ([`Robot::walk`]), and each algorithm's after-map
+//! is the epoch-1 baseline plus one [`ErrorMap::add_beacon`] — two
+//! full-lattice sweeps and one single-beacon update per algorithm.
 
 use crate::config::{AlgorithmKind, SimConfig};
 use crate::progress::{Ctx, TrialFailureReport};
@@ -181,8 +186,9 @@ pub struct SweepOutcome {
 }
 
 /// Runs one trial at fault intensity `x`: compile the plan, survey the
-/// faulty world (truth and robot view), let each algorithm place from the
-/// view, and measure the epoch-1 improvement.
+/// faulty world once per epoch, walk the robot over the epoch-0 survey,
+/// let each algorithm place from that view, and measure the epoch-1
+/// improvement by adding the placed beacon to the epoch-1 survey.
 pub fn run_trial(
     cfg: &SimConfig,
     noise: f64,
@@ -199,12 +205,13 @@ pub fn run_trial(
     let model0 = cfg.model(noise * schedule.noise_multiplier(0), model_seed);
     let faulty0 = schedule.wrap(&*model0, 0);
     let truth0 = ErrorMap::survey(&lattice, &field, &faulty0, cfg.policy);
+    let error_mean = truth0.mean_error();
 
     // The algorithms only ever see the robot's walk through that world,
     // GPS outages and all.
     let walk = SurveyPlan::from_lattice(lattice);
     let mut robot = Robot::new(0.0, 0, splitmix64(trial_seed ^ 0x0B07));
-    let (view, _report) = robot.survey_faulty(&walk, &field, &faulty0, cfg.policy, schedule.gps());
+    let (view, _report) = robot.walk(&walk, truth0, schedule.gps());
     let accounting = view.accounting();
 
     // Epoch 1: the world after deployment. Both the baseline and every
@@ -212,7 +219,8 @@ pub fn run_trial(
     // out of the improvement.
     let model1 = cfg.model(noise * schedule.noise_multiplier(1), model_seed);
     let faulty1 = schedule.wrap(&*model1, 1);
-    let before1 = ErrorMap::survey(&lattice, &field, &faulty1, cfg.policy).mean_error();
+    let before1 = ErrorMap::survey(&lattice, &field, &faulty1, cfg.policy);
+    let before1_mean = before1.mean_error();
     let improvements = spec
         .algorithms
         .iter()
@@ -232,14 +240,18 @@ pub fn run_trial(
                     StdRng::seed_from_u64(splitmix64(trial_seed ^ (ai as u64) << 17 ^ 0xA160));
                 algo.propose(&sv, &mut rng)
             };
+            // The placed beacon is the extended field's last, so adding
+            // it to the baseline accumulates it last at every point,
+            // exactly as a full survey of the extended field would.
             let mut extended = field.clone();
-            extended.add_beacon(pos);
-            let after = ErrorMap::survey(&lattice, &extended, &faulty1, cfg.policy);
-            before1 - after.mean_error()
+            let id = extended.add_beacon(pos);
+            let mut after = before1.clone();
+            after.add_beacon(extended.get(id).expect("just added"), &faulty1);
+            before1_mean - after.mean_error()
         })
         .collect();
     FaultTrialSample {
-        error_mean: truth0.mean_error(),
+        error_mean,
         measured_fraction: accounting.measured_fraction(view.len()),
         improvements,
     }

@@ -718,7 +718,8 @@ impl ErrorMap {
     }
 
     /// Disassembles the map into its grid buffers so a
-    /// [`SurveyScratch`](crate::SurveyScratch) can reuse them.
+    /// [`SurveyScratch`](crate::SurveyScratch) or a robot walk can reuse
+    /// them.
     pub(crate) fn into_parts(self) -> (Vec<f64>, Vec<f64>, Vec<u32>, Vec<f64>) {
         (self.sum_x, self.sum_y, self.count, self.errors)
     }

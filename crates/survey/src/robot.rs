@@ -164,6 +164,9 @@ impl Robot {
     /// `outage = None` is byte-for-byte [`Robot::survey`]; the radio
     /// faults (beacon mortality, burst loss) arrive through `model`
     /// instead, pre-wrapped by `FaultSchedule::wrap`.
+    ///
+    /// This is [`ErrorMap::survey`] followed by [`Robot::walk`]; callers
+    /// that already hold the truth survey should walk it directly.
     pub fn survey_faulty(
         &mut self,
         plan: &SurveyPlan,
@@ -172,49 +175,62 @@ impl Robot {
         policy: UnheardPolicy,
         outage: Option<&GpsOutage>,
     ) -> (ErrorMap, RobotReport) {
+        let truth = ErrorMap::survey(plan.lattice(), field, model, policy);
+        self.walk(plan, truth, outage)
+    }
+
+    /// Walks `plan` over an already-surveyed `truth` map, re-deriving
+    /// every waypoint's error against the robot's *believed* position.
+    ///
+    /// Links are tested at the true lattice positions, and GPS noise and
+    /// outages move only the believed position, so `truth`'s
+    /// accumulators are exactly what the robot hears. The walk reuses
+    /// `truth`'s buffers and overwrites only the errors. The result is
+    /// bit for bit [`Robot::survey_faulty`] of the field and model
+    /// `truth` was surveyed from, under `truth`'s unheard policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` walks a different lattice than `truth` covers.
+    pub fn walk(
+        &mut self,
+        plan: &SurveyPlan,
+        truth: ErrorMap,
+        outage: Option<&GpsOutage>,
+    ) -> (ErrorMap, RobotReport) {
         let lattice = *plan.lattice();
-        let n = lattice.len();
-        let mut sum_x = vec![0.0; n];
-        let mut sum_y = vec![0.0; n];
-        let mut count = vec![0u32; n];
-        // Beacon-major accumulation (same sweep as ErrorMap::survey).
-        for b in field {
-            let reach = model.max_range(b.tx(), b.pos());
-            lattice.for_each_in_disk(abp_geom::Disk::new(b.pos(), reach), |ix, p| {
-                if model.connected(b.tx(), b.pos(), p) {
-                    let flat = lattice.flat(ix);
-                    sum_x[flat] += b.pos().x;
-                    sum_y[flat] += b.pos().y;
-                    count[flat] += 1;
-                }
-            });
-        }
-        // Walk the plan: derive each waypoint's error against the GPS fix.
-        let mut errors = vec![f64::NAN; n];
+        assert!(
+            *truth.lattice() == lattice,
+            "robot walk: the plan's {lattice} differs from the truth map's {}",
+            truth.lattice()
+        );
+        let policy = truth.policy();
+        let (sum_x, sum_y, count, mut errors) = truth.into_parts();
+        let _span = abp_trace::span!("localize.derive_errors");
+        errors.fill(f64::NAN);
         let mut unheard = 0usize;
         let mut dropped = 0usize;
         let mut travelled = 0.0;
         let mut prev: Option<Point> = None;
         for (waypoint, ix) in plan.waypoints().enumerate() {
-            let truth = lattice.point(ix);
+            let at = lattice.point(ix);
             if let Some(prev) = prev {
-                travelled += prev.distance(truth);
+                travelled += prev.distance(at);
             }
-            prev = Some(truth);
-            let fault = outage.and_then(|o| o.fault_at(waypoint));
-            let believed = match fault {
+            prev = Some(at);
+            let flat = lattice.flat(ix);
+            let believed = match outage.and_then(|o| o.fault_at(waypoint)) {
                 Some(GpsFault::Drop) => {
                     // The robot passed through blind: the sample is lost.
                     dropped += 1;
-                    if count[lattice.flat(ix)] == 0 {
+                    if count[flat] == 0 {
                         unheard += 1;
                     }
                     continue;
                 }
-                Some(GpsFault::Bias(offset)) => self.gps_reading(truth) + offset,
-                None => self.gps_reading(truth),
+                Some(GpsFault::Bias(offset)) => self.gps_reading(at) + offset,
+                None => self.gps_reading(at),
             };
-            let flat = lattice.flat(ix);
             let estimate = if count[flat] > 0 {
                 let inv = 1.0 / count[flat] as f64;
                 Some(Point::new(sum_x[flat] * inv, sum_y[flat] * inv))
@@ -229,7 +245,7 @@ impl Robot {
         self.odometer += travelled;
         let map = ErrorMap::from_parts(lattice, policy, sum_x, sum_y, count, errors);
         let report = RobotReport {
-            waypoints: n,
+            waypoints: lattice.len(),
             travelled,
             unheard,
             dropped,
@@ -459,6 +475,115 @@ mod tests {
         assert!(moved > 0, "bias must perturb some measurements");
         // Bias degrades: the map read through a lying GPS looks worse.
         assert!(biased.mean_error() > clean.mean_error());
+    }
+
+    /// Drop and bias outage schedules for the walk tests.
+    fn outages() -> [GpsOutage; 2] {
+        use abp_fault::GpsOutagePlan;
+        let plan = |bias_meters| GpsOutagePlan {
+            outage_fraction: 0.3,
+            window: 7,
+            bias_meters,
+        };
+        [GpsOutage::new(77, plan(0.0)), GpsOutage::new(9, plan(4.0))]
+    }
+
+    fn assert_walks_identical(a: &ErrorMap, b: &ErrorMap, what: &str) {
+        assert_eq!(a.lattice(), b.lattice(), "{what}");
+        assert_eq!(a.policy(), b.policy(), "{what}");
+        for ix in a.lattice().indices() {
+            // Dropped samples encode as NaN: compare bit patterns.
+            assert_eq!(
+                a.error_at(ix).map(f64::to_bits),
+                b.error_at(ix).map(f64::to_bits),
+                "{what}: error at {ix}"
+            );
+            assert_eq!(a.heard_at(ix), b.heard_at(ix), "{what}: heard at {ix}");
+            assert_eq!(
+                a.estimate_at(ix),
+                b.estimate_at(ix),
+                "{what}: estimate at {ix}"
+            );
+        }
+    }
+
+    #[test]
+    fn walk_over_a_survey_matches_survey_faulty() {
+        use abp_radio::PerBeaconNoise;
+        // Sparse enough that some waypoints hear nothing.
+        let mut rng = StdRng::seed_from_u64(21);
+        let field = BeaconField::random_uniform(15, terrain(), &mut rng);
+        let model = PerBeaconNoise::new(15.0, 0.3, 5);
+        let plan = SurveyPlan::new(terrain(), 5.0);
+        let [drop, bias] = outages();
+        for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
+            for sigma in [0.0, 1.5] {
+                for outage in [None, Some(&drop), Some(&bias)] {
+                    let what = format!("{policy:?}, sigma {sigma}, outage {outage:?}");
+                    let mut surveyed = Robot::new(sigma, 0, 4);
+                    let (a, ra) = surveyed.survey_faulty(&plan, &field, &model, policy, outage);
+                    let truth = ErrorMap::survey(plan.lattice(), &field, &model, policy);
+                    let mut walked = Robot::new(sigma, 0, 4);
+                    let (b, rb) = walked.walk(&plan, truth, outage);
+                    assert_walks_identical(&a, &b, &what);
+                    assert_eq!(ra, rb, "{what}");
+                    assert_eq!(
+                        surveyed.odometer().to_bits(),
+                        walked.odometer().to_bits(),
+                        "{what}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn walk_measures_each_waypoint_against_the_believed_position() {
+        // Reference: the brute point-major survey's centroid at each
+        // waypoint, measured against the GPS fix the outage leaves.
+        let mut rng = StdRng::seed_from_u64(23);
+        let field = BeaconField::random_uniform(15, terrain(), &mut rng);
+        let model = IdealDisk::new(15.0);
+        let plan = SurveyPlan::new(terrain(), 5.0);
+        let policy = UnheardPolicy::Exclude;
+        let reference = ErrorMap::survey_point_major(plan.lattice(), &field, &model, policy);
+        for outage in outages() {
+            let mut robot = Robot::new(1.5, 0, 4);
+            let truth = ErrorMap::survey(plan.lattice(), &field, &model, policy);
+            let (map, report) = robot.walk(&plan, truth, Some(&outage));
+            let mut dropped = 0;
+            for (waypoint, ix) in plan.waypoints().enumerate() {
+                let at = plan.lattice().point(ix);
+                let believed = match outage.fault_at(waypoint) {
+                    Some(GpsFault::Drop) => {
+                        dropped += 1;
+                        None
+                    }
+                    Some(GpsFault::Bias(offset)) => Some(robot.gps_reading(at) + offset),
+                    None => Some(robot.gps_reading(at)),
+                };
+                let expected = believed
+                    .and_then(|b| reference.estimate_at(ix).map(|e| e.distance(b)))
+                    .map(f64::to_bits);
+                assert_eq!(map.error_at(ix).map(f64::to_bits), expected, "{ix}");
+            }
+            assert_eq!(report.dropped, dropped);
+            assert_eq!(report.waypoints, plan.len());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "robot walk: the plan's")]
+    fn walk_rejects_a_truth_map_of_another_lattice() {
+        let field = BeaconField::new(terrain());
+        let model = IdealDisk::new(15.0);
+        let truth = ErrorMap::survey(
+            SurveyPlan::new(terrain(), 10.0).lattice(),
+            &field,
+            &model,
+            UnheardPolicy::TerrainCenter,
+        );
+        Robot::new(0.0, 0, 1).walk(&SurveyPlan::new(terrain(), 5.0), truth, None);
     }
 
     #[test]
