@@ -1,15 +1,17 @@
 //! The tracked bench baseline behind `abp bench`.
 //!
-//! Times the two hot kernels the grid-bin spatial index accelerates —
-//! the survey connectivity sweep and the greedy candidate scan — in
-//! both their brute-force and indexed forms, on the same field, and
-//! verifies on every run that the indexed outputs are **bit-identical**
-//! to the brute ones before reporting any timing. A bench that reports
+//! Times the two hot kernels — the survey connectivity sweep and the
+//! greedy candidate scan — in both their brute-force and production
+//! ("indexed" in the report) forms, on the same field, and verifies on
+//! every run that the production outputs are **bit-identical** to the
+//! brute ones before reporting any timing. A bench that reports
 //! a speedup for a kernel that changed the answer would be worthless;
 //! here `identical: false` in the emitted JSON is a red flag CI fails
 //! on.
 //!
-//! The survey kernel times the full sweep. The candidate-scan kernels
+//! The survey kernel times the full sweep: the point-major oracle
+//! [`ErrorMap::survey_point_major`] against the beacon-major production
+//! sweep [`ErrorMap::survey`]. The candidate-scan kernels
 //! mirror the greedy deployment loops round for round but time **only
 //! the scan/score phase** (brute: `propose_ranked`; incremental: scorer
 //! construction + `ranked` + `apply_delta`): the per-round deployment
@@ -21,10 +23,10 @@
 //! loops place bit-identically to them.
 //!
 //! The `survey_sweep_scratch` kernel times the steady-state trial
-//! loop's two forms: a fresh [`ErrorMap::survey_indexed`] per sample
-//! (what every trial paid before scratch reuse) against
+//! loop's two forms: a fresh [`ErrorMap::survey`] per sample (the same
+//! sweep allocating its grids every time) against
 //! [`ErrorMap::survey_indexed_with`] threading one [`SurveyScratch`]
-//! across samples (what the Monte-Carlo engine now does). When the
+//! across samples (what the Monte-Carlo engine does). When the
 //! binary is built with `--features count-allocs` the report also
 //! carries the reused path's steady-state allocator traffic — the
 //! `alloc` block's `allocs_per_trial` / `bytes_per_trial`, measured
@@ -266,7 +268,7 @@ pub struct AllocStats {
 pub struct ScalingPoint {
     /// Worker threads the tile scheduler ran with.
     pub threads: usize,
-    /// Timing of the full indexed survey at this thread count.
+    /// Timing of the full survey at this thread count.
     pub timing: Timing,
     /// Parallel efficiency: `t1_median / (threads * tn_median)`.
     /// 1.0 is perfect linear scaling; the single-thread rung is 1.0 by
@@ -556,8 +558,8 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
 
     let mut kernels = Vec::new();
 
-    // Kernel 1: the survey connectivity sweep, point-major brute vs
-    // grid-bin indexed.
+    // Kernel 1: the survey connectivity sweep, the point-major oracle
+    // vs the beacon-major production sweep.
     {
         let mut brute_s = Vec::with_capacity(cfg.repeats);
         let mut indexed_s = Vec::with_capacity(cfg.repeats);
@@ -566,7 +568,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         if !cfg.skip_brute {
             let _ = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
         }
-        let _ = ErrorMap::survey_indexed(&lattice, &field, &model, policy);
+        let _ = ErrorMap::survey(&lattice, &field, &model, policy);
         for _ in 0..cfg.repeats {
             if !cfg.skip_brute {
                 let t = Instant::now();
@@ -575,7 +577,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
                 identical &= maps_bit_identical(&brute, &base_map);
             }
             let t = Instant::now();
-            let indexed = ErrorMap::survey_indexed(&lattice, &field, &model, policy);
+            let indexed = ErrorMap::survey(&lattice, &field, &model, policy);
             indexed_s.push(t.elapsed().as_secs_f64());
             if !cfg.skip_brute {
                 identical &= maps_bit_identical(&indexed, &base_map);
@@ -589,7 +591,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     }
 
     // Kernel 2: the steady-state trial loop — a fresh survey per sample
-    // (allocating its grid, index, and SoA every time) vs the same
+    // (allocating its four grids every time) vs the same
     // survey through one reused `SurveyScratch`. This is the path the
     // Monte-Carlo engine runs per trial; the alloc stats come from the
     // reused side's post-warmup samples.
@@ -612,7 +614,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         for _ in 0..cfg.repeats {
             if !cfg.skip_brute {
                 let t = Instant::now();
-                let fresh = ErrorMap::survey_indexed(&lattice, &field, &model, policy);
+                let fresh = ErrorMap::survey(&lattice, &field, &model, policy);
                 fresh_s.push(t.elapsed().as_secs_f64());
                 identical &= maps_bit_identical(&fresh, &base_map);
             }
@@ -664,7 +666,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         cfg,
     ));
 
-    // The scaling ladder: the same indexed survey through the tile
+    // The scaling ladder: the same survey through the banded tile
     // scheduler at each benched thread count, with scratch reuse and a
     // per-sample bit-identity gate against the reference map.
     let scaling = run_scaling(cfg, &lattice, &field, &model, policy, &base_map);
@@ -794,7 +796,7 @@ fn scaling_ladder(cfg: &BenchConfig, max_threads: usize) -> Vec<usize> {
     counts
 }
 
-/// Times the tiled indexed survey at every rung of the thread ladder.
+/// Times the banded survey sweep at every rung of the thread ladder.
 ///
 /// Samples are taken round-robin across the rungs (one sample per
 /// count per round) so machine drift biases every count equally — the

@@ -313,6 +313,24 @@ mod tests {
         assert_eq!(w.nominal_range(), 15.0);
     }
 
+    /// Death and bursts can cut any link inside the base model's core,
+    /// so the wrapper never claims one — not even for a schedule that
+    /// happens to inject nothing.
+    #[test]
+    fn faulty_radio_has_no_guaranteed_core() {
+        let base = IdealDisk::new(15.0);
+        assert!(base.core_range(TxId(1), Point::ORIGIN).is_some());
+        for plan in [full_plan(), FaultPlan::none()] {
+            let s = plan.compile(7);
+            for epoch in 0..3 {
+                let w = s.wrap(&base, epoch);
+                for tx in (0..20).map(TxId) {
+                    assert_eq!(w.core_range(tx, Point::new(5.0, 5.0)), None);
+                }
+            }
+        }
+    }
+
     #[test]
     fn burst_only_removes_connectivity() {
         let plan = FaultPlan {

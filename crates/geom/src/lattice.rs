@@ -205,13 +205,13 @@ impl Lattice {
     /// This is the hot inner loop of the beacon-major survey: the caller
     /// visits, per beacon, only the `O((R/step)²)` points the beacon can
     /// reach rather than the full lattice.
-    pub fn for_each_in_disk<F: FnMut(LatticeIndex, Point)>(&self, disk: Disk, f: F) {
+    pub fn for_each_in_disk<F: FnMut(LatticeIndex, Point)>(&self, disk: Disk, mut f: F) {
         let c = disk.center();
         let r = disk.radius();
         let Some((j_lo, j_hi)) = self.axis_range(c.y - r, c.y + r) else {
             return;
         };
-        self.for_each_in_disk_rows(disk, j_lo, j_hi, f);
+        self.for_each_in_disk_rows(disk, j_lo, j_hi, |ix, p, _| f(ix, p));
     }
 
     /// [`Lattice::for_each_in_disk`] restricted to lattice rows
@@ -227,9 +227,15 @@ impl Lattice {
     /// [`Lattice::for_each_in_disk`] would, with identical `(index,
     /// point)` values.
     ///
+    /// The callback also receives the point's squared distance from the
+    /// disk center — the membership test's own value, bit-equal to
+    /// `disk.center().distance_squared(point)` — so callers that compare
+    /// it against another radius (the survey's guaranteed core) need not
+    /// recompute it.
+    ///
     /// Rows must lie within the lattice (`j_hi < per_side`); rows outside
     /// the disk simply match no points.
-    pub fn for_each_in_disk_rows<F: FnMut(LatticeIndex, Point)>(
+    pub fn for_each_in_disk_rows<F: FnMut(LatticeIndex, Point, f64)>(
         &self,
         disk: Disk,
         j_lo: u32,
@@ -256,9 +262,12 @@ impl Lattice {
                 // The slab computation already guarantees membership up to
                 // floating-point rounding; re-check to keep the contract
                 // exact for callers that compare against radius elsewhere.
+                // (x - c.x)² equals (c.x - x)² bit for bit, so `d2` is
+                // exactly `Point::distance_squared` from the center.
                 let dx = x - c.x;
-                if dx * dx + dy * dy <= r2 {
-                    f(LatticeIndex { i, j }, Point::new(x, y));
+                let d2 = dx * dx + dy * dy;
+                if d2 <= r2 {
+                    f(LatticeIndex { i, j }, Point::new(x, y), d2);
                 }
             }
         }
@@ -398,17 +407,27 @@ mod tests {
             let (j_lo, j_hi) = lat.index_span(cy - r, cy + r).unwrap();
             // Any disjoint row-band cover must visit the same (index,
             // point) sequence band by band, in the same per-row order.
+            // The squared distance handed out is the center's own
+            // `distance_squared`, bit for bit.
+            let visit = |ix: LatticeIndex, p: Point, d2: f64, out: &mut Vec<_>| {
+                assert_eq!(d2.to_bits(), disk.center().distance_squared(p).to_bits());
+                out.push((ix, p));
+            };
             for split in j_lo..=j_hi {
                 let mut banded = Vec::new();
-                lat.for_each_in_disk_rows(disk, j_lo, split, |ix, p| banded.push((ix, p)));
+                lat.for_each_in_disk_rows(disk, j_lo, split, |ix, p, d2| {
+                    visit(ix, p, d2, &mut banded)
+                });
                 if split < j_hi {
-                    lat.for_each_in_disk_rows(disk, split + 1, j_hi, |ix, p| banded.push((ix, p)));
+                    lat.for_each_in_disk_rows(disk, split + 1, j_hi, |ix, p, d2| {
+                        visit(ix, p, d2, &mut banded)
+                    });
                 }
                 assert_eq!(banded, full, "disk ({cx},{cy},{r}) split at row {split}");
             }
             // Rows outside the disk match nothing.
             if j_hi + 1 < lat.per_side() {
-                lat.for_each_in_disk_rows(disk, j_hi + 1, j_hi + 1, |ix, _| {
+                lat.for_each_in_disk_rows(disk, j_hi + 1, j_hi + 1, |ix, _, _| {
                     panic!("row past the disk matched {ix}")
                 });
             }

@@ -106,9 +106,9 @@ impl<M: Propagation + ?Sized> Propagation for MessageCountOracle<'_, M> {
         self.base.nominal_range()
     }
 
-    // disk_exact() stays the default `false`: even over an exact-disk
-    // base, message counting can disconnect in-range pairs (collisions,
-    // sleep, death), so the sharp-disk fast path must not be taken.
+    // core_range() stays the default `None`: even inside the base
+    // model's core, message counting can disconnect a pair (collisions,
+    // sleep, death), so no survey may skip the `connected` call.
 }
 
 #[cfg(test)]
@@ -204,6 +204,11 @@ mod tests {
         let b = field.beacons()[0];
         assert_eq!(oracle.max_range(b.tx(), b.pos()), 15.0);
         assert_eq!(oracle.nominal_range(), 15.0);
-        assert!(!oracle.disk_exact(), "sharp-disk fast path must stay off");
+        assert!(base.core_range(b.tx(), b.pos()).is_some());
+        assert_eq!(
+            oracle.core_range(b.tx(), b.pos()),
+            None,
+            "message counting has no guaranteed core"
+        );
     }
 }

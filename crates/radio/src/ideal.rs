@@ -65,10 +65,11 @@ impl Propagation for IdealDisk {
 
     /// Connectivity *is* the sharp range-`R` disk: `connected` is
     /// implemented as `distance_squared(rx) <= range * range`, exactly
-    /// the comparison the `disk_exact` contract requires.
+    /// the comparison the `core_range` contract names, so the whole
+    /// reach is guaranteed core.
     #[inline]
-    fn disk_exact(&self) -> bool {
-        true
+    fn core_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
+        Some(self.range)
     }
 }
 
@@ -117,17 +118,17 @@ mod tests {
     }
 
     #[test]
-    fn disk_exact_matches_connected_everywhere() {
+    fn core_is_the_whole_disk() {
         let m = IdealDisk::new(9.0);
-        assert!(m.disk_exact());
-        // The contract: connected <=> distance_squared <= max_range^2,
-        // including at the boundary.
+        assert_eq!(m.core_range(TxId(1), Point::ORIGIN), Some(9.0));
+        // connected <=> distance_squared <= core^2, including at the
+        // boundary: nothing lies between core and reach.
         for &(x, y) in &[(9.0, 0.0), (8.999, 0.0), (9.001, 0.0), (6.3, 6.4)] {
             let rx = Point::new(x, y);
-            let r = m.max_range(TxId(1), Point::ORIGIN);
+            let c = m.core_range(TxId(1), Point::ORIGIN).unwrap();
             assert_eq!(
                 m.connected(TxId(1), Point::ORIGIN, rx),
-                Point::ORIGIN.distance_squared(rx) <= r * r,
+                Point::ORIGIN.distance_squared(rx) <= c * c,
                 "at ({x}, {y})"
             );
         }

@@ -117,21 +117,21 @@ pub trait Propagation: Send + Sync {
     /// ignoring noise. Placement algorithms size their grids from this.
     fn nominal_range(&self) -> f64;
 
-    /// Whether connectivity is *exactly* the closed disk of
-    /// [`Propagation::max_range`]: `connected(tx, p, rx)` holds if and
-    /// only if `p.distance_squared(rx) <= max_range(tx, p) * max_range(tx, p)`
-    /// — that squared form verbatim, so the boundary bit-semantics are
-    /// pinned down.
+    /// A radius inside which `tx` (at `tx_pos`) is *guaranteed* to be
+    /// received: `connected(tx, tx_pos, rx)` is `true` for every `rx`
+    /// with `tx_pos.distance_squared(rx) <= core * core` — that squared
+    /// form verbatim, so the boundary bit-semantics are pinned down. The
+    /// core never exceeds [`Propagation::max_range`].
     ///
-    /// Index-accelerated sweeps use this to replace the per-candidate
-    /// virtual `connected` call with the inline comparison (same heard
-    /// sets, bit-identical accumulation, no dynamic dispatch in the hot
-    /// loop). Defaults to `false`, which is always sound; only models
-    /// whose connectivity truly is the sharp `max_range` disk — no
-    /// noise, shadowing, obstruction, or time variation — may override
-    /// it to `true`.
-    fn disk_exact(&self) -> bool {
-        false
+    /// Surveys use it to skip the `connected` call for every point inside
+    /// the core (same heard sets, bit-identical accumulation); only the
+    /// annulus between the core and `max_range` pays for the model.
+    /// Defaults to `None` (no guaranteed core), which is always sound; a
+    /// model that can drop a link anywhere inside a base model's core —
+    /// death, bursts, obstacles, shadowing, time variation — must keep
+    /// the default.
+    fn core_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
+        None
     }
 }
 
@@ -146,8 +146,8 @@ impl<M: Propagation + ?Sized> Propagation for &M {
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
     }
-    fn disk_exact(&self) -> bool {
-        (**self).disk_exact()
+    fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        (**self).core_range(tx, tx_pos)
     }
 }
 
@@ -161,8 +161,8 @@ impl<M: Propagation + ?Sized> Propagation for Box<M> {
     fn nominal_range(&self) -> f64 {
         (**self).nominal_range()
     }
-    fn disk_exact(&self) -> bool {
-        (**self).disk_exact()
+    fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        (**self).core_range(tx, tx_pos)
     }
 }
 
@@ -188,18 +188,22 @@ mod tests {
     }
 
     #[test]
-    fn references_and_boxes_forward_disk_exact() {
+    fn references_and_boxes_forward_core_range() {
         // Generic over the model, so the `&M` and `Box<M>` impls answer
         // (method-call auto-deref would reach the inner model directly).
-        fn exact<M: Propagation>(model: M) -> bool {
-            model.disk_exact()
+        fn core<M: Propagation>(model: M) -> Option<f64> {
+            model.core_range(TxId(3), Point::ORIGIN)
         }
         let ideal = IdealDisk::new(10.0);
-        assert!(exact::<&IdealDisk>(&ideal));
-        assert!(exact(Box::new(ideal)));
+        assert_eq!(core::<&IdealDisk>(&ideal), Some(10.0));
+        assert_eq!(core(Box::new(ideal)), Some(10.0));
         let boxed: Box<dyn Propagation> = Box::new(ideal);
-        assert!(exact::<&Box<dyn Propagation>>(&boxed));
+        assert_eq!(core::<&Box<dyn Propagation>>(&boxed), Some(10.0));
         let noisy = PerBeaconNoise::new(10.0, 0.3, 1);
-        assert!(!exact::<&PerBeaconNoise>(&noisy));
+        let want = noisy.core_range(TxId(3), Point::ORIGIN);
+        assert!(want.is_some_and(|c| c < 10.0));
+        assert_eq!(core::<&PerBeaconNoise>(&noisy), want);
+        let boxed: Box<dyn Propagation> = Box::new(noisy);
+        assert_eq!(core::<&Box<dyn Propagation>>(&boxed), want);
     }
 }

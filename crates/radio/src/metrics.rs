@@ -11,8 +11,10 @@
 
 use abp_trace::Counter;
 
-/// Propagation-model connectivity queries (`Propagation::connected` calls
-/// issued by surveys and oracles). The dominant unit of radio work.
+/// Links decided by surveys and oracles: every `Propagation::connected`
+/// call, plus every point a survey hears through a beacon's guaranteed
+/// core (`Propagation::core_range`) without calling the model. The
+/// dominant unit of radio work.
 pub static LINKS_TESTED: Counter = Counter::new("links_tested");
 
 /// Beacon messages simulated by the packet-level link procedure

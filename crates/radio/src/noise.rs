@@ -203,6 +203,21 @@ impl Propagation for PerBeaconNoise {
     fn nominal_range(&self) -> f64 {
         self.nominal
     }
+
+    /// `R(1 − nf)` under the per-point styles: `u ≥ −1`, and every step
+    /// of `R · (1 + u·nf)` rounds monotonically, so the effective radius
+    /// at any point is at least this value in floating point too. Under
+    /// [`NoiseStyle::CoherentRadius`] the disk is sharp and the core is
+    /// the beacon's whole radius, leaving no annulus to test.
+    #[inline]
+    fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        Some(match self.style {
+            NoiseStyle::Speckled | NoiseStyle::Lossy => {
+                self.nominal * (1.0 - self.noise_factor(tx))
+            }
+            NoiseStyle::CoherentRadius => self.max_range(tx, tx_pos),
+        })
+    }
 }
 
 impl fmt::Display for PerBeaconNoise {

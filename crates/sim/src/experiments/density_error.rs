@@ -47,14 +47,17 @@ pub struct TrialSample {
 
 /// Runs one trial: generate a field, survey it, summarize.
 ///
-/// The survey runs through this worker thread's [`crate::TrialScratch`]
-/// (`ErrorMap::survey_indexed_with`), so the steady-state trial loop
-/// reuses the error-map grids, spatial index, and quantile workspace
-/// instead of reallocating them — with results **bit-identical** to the
-/// historical beacon-major `ErrorMap::survey` (all sweep variants
-/// accumulate each point's heard beacons in the same ascending insertion
-/// order; asserted by `four_sweeps_bit_identical` in `abp-survey` and at
-/// scale in `tests/indexing.rs`).
+/// The survey is the beacon-major production sweep, run through this
+/// worker thread's [`crate::TrialScratch`] so the steady-state trial loop
+/// reuses the error-map grids and quantile workspace instead of
+/// reallocating them. It is called as `ErrorMap::survey_indexed_with`,
+/// the name the whole-run benchmark's replay (`perfbench`) also calls.
+/// Results are **bit-identical** to the point-major oracle
+/// `ErrorMap::survey_point_major` (every point accumulates its heard
+/// beacons in ascending insertion order; asserted by
+/// `four_sweeps_bit_identical` in `abp-survey`, at scale in
+/// `tests/indexing.rs`, and by the figure digests in
+/// `tests/figure_lock.rs`).
 pub fn run_trial(cfg: &SimConfig, noise: f64, beacons: usize, trial_seed: u64) -> TrialSample {
     let field = cfg.trial_field(beacons, trial_seed);
     let model = cfg.model(noise, splitmix64(trial_seed ^ 0x4E_01_5E));

@@ -59,6 +59,11 @@ pub struct TrialImprovement {
 /// Runs one trial: one shared survey, then each algorithm places its own
 /// beacon on a private copy. Returns one sample per algorithm, in input
 /// order.
+///
+/// The shared survey is the beacon-major production sweep, called as
+/// `ErrorMap::survey_indexed_with` like `density_error::run_trial`, and
+/// each private copy takes its beacon through `ErrorMap::add_beacon`,
+/// which walks the same per-beacon rows.
 pub fn run_trial(
     cfg: &SimConfig,
     noise: f64,
@@ -70,9 +75,8 @@ pub fn run_trial(
     let model = cfg.model(noise, splitmix64(trial_seed ^ 0x4E_01_5E));
     let lattice = cfg.lattice();
     // The shared before-survey and all quantile selections run through
-    // this worker's scratch (bit-identical to the fresh sweeps — see
-    // `density_error::run_trial`). The per-algorithm `after` map stays a
-    // clone: each algorithm mutates its own private copy.
+    // this worker's scratch. The per-algorithm `after` map stays a clone:
+    // each algorithm mutates its own private copy.
     crate::scratch::with_trial_scratch(|scratch| {
         let before = ErrorMap::survey_indexed_with(
             &lattice,

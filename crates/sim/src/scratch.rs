@@ -4,15 +4,15 @@ use abp_survey::SurveyScratch;
 use std::cell::RefCell;
 
 /// Every reusable buffer one Monte-Carlo worker thread needs: the survey
-/// scratch (error-map grids, SoA mirror, spatial index, quantile
-/// workspace) — and room for future per-trial state.
+/// scratch (error-map grids, quantile workspace) — and room for future
+/// per-trial state.
 ///
 /// One `TrialScratch` lives per OS thread (see [`with_trial_scratch`]).
 /// Both `parallel_try_map` and the supervised engine run each worker on
 /// its own thread for the duration of a sweep, so a thread-local scratch
 /// is exactly one scratch per worker, reused across all trials that
-/// worker executes: after the first trial at the sweep's largest field
-/// and lattice, the steady-state trial loop performs no survey-side heap
+/// worker executes: after the first trial at the sweep's largest
+/// lattice, the steady-state trial loop performs no survey-side heap
 /// allocations (see `docs/PERFORMANCE.md`).
 #[derive(Debug, Default)]
 pub struct TrialScratch {

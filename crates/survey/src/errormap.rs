@@ -1,6 +1,6 @@
 //! The measured localization-error field.
 
-use crate::lanes::SweepLane;
+use crate::SurveyScratch;
 use abp_field::{Beacon, BeaconField};
 use abp_geom::{Disk, Lattice, LatticeIndex, Point, Rect};
 use abp_localize::{ConnectivityOracle, Localizer, UnheardPolicy};
@@ -101,7 +101,8 @@ impl fmt::Display for SurveyAccounting {
 /// * **beacon-major construction** ([`ErrorMap::survey`]): for each beacon
 ///   visit only the lattice points inside its maximum range — `O(Σ
 ///   points-in-range)` instead of `O(points × beacons)`, a ~6× saving at
-///   paper scale and far more at low density;
+///   paper scale and far more at low density — and ask the model only
+///   outside the beacon's guaranteed core;
 /// * **incremental re-survey** ([`ErrorMap::add_beacon`]): adding a beacon
 ///   touches only the points inside *its* coverage disk, so the
 ///   after-placement survey costs `O((R/step)²)` instead of a full pass.
@@ -121,48 +122,30 @@ pub struct ErrorMap {
 }
 
 impl ErrorMap {
-    /// Surveys `field` under `model` over `lattice` (beacon-major sweep).
+    /// Surveys `field` under `model` over `lattice`: the production
+    /// beacon-major sweep of [`ErrorMap::survey_indexed_with`], through a
+    /// temporary scratch.
     ///
     /// Semantically identical to running the paper's centroid localizer at
     /// every lattice point (validated against
-    /// [`ErrorMap::survey_with_localizer`] in tests).
+    /// [`ErrorMap::survey_with_localizer`] in tests), and bit-identical to
+    /// the point-major oracle [`ErrorMap::survey_point_major`].
     pub fn survey(
         lattice: &Lattice,
         field: &BeaconField,
         model: &dyn Propagation,
         policy: UnheardPolicy,
     ) -> Self {
-        let n = lattice.len();
-        let mut map = ErrorMap {
-            lattice: *lattice,
-            policy,
-            sum_x: vec![0.0; n],
-            sum_y: vec![0.0; n],
-            count: vec![0; n],
-            errors: vec![0.0; n],
-        };
-        {
-            let _span = abp_trace::span!("radio.connectivity_sweep");
-            for b in field {
-                map.accumulate_beacon(b, model);
-            }
-        }
-        {
-            let _span = abp_trace::span!("localize.derive_errors");
-            for flat in 0..n {
-                map.errors[flat] = map.derive_error(flat);
-            }
-        }
-        map
+        Self::survey_indexed_with(lattice, field, model, policy, &mut SurveyScratch::new())
     }
 
     /// Point-major brute-force sweep: for every lattice point, scan every
-    /// beacon. `O(points × beacons)` — the reference the indexed sweep is
+    /// beacon. `O(points × beacons)` — the oracle the production sweep is
     /// benchmarked and bit-compared against.
     ///
     /// Accumulates each point's heard beacons in insertion order — the
     /// same per-point addition order as the beacon-major
-    /// [`ErrorMap::survey`] — so all three sweeps produce **bit-identical**
+    /// [`ErrorMap::survey`] — so both sweeps produce **bit-identical**
     /// maps (asserted by tests and the CI perf-smoke job).
     pub fn survey_point_major(
         lattice: &Lattice,
@@ -170,442 +153,7 @@ impl ErrorMap {
         model: &dyn Propagation,
         policy: UnheardPolicy,
     ) -> Self {
-        Self::survey_via(&ConnectivityOracle::new(field, model), lattice, policy)
-    }
-
-    /// Point-major sweep through a grid-bin spatial index: each lattice
-    /// point tests only the beacons in nearby cells —
-    /// `O(points × beacons-in-reach)`.
-    ///
-    /// Bit-identical to [`ErrorMap::survey`] and
-    /// [`ErrorMap::survey_point_major`]: the index visits candidates in
-    /// insertion order (see `abp_field::CellIndex`) and prunes only
-    /// beacons that `Propagation::max_range` proves unreachable, so every
-    /// per-point accumulation performs the same additions in the same
-    /// order.
-    pub fn survey_indexed(
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-    ) -> Self {
-        let index = ConnectivityOracle::build_index(field, model);
-        // Disk-exact models (`Propagation::disk_exact`) let the sweep
-        // replace the virtual per-candidate `connected` call with the
-        // inline squared-distance comparison the contract pins down —
-        // the hottest loop in the workspace then touches only the dense
-        // position and threshold arrays, with no dynamic dispatch.
-        if model.disk_exact() {
-            return Self::survey_indexed_disk(&index, lattice, field, model, policy);
-        }
-        let oracle = ConnectivityOracle::with_index(field, model, &index);
-        Self::survey_via(&oracle, lattice, policy)
-    }
-
-    /// The disk-exact indexed sweep: per candidate, heard is exactly
-    /// `distance_squared <= max_range^2` (see
-    /// `Propagation::disk_exact`), evaluated inline over the index's
-    /// dense position array. Bit-identical to the oracle path because
-    /// the comparison *is* the model's `connected` and candidates arrive
-    /// in the same ascending insertion order.
-    fn survey_indexed_disk(
-        index: &abp_field::CellIndex,
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-    ) -> Self {
-        let n = lattice.len();
-        let mut map = ErrorMap {
-            lattice: *lattice,
-            policy,
-            sum_x: vec![0.0; n],
-            sum_y: vec![0.0; n],
-            count: vec![0; n],
-            errors: vec![0.0; n],
-        };
-        // Dense positions and squared thresholds, in insertion order
-        // (r * r per beacon, matching the disk_exact contract verbatim).
-        // The fresh path allocates its mirror locally; the scratch path
-        // reuses one across trials.
-        let mut soa = abp_field::BeaconSoA::new();
-        soa.rebuild_with(field, |b| {
-            let r = model.max_range(b.tx(), b.pos());
-            r * r
-        });
-        let mut lane = SweepLane::new();
-        Self::disk_sweep_soa(
-            index,
-            &soa,
-            lattice,
-            &mut lane,
-            &mut map.sum_x,
-            &mut map.sum_y,
-            &mut map.count,
-        );
-        {
-            let _span = abp_trace::span!("localize.derive_errors");
-            for flat in 0..n {
-                map.errors[flat] = map.derive_error(flat);
-            }
-        }
-        map
-    }
-
-    /// [`ErrorMap::survey_indexed`] through a reusable
-    /// [`SurveyScratch`](crate::SurveyScratch): the accumulator grids,
-    /// SoA mirror, and spatial index all come from (and return to) the
-    /// scratch, so repeated calls allocate nothing once the buffers have
-    /// grown to the sweep's largest trial.
-    ///
-    /// **Bit-identical** to [`ErrorMap::survey_indexed`] — and therefore
-    /// to all three fresh sweeps: the disk-exact path runs the tiled
-    /// structure-of-arrays kernel over the same candidates in the same
-    /// ascending insertion order with the same `dx² + dy² <= r²`
-    /// comparison, and the oracle path is the same loop as
-    /// [`ErrorMap::survey_point_major`]. Asserted by tests here, in
-    /// `scratch.rs`, and at scale in `tests/indexing.rs`.
-    ///
-    /// The returned map *owns* the grid buffers; hand them back with
-    /// [`SurveyScratch::recycle`](crate::SurveyScratch::recycle) when
-    /// done.
-    pub fn survey_indexed_with(
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-        scratch: &mut crate::SurveyScratch,
-    ) -> Self {
-        Self::survey_indexed_with_threads(lattice, field, model, policy, scratch, 1)
-    }
-
-    /// [`ErrorMap::survey_indexed_with`] across an intra-survey tile
-    /// scheduler: the lattice is split row-band-wise into tiles (about
-    /// four per worker, for load balance), each tile owns disjoint
-    /// `sum_x/sum_y/count/errors` slices and its own packed-candidate
-    /// [`SweepLane`] from the scratch, and a worker
-    /// pool mirroring `abp-sim`'s `parallel_try_map` discipline (atomic
-    /// work claiming, per-tile panic isolation, deterministic re-panic)
-    /// executes them. Error derivation joins the same tile pass, fused
-    /// with the sweep under the `radio.connectivity_sweep` span.
-    ///
-    /// `threads` follows the workspace convention: `0` means all
-    /// available cores; `1` runs the plain sequential sweep (identical
-    /// code path and trace spans as before this scheduler existed).
-    ///
-    /// **Bit-identical at any thread count**: every lattice point's
-    /// accumulation is self-contained (its candidates fold in ascending
-    /// insertion order regardless of which tile visits it), tiles write
-    /// disjoint slices, and no cross-point arithmetic exists anywhere in
-    /// the pass — so the schedule cannot influence any output bit.
-    /// Asserted by `four_sweeps_bit_identical`, the proptests, and
-    /// `tests/indexing.rs` at paper scale.
-    pub fn survey_indexed_with_threads(
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-        scratch: &mut crate::SurveyScratch,
-        threads: usize,
-    ) -> Self {
-        let workers = crate::tiles::resolve_survey_threads(threads);
-        let n = lattice.len();
-        let mut sum_x = std::mem::take(&mut scratch.sum_x);
-        let mut sum_y = std::mem::take(&mut scratch.sum_y);
-        let mut count = std::mem::take(&mut scratch.count);
-        let mut errors = std::mem::take(&mut scratch.errors);
-        sum_x.clear();
-        sum_x.resize(n, 0.0);
-        sum_y.clear();
-        sum_y.resize(n, 0.0);
-        count.clear();
-        count.resize(n, 0);
-        errors.clear();
-        errors.resize(n, 0.0);
-        match &mut scratch.index {
-            Some(index) => ConnectivityOracle::rebuild_index(index, field, model),
-            none => *none = Some(ConnectivityOracle::build_index(field, model)),
-        }
-        let crate::SurveyScratch {
-            index,
-            soa,
-            tile_lanes,
-            ..
-        } = scratch;
-        let index = index.as_ref().expect("index was just built");
-        let disk = model.disk_exact();
-        if disk {
-            // Dense squared thresholds, computed exactly as the AoS path
-            // does (r * r per beacon, insertion order).
-            soa.rebuild_with(field, |b| {
-                let r = model.max_range(b.tx(), b.pos());
-                r * r
-            });
-        }
-
-        if workers <= 1 {
-            if disk {
-                if tile_lanes.is_empty() {
-                    tile_lanes.push(SweepLane::new());
-                }
-                Self::disk_sweep_soa(
-                    index,
-                    soa,
-                    lattice,
-                    &mut tile_lanes[0],
-                    &mut sum_x,
-                    &mut sum_y,
-                    &mut count,
-                );
-            } else {
-                let oracle = ConnectivityOracle::with_index(field, model, index);
-                let _span = abp_trace::span!("radio.connectivity_sweep");
-                Self::oracle_sweep_rows(
-                    &oracle,
-                    lattice,
-                    0,
-                    lattice.per_side() - 1,
-                    &mut sum_x,
-                    &mut sum_y,
-                    &mut count,
-                );
-            }
-            let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
-            {
-                let _span = abp_trace::span!("localize.derive_errors");
-                for flat in 0..n {
-                    map.errors[flat] = map.derive_error(flat);
-                }
-            }
-            return map;
-        }
-
-        let per_side = lattice.per_side() as usize;
-        let bands = crate::tiles::row_bands(per_side, workers * 4);
-        while tile_lanes.len() < bands.len() {
-            tile_lanes.push(SweepLane::new());
-        }
-        let oracle = (!disk).then(|| ConnectivityOracle::with_index(field, model, index));
-        let soa: &abp_field::BeaconSoA = soa;
-
-        struct Tile<'a> {
-            j_lo: u32,
-            j_hi: u32,
-            sum_x: &'a mut [f64],
-            sum_y: &'a mut [f64],
-            count: &'a mut [u32],
-            errors: &'a mut [f64],
-            lane: &'a mut SweepLane,
-        }
-
-        let mut tasks: Vec<Tile<'_>> = Vec::with_capacity(bands.len());
-        {
-            let mut rx: &mut [f64] = &mut sum_x;
-            let mut ry: &mut [f64] = &mut sum_y;
-            let mut rc: &mut [u32] = &mut count;
-            let mut re: &mut [f64] = &mut errors;
-            let mut lanes: &mut [SweepLane] = tile_lanes;
-            for &(start, rows) in &bands {
-                let len = rows * per_side;
-                let (hx, tx) = std::mem::take(&mut rx).split_at_mut(len);
-                rx = tx;
-                let (hy, ty) = std::mem::take(&mut ry).split_at_mut(len);
-                ry = ty;
-                let (hc, tc) = std::mem::take(&mut rc).split_at_mut(len);
-                rc = tc;
-                let (he, te) = std::mem::take(&mut re).split_at_mut(len);
-                re = te;
-                let (lane, rest) = std::mem::take(&mut lanes).split_first_mut().expect("lane");
-                lanes = rest;
-                tasks.push(Tile {
-                    j_lo: start as u32,
-                    j_hi: (start + rows - 1) as u32,
-                    sum_x: hx,
-                    sum_y: hy,
-                    count: hc,
-                    errors: he,
-                    lane,
-                });
-            }
-        }
-
-        let tested = AtomicU64::new(0);
-        {
-            // The tiled pass fuses sweep + error derivation into one tile
-            // traversal; the fused work reports under the sweep span.
-            let _span = abp_trace::span!("radio.connectivity_sweep");
-            crate::tiles::run_pool(tasks, workers, |_, t| {
-                match &oracle {
-                    Some(oracle) => Self::oracle_sweep_rows(
-                        oracle, lattice, t.j_lo, t.j_hi, t.sum_x, t.sum_y, t.count,
-                    ),
-                    None => {
-                        let band = Self::disk_sweep_rows(
-                            index, soa, lattice, t.j_lo, t.j_hi, t.lane, t.sum_x, t.sum_y, t.count,
-                        );
-                        tested.fetch_add(band, Ordering::Relaxed);
-                    }
-                }
-                let base = t.j_lo as usize * per_side;
-                for off in 0..t.errors.len() {
-                    t.errors[off] = derive_error_at(
-                        lattice,
-                        policy,
-                        base + off,
-                        t.sum_x[off],
-                        t.sum_y[off],
-                        t.count[off],
-                    );
-                }
-            });
-            if disk {
-                abp_radio::metrics::LINKS_TESTED.add(tested.load(Ordering::Relaxed));
-            }
-        }
-        ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors)
-    }
-
-    /// The tiled structure-of-arrays disk sweep over the whole lattice:
-    /// [`ErrorMap::disk_sweep_rows`] for every row, under the
-    /// connectivity span, with the links-tested metric flushed once.
-    fn disk_sweep_soa(
-        index: &abp_field::CellIndex,
-        soa: &abp_field::BeaconSoA,
-        lattice: &Lattice,
-        lane: &mut SweepLane,
-        sum_x: &mut [f64],
-        sum_y: &mut [f64],
-        count: &mut [u32],
-    ) {
-        let _span = abp_trace::span!("radio.connectivity_sweep");
-        let tested = Self::disk_sweep_rows(
-            index,
-            soa,
-            lattice,
-            0,
-            lattice.per_side() - 1,
-            lane,
-            sum_x,
-            sum_y,
-            count,
-        );
-        abp_radio::metrics::LINKS_TESTED.add(tested);
-    }
-
-    /// The SIMD-wide structure-of-arrays disk sweep over lattice rows
-    /// `j_lo..=j_hi`: points are walked row-major, the candidate cell is
-    /// resolved once per run of points sharing it, and on each cell
-    /// change the candidates' `xs`/`ys`/`reach²` columns are gathered
-    /// densely into `lane` ([`SweepLane::pack`], amortized over the whole
-    /// run) so the membership test streams unit-stride memory through the
-    /// explicit-width kernel ([`crate::lanes::sweep_lanes`]) — no
-    /// `Beacon` records, no virtual calls, no gathers in the inner loop.
-    ///
-    /// The kernel computes the membership mask [`crate::LANES`] wide but
-    /// folds accepted candidates in ascending insertion order, so the
-    /// accumulation order and arithmetic are exactly those of the scalar
-    /// per-candidate test and the result is bit-identical.
-    ///
-    /// Output slices are **band-local**: index `flat - j_lo * per_side`.
-    /// Returns the number of links tested (the caller owns the metric
-    /// flush — tiles sum theirs into one add).
-    #[allow(clippy::too_many_arguments)]
-    fn disk_sweep_rows(
-        index: &abp_field::CellIndex,
-        soa: &abp_field::BeaconSoA,
-        lattice: &Lattice,
-        j_lo: u32,
-        j_hi: u32,
-        lane: &mut SweepLane,
-        sum_x: &mut [f64],
-        sum_y: &mut [f64],
-        count: &mut [u32],
-    ) -> u64 {
-        let bins = index.bins();
-        let (xs, ys, r2) = (soa.xs(), soa.ys(), soa.reach2());
-        let per_side = lattice.per_side();
-        let mut tested = 0u64;
-        let mut last_cell = usize::MAX;
-        let mut off = 0usize;
-        for j in j_lo..=j_hi {
-            for i in 0..per_side {
-                let p = lattice.point(LatticeIndex::new(i, j));
-                let (sx, sy, heard) = if let Some(c) = bins.candidate_cell(p) {
-                    if c != last_cell {
-                        last_cell = c;
-                        lane.pack(bins.cell_candidates(c), xs, ys, r2);
-                    }
-                    tested += lane.len() as u64;
-                    lane.sweep(p.x, p.y)
-                } else {
-                    // No precomputed candidate table (oversized reach or
-                    // empty index): the generic candidate walk, still
-                    // over the dense arrays.
-                    let (mut sx, mut sy, mut heard) = (0.0f64, 0.0f64, 0u32);
-                    bins.for_each_candidate(p, |k, _| {
-                        tested += 1;
-                        // Same operand order as Point::distance_squared
-                        // with self = beacon, other = p — keeps the f64
-                        // results bit-identical to the AoS walk.
-                        let dx = xs[k] - p.x;
-                        let dy = ys[k] - p.y;
-                        if dx * dx + dy * dy <= r2[k] {
-                            sx += xs[k];
-                            sy += ys[k];
-                            heard += 1;
-                        }
-                    });
-                    (sx, sy, heard)
-                };
-                sum_x[off] = sx;
-                sum_y[off] = sy;
-                count[off] = heard;
-                off += 1;
-            }
-        }
-        tested
-    }
-
-    /// The oracle (non-disk-exact) sweep over lattice rows `j_lo..=j_hi`,
-    /// accumulating each point's heard beacons in insertion order —
-    /// the same loop [`ErrorMap::survey_point_major`] runs, banded so
-    /// tiles can share it. Output slices are band-local, like
-    /// [`ErrorMap::disk_sweep_rows`].
-    fn oracle_sweep_rows(
-        oracle: &ConnectivityOracle<'_>,
-        lattice: &Lattice,
-        j_lo: u32,
-        j_hi: u32,
-        sum_x: &mut [f64],
-        sum_y: &mut [f64],
-        count: &mut [u32],
-    ) {
-        let per_side = lattice.per_side();
-        let mut off = 0usize;
-        for j in j_lo..=j_hi {
-            for i in 0..per_side {
-                let p = lattice.point(LatticeIndex::new(i, j));
-                let (mut sx, mut sy, mut heard) = (0.0f64, 0.0f64, 0u32);
-                oracle.for_each_heard(p, |b| {
-                    sx += b.pos().x;
-                    sy += b.pos().y;
-                    heard += 1;
-                });
-                sum_x[off] = sx;
-                sum_y[off] = sy;
-                count[off] = heard;
-                off += 1;
-            }
-        }
-    }
-
-    /// Point-major sweep through a caller-provided oracle (brute or
-    /// indexed).
-    fn survey_via(
-        oracle: &ConnectivityOracle<'_>,
-        lattice: &Lattice,
-        policy: UnheardPolicy,
-    ) -> Self {
+        let oracle = ConnectivityOracle::new(field, model);
         let n = lattice.len();
         let mut map = ErrorMap {
             lattice: *lattice,
@@ -619,10 +167,6 @@ impl ErrorMap {
             let _span = abp_trace::span!("radio.connectivity_sweep");
             for ix in lattice.indices() {
                 let p = lattice.point(ix);
-                // Accumulate in locals and store once per point: the
-                // additions happen in the same (beacon-insertion) order
-                // as ever, so the sums stay bit-identical — only the
-                // per-beacon memory traffic goes away.
                 let (mut sx, mut sy, mut n) = (0.0f64, 0.0f64, 0u32);
                 oracle.for_each_heard(p, |b| {
                     sx += b.pos().x;
@@ -642,6 +186,124 @@ impl ErrorMap {
             }
         }
         map
+    }
+
+    /// The production sweep through a reusable [`SurveyScratch`]: the
+    /// accumulator grids come from (and return to) the scratch, so
+    /// repeated calls allocate nothing once the buffers have grown to the
+    /// sweep's largest trial.
+    ///
+    /// The sweep is beacon-major: each beacon, in insertion order, walks
+    /// the lattice rows of its reach disk and adds itself to every point
+    /// that hears it. Points inside the beacon's guaranteed core
+    /// (`Propagation::core_range`) are heard without a `connected` call;
+    /// only the annulus beyond asks the model. The name, from an earlier
+    /// index-based sweep, is kept because the whole-run benchmark
+    /// (`perfbench`) calls this function by name.
+    ///
+    /// **Bit-identical** to [`ErrorMap::survey_point_major`]: every point
+    /// sums its heard beacons in insertion order starting from 0.0, and
+    /// the core test only skips `connected` calls that would return
+    /// `true`. Asserted by tests here, in `scratch.rs`, and at scale in
+    /// `tests/indexing.rs`.
+    ///
+    /// The returned map *owns* the grid buffers; hand them back with
+    /// [`SurveyScratch::recycle`] when done.
+    pub fn survey_indexed_with(
+        lattice: &Lattice,
+        field: &BeaconField,
+        model: &dyn Propagation,
+        policy: UnheardPolicy,
+        scratch: &mut SurveyScratch,
+    ) -> Self {
+        Self::survey_indexed_with_threads(lattice, field, model, policy, scratch, 1)
+    }
+
+    /// [`ErrorMap::survey_indexed_with`] across the intra-survey tile
+    /// scheduler: the lattice is split into row bands (about four per
+    /// worker, for load balance), each band owns disjoint
+    /// `sum_x/sum_y/count/errors` slices and walks every beacon, in
+    /// insertion order, over its own rows, and a worker pool mirroring
+    /// `abp-sim`'s `parallel_try_map` discipline (atomic work claiming,
+    /// per-band panic isolation, deterministic re-panic) executes them.
+    /// Error derivation joins the same band pass, fused with the sweep
+    /// under the `radio.connectivity_sweep` span. Kept under its old name
+    /// like [`ErrorMap::survey_indexed_with`].
+    ///
+    /// `threads` follows the workspace convention: `0` means all
+    /// available cores; `1` runs the plain sequential sweep.
+    ///
+    /// **Bit-identical at any thread count**: a point's accumulation
+    /// happens entirely inside the band that owns its row, in beacon
+    /// insertion order, so the schedule cannot influence any output
+    /// bit. Asserted by `four_sweeps_bit_identical`, the
+    /// proptests, and `tests/indexing.rs` at paper scale.
+    pub fn survey_indexed_with_threads(
+        lattice: &Lattice,
+        field: &BeaconField,
+        model: &dyn Propagation,
+        policy: UnheardPolicy,
+        scratch: &mut SurveyScratch,
+        threads: usize,
+    ) -> Self {
+        let workers = crate::tiles::resolve_survey_threads(threads);
+        let (mut sum_x, mut sum_y, mut count, mut errors) = scratch.take_grids(lattice.len());
+        let per_side = lattice.per_side() as usize;
+
+        if workers <= 1 {
+            {
+                let _span = abp_trace::span!("radio.connectivity_sweep");
+                let mut all = Band {
+                    j_lo: 0,
+                    j_hi: lattice.per_side() - 1,
+                    sum_x: &mut sum_x,
+                    sum_y: &mut sum_y,
+                    count: &mut count,
+                    errors: &mut errors,
+                };
+                let tested = all.sweep(lattice, field, model);
+                abp_radio::metrics::LINKS_TESTED.add(tested);
+            }
+            let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
+            {
+                let _span = abp_trace::span!("localize.derive_errors");
+                for flat in 0..map.len() {
+                    map.errors[flat] = map.derive_error(flat);
+                }
+            }
+            return map;
+        }
+
+        let bands = crate::tiles::row_bands(per_side, workers * 4);
+        let tasks = Band::split(
+            lattice,
+            0,
+            &bands,
+            &mut sum_x,
+            &mut sum_y,
+            &mut count,
+            &mut errors,
+        );
+        let tested = AtomicU64::new(0);
+        {
+            let _span = abp_trace::span!("radio.connectivity_sweep");
+            crate::tiles::run_pool(tasks, workers, |_, mut band| {
+                tested.fetch_add(band.sweep(lattice, field, model), Ordering::Relaxed);
+                let base = band.j_lo as usize * per_side;
+                for off in 0..band.errors.len() {
+                    band.errors[off] = derive_error_at(
+                        lattice,
+                        policy,
+                        base + off,
+                        band.sum_x[off],
+                        band.sum_y[off],
+                        band.count[off],
+                    );
+                }
+            });
+            abp_radio::metrics::LINKS_TESTED.add(tested.into_inner());
+        }
+        ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors)
     }
 
     /// Reference implementation: runs an arbitrary [`Localizer`] at every
@@ -717,70 +379,25 @@ impl ErrorMap {
         (&self.sum_x, &self.sum_y, &self.count, &self.errors)
     }
 
-    /// Disassembles the map into its grid buffers so a
-    /// [`SurveyScratch`](crate::SurveyScratch) or a robot walk can reuse
-    /// them.
+    /// Disassembles the map into its grid buffers so a [`SurveyScratch`]
+    /// or a robot walk can reuse them.
     pub(crate) fn into_parts(self) -> (Vec<f64>, Vec<f64>, Vec<u32>, Vec<f64>) {
         (self.sum_x, self.sum_y, self.count, self.errors)
     }
 
-    /// Adds one beacon's contribution to the accumulators (no error
-    /// derivation).
-    fn accumulate_beacon(&mut self, b: &Beacon, model: &dyn Propagation) {
-        let reach = model.max_range(b.tx(), b.pos());
-        let (bx, by) = (b.pos().x, b.pos().y);
-        let tx = b.tx();
-        let lattice = self.lattice;
-        let mut tested = 0u64;
-        lattice.for_each_in_disk(Disk::new(b.pos(), reach), |ix, p| {
-            tested += 1;
-            if model.connected(tx, b.pos(), p) {
-                let flat = lattice.flat(ix);
-                self.sum_x[flat] += bx;
-                self.sum_y[flat] += by;
-                self.count[flat] += 1;
-            }
-        });
-        abp_radio::metrics::LINKS_TESTED.add(tested);
-    }
-
     /// Incrementally re-surveys after `beacon` was added to the field:
-    /// only lattice points inside the beacon's maximum range are updated.
+    /// only lattice points inside the beacon's maximum range are visited,
+    /// by the same row walk the full sweep runs.
     ///
     /// The result is exactly what a full [`ErrorMap::survey`] of the
     /// extended field would produce (deterministic propagation makes the
-    /// replay exact); tests assert this equivalence. The returned
+    /// replay exact, and the new beacon is the last one every point
+    /// adds); tests assert this equivalence. The returned
     /// [`SurveyDelta`] bounds the changed region so cached scores can
     /// update incrementally.
     pub fn add_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
         let _span = abp_trace::span!("radio.incremental_update");
-        let reach = model.max_range(beacon.tx(), beacon.pos());
-        let (bx, by) = (beacon.pos().x, beacon.pos().y);
-        let tx = beacon.tx();
-        let lattice = self.lattice;
-        let mut touched = Vec::new();
-        let mut bounds: Option<(LatticeIndex, LatticeIndex)> = None;
-        let mut tested = 0u64;
-        lattice.for_each_in_disk(Disk::new(beacon.pos(), reach), |ix, p| {
-            tested += 1;
-            if model.connected(tx, beacon.pos(), p) {
-                let flat = lattice.flat(ix);
-                self.sum_x[flat] += bx;
-                self.sum_y[flat] += by;
-                self.count[flat] += 1;
-                touched.push(flat);
-                Self::grow_bounds(&mut bounds, ix);
-            }
-        });
-        abp_radio::metrics::LINKS_TESTED.add(tested);
-        let delta = SurveyDelta {
-            changed: bounds,
-            touched: touched.len(),
-        };
-        for flat in touched {
-            self.errors[flat] = self.derive_error(flat);
-        }
-        delta
+        self.update_beacon(beacon, model, 1, true)
     }
 
     /// Incrementally removes a beacon's contribution (the inverse of
@@ -788,31 +405,7 @@ impl ErrorMap {
     /// when a beacon turns passive and by fault experiments when one dies.
     /// Returns the changed region, like [`ErrorMap::add_beacon`].
     pub fn remove_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
-        let reach = model.max_range(beacon.tx(), beacon.pos());
-        let (bx, by) = (beacon.pos().x, beacon.pos().y);
-        let tx = beacon.tx();
-        let lattice = self.lattice;
-        let mut touched = Vec::new();
-        let mut bounds: Option<(LatticeIndex, LatticeIndex)> = None;
-        lattice.for_each_in_disk(Disk::new(beacon.pos(), reach), |ix, p| {
-            if model.connected(tx, beacon.pos(), p) {
-                let flat = lattice.flat(ix);
-                debug_assert!(self.count[flat] > 0, "removing unaccounted beacon");
-                self.sum_x[flat] -= bx;
-                self.sum_y[flat] -= by;
-                self.count[flat] -= 1;
-                touched.push(flat);
-                Self::grow_bounds(&mut bounds, ix);
-            }
-        });
-        let delta = SurveyDelta {
-            changed: bounds,
-            touched: touched.len(),
-        };
-        for flat in touched {
-            self.errors[flat] = self.derive_error(flat);
-        }
-        delta
+        self.update_beacon(beacon, model, 1, false)
     }
 
     /// [`ErrorMap::remove_beacon`] under its fault-experiment name: the
@@ -823,25 +416,21 @@ impl ErrorMap {
 
     /// [`ErrorMap::add_beacon`] across the tile scheduler: the beacon's
     /// coverage-disk row span is split into bands, each band owns
-    /// disjoint grid slices, and workers update their bands concurrently
-    /// (errors derived inline, which is exact because a single-beacon
-    /// update touches each point at most once). `threads` follows the
-    /// workspace convention (`0` = all cores, `<= 1` = the sequential
-    /// path verbatim). Bit-identical to the sequential method at any
-    /// thread count; the returned delta is identical too (bounds and
-    /// touched counts merge in band order, and both are order-free).
+    /// disjoint grid slices, and workers update their bands concurrently.
+    /// `threads` follows the workspace convention (`0` = all cores,
+    /// `<= 1` = one band on the calling thread). Bit-identical to the
+    /// sequential method at any thread count; the returned delta is
+    /// identical too (bounds and touched counts merge in band order, and
+    /// both are order-free).
     pub fn add_beacon_threaded(
         &mut self,
         beacon: &Beacon,
         model: &dyn Propagation,
         threads: usize,
     ) -> SurveyDelta {
-        let workers = crate::tiles::resolve_survey_threads(threads);
-        if workers <= 1 {
-            return self.add_beacon(beacon, model);
-        }
         let _span = abp_trace::span!("radio.incremental_update");
-        self.update_beacon_banded(beacon, model, workers, true)
+        let workers = crate::tiles::resolve_survey_threads(threads);
+        self.update_beacon(beacon, model, workers, true)
     }
 
     /// [`ErrorMap::remove_beacon`] across the tile scheduler — see
@@ -853,38 +442,30 @@ impl ErrorMap {
         threads: usize,
     ) -> SurveyDelta {
         let workers = crate::tiles::resolve_survey_threads(threads);
-        if workers <= 1 {
-            return self.remove_beacon(beacon, model);
-        }
-        self.update_beacon_banded(beacon, model, workers, false)
+        self.update_beacon(beacon, model, workers, false)
     }
 
-    /// The banded single-beacon update: row bands of the coverage disk,
-    /// disjoint grid slices per band, one result slot per band merged in
-    /// band order after the pool drains.
-    fn update_beacon_banded(
+    /// The single-beacon update behind all four incremental methods: row
+    /// bands of the coverage disk (one band when `workers <= 1`), disjoint
+    /// grid slices per band, one result slot per band merged in band
+    /// order after the pool drains. Errors are derived as each point is
+    /// updated, which is exact because one beacon reaches each point at
+    /// most once. Only additions count toward `links_tested`.
+    fn update_beacon(
         &mut self,
         beacon: &Beacon,
         model: &dyn Propagation,
         workers: usize,
         add: bool,
     ) -> SurveyDelta {
-        let reach = model.max_range(beacon.tx(), beacon.pos());
-        let disk = Disk::new(beacon.pos(), reach);
-        let (bx, by) = (beacon.pos().x, beacon.pos().y);
-        let tx = beacon.tx();
-        let lattice = self.lattice;
-        let policy = self.policy;
-        let c = disk.center();
-        let Some((j_lo, j_hi)) = lattice.index_span(c.y - reach, c.y + reach) else {
-            if add {
-                abp_radio::metrics::LINKS_TESTED.add(0);
-            }
-            return SurveyDelta::EMPTY;
-        };
-        let per_side = lattice.per_side() as usize;
-        let rows = (j_hi - j_lo + 1) as usize;
-        let bands = crate::tiles::row_bands(rows, workers * 4);
+        let (lattice, policy) = (self.lattice, self.policy);
+        let pos = beacon.pos();
+        let reach = model.max_range(beacon.tx(), pos);
+        let (j_lo, rows) = lattice
+            .index_span(pos.y - reach, pos.y + reach)
+            .map_or((0, 0), |(lo, hi)| (lo, (hi - lo + 1) as usize));
+        let tiles = if workers <= 1 { 1 } else { workers * 4 };
+        let bands = crate::tiles::row_bands(rows, tiles);
 
         #[derive(Default)]
         struct BandOut {
@@ -892,86 +473,44 @@ impl ErrorMap {
             touched: usize,
             bounds: Option<(LatticeIndex, LatticeIndex)>,
         }
-        struct Band<'a> {
-            j_lo: u32,
-            j_hi: u32,
-            sum_x: &'a mut [f64],
-            sum_y: &'a mut [f64],
-            count: &'a mut [u32],
-            errors: &'a mut [f64],
-            out: &'a mut BandOut,
-        }
-
         let mut outs: Vec<BandOut> = Vec::with_capacity(bands.len());
         outs.resize_with(bands.len(), BandOut::default);
-        let mut tasks: Vec<Band<'_>> = Vec::with_capacity(bands.len());
-        {
-            let mut rx: &mut [f64] = &mut self.sum_x;
-            let mut ry: &mut [f64] = &mut self.sum_y;
-            let mut rc: &mut [u32] = &mut self.count;
-            let mut re: &mut [f64] = &mut self.errors;
-            let mut ro: &mut [BandOut] = &mut outs;
-            let mut consumed = 0usize;
-            for &(start, len) in &bands {
-                let begin = (j_lo as usize + start) * per_side;
-                let skip = begin - consumed;
-                let flats = len * per_side;
-                let (_, r) = std::mem::take(&mut rx).split_at_mut(skip);
-                let (hx, r) = r.split_at_mut(flats);
-                rx = r;
-                let (_, r) = std::mem::take(&mut ry).split_at_mut(skip);
-                let (hy, r) = r.split_at_mut(flats);
-                ry = r;
-                let (_, r) = std::mem::take(&mut rc).split_at_mut(skip);
-                let (hc, r) = r.split_at_mut(flats);
-                rc = r;
-                let (_, r) = std::mem::take(&mut re).split_at_mut(skip);
-                let (he, r) = r.split_at_mut(flats);
-                re = r;
-                let (out, rest) = std::mem::take(&mut ro).split_first_mut().expect("out slot");
-                ro = rest;
-                consumed = begin + flats;
-                tasks.push(Band {
-                    j_lo: (j_lo as usize + start) as u32,
-                    j_hi: (j_lo as usize + start + len - 1) as u32,
-                    sum_x: hx,
-                    sum_y: hy,
-                    count: hc,
-                    errors: he,
-                    out,
-                });
-            }
-        }
-
-        crate::tiles::run_pool(tasks, workers, |_, t| {
-            let base = t.j_lo as usize * per_side;
-            lattice.for_each_in_disk_rows(disk, t.j_lo, t.j_hi, |ix, p| {
+        let split = Band::split(
+            &lattice,
+            j_lo,
+            &bands,
+            &mut self.sum_x,
+            &mut self.sum_y,
+            &mut self.count,
+            &mut self.errors,
+        );
+        let tasks: Vec<_> = split.into_iter().zip(outs.iter_mut()).collect();
+        let (bx, by) = (pos.x, pos.y);
+        let per_side = lattice.per_side() as usize;
+        crate::tiles::run_pool(tasks, workers, |_, (band, out)| {
+            let base = band.j_lo as usize * per_side;
+            out.tested = walk_beacon(&lattice, beacon, model, band.j_lo, band.j_hi, |ix, flat| {
+                let off = flat - base;
                 if add {
-                    t.out.tested += 1;
+                    band.sum_x[off] += bx;
+                    band.sum_y[off] += by;
+                    band.count[off] += 1;
+                } else {
+                    debug_assert!(band.count[off] > 0, "removing unaccounted beacon");
+                    band.sum_x[off] -= bx;
+                    band.sum_y[off] -= by;
+                    band.count[off] -= 1;
                 }
-                if model.connected(tx, beacon.pos(), p) {
-                    let off = lattice.flat(ix) - base;
-                    if add {
-                        t.sum_x[off] += bx;
-                        t.sum_y[off] += by;
-                        t.count[off] += 1;
-                    } else {
-                        debug_assert!(t.count[off] > 0, "removing unaccounted beacon");
-                        t.sum_x[off] -= bx;
-                        t.sum_y[off] -= by;
-                        t.count[off] -= 1;
-                    }
-                    t.errors[off] = derive_error_at(
-                        &lattice,
-                        policy,
-                        base + off,
-                        t.sum_x[off],
-                        t.sum_y[off],
-                        t.count[off],
-                    );
-                    t.out.touched += 1;
-                    Self::grow_bounds(&mut t.out.bounds, ix);
-                }
+                band.errors[off] = derive_error_at(
+                    &lattice,
+                    policy,
+                    flat,
+                    band.sum_x[off],
+                    band.sum_y[off],
+                    band.count[off],
+                );
+                out.touched += 1;
+                Self::grow_bounds(&mut out.bounds, ix);
             });
         });
 
@@ -1268,6 +807,119 @@ pub(crate) fn derive_error_at(
     }
 }
 
+/// One beacon's walk over lattice rows `j_lo..=j_hi` of its reach disk
+/// (`Propagation::max_range`): calls `heard(index, flat)` for every point
+/// that hears the beacon, row by row. A point inside the beacon's
+/// guaranteed core (`Propagation::core_range`, in the contract's squared
+/// form) is heard without asking the model; only the rest of the disk
+/// pays for a `connected` call. Returns the points decided — the links
+/// tested.
+///
+/// Full sweeps, incremental updates and their banded forms all run this
+/// walk, so they hear exactly the same points.
+fn walk_beacon(
+    lattice: &Lattice,
+    beacon: &Beacon,
+    model: &dyn Propagation,
+    j_lo: u32,
+    j_hi: u32,
+    mut heard: impl FnMut(LatticeIndex, usize),
+) -> u64 {
+    let (tx, pos) = (beacon.tx(), beacon.pos());
+    let reach = model.max_range(tx, pos);
+    let Some((lo, hi)) = lattice.index_span(pos.y - reach, pos.y + reach) else {
+        return 0;
+    };
+    let (lo, hi) = (lo.max(j_lo), hi.min(j_hi));
+    if lo > hi {
+        return 0;
+    }
+    // Without a core no distance is small enough to skip the model.
+    let core2 = model
+        .core_range(tx, pos)
+        .map_or(f64::NEG_INFINITY, |c| c * c);
+    let mut tested = 0u64;
+    lattice.for_each_in_disk_rows(Disk::new(pos, reach), lo, hi, |ix, p, d2| {
+        tested += 1;
+        // `d2` is bit-equal to `pos.distance_squared(p)`, the contract's form.
+        if d2 <= core2 || model.connected(tx, pos, p) {
+            heard(ix, lattice.flat(ix));
+        }
+    });
+    tested
+}
+
+/// One row band's disjoint view of the four accumulator grids: rows
+/// `j_lo..=j_hi`, slices indexed `flat - j_lo * per_side`.
+struct Band<'a> {
+    j_lo: u32,
+    j_hi: u32,
+    sum_x: &'a mut [f64],
+    sum_y: &'a mut [f64],
+    count: &'a mut [u32],
+    errors: &'a mut [f64],
+}
+
+impl<'a> Band<'a> {
+    /// Splits the grids into `bands` (contiguous `(first_row, rows)`
+    /// pairs from [`crate::tiles::row_bands`], counted from lattice row
+    /// `row0`), in band order.
+    fn split(
+        lattice: &Lattice,
+        row0: u32,
+        bands: &[(usize, usize)],
+        sum_x: &'a mut [f64],
+        sum_y: &'a mut [f64],
+        count: &'a mut [u32],
+        errors: &'a mut [f64],
+    ) -> Vec<Band<'a>> {
+        fn take<'s, T>(rest: &mut &'s mut [T], len: usize) -> &'s mut [T] {
+            let (head, tail) = std::mem::take(rest).split_at_mut(len);
+            *rest = tail;
+            head
+        }
+        let per_side = lattice.per_side() as usize;
+        let skip = row0 as usize * per_side;
+        let (mut sum_x, mut sum_y) = (&mut sum_x[skip..], &mut sum_y[skip..]);
+        let (mut count, mut errors) = (&mut count[skip..], &mut errors[skip..]);
+        bands
+            .iter()
+            .map(|&(start, rows)| {
+                let len = rows * per_side;
+                Band {
+                    j_lo: row0 + start as u32,
+                    j_hi: row0 + (start + rows) as u32 - 1,
+                    sum_x: take(&mut sum_x, len),
+                    sum_y: take(&mut sum_y, len),
+                    count: take(&mut count, len),
+                    errors: take(&mut errors, len),
+                }
+            })
+            .collect()
+    }
+
+    /// The beacon-major sweep over this band: every beacon, in insertion
+    /// order, walks its reach disk over the band's rows ([`walk_beacon`])
+    /// and adds itself to each point that hears it. The accumulators must
+    /// start zeroed; each point then sums its heard beacons in insertion
+    /// order from 0.0, exactly the additions of the point-major oracle.
+    /// Returns the links tested.
+    fn sweep(&mut self, lattice: &Lattice, field: &BeaconField, model: &dyn Propagation) -> u64 {
+        let base = self.j_lo as usize * lattice.per_side() as usize;
+        let mut tested = 0u64;
+        for b in field {
+            let (bx, by) = (b.pos().x, b.pos().y);
+            tested += walk_beacon(lattice, b, model, self.j_lo, self.j_hi, |_, flat| {
+                let off = flat - base;
+                self.sum_x[off] += bx;
+                self.sum_y[off] += by;
+                self.count[off] += 1;
+            });
+        }
+        tested
+    }
+}
+
 impl fmt::Display for ErrorMap {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -1375,67 +1027,98 @@ mod tests {
         }
     }
 
+    /// A transparent wrapper with no guaranteed core: the same links as
+    /// the wrapped model, but every point in reach must ask `connected`.
+    struct NoCore<M>(M);
+
+    impl<M: Propagation> Propagation for NoCore<M> {
+        fn connected(&self, tx: abp_radio::TxId, tx_pos: Point, rx: Point) -> bool {
+            self.0.connected(tx, tx_pos, rx)
+        }
+        fn max_range(&self, tx: abp_radio::TxId, tx_pos: Point) -> f64 {
+            self.0.max_range(tx, tx_pos)
+        }
+        fn nominal_range(&self) -> f64 {
+            self.0.nominal_range()
+        }
+    }
+
+    /// The production sweep — fresh, scratch-reused, and banded at 2, 3
+    /// and 4 threads — against the point-major oracle, bit for bit, under
+    /// the ideal disk, every noise style at 0.4, and a model with no core.
     #[test]
     fn four_sweeps_bit_identical() {
+        use abp_radio::NoiseStyle;
         let lat = lattice(2.0);
         let mut rng = StdRng::seed_from_u64(17);
         let field = BeaconField::random_uniform(60, terrain(), &mut rng);
+        let styled = |style| PerBeaconNoise::with_style(15.0, 0.4, 5, style);
+        let speckled = styled(NoiseStyle::Speckled);
+        let coherent = styled(NoiseStyle::CoherentRadius);
+        let lossy = styled(NoiseStyle::Lossy);
+        let ideal = IdealDisk::new(15.0);
+        let no_core = NoCore(speckled);
+        let models: [(&str, &dyn Propagation); 5] = [
+            ("ideal", &ideal),
+            ("speckled", &speckled),
+            ("coherent", &coherent),
+            ("lossy", &lossy),
+            ("no core", &no_core),
+        ];
         let mut scratch = crate::SurveyScratch::new();
         let mut scratch_mt = crate::SurveyScratch::new();
-        for noise in [0.0, 0.4] {
-            let model = PerBeaconNoise::new(15.0, noise, 5);
+        for (name, model) in models {
             for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
-                let beacon_major = ErrorMap::survey(&lat, &field, &model, policy);
-                let brute = ErrorMap::survey_point_major(&lat, &field, &model, policy);
-                let indexed = ErrorMap::survey_indexed(&lat, &field, &model, policy);
-                let scratched =
-                    ErrorMap::survey_indexed_with(&lat, &field, &model, policy, &mut scratch);
-                assert_bit_identical(&beacon_major, &brute, "beacon-major vs point-major");
-                assert_bit_identical(&brute, &indexed, "point-major vs indexed");
-                assert_bit_identical(&indexed, &scratched, "indexed vs scratch-reused");
-                scratch.recycle(scratched);
-                // The tiled scheduler at several thread counts — more
-                // workers than cores is fine (oversubscription changes
-                // only scheduling, never bits).
+                let label = format!("{name} {policy:?}");
+                let oracle = ErrorMap::survey_point_major(&lat, &field, model, policy);
+                let fresh = ErrorMap::survey(&lat, &field, model, policy);
+                assert_bit_identical(&oracle, &fresh, &format!("{label}: fresh"));
+                let reused =
+                    ErrorMap::survey_indexed_with(&lat, &field, model, policy, &mut scratch);
+                assert_bit_identical(&oracle, &reused, &format!("{label}: scratch-reused"));
+                scratch.recycle(reused);
+                // More workers than cores is fine: oversubscription
+                // changes only scheduling, never bits.
                 for threads in [2usize, 3, 4] {
-                    let tiled = ErrorMap::survey_indexed_with_threads(
+                    let banded = ErrorMap::survey_indexed_with_threads(
                         &lat,
                         &field,
-                        &model,
+                        model,
                         policy,
                         &mut scratch_mt,
                         threads,
                     );
-                    assert_bit_identical(
-                        &indexed,
-                        &tiled,
-                        &format!("indexed vs tiled {threads}-thread"),
-                    );
-                    scratch_mt.recycle(tiled);
+                    assert_bit_identical(&oracle, &banded, &format!("{label}: {threads} threads"));
+                    scratch_mt.recycle(banded);
                 }
             }
         }
     }
 
-    /// A noisy model forces `disk_exact() == false`, so the tiled pass
-    /// runs the oracle kernel — it must be bit-identical too (covered
-    /// above), and so must an *empty* field through the tiled path.
+    /// An empty field through every form of the sweep matches the oracle.
     #[test]
     fn tiled_survey_handles_empty_field() {
         let lat = lattice(10.0);
         let field = BeaconField::new(terrain());
         let model = IdealDisk::new(15.0);
         let mut scratch = crate::SurveyScratch::new();
-        let fresh = ErrorMap::survey_indexed(&lat, &field, &model, UnheardPolicy::TerrainCenter);
-        let tiled = ErrorMap::survey_indexed_with_threads(
-            &lat,
-            &field,
-            &model,
-            UnheardPolicy::TerrainCenter,
-            &mut scratch,
-            4,
-        );
-        assert_bit_identical(&fresh, &tiled, "empty field tiled");
+        for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
+            let oracle = ErrorMap::survey_point_major(&lat, &field, &model, policy);
+            let fresh = ErrorMap::survey(&lat, &field, &model, policy);
+            assert_bit_identical(&oracle, &fresh, "empty field fresh");
+            for threads in [1, 4] {
+                let banded = ErrorMap::survey_indexed_with_threads(
+                    &lat,
+                    &field,
+                    &model,
+                    policy,
+                    &mut scratch,
+                    threads,
+                );
+                assert_bit_identical(&oracle, &banded, "empty field banded");
+                scratch.recycle(banded);
+            }
+        }
     }
 
     #[test]

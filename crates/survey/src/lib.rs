@@ -14,8 +14,9 @@
 //!   deploys beacons, accounts for distance travelled,
 //! * [`ErrorMap`] — the measured localization-error field the placement
 //!   algorithms consume; built either by a [`Robot`] or directly by the
-//!   fast beacon-major sweep ([`ErrorMap::survey`]), with an
-//!   incremental-update path for re-surveying after a beacon is added.
+//!   beacon-major sweep ([`ErrorMap::survey`]), with an
+//!   incremental-update path for re-surveying after a beacon is added
+//!   that runs the same per-beacon row walk.
 //!
 //! # Example
 //!
@@ -39,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod errormap;
-pub mod lanes;
 pub mod plan;
 pub mod render;
 pub mod robot;
@@ -49,7 +49,6 @@ pub mod snapshot;
 pub mod tiles;
 
 pub use errormap::{ErrorMap, SurveyAccounting, SurveyDelta};
-pub use lanes::{SweepLane, LANES};
 pub use plan::SurveyPlan;
 pub use robot::{Robot, RobotReport};
 pub use sampling::SubsampleStrategy;

@@ -1,19 +1,17 @@
 //! Reusable survey buffers for allocation-free steady-state sweeps.
 
 use crate::errormap::ErrorMap;
-use crate::lanes::SweepLane;
-use abp_field::{BeaconSoA, CellIndex};
 
 /// Every buffer a full survey needs, owned once and recycled across
-/// trials: the four error-map accumulator grids, the quantile selection
-/// workspace, the [`BeaconSoA`] mirror, and the spatial index.
+/// trials: the four error-map accumulator grids and the quantile
+/// selection workspace.
 ///
 /// The Monte-Carlo engine keeps one `SurveyScratch` per worker thread
 /// (see `abp-sim`); [`ErrorMap::survey_indexed_with`] drains the grid
 /// buffers into the map it returns, and [`SurveyScratch::recycle`] takes
 /// them back when the caller is done reading the map. Once the scratch
-/// has passed through one trial at the sweep's largest field and lattice,
-/// every later trial runs without touching the allocator.
+/// has passed through one trial at the sweep's largest lattice, every
+/// later trial runs without touching the allocator.
 ///
 /// # Example
 ///
@@ -43,21 +41,12 @@ use abp_field::{BeaconSoA, CellIndex};
 /// ```
 #[derive(Debug, Default)]
 pub struct SurveyScratch {
-    pub(crate) sum_x: Vec<f64>,
-    pub(crate) sum_y: Vec<f64>,
-    pub(crate) count: Vec<u32>,
-    pub(crate) errors: Vec<f64>,
+    sum_x: Vec<f64>,
+    sum_y: Vec<f64>,
+    count: Vec<u32>,
+    errors: Vec<f64>,
     /// Selection workspace for [`SurveyScratch::median_error`].
-    pub(crate) quantiles: Vec<f64>,
-    /// Dense `xs`/`ys`/`reach²` mirror for the tiled disk sweep.
-    pub(crate) soa: BeaconSoA,
-    /// The per-trial spatial index, rebuilt in place each trial.
-    pub(crate) index: Option<CellIndex>,
-    /// Packed-candidate columns, one per survey tile: lane 0 serves the
-    /// single-thread sweep; the tiled scheduler takes one lane per tile
-    /// so workers never share pack buffers. Retained across trials like
-    /// every other buffer here.
-    pub(crate) tile_lanes: Vec<SweepLane>,
+    quantiles: Vec<f64>,
 }
 
 impl SurveyScratch {
@@ -65,6 +54,23 @@ impl SurveyScratch {
     /// thereafter.
     pub fn new() -> Self {
         SurveyScratch::default()
+    }
+
+    /// Takes the four grids out of the scratch, zeroed and sized for `n`
+    /// lattice points, as `(sum_x, sum_y, count, errors)`.
+    pub(crate) fn take_grids(&mut self, n: usize) -> (Vec<f64>, Vec<f64>, Vec<u32>, Vec<f64>) {
+        fn zeroed<T: Copy + Default>(grid: &mut Vec<T>, n: usize) -> Vec<T> {
+            let mut grid = std::mem::take(grid);
+            grid.clear();
+            grid.resize(n, T::default());
+            grid
+        }
+        (
+            zeroed(&mut self.sum_x, n),
+            zeroed(&mut self.sum_y, n),
+            zeroed(&mut self.count, n),
+            zeroed(&mut self.errors, n),
+        )
     }
 
     /// Takes an [`ErrorMap`]'s grid buffers back into the scratch so the
@@ -133,9 +139,9 @@ mod tests {
         }
     }
 
-    /// The scratch path must be bit-identical to the plain indexed path,
-    /// across repeated reuse over different fields, on both the
-    /// disk-exact kernel and the noisy oracle kernel.
+    /// The scratch path must be bit-identical to the point-major oracle,
+    /// across repeated reuse over different fields and noise levels, on
+    /// the ideal disk (all core) and noisy models (core plus annulus).
     #[test]
     fn scratch_reuse_is_bit_identical_across_trials() {
         let lat = Lattice::new(Terrain::square(100.0), 4.0);
@@ -152,12 +158,12 @@ mod tests {
             let f = field(n, seed);
             let model = PerBeaconNoise::new(15.0, noise, 7);
             for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
-                let fresh = ErrorMap::survey_indexed(&lat, &f, &model, policy);
+                let oracle = ErrorMap::survey_point_major(&lat, &f, &model, policy);
                 let reused = ErrorMap::survey_indexed_with(&lat, &f, &model, policy, &mut scratch);
-                assert_bit_identical(&fresh, &reused, &format!("trial {trial} {policy:?}"));
+                assert_bit_identical(&oracle, &reused, &format!("trial {trial} {policy:?}"));
                 assert_eq!(
                     scratch.median_error(&reused).to_bits(),
-                    fresh.median_error().to_bits(),
+                    oracle.median_error().to_bits(),
                     "trial {trial} median"
                 );
                 scratch.recycle(reused);
@@ -174,34 +180,24 @@ mod tests {
         for step in [10.0, 2.0, 5.0] {
             let lat = Lattice::new(Terrain::square(100.0), step);
             let f = field(30, 11);
-            let fresh = ErrorMap::survey_indexed(&lat, &f, &model, UnheardPolicy::TerrainCenter);
-            let reused = ErrorMap::survey_indexed_with(
-                &lat,
-                &f,
-                &model,
-                UnheardPolicy::TerrainCenter,
-                &mut scratch,
-            );
-            assert_bit_identical(&fresh, &reused, &format!("step {step}"));
+            let policy = UnheardPolicy::TerrainCenter;
+            let oracle = ErrorMap::survey_point_major(&lat, &f, &model, policy);
+            let reused = ErrorMap::survey_indexed_with(&lat, &f, &model, policy, &mut scratch);
+            assert_bit_identical(&oracle, &reused, &format!("step {step}"));
             scratch.recycle(reused);
         }
     }
 
-    /// An empty field through the scratch path matches the fresh path.
+    /// An empty field through the scratch path matches the oracle.
     #[test]
     fn scratch_handles_empty_field() {
         let lat = Lattice::new(Terrain::square(100.0), 10.0);
         let f = BeaconField::new(Terrain::square(100.0));
         let model = IdealDisk::new(15.0);
         let mut scratch = SurveyScratch::new();
-        let reused = ErrorMap::survey_indexed_with(
-            &lat,
-            &f,
-            &model,
-            UnheardPolicy::TerrainCenter,
-            &mut scratch,
-        );
-        let fresh = ErrorMap::survey_indexed(&lat, &f, &model, UnheardPolicy::TerrainCenter);
-        assert_bit_identical(&fresh, &reused, "empty field");
+        let policy = UnheardPolicy::TerrainCenter;
+        let reused = ErrorMap::survey_indexed_with(&lat, &f, &model, policy, &mut scratch);
+        let oracle = ErrorMap::survey_point_major(&lat, &f, &model, policy);
+        assert_bit_identical(&oracle, &reused, "empty field");
     }
 }

@@ -142,8 +142,8 @@ proptest! {
 }
 
 /// A sharp-disk model whose reach varies per beacon — even tx ids are
-/// mute (reach 0), odd ids hear out to `range`. `disk_exact` so the
-/// tiled SoA sweep takes over, with reach² = 0 lanes in the kernel.
+/// mute (reach 0), odd ids hear out to `range` — with its core equal to
+/// its reach, so the sweep decides every point by the core test alone.
 #[derive(Debug, Clone, Copy)]
 struct VariableDisk {
     range: f64,
@@ -152,7 +152,7 @@ struct VariableDisk {
 impl Propagation for VariableDisk {
     fn connected(&self, tx: TxId, tx_pos: Point, rx: Point) -> bool {
         let r = self.max_range(tx, tx_pos);
-        // The disk_exact contract's squared form, verbatim.
+        // The core_range contract's squared form, verbatim.
         tx_pos.distance_squared(rx) <= r * r
     }
     fn max_range(&self, tx: TxId, _tx_pos: Point) -> f64 {
@@ -165,22 +165,22 @@ impl Propagation for VariableDisk {
     fn nominal_range(&self) -> f64 {
         self.range
     }
-    fn disk_exact(&self) -> bool {
-        true
+    fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        Some(self.max_range(tx, tx_pos))
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The tiled structure-of-arrays disk sweep (the `disk_exact` path
-    /// inside `survey_indexed_with`) hears exactly the same beacon sets
-    /// as the scalar per-point walk, bit for bit — on random fields,
-    /// with mute (reach = 0) beacons in the SoA lanes, and with
-    /// beacons snapped onto lattice points and exactly `range` away
-    /// from one so distance² == reach² lands on the `<=` boundary.
+    /// The production sweep, whose core test replaces `connected` for
+    /// sharp disks, hears exactly the beacon sets of the point-major
+    /// oracle, bit for bit — on random fields, with mute (reach = 0 =
+    /// core) beacons, and with beacons snapped onto lattice points and
+    /// exactly `range` away from one so distance² == core² lands on the
+    /// `<=` boundary.
     #[test]
-    fn tiled_soa_sweep_matches_scalar_disk_path(
+    fn core_sweep_matches_oracle_on_disk_boundaries(
         n in 0usize..40, seed in any::<u64>(),
         range in 0.5..20.0f64, step_ix in 0usize..3,
         bx in 0.0..SIDE, by in 0.0..SIDE
@@ -198,68 +198,25 @@ proptest! {
         let variable = VariableDisk { range };
         for model in [&ideal as &dyn Propagation, &variable] {
             for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
-                let scalar = ErrorMap::survey(&lattice, &field, &model, policy);
+                let oracle = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
                 let mut scratch = SurveyScratch::new();
-                let tiled =
+                let swept =
                     ErrorMap::survey_indexed_with(&lattice, &field, &model, policy, &mut scratch);
                 for ix in lattice.indices() {
-                    prop_assert_eq!(tiled.heard_at(ix), scalar.heard_at(ix));
+                    prop_assert_eq!(swept.heard_at(ix), oracle.heard_at(ix));
                     prop_assert_eq!(
-                        tiled.error_at(ix).map(f64::to_bits),
-                        scalar.error_at(ix).map(f64::to_bits)
+                        swept.error_at(ix).map(f64::to_bits),
+                        oracle.error_at(ix).map(f64::to_bits)
                     );
                 }
             }
         }
     }
 
-    /// The explicit-width SIMD kernel (`sweep_lanes`) folds accepted
-    /// lanes in ascending index order, so it must match the scalar walk
-    /// bit for bit on any candidate list: lengths not divisible by the
-    /// lane width (the scalar tail), the empty list, mute lanes with
-    /// reach² = 0, and a candidate exactly `range` away so distance²
-    /// == reach² lands on the `<=` acceptance boundary.
-    #[test]
-    fn wide_kernel_matches_scalar_for_any_candidate_count(
-        n in 0usize..35, seed in any::<u64>(), range in 0.5..12.0f64,
-        px in 0.0..SIDE, py in 0.0..SIDE,
-        with_boundary in any::<bool>(), with_mute in any::<bool>()
-    ) {
-        use abp_survey::lanes::{sweep_lanes, sweep_scalar};
-        use rand::Rng;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut xs = Vec::with_capacity(n + 1);
-        let mut ys = Vec::with_capacity(n + 1);
-        let mut r2 = Vec::with_capacity(n + 1);
-        for i in 0..n {
-            xs.push(rng.random::<f64>() * SIDE);
-            ys.push(rng.random::<f64>() * SIDE);
-            r2.push(if with_mute && i % 3 == 0 { 0.0 } else { range * range });
-        }
-        if with_boundary {
-            // A lane whose reach² equals its distance² bit for bit
-            // (dy = 0, so the kernel computes exactly dx*dx),
-            // exercising the `<=` rather than `<` contract.
-            let bx = px + range;
-            let dx = bx - px;
-            xs.push(bx);
-            ys.push(py);
-            r2.push(dx * dx);
-        }
-        let wide = sweep_lanes(px, py, &xs, &ys, &r2);
-        let scalar = sweep_scalar(px, py, &xs, &ys, &r2);
-        prop_assert_eq!(wide.0.to_bits(), scalar.0.to_bits(), "sum_x");
-        prop_assert_eq!(wide.1.to_bits(), scalar.1.to_bits(), "sum_y");
-        prop_assert_eq!(wide.2, scalar.2, "heard count");
-        if with_boundary {
-            prop_assert!(wide.2 >= 1, "the boundary candidate must be heard");
-        }
-    }
-
     /// The tile scheduler's row-band decomposition keeps every
-    /// per-point accumulation self-contained, so the surveyed map is
-    /// bit-identical at any worker count — on both the SoA disk path
-    /// (IdealDisk) and the oracle path (PerBeaconNoise).
+    /// per-point accumulation inside one band, so the surveyed map is
+    /// bit-identical at any worker count — on the all-core ideal disk and
+    /// on noisy models with an annulus.
     #[test]
     fn threaded_survey_bit_identical_at_any_thread_count(
         n in 0usize..30, seed in any::<u64>(), noise in 0.0..0.5f64,

@@ -1,9 +1,10 @@
-//! Cross-crate guarantees of the grid-bin spatial index: every indexed
-//! hot path — the survey sweep, the connectivity oracle behind the
-//! localizers, and the incremental candidate scorers — must produce
-//! **bit-identical** results to its brute-force counterpart, at a scale
-//! where the index actually prunes.
+//! Cross-crate bit-identity guarantees at a scale where pruning matters:
+//! the production survey sweep (which skips `connected` inside each
+//! beacon's guaranteed core) against the point-major oracle, the
+//! connectivity oracle behind the localizers against brute force, and
+//! the incremental candidate scorers against full re-scoring.
 
+use abp_fault::FaultPlan;
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::{CentroidLocalizer, ConnectivityOracle, Localizer, UnheardPolicy};
@@ -11,7 +12,7 @@ use abp_placement::{
     greedy_batch, greedy_batch_incremental, GridPlacement, IncrementalGrid, IncrementalMax,
     MaxPlacement,
 };
-use abp_radio::{IdealDisk, PerBeaconNoise, Propagation};
+use abp_radio::{IdealDisk, NoiseStyle, PerBeaconNoise, Propagation};
 use abp_survey::{ErrorMap, SurveyScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,6 +26,30 @@ fn dense_field(beacons: usize, seed: u64) -> BeaconField {
         Terrain::square(SIDE),
         &mut StdRng::seed_from_u64(seed),
     )
+}
+
+/// The survey models every identity check runs: the all-core ideal
+/// disk, each noise style at 0.4 (core plus annulus; the coherent style
+/// is all core), and a fault wrapper that injects nothing but claims no
+/// core, so every point in reach asks `connected`.
+fn survey_models() -> Vec<(String, Box<dyn Propagation>)> {
+    let mut models: Vec<(String, Box<dyn Propagation>)> =
+        vec![("ideal disk".into(), Box::new(IdealDisk::new(RANGE)))];
+    for style in [
+        NoiseStyle::Speckled,
+        NoiseStyle::CoherentRadius,
+        NoiseStyle::Lossy,
+    ] {
+        models.push((
+            format!("{style} noise"),
+            Box::new(PerBeaconNoise::with_style(RANGE, 0.4, 11, style)),
+        ));
+    }
+    let no_core = FaultPlan::none()
+        .compile(3)
+        .wrap(PerBeaconNoise::new(RANGE, 0.4, 11), 0);
+    models.push(("no core".into(), Box::new(no_core)));
+    models
 }
 
 fn assert_maps_bit_identical(a: &ErrorMap, b: &ErrorMap, what: &str) {
@@ -42,60 +67,43 @@ fn assert_maps_bit_identical(a: &ErrorMap, b: &ErrorMap, what: &str) {
     }
 }
 
-/// The indexed survey sweep returns the exact bits of the brute sweeps,
-/// on both its specialized exact-disk path (`IdealDisk`) and its
-/// oracle path (`PerBeaconNoise`, where connectivity is not a sharp
-/// disk and every candidate still goes through `connected()`).
+/// The production survey sweep returns the exact bits of the
+/// point-major oracle, under every survey model and on an empty field.
 #[test]
 fn indexed_survey_is_bit_identical_to_brute_at_scale() {
-    let field = dense_field(100, 7);
     let lattice = Lattice::new(Terrain::square(SIDE), 2.0);
     let policy = UnheardPolicy::TerrainCenter;
-    let models: [(&str, Box<dyn Propagation>); 2] = [
-        ("ideal disk", Box::new(IdealDisk::new(RANGE))),
-        (
-            "per-beacon noise",
-            Box::new(PerBeaconNoise::new(RANGE, 0.4, 11)),
-        ),
-    ];
-    for (what, model) in &models {
-        let beacon_major = ErrorMap::survey(&lattice, &field, model, policy);
-        let point_major = ErrorMap::survey_point_major(&lattice, &field, model, policy);
-        let indexed = ErrorMap::survey_indexed(&lattice, &field, model, policy);
-        assert_maps_bit_identical(&beacon_major, &point_major, what);
-        assert_maps_bit_identical(&beacon_major, &indexed, what);
+    for field in [dense_field(100, 7), dense_field(0, 7)] {
+        for (what, model) in &survey_models() {
+            let what = format!("{what}, {} beacons", field.len());
+            let oracle = ErrorMap::survey_point_major(&lattice, &field, model, policy);
+            let swept = ErrorMap::survey(&lattice, &field, model, policy);
+            assert_maps_bit_identical(&oracle, &swept, &what);
+        }
     }
 }
 
 /// The scratch-reused survey path — one `SurveyScratch` threaded
 /// through trial after trial, recycling each finished map's buffers,
 /// exactly as the Monte-Carlo engine's thread-local scratch does —
-/// returns the exact bits of a fresh survey on every trial, at scale,
-/// on both the tiled SoA disk path and the oracle path, across
-/// shrinking and growing fields and lattices.
+/// returns the exact bits of the oracle on every trial, at scale, under
+/// every survey model, across shrinking and growing fields and lattices.
 #[test]
 fn scratch_reused_survey_is_bit_identical_to_fresh_at_scale() {
     let policy = UnheardPolicy::TerrainCenter;
-    let models: [(&str, Box<dyn Propagation>); 2] = [
-        ("ideal disk", Box::new(IdealDisk::new(RANGE))),
-        (
-            "per-beacon noise",
-            Box::new(PerBeaconNoise::new(RANGE, 0.4, 11)),
-        ),
-    ];
-    for (what, model) in &models {
+    for (what, model) in &survey_models() {
         let mut scratch = SurveyScratch::new();
         // Vary field size, seed, and lattice step so reuse has to cope
         // with buffers growing and shrinking between trials.
         for (beacons, seed, step) in [(100, 7, 2.0), (30, 8, 4.0), (120, 9, 2.0), (60, 10, 1.0)] {
             let field = dense_field(beacons, seed);
             let lattice = Lattice::new(Terrain::square(SIDE), step);
-            let fresh = ErrorMap::survey_indexed(&lattice, &field, model, policy);
+            let oracle = ErrorMap::survey_point_major(&lattice, &field, model, policy);
             let reused =
                 ErrorMap::survey_indexed_with(&lattice, &field, model, policy, &mut scratch);
-            assert_maps_bit_identical(&fresh, &reused, &format!("{what} n={beacons}"));
+            assert_maps_bit_identical(&oracle, &reused, &format!("{what} n={beacons}"));
             assert_eq!(
-                fresh.median_error().to_bits(),
+                oracle.median_error().to_bits(),
                 scratch.median_error(&reused).to_bits(),
                 "{what} n={beacons}: median workspace diverged"
             );
@@ -104,67 +112,62 @@ fn scratch_reused_survey_is_bit_identical_to_fresh_at_scale() {
     }
 }
 
-/// The intra-survey tile scheduler returns the exact bits of the
-/// single-threaded sweep at paper scale, at every worker count, on
-/// both the SIMD disk path and the oracle path. (The container may
-/// expose a single core; oversubscribed worker counts change only the
-/// scheduling, never the per-tile arithmetic, so the gate is equally
-/// strong there.)
+/// The banded sweep returns the exact bits of the oracle at paper
+/// scale, at every worker count, under every survey model. (The
+/// container may expose a single core; oversubscribed worker counts
+/// change only the scheduling, never a band's arithmetic, so the gate
+/// is equally strong there.)
 #[test]
 fn tiled_survey_is_bit_identical_to_single_thread_at_scale() {
     let field = dense_field(100, 7);
     let lattice = Lattice::new(Terrain::square(SIDE), 1.0);
     let policy = UnheardPolicy::TerrainCenter;
-    let models: [(&str, Box<dyn Propagation>); 2] = [
-        ("ideal disk", Box::new(IdealDisk::new(RANGE))),
-        (
-            "per-beacon noise",
-            Box::new(PerBeaconNoise::new(RANGE, 0.4, 11)),
-        ),
-    ];
-    for (what, model) in &models {
-        let mut seq_scratch = SurveyScratch::new();
-        let seq = ErrorMap::survey_indexed_with(&lattice, &field, model, policy, &mut seq_scratch);
-        let mut par_scratch = SurveyScratch::new();
-        for threads in [2usize, 4, 8] {
-            let par = ErrorMap::survey_indexed_with_threads(
+    for (what, model) in &survey_models() {
+        let oracle = ErrorMap::survey_point_major(&lattice, &field, model, policy);
+        let mut scratch = SurveyScratch::new();
+        for threads in [1usize, 2, 3, 4, 8] {
+            let banded = ErrorMap::survey_indexed_with_threads(
                 &lattice,
                 &field,
                 model,
                 policy,
-                &mut par_scratch,
+                &mut scratch,
                 threads,
             );
-            assert_maps_bit_identical(&seq, &par, &format!("{what} threads={threads}"));
-            par_scratch.recycle(par);
+            assert_maps_bit_identical(&oracle, &banded, &format!("{what} threads={threads}"));
+            scratch.recycle(banded);
         }
     }
 }
 
 /// Threaded incremental re-surveys (the serve path's banded update)
 /// apply the exact bits of the sequential `add_beacon`/`remove_beacon`
-/// at paper scale.
+/// at paper scale, and an added beacon lands exactly where the oracle
+/// survey of the grown field puts it, under every survey model.
 #[test]
 fn threaded_incremental_updates_are_bit_identical_at_scale() {
     let field = dense_field(100, 21);
     let lattice = Lattice::new(Terrain::square(SIDE), 1.0);
-    let model = IdealDisk::new(RANGE);
     let policy = UnheardPolicy::TerrainCenter;
-    let mut seq = ErrorMap::survey(&lattice, &field, &model, policy);
-    let mut par = seq.clone();
-
     let mut grown = field.clone();
     let id = grown.add_beacon(Point::new(SIDE / 3.0, SIDE / 2.0));
     let beacon = *grown.get(id).expect("beacon just added");
-    let d_seq = seq.add_beacon(&beacon, &model);
-    let d_par = par.add_beacon_threaded(&beacon, &model, 4);
-    assert_eq!(d_seq, d_par, "add deltas differ");
-    assert_maps_bit_identical(&seq, &par, "after threaded add");
+    for (what, model) in &survey_models() {
+        let mut seq = ErrorMap::survey(&lattice, &field, model, policy);
+        let mut par = seq.clone();
 
-    let d_seq = seq.remove_beacon(&beacon, &model);
-    let d_par = par.remove_beacon_threaded(&beacon, &model, 4);
-    assert_eq!(d_seq, d_par, "remove deltas differ");
-    assert_maps_bit_identical(&seq, &par, "after threaded remove");
+        let d_seq = seq.add_beacon(&beacon, model);
+        let d_par = par.add_beacon_threaded(&beacon, model, 4);
+        assert_eq!(d_seq, d_par, "{what}: add deltas differ");
+        assert_maps_bit_identical(&seq, &par, &format!("{what}: after threaded add"));
+        let oracle = ErrorMap::survey_point_major(&lattice, &grown, model, policy);
+        assert_maps_bit_identical(&oracle, &seq, &format!("{what}: add vs oracle"));
+
+        let d_seq = seq.remove_beacon(&beacon, model);
+        let d_par = par.remove_beacon_threaded(&beacon, model, 4);
+        assert_eq!(d_seq, d_par, "{what}: remove deltas differ");
+        assert_maps_bit_identical(&seq, &par, &format!("{what}: after threaded remove"));
+    }
 }
 
 /// Localization through an indexed oracle is the same function as
