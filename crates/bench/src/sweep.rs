@@ -19,8 +19,12 @@
 //! executed identically on both sides and excluded, so the reported
 //! ratio is the speedup of the kernel itself, not of the shared
 //! plumbing around it. Each kernel first runs the *real* `greedy_batch`
-//! / `greedy_batch_incremental` entry points and verifies the mirrored
-//! loops place bit-identically to them.
+//! (with the production algorithm) and `greedy_batch_incremental` entry
+//! points and verifies the mirrored loops place bit-identically to them.
+//! The Grid kernel's brute side is a per-rectangle oracle private to
+//! this module, `RectGridOracle`: the paper's direct `O(NG · PG)` sum
+//! and a full sort, which is what the committed baselines timed before
+//! production Grid scoring moved to a row-subtotal table.
 //!
 //! The `survey_sweep_scratch` kernel times the steady-state trial
 //! loop's two forms: a fresh [`ErrorMap::survey`] per sample (the same
@@ -57,7 +61,7 @@ use abp_radio::{IdealDisk, Propagation};
 use abp_stats::Summary;
 use abp_survey::{ErrorMap, SurveyScratch};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use std::time::Instant;
 
 /// Schema identifier written into the JSON report; CI validates it.
@@ -322,11 +326,47 @@ impl TelemetryOverhead {
     }
 }
 
+/// The machine a report was measured on, so a ratio or a scaling rung
+/// can be read against its hardware.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Host {
+    /// Parallelism detected by `std::thread::available_parallelism`.
+    pub nproc: usize,
+    /// The first `model name` in `/proc/cpuinfo`, or `"unknown"`.
+    pub cpu: String,
+    /// The `rustc --version` of the compiler that built this binary,
+    /// recorded at build time, or `"unknown"`.
+    pub rustc: String,
+}
+
+impl Host {
+    /// Reads the host description; each field that cannot be read is
+    /// `"unknown"` (`nproc` falls back to 1).
+    pub fn detect() -> Host {
+        let cpu = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|info| {
+                info.lines()
+                    .find(|line| line.starts_with("model name"))
+                    .and_then(|line| line.split_once(':'))
+                    .map(|(_, model)| model.trim().to_owned())
+            })
+            .filter(|model| !model.is_empty());
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu: cpu.unwrap_or_else(|| "unknown".into()),
+            rustc: env!("ABP_BENCH_RUSTC").into(),
+        }
+    }
+}
+
 /// The full report `abp bench` serializes to `BENCH_sweep.json`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
     /// The configuration the kernels ran under.
     pub config: BenchConfig,
+    /// The machine the report was measured on.
+    pub host: Host,
     /// Per-kernel results.
     pub kernels: Vec<KernelResult>,
     /// Allocation accounting for the reused-scratch survey path.
@@ -398,6 +438,13 @@ impl BenchReport {
             self.config.serve_ab_pairs
         ));
         out.push_str(&format!("  \"skip_brute\": {},\n", self.config.skip_brute));
+        let text = |value: &str| value.replace(['"', '\\'], "_");
+        out.push_str(&format!(
+            "  \"host\": {{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\"}},\n",
+            self.host.nproc,
+            text(&self.host.cpu),
+            text(&self.host.rustc)
+        ));
         out.push_str(&format!(
             "  \"alloc\": {{\"counting\": {}, \"allocs_per_trial\": {}, \"bytes_per_trial\": {}}},\n",
             self.alloc.counting,
@@ -650,6 +697,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     kernels.push(candidate_scan_kernel(
         "candidate_scan_grid",
         &grid_algo,
+        &RectGridOracle(grid_algo),
         |m| IncrementalGrid::new(grid_algo, m),
         &field,
         &base_map,
@@ -658,6 +706,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     ));
     kernels.push(candidate_scan_kernel(
         "candidate_scan_max",
+        &MaxPlacement::new(),
         &MaxPlacement::new(),
         IncrementalMax::new,
         &field,
@@ -761,6 +810,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
 
     BenchReport {
         config: cfg.clone(),
+        host: Host::detect(),
         kernels,
         alloc,
         serve,
@@ -956,13 +1006,52 @@ fn incremental_scan_run<S: IncrementalScorer>(
     }
 }
 
+/// The per-rectangle Grid oracle the `candidate_scan_grid` kernel times
+/// as its brute side: every grid's `S(i, j)` summed directly over its
+/// rectangle by [`GridPlacement::cumulative_errors_direct`] (the paper's
+/// `O(NG · PG)`), then every grid sorted by (−score, index). This is the
+/// computation the committed `BENCH_tiny.json` baseline timed, so its
+/// ratio stays comparable; [`GridPlacement`] computes the same scores
+/// from a row-subtotal table and must place identically.
+struct RectGridOracle(GridPlacement);
+
+impl PlacementAlgorithm for RectGridOracle {
+    fn name(&self) -> &'static str {
+        "grid-rect-oracle"
+    }
+
+    fn propose(&self, view: &SurveyView<'_>, rng: &mut dyn RngCore) -> Point {
+        self.propose_ranked(view, 1, rng)[0]
+    }
+
+    fn propose_ranked(&self, view: &SurveyView<'_>, k: usize, _: &mut dyn RngCore) -> Vec<Point> {
+        let grid = &self.0;
+        let n = grid.grids_per_side();
+        let scores = grid.cumulative_errors_direct(view.map);
+        let mut order: Vec<u32> = (0..n * n).collect();
+        order.sort_by(|&a, &b| {
+            scores[b as usize]
+                .partial_cmp(&scores[a as usize])
+                .expect("cumulative errors are finite")
+                .then(a.cmp(&b))
+        });
+        order[..k.clamp(1, order.len())]
+            .iter()
+            .map(|&flat| grid.center(flat % n, flat / n))
+            .collect()
+    }
+}
+
 /// Runs one candidate-scan kernel: reference outcomes from the *real*
-/// greedy loops first (proving the mirrored timing loops place
-/// identically), then `repeats` interleaved timed samples of the
-/// brute-scan and incremental-scan mirrors.
+/// greedy loops over the production algorithm first (proving the
+/// mirrored timing loops, and the brute algorithm, place identically),
+/// then `repeats` interleaved timed samples of the brute-scan mirror
+/// over `brute` and the incremental-scan mirror.
+#[allow(clippy::too_many_arguments)]
 fn candidate_scan_kernel<S: IncrementalScorer>(
     name: &'static str,
-    algorithm: &dyn PlacementAlgorithm,
+    production: &dyn PlacementAlgorithm,
+    brute: &dyn PlacementAlgorithm,
     make_scorer: impl Fn(&ErrorMap) -> S,
     field: &BeaconField,
     base_map: &ErrorMap,
@@ -984,7 +1073,7 @@ fn candidate_scan_kernel<S: IncrementalScorer>(
     let (ref_positions, ref_map) = {
         let (mut f, mut m) = (field.clone(), base_map.clone());
         let out = greedy_batch(
-            algorithm,
+            production,
             &mut m,
             &mut f,
             model,
@@ -1003,7 +1092,7 @@ fn candidate_scan_kernel<S: IncrementalScorer>(
     let mut brute_s = Vec::with_capacity(cfg.repeats);
     let mut indexed_s = Vec::with_capacity(cfg.repeats);
     for _ in 0..cfg.repeats {
-        let b = brute_scan_run(algorithm, field, base_map, model, cfg.greedy_k);
+        let b = brute_scan_run(brute, field, base_map, model, cfg.greedy_k);
         let i = incremental_scan_run(&make_scorer, field, base_map, model, cfg.greedy_k);
         identical &= b.positions == ref_positions
             && i.positions == ref_positions
@@ -1071,6 +1160,8 @@ mod tests {
             assert!(k.speedup.is_finite() && k.speedup > 0.0);
         }
         assert_eq!(report.kernels[1].name, "survey_sweep_scratch");
+        assert!(report.host.nproc >= 1);
+        assert!(!report.host.cpu.is_empty() && !report.host.rustc.is_empty());
         assert_eq!(report.serve.clients, cfg.serve_clients);
         assert_eq!(
             report.serve.requests,
@@ -1139,6 +1230,34 @@ mod tests {
         assert!(json.contains("\"skip_brute\": true"));
     }
 
+    /// The bench's per-rectangle Grid oracle ranks exactly like the
+    /// production row-subtotal table, for the argmax through every grid.
+    #[test]
+    fn rect_grid_oracle_ranks_like_production() {
+        let terrain = Terrain::square(100.0);
+        let lattice = Lattice::new(terrain, 3.0);
+        let field = BeaconField::random_uniform(25, terrain, &mut StdRng::seed_from_u64(5));
+        let model = IdealDisk::new(15.0);
+        for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
+            let map = ErrorMap::survey(&lattice, &field, &model, policy);
+            let view = SurveyView {
+                map: &map,
+                field: &field,
+                model: &model,
+            };
+            let grid = GridPlacement::paper(terrain, 15.0);
+            let oracle = RectGridOracle(grid);
+            for k in [1, 2, 7, 400] {
+                let mut rng = StdRng::seed_from_u64(0);
+                assert_eq!(
+                    oracle.propose_ranked(&view, k, &mut rng),
+                    grid.propose_top_k(&map, k),
+                    "{policy:?}, k {k}"
+                );
+            }
+        }
+    }
+
     impl KernelResult {
         fn ci95_contains_median(&self) -> bool {
             let within = |t: &Timing| t.ci95_lo_s <= t.median_s && t.median_s <= t.ci95_hi_s;
@@ -1150,6 +1269,11 @@ mod tests {
     fn json_report_has_the_documented_shape() {
         let report = BenchReport {
             config: BenchConfig::tiny(),
+            host: Host {
+                nproc: 2,
+                cpu: "Test \"CPU\" @ 2.0GHz".into(),
+                rustc: "rustc 1.80.0".into(),
+            },
             kernels: vec![KernelResult {
                 name: "survey_sweep",
                 identical: true,
@@ -1244,6 +1368,9 @@ mod tests {
         assert!(json.contains("\"schema\": \"abp-bench-sweep/6\""));
         assert!(json.contains("\"preset\": \"tiny\""));
         assert!(json.contains("\"skip_brute\": false"));
+        assert!(json.contains(
+            "\"host\": {\"nproc\": 2, \"cpu\": \"Test _CPU_ @ 2.0GHz\", \"rustc\": \"rustc 1.80.0\"}"
+        ));
         assert!(json.contains(
             "\"alloc\": {\"counting\": true, \"allocs_per_trial\": 0, \"bytes_per_trial\": 0}"
         ));

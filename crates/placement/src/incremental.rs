@@ -4,8 +4,9 @@
 //! after every beacon it deploys. For the score-based algorithms that is
 //! wasteful: a new beacon only changes the error map inside its own
 //! reach (the [`SurveyDelta`] returned by
-//! [`ErrorMap::add_beacon`]), yet the Grid algorithm re-sums all `NG`
-//! grids and the Max algorithm rescans every lattice point each round.
+//! [`ErrorMap::add_beacon`]), yet the Grid algorithm rebuilds its whole
+//! row-subtotal table and re-scores all `NG` grids, and the Max algorithm
+//! rescans every lattice point, each round.
 //!
 //! The scorers in this module cache the previous round's audibility-
 //! derived scores and, on [`IncrementalScorer::apply_delta`], re-derive
@@ -20,11 +21,13 @@
 //! The cached scores are **bit-identical** to their brute-force
 //! counterparts, not merely close:
 //!
-//! * [`IncrementalGrid`] caches exactly the per-lattice-row subtotals
-//!   that [`ErrorMap::cumulative_error_in`] documents (left-to-right
-//!   within a row via [`ErrorMap::row_error_sum`], rows added
-//!   bottom-to-top), so a refreshed grid score reproduces
-//!   [`GridPlacement::cumulative_errors`] bit for bit;
+//! * [`IncrementalGrid`] keeps the table of per-lattice-row subtotals
+//!   that [`GridPlacement::cumulative_errors`] builds (the association
+//!   [`ErrorMap::cumulative_error_in`] documents: left-to-right within a
+//!   row via [`ErrorMap::row_error_sum`], rows added bottom-to-top) and
+//!   refills it with the same code, so a refreshed grid score
+//!   reproduces [`GridPlacement::cumulative_errors`] bit for bit, and it
+//!   ranks through the same pick as [`GridPlacement::propose_top_k`];
 //! * [`IncrementalMax`] keeps one `(column, error)` maximum per lattice
 //!   row under the same strict-`>` comparison
 //!   [`ErrorMap::max_error_point`] uses, so the argmax (and its
@@ -61,6 +64,7 @@
 //! assert!(map.mean_error() < before);
 //! ```
 
+use crate::grid::RowTable;
 use crate::{GreedyBatchOutcome, GridPlacement};
 use abp_field::BeaconField;
 use abp_geom::{LatticeIndex, Point};
@@ -95,15 +99,20 @@ pub trait IncrementalScorer {
 /// Incremental version of the paper's Grid algorithm
 /// ([`GridPlacement`]).
 ///
-/// Caches, for every (grid column band `i`, lattice row `j`) pair, the
-/// row subtotal [`ErrorMap::row_error_sum`]`(j, i_lo, i_hi)` over the
-/// band's lattice-column span, plus the resulting per-grid score. A
-/// [`SurveyDelta`] invalidates only the bands whose column span
-/// intersects the changed columns, and within them only the changed
-/// rows; grids outside the delta keep their cached score untouched.
+/// Keeps the row-subtotal table [`GridPlacement::cumulative_errors`]
+/// builds — for every (grid-column band `i`, lattice row `j`) pair,
+/// [`ErrorMap::row_error_sum`]`(j, i_lo, i_hi)` over the band's
+/// lattice-column span — plus the resulting per-grid scores. A
+/// [`SurveyDelta`] refills, with the same code that filled the table,
+/// only the changed rows of the bands whose column span meets the
+/// changed columns, and re-scores only the grids of those bands whose
+/// row span meets the changed rows; every other grid keeps its cached
+/// score.
+/// [`ranked`](IncrementalScorer::ranked) picks from the cached scores
+/// exactly as [`GridPlacement::propose_top_k`] picks from fresh ones.
 ///
 /// Per update this costs `O(bands_hit · rows_hit · span)` instead of
-/// the brute `O(NG · PG)` full re-sum; the saving is reported via
+/// rebuilding the whole table; the saving is reported via
 /// [`CELLS_PRUNED`](crate::CELLS_PRUNED).
 ///
 /// # Examples
@@ -136,18 +145,7 @@ pub trait IncrementalScorer {
 #[derive(Debug, Clone)]
 pub struct IncrementalGrid {
     algo: GridPlacement,
-    /// Lattice rows (`per_side` of the surveyed lattice).
-    lattice_rows: usize,
-    /// Per grid column band `i`: the inclusive lattice-column span the
-    /// band's rectangles cover, or `None` when the band misses the
-    /// lattice (its grids all score 0).
-    col_spans: Vec<Option<(u32, u32)>>,
-    /// Per grid row `j`: the inclusive lattice-row span.
-    row_spans: Vec<Option<(u32, u32)>>,
-    /// `row_sums[i * lattice_rows + j]` = subtotal of row `j` over band
-    /// `i`'s column span (meaningful only where `col_spans[i]` is
-    /// `Some`).
-    row_sums: Vec<f64>,
+    table: RowTable,
     /// Cached grid scores, row-major (`flat = j * per_side + i`) — the
     /// same layout as [`GridPlacement::cumulative_errors`].
     scores: Vec<f64>,
@@ -157,44 +155,14 @@ impl IncrementalGrid {
     /// Builds the cache with a full scan of `map` (counted once against
     /// [`CANDIDATES_SCANNED`](crate::CANDIDATES_SCANNED)).
     pub fn new(algo: GridPlacement, map: &ErrorMap) -> Self {
-        let n = algo.grids_per_side() as usize;
-        let lattice = map.lattice();
-        let lattice_rows = lattice.per_side() as usize;
-        let col_spans: Vec<_> = (0..n)
-            .map(|i| {
-                let r = algo.grid_rect(i as u32, 0);
-                lattice.index_span(r.min().x, r.max().x)
-            })
-            .collect();
-        let row_spans: Vec<_> = (0..n)
-            .map(|j| {
-                let r = algo.grid_rect(0, j as u32);
-                lattice.index_span(r.min().y, r.max().y)
-            })
-            .collect();
-        let mut row_sums = vec![0.0; n * lattice_rows];
-        for (i, span) in col_spans.iter().enumerate() {
-            if let Some((i_lo, i_hi)) = *span {
-                for j in 0..lattice_rows {
-                    row_sums[i * lattice_rows + j] = map.row_error_sum(j as u32, i_lo, i_hi);
-                }
-            }
-        }
-        let mut scorer = IncrementalGrid {
-            algo,
-            lattice_rows,
-            col_spans,
-            row_spans,
-            row_sums,
-            scores: vec![0.0; n * n],
-        };
-        for j in 0..n {
-            for i in 0..n {
-                scorer.scores[j * n + i] = scorer.score_of(i, j);
-            }
-        }
+        let table = RowTable::new(&algo, map);
+        let scores = table.scores();
         crate::CANDIDATES_SCANNED.add(algo.num_grids() as u64);
-        scorer
+        IncrementalGrid {
+            algo,
+            table,
+            scores,
+        }
     }
 
     /// The algorithm this scorer accelerates.
@@ -208,23 +176,6 @@ impl IncrementalGrid {
     #[inline]
     pub fn scores(&self) -> &[f64] {
         &self.scores
-    }
-
-    /// Grid `(i, j)`'s score from the cached row subtotals, using the
-    /// exact association [`ErrorMap::cumulative_error_in`] documents:
-    /// row subtotals added bottom-to-top onto a `0.0` accumulator.
-    fn score_of(&self, i: usize, j: usize) -> f64 {
-        if self.col_spans[i].is_none() {
-            return 0.0;
-        }
-        let Some((j_lo, j_hi)) = self.row_spans[j] else {
-            return 0.0;
-        };
-        let mut total = 0.0;
-        for lj in j_lo..=j_hi {
-            total += self.row_sums[i * self.lattice_rows + lj as usize];
-        }
-        total
     }
 }
 
@@ -240,36 +191,14 @@ impl IncrementalScorer for IncrementalGrid {
             crate::CELLS_PRUNED.add(num_grids);
             return;
         };
+        let (cols, rows) = ((lo.i, hi.i), (lo.j, hi.j));
+        self.table.refill(map, cols, rows);
         let n = self.algo.grids_per_side() as usize;
-        // Refresh the row subtotals of every band whose column span
-        // intersects the changed columns, changed rows only.
-        let mut band_hit = vec![false; n];
-        for (i, hit) in band_hit.iter_mut().enumerate() {
-            if let Some((i_lo, i_hi)) = self.col_spans[i] {
-                if i_lo <= hi.i && lo.i <= i_hi {
-                    *hit = true;
-                    for j in lo.j..=hi.j {
-                        self.row_sums[i * self.lattice_rows + j as usize] =
-                            map.row_error_sum(j, i_lo, i_hi);
-                    }
-                }
-            }
-        }
-        // Re-score only the grids in a hit band whose row span
-        // intersects the changed rows; everything else keeps its cached
-        // score.
         let mut rescored = 0u64;
-        for j in 0..n {
-            let rows_hit =
-                self.row_spans[j].is_some_and(|(j_lo, j_hi)| j_lo <= hi.j && lo.j <= j_hi);
-            if !rows_hit {
-                continue;
-            }
-            for (i, hit) in band_hit.iter().enumerate() {
-                if *hit {
-                    self.scores[j * n + i] = self.score_of(i, j);
-                    rescored += 1;
-                }
+        for j in (0..n).filter(|&j| self.table.row_meets(j, rows)) {
+            for i in (0..n).filter(|&i| self.table.band_meets(i, cols)) {
+                self.scores[j * n + i] = self.table.score(i, j);
+                rescored += 1;
             }
         }
         crate::CANDIDATES_SCANNED.add(rescored);
@@ -277,21 +206,8 @@ impl IncrementalScorer for IncrementalGrid {
     }
 
     fn ranked(&self, _map: &ErrorMap, k: usize) -> Vec<Point> {
-        let k = k.clamp(1, self.algo.num_grids());
-        let n = self.algo.grids_per_side() as usize;
-        let mut order: Vec<usize> = (0..self.scores.len()).collect();
-        // The exact comparator of `GridPlacement::propose_top_k`:
-        // (-score, index), ties toward the first row-major grid.
-        order.sort_by(|&a, &b| {
-            self.scores[b]
-                .partial_cmp(&self.scores[a])
-                .expect("cumulative errors are finite")
-                .then(a.cmp(&b))
-        });
-        order[..k]
-            .iter()
-            .map(|&flat| self.algo.center((flat % n) as u32, (flat / n) as u32))
-            .collect()
+        self.algo
+            .best_centers(&self.scores, k.clamp(1, self.algo.num_grids()))
     }
 }
 
@@ -566,48 +482,6 @@ mod tests {
         let delta = map.add_beacon(&beacon, &model);
         scorer.apply_delta(&map, delta);
         assert_eq!(scorer.max_error_point(), map.max_error_point());
-    }
-
-    #[test]
-    fn counters_prove_pruning() {
-        abp_trace::set_enabled(true);
-        let (_, mut field, model, mut map) = setup(6, 20);
-        let algo = GridPlacement::paper(terrain(), 15.0);
-        let mut scorer = IncrementalGrid::new(algo, &map);
-
-        let scanned_before = crate::CANDIDATES_SCANNED.total();
-        let pruned_before = crate::CELLS_PRUNED.total();
-
-        let id = field.add_beacon(Point::new(25.0, 25.0));
-        let beacon = *field.get(id).unwrap();
-        let delta = map.add_beacon(&beacon, &model);
-        scorer.apply_delta(&map, delta);
-
-        let scanned = crate::CANDIDATES_SCANNED.total() - scanned_before;
-        let pruned = crate::CELLS_PRUNED.total() - pruned_before;
-        assert_eq!(
-            scanned + pruned,
-            algo.num_grids() as u64,
-            "every grid is either rescored or pruned"
-        );
-        assert!(pruned > 0, "a local delta must prune some grids");
-        assert!(scanned > 0, "a real delta must rescore some grids");
-    }
-
-    #[test]
-    fn empty_delta_prunes_everything() {
-        abp_trace::set_enabled(true);
-        let (_, _, _, map) = setup(7, 8);
-        let algo = GridPlacement::paper(terrain(), 15.0);
-        let mut scorer = IncrementalGrid::new(algo, &map);
-        let scanned_before = crate::CANDIDATES_SCANNED.total();
-        let pruned_before = crate::CELLS_PRUNED.total();
-        scorer.apply_delta(&map, SurveyDelta::EMPTY);
-        assert_eq!(crate::CANDIDATES_SCANNED.total(), scanned_before);
-        assert_eq!(
-            crate::CELLS_PRUNED.total() - pruned_before,
-            algo.num_grids() as u64
-        );
     }
 
     #[test]

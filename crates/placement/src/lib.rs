@@ -5,11 +5,18 @@
 //! algorithms that differ in the amount of global knowledge and processing
 //! they use:
 //!
-//! | Algorithm | Knowledge used | Complexity |
-//! |-----------|----------------|------------|
-//! | [`RandomPlacement`] | none | `O(1)` |
-//! | [`MaxPlacement`] | per-point error measurements | `O(PT)` |
-//! | [`GridPlacement`] | cumulative error over `NG` overlapping grids | `O(NG · PG)` |
+//! | Algorithm | Knowledge used | Paper's complexity | Computed here in |
+//! |-----------|----------------|--------------------|------------------|
+//! | [`RandomPlacement`] | none | `O(1)` | `O(1)` |
+//! | [`MaxPlacement`] | per-point error measurements | `O(PT)` | `O(PT)` |
+//! | [`GridPlacement`] | cumulative error over `NG` overlapping grids | `O(NG · PG)` | `O(√NG · PT^½ · w + NG · w)` |
+//!
+//! The paper's `O(NG · PG)` is the direct sum over every grid's `PG`
+//! points. [`GridPlacement`] computes the same `S(i, j)`, bit for bit,
+//! from one table of row subtotals (each lattice row summed over each of
+//! the `√NG` grid-column bands, then each grid's `w` rows added), where
+//! `w ≈ 31` is the number of lattice points per grid side at paper
+//! scale.
 //!
 //! plus the extensions the paper sketches as future work (§6):
 //!

@@ -91,17 +91,7 @@ impl PlacementAlgorithm for WeightedGridPlacement {
     fn propose(&self, view: &SurveyView<'_>, _rng: &mut dyn RngCore) -> Point {
         let _span = abp_trace::span!("placement.weighted_grid");
         crate::CANDIDATES_SCANNED.add(self.inner.num_grids() as u64);
-        let scores = self.weighted_errors(view.map);
-        let per_side = self.inner.grids_per_side();
-        let mut best = 0usize;
-        for (k, &s) in scores.iter().enumerate() {
-            if s > scores[best] {
-                best = k;
-            }
-        }
-        let i = (best % per_side as usize) as u32;
-        let j = (best / per_side as usize) as u32;
-        self.inner.center(i, j)
+        self.inner.best_centers(&self.weighted_errors(view.map), 1)[0]
     }
 }
 

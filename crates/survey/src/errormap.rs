@@ -277,7 +277,6 @@ impl ErrorMap {
         let bands = crate::tiles::row_bands(per_side, workers * 4);
         let tasks = Band::split(
             lattice,
-            0,
             &bands,
             &mut sum_x,
             &mut sum_y,
@@ -397,7 +396,7 @@ impl ErrorMap {
     /// update incrementally.
     pub fn add_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
         let _span = abp_trace::span!("radio.incremental_update");
-        self.update_beacon(beacon, model, 1, true)
+        self.update_beacon(beacon, model, true)
     }
 
     /// Incrementally removes a beacon's contribution (the inverse of
@@ -405,7 +404,7 @@ impl ErrorMap {
     /// when a beacon turns passive and by fault experiments when one dies.
     /// Returns the changed region, like [`ErrorMap::add_beacon`].
     pub fn remove_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
-        self.update_beacon(beacon, model, 1, false)
+        self.update_beacon(beacon, model, false)
     }
 
     /// [`ErrorMap::remove_beacon`] under its fault-experiment name: the
@@ -414,124 +413,48 @@ impl ErrorMap {
         self.remove_beacon(beacon, model)
     }
 
-    /// [`ErrorMap::add_beacon`] across the tile scheduler: the beacon's
-    /// coverage-disk row span is split into bands, each band owns
-    /// disjoint grid slices, and workers update their bands concurrently.
-    /// `threads` follows the workspace convention (`0` = all cores,
-    /// `<= 1` = one band on the calling thread). Bit-identical to the
-    /// sequential method at any thread count; the returned delta is
-    /// identical too (bounds and touched counts merge in band order, and
-    /// both are order-free).
-    pub fn add_beacon_threaded(
-        &mut self,
-        beacon: &Beacon,
-        model: &dyn Propagation,
-        threads: usize,
-    ) -> SurveyDelta {
-        let _span = abp_trace::span!("radio.incremental_update");
-        let workers = crate::tiles::resolve_survey_threads(threads);
-        self.update_beacon(beacon, model, workers, true)
-    }
-
-    /// [`ErrorMap::remove_beacon`] across the tile scheduler — see
-    /// [`ErrorMap::add_beacon_threaded`].
-    pub fn remove_beacon_threaded(
-        &mut self,
-        beacon: &Beacon,
-        model: &dyn Propagation,
-        threads: usize,
-    ) -> SurveyDelta {
-        let workers = crate::tiles::resolve_survey_threads(threads);
-        self.update_beacon(beacon, model, workers, false)
-    }
-
-    /// The single-beacon update behind all four incremental methods: row
-    /// bands of the coverage disk (one band when `workers <= 1`), disjoint
-    /// grid slices per band, one result slot per band merged in band
-    /// order after the pool drains. Errors are derived as each point is
-    /// updated, which is exact because one beacon reaches each point at
-    /// most once. Only additions count toward `links_tested`.
+    /// The single-beacon update behind the incremental methods: one
+    /// [`walk_beacon`] over the beacon's reach disk, updating the map's
+    /// own grids in place. Errors are derived as each point is updated,
+    /// which is exact because one beacon reaches each point at most once.
+    /// Only additions count toward `links_tested`.
     fn update_beacon(
         &mut self,
         beacon: &Beacon,
         model: &dyn Propagation,
-        workers: usize,
         add: bool,
     ) -> SurveyDelta {
         let (lattice, policy) = (self.lattice, self.policy);
-        let pos = beacon.pos();
-        let reach = model.max_range(beacon.tx(), pos);
-        let (j_lo, rows) = lattice
-            .index_span(pos.y - reach, pos.y + reach)
-            .map_or((0, 0), |(lo, hi)| (lo, (hi - lo + 1) as usize));
-        let tiles = if workers <= 1 { 1 } else { workers * 4 };
-        let bands = crate::tiles::row_bands(rows, tiles);
-
-        #[derive(Default)]
-        struct BandOut {
-            tested: u64,
-            touched: usize,
-            bounds: Option<(LatticeIndex, LatticeIndex)>,
-        }
-        let mut outs: Vec<BandOut> = Vec::with_capacity(bands.len());
-        outs.resize_with(bands.len(), BandOut::default);
-        let split = Band::split(
-            &lattice,
-            j_lo,
-            &bands,
-            &mut self.sum_x,
-            &mut self.sum_y,
-            &mut self.count,
-            &mut self.errors,
-        );
-        let tasks: Vec<_> = split.into_iter().zip(outs.iter_mut()).collect();
-        let (bx, by) = (pos.x, pos.y);
-        let per_side = lattice.per_side() as usize;
-        crate::tiles::run_pool(tasks, workers, |_, (band, out)| {
-            let base = band.j_lo as usize * per_side;
-            out.tested = walk_beacon(&lattice, beacon, model, band.j_lo, band.j_hi, |ix, flat| {
-                let off = flat - base;
-                if add {
-                    band.sum_x[off] += bx;
-                    band.sum_y[off] += by;
-                    band.count[off] += 1;
-                } else {
-                    debug_assert!(band.count[off] > 0, "removing unaccounted beacon");
-                    band.sum_x[off] -= bx;
-                    band.sum_y[off] -= by;
-                    band.count[off] -= 1;
-                }
-                band.errors[off] = derive_error_at(
-                    &lattice,
-                    policy,
-                    flat,
-                    band.sum_x[off],
-                    band.sum_y[off],
-                    band.count[off],
-                );
-                out.touched += 1;
-                Self::grow_bounds(&mut out.bounds, ix);
-            });
-        });
-
-        let mut bounds: Option<(LatticeIndex, LatticeIndex)> = None;
+        let (bx, by) = (beacon.pos().x, beacon.pos().y);
+        let mut changed: Option<(LatticeIndex, LatticeIndex)> = None;
         let mut touched = 0usize;
-        let mut tested = 0u64;
-        for out in &outs {
-            tested += out.tested;
-            touched += out.touched;
-            if let Some((lo, hi)) = out.bounds {
-                Self::grow_bounds(&mut bounds, lo);
-                Self::grow_bounds(&mut bounds, hi);
+        let last_row = lattice.per_side() - 1;
+        let tested = walk_beacon(&lattice, beacon, model, 0, last_row, |ix, flat| {
+            if add {
+                self.sum_x[flat] += bx;
+                self.sum_y[flat] += by;
+                self.count[flat] += 1;
+            } else {
+                debug_assert!(self.count[flat] > 0, "removing unaccounted beacon");
+                self.sum_x[flat] -= bx;
+                self.sum_y[flat] -= by;
+                self.count[flat] -= 1;
             }
-        }
+            self.errors[flat] = derive_error_at(
+                &lattice,
+                policy,
+                flat,
+                self.sum_x[flat],
+                self.sum_y[flat],
+                self.count[flat],
+            );
+            touched += 1;
+            Self::grow_bounds(&mut changed, ix);
+        });
         if add {
             abp_radio::metrics::LINKS_TESTED.add(tested);
         }
-        SurveyDelta {
-            changed: bounds,
-            touched,
-        }
+        SurveyDelta { changed, touched }
     }
 
     fn grow_bounds(bounds: &mut Option<(LatticeIndex, LatticeIndex)>, ix: LatticeIndex) {
@@ -742,10 +665,13 @@ impl ErrorMap {
     /// contribute nothing.
     ///
     /// Summation association is fixed and documented: each lattice row's
-    /// errors are summed left-to-right into a row subtotal, and the row
-    /// subtotals are added bottom-to-top. The incremental Grid scorer in
-    /// `abp-placement` caches exactly those row subtotals, so its scores
-    /// are bit-identical to this function's.
+    /// errors are summed left-to-right into a row subtotal
+    /// ([`ErrorMap::row_error_sum`]), and the row subtotals are added
+    /// bottom-to-top onto `0.0`. The Grid scorer in `abp-placement` reads
+    /// every grid's score from a table of exactly those row subtotals, so
+    /// its scores are bit-identical to this function's; this per-rectangle
+    /// sum, applied to every grid by `GridPlacement::cumulative_errors_direct`,
+    /// is the oracle tests and the bench compare it against.
     pub fn cumulative_error_in(&self, rect: &Rect) -> f64 {
         let mut total = 0.0;
         let lattice = self.lattice;
@@ -767,18 +693,19 @@ impl ErrorMap {
 
     /// The row subtotal this map's [`ErrorMap::cumulative_error_in`]
     /// association uses: valid errors of row `j`, columns `i_lo..=i_hi`,
-    /// summed left-to-right. Exposed for the incremental Grid scorer.
+    /// summed left-to-right onto `0.0`. The Grid scorer in
+    /// `abp-placement` builds its table of row subtotals from this.
+    ///
+    /// An excluded (NaN) point adds `+0.0` instead of being skipped by a
+    /// branch. That is exact: the sum starts at `+0.0`, and under
+    /// round-to-nearest a sum is `-0.0` only when both operands are, so
+    /// the sum is never `-0.0` and adding `+0.0` leaves its bits
+    /// unchanged.
     pub fn row_error_sum(&self, j: u32, i_lo: u32, i_hi: u32) -> f64 {
-        let per_side = self.lattice.per_side() as usize;
-        let base = j as usize * per_side;
-        let mut sum = 0.0;
-        for i in i_lo..=i_hi {
-            let e = self.errors[base + i as usize];
-            if !e.is_nan() {
-                sum += e;
-            }
-        }
-        sum
+        let base = j as usize * self.lattice.per_side() as usize;
+        self.errors[base + i_lo as usize..=base + i_hi as usize]
+            .iter()
+            .fold(0.0, |sum, &e| sum + if e.is_nan() { 0.0 } else { e })
     }
 }
 
@@ -815,8 +742,8 @@ pub(crate) fn derive_error_at(
 /// pays for a `connected` call. Returns the points decided — the links
 /// tested.
 ///
-/// Full sweeps, incremental updates and their banded forms all run this
-/// walk, so they hear exactly the same points.
+/// Full sweeps (sequential and banded) and incremental updates all run
+/// this walk, so they hear exactly the same points.
 fn walk_beacon(
     lattice: &Lattice,
     beacon: &Beacon,
@@ -862,16 +789,14 @@ struct Band<'a> {
 
 impl<'a> Band<'a> {
     /// Splits the grids into `bands` (contiguous `(first_row, rows)`
-    /// pairs from [`crate::tiles::row_bands`], counted from lattice row
-    /// `row0`), in band order.
+    /// pairs from [`crate::tiles::row_bands`]), in band order.
     fn split(
         lattice: &Lattice,
-        row0: u32,
         bands: &[(usize, usize)],
-        sum_x: &'a mut [f64],
-        sum_y: &'a mut [f64],
-        count: &'a mut [u32],
-        errors: &'a mut [f64],
+        mut sum_x: &'a mut [f64],
+        mut sum_y: &'a mut [f64],
+        mut count: &'a mut [u32],
+        mut errors: &'a mut [f64],
     ) -> Vec<Band<'a>> {
         fn take<'s, T>(rest: &mut &'s mut [T], len: usize) -> &'s mut [T] {
             let (head, tail) = std::mem::take(rest).split_at_mut(len);
@@ -879,16 +804,13 @@ impl<'a> Band<'a> {
             head
         }
         let per_side = lattice.per_side() as usize;
-        let skip = row0 as usize * per_side;
-        let (mut sum_x, mut sum_y) = (&mut sum_x[skip..], &mut sum_y[skip..]);
-        let (mut count, mut errors) = (&mut count[skip..], &mut errors[skip..]);
         bands
             .iter()
             .map(|&(start, rows)| {
                 let len = rows * per_side;
                 Band {
-                    j_lo: row0 + start as u32,
-                    j_hi: row0 + (start + rows) as u32 - 1,
+                    j_lo: start as u32,
+                    j_hi: (start + rows) as u32 - 1,
                     sum_x: take(&mut sum_x, len),
                     sum_y: take(&mut sum_y, len),
                     count: take(&mut count, len),
@@ -1121,46 +1043,75 @@ mod tests {
         }
     }
 
+    /// The exact map [`ErrorMap::remove_beacon`] must leave after the
+    /// beacon was added: the extended field's oracle minus the beacon at
+    /// every point that hears it (where the two oracles' counts differ),
+    /// with errors derived from the result.
+    fn oracle_minus(extended: &ErrorMap, original: &ErrorMap, beacon: &Beacon) -> ErrorMap {
+        let (ex, ey, ec, _) = extended.parts();
+        let (mut sum_x, mut sum_y, mut count) = (ex.to_vec(), ey.to_vec(), ec.to_vec());
+        for flat in 0..extended.len() {
+            if count[flat] != original.parts().2[flat] {
+                sum_x[flat] -= beacon.pos().x;
+                sum_y[flat] -= beacon.pos().y;
+                count[flat] -= 1;
+            }
+        }
+        let (lattice, policy) = (*extended.lattice(), extended.policy());
+        let errors = (0..extended.len())
+            .map(|f| derive_error_at(&lattice, policy, f, sum_x[f], sum_y[f], count[f]))
+            .collect();
+        ErrorMap::from_parts(lattice, policy, sum_x, sum_y, count, errors)
+    }
+
+    /// `add_beacon` lands exactly on the point-major oracle of the
+    /// extended field; `remove_beacon` then takes exactly the beacon's
+    /// own coordinates back out of every point that hears it, restoring
+    /// the original field's heard counts, and reports the add's delta.
     #[test]
-    fn threaded_incremental_updates_match_sequential() {
+    fn incremental_updates_match_point_major_oracle() {
         let lat = lattice(2.0);
         let mut rng = StdRng::seed_from_u64(31);
         for noise in [0.0, 0.3] {
             let mut field = BeaconField::random_uniform(25, terrain(), &mut rng);
             let model = PerBeaconNoise::new(15.0, noise, 8);
-            let seq0 = ErrorMap::survey(&lat, &field, &model, UnheardPolicy::TerrainCenter);
-            let mut seq = seq0.clone();
-            let mut par = seq0.clone();
+            let policy = UnheardPolicy::TerrainCenter;
+            let original = ErrorMap::survey_point_major(&lat, &field, &model, policy);
+            let mut map = original.clone();
             let id = field.add_beacon(Point::new(41.0, 59.0));
             let beacon = *field.get(id).unwrap();
-            let d_seq = seq.add_beacon(&beacon, &model);
-            let d_par = par.add_beacon_threaded(&beacon, &model, 4);
-            assert_eq!(d_seq, d_par, "add deltas (noise {noise})");
-            assert_bit_identical(&seq, &par, "threaded add");
-            let r_seq = seq.remove_beacon(&beacon, &model);
-            let r_par = par.remove_beacon_threaded(&beacon, &model, 3);
-            assert_eq!(r_seq, r_par, "remove deltas (noise {noise})");
-            assert_bit_identical(&seq, &par, "threaded remove");
+            let added = map.add_beacon(&beacon, &model);
+            let extended = ErrorMap::survey_point_major(&lat, &field, &model, policy);
+            assert_bit_identical(&extended, &map, &format!("add (noise {noise})"));
+            let removed = map.remove_beacon(&beacon, &model);
+            assert_eq!(added, removed, "remove delta (noise {noise})");
+            let expected = oracle_minus(&extended, &original, &beacon);
+            assert_bit_identical(&expected, &map, &format!("remove (noise {noise})"));
+            assert_eq!(map.parts().2, original.parts().2, "heard counts restored");
         }
     }
 
-    /// A beacon whose disk misses the lattice entirely: both paths must
-    /// report an empty delta and change nothing.
+    /// A beacon whose disk misses the lattice entirely: the update must
+    /// report an empty delta and change nothing, either way.
     #[test]
-    fn threaded_incremental_empty_reach_is_a_noop() {
+    fn incremental_empty_reach_is_a_noop() {
         let lat = lattice(10.0);
         let mut rng = StdRng::seed_from_u64(37);
         let field = BeaconField::random_uniform(5, terrain(), &mut rng);
         let model = IdealDisk::new(15.0);
         let before = ErrorMap::survey(&lat, &field, &model, UnheardPolicy::TerrainCenter);
         // A probe far below the terrain: its whole disk misses the
-        // lattice rows, so the banded path takes the empty-span exit.
+        // lattice rows, so the walk takes the empty-span exit.
         let probe = Beacon::new(abp_field::BeaconId(999), Point::new(5.0, -50.0));
         let mut map = before.clone();
-        let delta = map.add_beacon_threaded(&probe, &model, 4);
-        assert!(delta.is_empty());
-        assert_eq!(delta.touched, 0);
-        assert_bit_identical(&before, &map, "out-of-reach add");
+        for delta in [
+            map.add_beacon(&probe, &model),
+            map.remove_beacon(&probe, &model),
+        ] {
+            assert!(delta.is_empty());
+            assert_eq!(delta.touched, 0);
+        }
+        assert_bit_identical(&before, &map, "out-of-reach add and remove");
     }
 
     #[test]

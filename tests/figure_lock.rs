@@ -1,18 +1,27 @@
-//! Behaviour lock for the density and improvement figures: the CSVs of
-//! `fig4`, `fig6`, `fig5-mean`, `fig5-median`, `ablation-noise-styles`
-//! (noise 0.5) and `fig9-mean`/`fig9-median` at the tiny preset hash to
-//! committed digests.
+//! Behaviour lock for the density, improvement and Grid-consuming
+//! figures: their CSVs (and the heatmap demo's text) at the tiny preset
+//! hash to committed digests.
 //!
 //! `tests/determinism.rs` compares two runs of one build, so a change
 //! that shifts every figure by one ulp would still pass there. This file
 //! pins the bits across versions, in the pattern of `tests/fault_lock.rs`:
 //! a rewrite of the survey sweep (a different traversal order, a skipped
-//! `connected` call, a banded schedule) must reproduce these digests
-//! exactly, at any thread count. The noise-style ablation runs all three
-//! `NoiseStyle` readings, and `fig9` runs the noisy incremental
-//! `ErrorMap::add_beacon` after every Grid placement.
+//! `connected` call, a banded schedule) or of the Grid scorer (a table of
+//! row subtotals, a partial selection instead of a full sort) must
+//! reproduce these digests exactly, at any thread count.
+//!
+//! The first lock covers `fig4`, `fig6`, `fig5-mean/median`, the
+//! noise-style ablation (all three `NoiseStyle` readings at noise 0.5)
+//! and `fig9-mean/median` (the noisy incremental `ErrorMap::add_beacon`
+//! after every Grid placement). The second covers every other figure
+//! that runs the Grid scorer: the algorithm ablation (Grid and weighted
+//! Grid) at noise 0 and 0.5, both robustness figures, the multi-beacon
+//! figure (one-shot `propose_top_k` with `k > 1` and greedy Grid
+//! batches), multilateration, the weighted-Grid noise figures, and the
+//! heatmap demo. The tiny preset has `NG = 100` grids on a 5 m lattice,
+//! so the grid-column bands span uneven numbers of lattice columns.
 
-use abp_sim::{figures, AlgorithmKind, Ctx, Figure, SimConfig};
+use abp_sim::{figures, heatmap_demo, AlgorithmKind, Ctx, Figure, SimConfig};
 
 /// `(figure id, digest of its CSV)`, in the order [`figure_digests`]
 /// produces them.
@@ -26,6 +35,21 @@ const DIGESTS: [(&str, u64); 7] = [
     ("fig9-median", 0x5862_efe2_4e06_0d6e),
 ];
 
+/// `(label, digest)` for the Grid-consuming outputs, in the order
+/// [`grid_digests`] produces them. The two algorithm ablations share a
+/// figure id, so the label carries the noise level.
+const GRID_DIGESTS: [(&str, u64); 9] = [
+    ("ablation-algorithms@0", 0x901b_74a7_3d5e_248c),
+    ("ablation-algorithms@0.5", 0xf87a_fdbe_b65f_c749),
+    ("robustness-exploration", 0x7164_7a1a_a4b5_7f47),
+    ("robustness-gps", 0xd200_3ef7_8d9d_ef5d),
+    ("multi-beacon", 0xd0ae_75ba_1422_c058),
+    ("multilateration", 0x63bb_7bfd_5695_9012),
+    ("figx-weighted-grid-mean", 0x37d0_6080_9954_3224),
+    ("figx-weighted-grid-median", 0x0415_9f9f_642c_59cf),
+    ("heatmap_demo", 0x21f7_45b1_9c21_df2e),
+];
+
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -33,12 +57,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn figure_digests(threads: usize) -> Vec<(String, u64)> {
-    let cfg = SimConfig {
+fn tiny(threads: usize) -> SimConfig {
+    SimConfig {
         trials: 3,
         threads,
         ..SimConfig::tiny()
-    };
+    }
+}
+
+fn csv_digest(fig: &Figure) -> u64 {
+    fnv1a(fig.to_csv().as_bytes())
+}
+
+fn figure_digests(threads: usize) -> Vec<(String, u64)> {
+    let cfg = tiny(threads);
     let ctx = Ctx::noop();
     let (fig5_mean, fig5_median) = figures::fig5_with(&cfg, ctx);
     let (fig9_mean, fig9_median) = figures::fig_noise_with(&cfg, AlgorithmKind::Grid, ctx);
@@ -51,21 +83,58 @@ fn figure_digests(threads: usize) -> Vec<(String, u64)> {
         fig9_mean,
         fig9_median,
     ];
-    figs.iter()
-        .map(|f| (f.id.clone(), fnv1a(f.to_csv().as_bytes())))
-        .collect()
+    figs.iter().map(|f| (f.id.clone(), csv_digest(f))).collect()
+}
+
+fn grid_digests(threads: usize) -> Vec<(String, u64)> {
+    let cfg = tiny(threads);
+    let ctx = Ctx::noop();
+    let mut out = Vec::new();
+    for (noise, label) in [(0.0, "@0"), (0.5, "@0.5")] {
+        let fig = figures::ablation_algorithms_with(&cfg, noise, ctx);
+        out.push((format!("{}{label}", fig.id), csv_digest(&fig)));
+    }
+    let (exploration, gps) = figures::robustness_with(&cfg, 40, ctx);
+    let (weighted_mean, weighted_median) =
+        figures::fig_noise_with(&cfg, AlgorithmKind::WeightedGrid, ctx);
+    for fig in [
+        exploration,
+        gps,
+        figures::multi_beacon_with(&cfg, 0.0, 40, &[1, 2, 4, 8, 12], ctx),
+        figures::multilateration_with(&cfg, 0.05, ctx),
+        weighted_mean,
+        weighted_median,
+    ] {
+        out.push((fig.id.clone(), csv_digest(&fig)));
+    }
+    out.push((
+        "heatmap_demo".to_owned(),
+        fnv1a(heatmap_demo(&cfg).as_bytes()),
+    ));
+    out
+}
+
+fn assert_digests(got: &[(String, u64)], want: &[(&str, u64)], threads: usize) {
+    assert_eq!(got.len(), want.len(), "figure count changed");
+    for ((id, digest), (want_id, want)) in got.iter().zip(want) {
+        assert_eq!(id, want_id, "figure order changed");
+        assert_eq!(
+            digest, want,
+            "{id} output changed at {threads} thread(s): {digest:#018x}"
+        );
+    }
 }
 
 #[test]
 fn density_and_improvement_figures_match_committed_digests() {
     for threads in [1, 2] {
-        let got = figure_digests(threads);
-        for ((id, digest), (want_id, want)) in got.iter().zip(DIGESTS) {
-            assert_eq!(id, want_id, "figure order changed");
-            assert_eq!(
-                *digest, want,
-                "{id} CSV changed at {threads} thread(s): {digest:#018x}"
-            );
-        }
+        assert_digests(&figure_digests(threads), &DIGESTS, threads);
+    }
+}
+
+#[test]
+fn grid_consuming_figures_match_committed_digests() {
+    for threads in [1, 2] {
+        assert_digests(&grid_digests(threads), &GRID_DIGESTS, threads);
     }
 }

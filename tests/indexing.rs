@@ -1,7 +1,8 @@
 //! Cross-crate bit-identity guarantees at a scale where pruning matters:
 //! the production survey sweep (which skips `connected` inside each
 //! beacon's guaranteed core) against the point-major oracle, the
-//! connectivity oracle behind the localizers against brute force, and
+//! connectivity oracle behind the localizers against brute force, the
+//! Grid scorer's row-subtotal table against the per-rectangle sum, and
 //! the incremental candidate scorers against full re-scoring.
 
 use abp_fault::FaultPlan;
@@ -10,7 +11,7 @@ use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::{CentroidLocalizer, ConnectivityOracle, Localizer, UnheardPolicy};
 use abp_placement::{
     greedy_batch, greedy_batch_incremental, GridPlacement, IncrementalGrid, IncrementalMax,
-    MaxPlacement,
+    IncrementalScorer, MaxPlacement,
 };
 use abp_radio::{IdealDisk, NoiseStyle, PerBeaconNoise, Propagation};
 use abp_survey::{ErrorMap, SurveyScratch};
@@ -140,10 +141,12 @@ fn tiled_survey_is_bit_identical_to_single_thread_at_scale() {
     }
 }
 
-/// Threaded incremental re-surveys (the serve path's banded update)
-/// apply the exact bits of the sequential `add_beacon`/`remove_beacon`
-/// at paper scale, and an added beacon lands exactly where the oracle
-/// survey of the grown field puts it, under every survey model.
+/// Incremental re-surveys at paper scale, under every survey model: an
+/// added beacon lands exactly where the oracle survey of the grown field
+/// puts it, and removing it again restores the original field's heard
+/// counts, reports the add's delta, and leaves every error within
+/// rounding of the original field's oracle (taking a coordinate back out
+/// of a floating-point sum need not restore its last bit).
 #[test]
 fn threaded_incremental_updates_are_bit_identical_at_scale() {
     let field = dense_field(100, 21);
@@ -153,20 +156,70 @@ fn threaded_incremental_updates_are_bit_identical_at_scale() {
     let id = grown.add_beacon(Point::new(SIDE / 3.0, SIDE / 2.0));
     let beacon = *grown.get(id).expect("beacon just added");
     for (what, model) in &survey_models() {
-        let mut seq = ErrorMap::survey(&lattice, &field, model, policy);
-        let mut par = seq.clone();
+        let original = ErrorMap::survey_point_major(&lattice, &field, model, policy);
+        let mut map = ErrorMap::survey(&lattice, &field, model, policy);
 
-        let d_seq = seq.add_beacon(&beacon, model);
-        let d_par = par.add_beacon_threaded(&beacon, model, 4);
-        assert_eq!(d_seq, d_par, "{what}: add deltas differ");
-        assert_maps_bit_identical(&seq, &par, &format!("{what}: after threaded add"));
+        let added = map.add_beacon(&beacon, model);
         let oracle = ErrorMap::survey_point_major(&lattice, &grown, model, policy);
-        assert_maps_bit_identical(&oracle, &seq, &format!("{what}: add vs oracle"));
+        assert_maps_bit_identical(&oracle, &map, &format!("{what}: add vs oracle"));
 
-        let d_seq = seq.remove_beacon(&beacon, model);
-        let d_par = par.remove_beacon_threaded(&beacon, model, 4);
-        assert_eq!(d_seq, d_par, "{what}: remove deltas differ");
-        assert_maps_bit_identical(&seq, &par, &format!("{what}: after threaded remove"));
+        let removed = map.remove_beacon(&beacon, model);
+        assert_eq!(added, removed, "{what}: remove delta differs from add");
+        for ix in lattice.indices() {
+            assert_eq!(
+                map.heard_at(ix),
+                original.heard_at(ix),
+                "{what}: heard at {ix:?}"
+            );
+            let (got, want) = (map.error_at(ix).unwrap(), original.error_at(ix).unwrap());
+            assert!(
+                (got - want).abs() < 1e-9,
+                "{what}: error at {ix:?}: {got} vs {want}"
+            );
+        }
+    }
+}
+
+/// Production Grid scores at paper geometry (NG 400 on the 1 m lattice)
+/// equal the per-rectangle oracle `GridPlacement::cumulative_errors_direct`
+/// bit for bit — fresh, and cached by the incremental scorer across an
+/// add and a remove — under both unheard policies and with noise. The
+/// greedy check below compares the table with itself, so this is the
+/// test that ties it to the paper's direct sum.
+#[test]
+fn grid_scores_match_per_rectangle_oracle_at_paper_scale() {
+    let terrain = Terrain::square(SIDE);
+    let lattice = Lattice::new(terrain, 1.0);
+    let algo = GridPlacement::paper(terrain, RANGE);
+    let model = PerBeaconNoise::new(RANGE, 0.3, 5);
+    let bits = |scores: &[f64]| -> Vec<u64> { scores.iter().map(|s| s.to_bits()).collect() };
+    let oracle = |map: &ErrorMap| bits(&algo.cumulative_errors_direct(map));
+    for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
+        let mut field = dense_field(40, 13);
+        let mut map = ErrorMap::survey(&lattice, &field, &model, policy);
+        assert_eq!(
+            bits(&algo.cumulative_errors(&map)),
+            oracle(&map),
+            "{policy:?}"
+        );
+        let mut scorer = IncrementalGrid::new(algo, &map);
+        let id = field.add_beacon(Point::new(62.5, 18.0));
+        let beacon = *field.get(id).expect("beacon just added");
+        let delta = map.add_beacon(&beacon, &model);
+        scorer.apply_delta(&map, delta);
+        assert_eq!(bits(scorer.scores()), oracle(&map), "{policy:?}: after add");
+        let delta = map.remove_beacon(&beacon, &model);
+        scorer.apply_delta(&map, delta);
+        assert_eq!(
+            bits(scorer.scores()),
+            oracle(&map),
+            "{policy:?}: after remove"
+        );
+        assert_eq!(
+            bits(&algo.cumulative_errors(&map)),
+            oracle(&map),
+            "{policy:?}"
+        );
     }
 }
 
