@@ -21,6 +21,53 @@
 use crate::{mix, unit};
 use serde::{Deserialize, Serialize};
 
+/// Salt of the per-link burst stream.
+const BURST_SALT: u64 = 0x6E11_B357;
+
+/// The integer form of the coin `unit(h) < p`: it holds exactly when
+/// `h >> 11 < below(p)`.
+///
+/// `unit(h)` is `(h >> 11)·2^-53` with both steps exact, so the coin is
+/// `h >> 11 < p·2^53`; that product is exact too, and an integer lies
+/// below a real exactly when it lies below the real's ceiling. The cast
+/// saturates: `p <= 0` maps to 0 (no draw is below it) and `p >= 1` to
+/// at least 2^53 (every draw is). NaN, which no draw is below, maps to 0.
+fn below(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// The integer form of the delivery coin `unit(h) >= loss`: it holds
+/// exactly when `h >> 11 >= deliver_from(loss)`. The complement of
+/// [`below`], except that no draw reaches a NaN loss.
+fn deliver_from(loss: f64) -> u64 {
+    if loss.is_nan() {
+        u64::MAX
+    } else {
+        below(loss)
+    }
+}
+
+/// The least delivery count `r` with `r / window >= threshold`, or
+/// `window + 1` when no count reaches the threshold. An empty window
+/// counts as fully delivered, as in [`GilbertElliott::received_fraction`].
+///
+/// Correctly rounded division by a fixed `window` is monotone in `r`, so
+/// the delivered fraction meets the threshold exactly when at least this
+/// many messages arrive.
+fn least_deliveries(window: u32, threshold: f64) -> u64 {
+    let window = u64::from(window);
+    (0..=window)
+        .find(|&r| {
+            let fraction = if window == 0 {
+                1.0
+            } else {
+                r as f64 / window as f64
+            };
+            fraction >= threshold
+        })
+        .unwrap_or(window + 1)
+}
+
 /// A two-state Gilbert–Elliott loss channel.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GilbertElliott {
@@ -84,7 +131,9 @@ impl GilbertElliott {
     /// Simulates the chain deterministically: the initial state is drawn
     /// from the stationary distribution and every loss/transition coin is
     /// a hashed uniform, so the identical query replays the identical
-    /// burst pattern.
+    /// burst pattern. Always walks the whole window; it is the oracle for
+    /// [`BurstSchedule::link_up`], which walks the same chain but stops
+    /// once the link's outcome is settled.
     pub fn received_fraction(&self, seed: u64, messages: u32) -> f64 {
         if messages == 0 {
             return 1.0;
@@ -92,7 +141,7 @@ impl GilbertElliott {
         if self.is_transparent() {
             return 1.0;
         }
-        let mut h = mix(seed, 0x6E11_B357); // burst-stream salt
+        let mut h = mix(seed, BURST_SALT);
         let mut bad = unit(h) < self.stationary_bad();
         let mut received = 0u32;
         for _ in 0..messages {
@@ -161,27 +210,47 @@ impl BurstPlan {
 }
 
 /// A compiled burst-loss realization for one trial.
+///
+/// Besides the plan, it holds the integer form of every coin the chain
+/// flips and the delivery count that settles a link up, all computed once
+/// in [`BurstSchedule::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BurstSchedule {
     seed: u64,
     chain: GilbertElliott,
     window: u32,
     threshold: f64,
+    /// Deliveries that settle a link up (see [`least_deliveries`]);
+    /// `window + 1` when none do.
+    need: u64,
+    /// The chain starts in the bad state when `h >> 11` is below this.
+    start_bad: u64,
+    /// Per state (good, bad): a message arrives when `h >> 11` is at
+    /// least this.
+    deliver_from: [u64; 2],
+    /// Per state (good, bad): the state flips when `h >> 11` is below
+    /// this.
+    flip_below: [u64; 2],
 }
 
 impl BurstSchedule {
     /// Compiles `plan` against a per-trial seed.
     pub fn new(seed: u64, plan: BurstPlan) -> Self {
+        let chain = GilbertElliott::from_intensity(
+            plan.intensity,
+            plan.burst_len,
+            plan.loss_good,
+            plan.loss_bad,
+        );
         BurstSchedule {
             seed,
-            chain: GilbertElliott::from_intensity(
-                plan.intensity,
-                plan.burst_len,
-                plan.loss_good,
-                plan.loss_bad,
-            ),
+            chain,
             window: plan.window,
             threshold: plan.threshold,
+            need: least_deliveries(plan.window, plan.threshold),
+            start_bad: below(chain.stationary_bad()),
+            deliver_from: [deliver_from(chain.loss_good), deliver_from(chain.loss_bad)],
+            flip_below: [below(chain.p_enter_bad), below(chain.p_exit_bad)],
         }
     }
 
@@ -191,19 +260,58 @@ impl BurstSchedule {
     }
 
     /// Whether enough of the listening window survives the bursts for
-    /// the link keyed by `link_key` during `epoch`.
+    /// the link keyed by `link_key` during `epoch`: exactly
+    /// `chain().received_fraction(seed, window) >= threshold` for the
+    /// link's derived seed, and always `true` for a transparent chain.
+    ///
+    /// Walks the same hash chain as the oracle, with each float coin in
+    /// its exact integer form, but returns as soon as the outcome is
+    /// settled: once `need` messages have arrived, or once more than
+    /// `window - need` are lost. The deeper the bursts, the sooner a link
+    /// settles down.
     pub fn link_up(&self, link_key: u64, epoch: u64) -> bool {
-        if self.chain.is_transparent() {
+        if self.chain.is_transparent() || self.need == 0 {
             return true;
         }
-        let seed = mix(self.seed, mix(epoch.rotate_left(23), link_key));
-        self.chain.received_fraction(seed, self.window) >= self.threshold
+        // Each count runs down to the message that settles the link: the
+        // `need`-th delivery, or the loss one beyond what it can spare.
+        let mut to_receive = self.need;
+        let mut to_lose = u64::from(self.window) + 1 - self.need;
+        if to_lose == 0 {
+            return false;
+        }
+        let mut h = mix(self.link_seed(link_key, epoch), BURST_SALT);
+        let mut bad = (h >> 11) < self.start_bad;
+        loop {
+            h = mix(h, 1);
+            if (h >> 11) >= self.deliver_from[usize::from(bad)] {
+                to_receive -= 1;
+                if to_receive == 0 {
+                    return true;
+                }
+            } else {
+                to_lose -= 1;
+                if to_lose == 0 {
+                    return false;
+                }
+            }
+            h = mix(h, 2);
+            if (h >> 11) < self.flip_below[usize::from(bad)] {
+                bad = !bad;
+            }
+        }
+    }
+
+    /// The chain seed of the link keyed by `link_key` during `epoch`.
+    fn link_seed(&self, link_key: u64, epoch: u64) -> u64 {
+        mix(self.seed, mix(epoch.rotate_left(23), link_key))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_intensity_is_transparent() {
@@ -265,5 +373,127 @@ mod tests {
     fn transparent_schedule_never_cuts_links() {
         let s = BurstSchedule::new(5, BurstPlan::paper(0.0));
         assert!((0..100u64).all(|k| s.link_up(k, 0)));
+    }
+
+    #[test]
+    fn paper_window_settles_at_eighteen_of_twenty() {
+        let s = BurstSchedule::new(5, BurstPlan::paper(0.4));
+        assert_eq!(s.need, 18);
+        assert_eq!(least_deliveries(20, 0.85), 17);
+        assert_eq!(least_deliveries(20, 0.0), 0);
+        assert_eq!(least_deliveries(20, 1.0), 20);
+        assert_eq!(least_deliveries(20, 1.5), 21);
+        assert_eq!(least_deliveries(0, 1.0), 0);
+        assert_eq!(least_deliveries(0, 1.5), 1);
+    }
+
+    /// `below(p)` is the exact boundary of the float coin: the draw just
+    /// under it passes `unit(h) < p` and the draw on it fails, for any
+    /// low bits the shift discards.
+    #[test]
+    fn integer_coins_match_the_float_coins_at_their_boundary() {
+        let top = 1u64 << 53;
+        let ps = [
+            0.0,
+            2f64.powi(-60),
+            0.05,
+            1.0 / 3.0,
+            1.0 - 2f64.powi(-53),
+            1.0,
+            1.5,
+        ];
+        for p in ps {
+            let t = below(p);
+            assert_eq!(deliver_from(p), t, "p = {p}");
+            for k in [t.wrapping_sub(1), t] {
+                if k >= top {
+                    continue;
+                }
+                for low in [0, 0x7FF] {
+                    let h = k << 11 | low;
+                    assert_eq!(unit(h) < p, (h >> 11) < t, "p = {p}, h >> 11 = {k}");
+                    assert_eq!(unit(h) < p, k < t);
+                    assert_eq!(unit(h) >= p, (h >> 11) >= deliver_from(p));
+                }
+            }
+        }
+        assert_eq!(below(0.0), 0);
+        assert_eq!(below(1.0), top);
+        assert!(below(1.5) > top);
+        assert_eq!(below(f64::NAN), 0);
+        assert_eq!(deliver_from(f64::NAN), u64::MAX);
+    }
+
+    /// The decision `link_up` replaced: the full-window fraction against
+    /// the threshold.
+    fn full_window_link_up(s: &BurstSchedule, key: u64, epoch: u64) -> bool {
+        s.chain.is_transparent()
+            || s.chain.received_fraction(s.link_seed(key, epoch), s.window) >= s.threshold
+    }
+
+    /// A probability that is 0 or 1 as often as it is interior.
+    fn edgy(pick: u8, x: f64) -> f64 {
+        match pick {
+            0 => 0.0,
+            1 => 1.0,
+            _ => x,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The early exit is exact: over random plans, including clamped
+        /// intensities, certain and impossible losses, empty windows, and
+        /// thresholds on, just below, and beyond every count boundary,
+        /// `link_up` decides every link as the full window does.
+        #[test]
+        fn early_exit_matches_the_full_window(
+            seed in any::<u64>(),
+            intensity in (0u8..10, 0.0..=0.95f64),
+            burst_len in 1.0..=20.0f64,
+            losses in (0u8..4, 0.0..=1.0f64, 0u8..4, 0.0..=1.0f64),
+            window in 0u32..=40,
+            threshold in (0u8..8, 0.0..=1.0f64, 0u32..=40),
+        ) {
+            let intensity = match intensity.0 {
+                0 => 1.0,
+                1 => 0.0,
+                _ => intensity.1,
+            };
+            let boundary = if window == 0 {
+                1.0
+            } else {
+                f64::from(threshold.2 % (window + 1)) / f64::from(window)
+            };
+            let threshold = match threshold.0 {
+                0 => 0.0,
+                1 => 0.9,
+                2 => 1.0,
+                3 => 1.0 + threshold.1,
+                4 => boundary,
+                5 => f64::from_bits(boundary.to_bits().saturating_sub(1)),
+                _ => threshold.1,
+            };
+            let plan = BurstPlan {
+                intensity,
+                burst_len,
+                loss_good: edgy(losses.0, losses.1),
+                loss_bad: edgy(losses.2, losses.3),
+                window,
+                threshold,
+            };
+            let s = BurstSchedule::new(seed, plan);
+            for i in 0..300u64 {
+                let key = mix(seed, i);
+                for epoch in [0, 1] {
+                    prop_assert_eq!(
+                        s.link_up(key, epoch),
+                        full_window_link_up(&s, key, epoch),
+                        "{:?}, key {}, epoch {}", plan, key, epoch
+                    );
+                }
+            }
+        }
     }
 }

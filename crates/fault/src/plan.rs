@@ -144,12 +144,14 @@ impl FaultSchedule {
     /// loss) over `base`, producing a [`Propagation`] model for `epoch`.
     ///
     /// With neither family planned the wrapper is transparent: it
-    /// forwards every query to `base` unchanged.
+    /// forwards every query to `base` unchanged. A burst chain that can
+    /// never lose a message is left out of the wrapper, so its links are
+    /// neither hashed nor simulated.
     pub fn wrap<M: Propagation>(&self, base: M, epoch: u64) -> FaultyRadio<M> {
         FaultyRadio {
             base,
             mortality: self.mortality,
-            burst: self.burst,
+            burst: self.burst.filter(|b| !b.chain().is_transparent()),
             link_field: self.link_field,
             epoch,
         }
@@ -159,16 +161,22 @@ impl FaultSchedule {
 /// A [`Propagation`] model with mortality and burst loss layered on top.
 ///
 /// * a dead (or currently asleep) beacon reaches nobody and advertises a
-///   zero `max_range`, so surveys skip it cheaply;
+///   zero `max_range` and no core, so surveys skip it cheaply;
 /// * a live link additionally survives only if enough of the listening
-///   window escapes the Gilbert–Elliott bursts.
+///   window escapes the Gilbert–Elliott bursts
+///   ([`BurstSchedule::link_up`]).
 ///
 /// Burst loss only ever *removes* connectivity, so the base model's
-/// `max_range` remains a valid upper bound.
+/// `max_range` remains a valid upper bound. Where no fault can cut a
+/// link — a live beacon under no burst, or a burst chain that never
+/// loses a message — the wrapper forwards the base model's
+/// `core_range`, and surveys hear that core without asking the model.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultyRadio<M> {
     base: M,
     mortality: Option<MortalitySchedule>,
+    /// `None` when no burst is planned or the planned chain is
+    /// transparent: either way no link is cut.
     burst: Option<BurstSchedule>,
     link_field: DeterministicField,
     epoch: u64,
@@ -184,16 +192,17 @@ impl<M> FaultyRadio<M> {
     pub fn base(&self) -> &M {
         &self.base
     }
+
+    /// Whether `tx` transmits at this wrapper's epoch.
+    fn is_alive(&self, tx: TxId) -> bool {
+        self.mortality
+            .map_or(true, |m| m.is_alive(tx.0, self.epoch))
+    }
 }
 
 impl<M: Propagation> Propagation for FaultyRadio<M> {
     fn connected(&self, tx: TxId, tx_pos: Point, rx: Point) -> bool {
-        if let Some(m) = &self.mortality {
-            if !m.is_alive(tx.0, self.epoch) {
-                return false;
-            }
-        }
-        if !self.base.connected(tx, tx_pos, rx) {
+        if !self.is_alive(tx) || !self.base.connected(tx, tx_pos, rx) {
             return false;
         }
         match &self.burst {
@@ -203,16 +212,25 @@ impl<M: Propagation> Propagation for FaultyRadio<M> {
     }
 
     fn max_range(&self, tx: TxId, tx_pos: Point) -> f64 {
-        if let Some(m) = &self.mortality {
-            if !m.is_alive(tx.0, self.epoch) {
-                return 0.0;
-            }
+        if !self.is_alive(tx) {
+            return 0.0;
         }
         self.base.max_range(tx, tx_pos)
     }
 
     fn nominal_range(&self) -> f64 {
         self.base.nominal_range()
+    }
+
+    /// The base model's core for a transmitter no fault can cut at this
+    /// epoch: alive, and under no burst that can lose a message. A dead
+    /// or sleeping beacon reaches nobody and a lossy burst can cut any
+    /// link, so both get `None`.
+    fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
+        if self.burst.is_some() || !self.is_alive(tx) {
+            return None;
+        }
+        self.base.core_range(tx, tx_pos)
     }
 }
 
@@ -313,22 +331,111 @@ mod tests {
         assert_eq!(w.nominal_range(), 15.0);
     }
 
-    /// Death and bursts can cut any link inside the base model's core,
-    /// so the wrapper never claims one — not even for a schedule that
-    /// happens to inject nothing.
+    /// Receivers around `tx_pos` for a beacon with core `core` and reach
+    /// `reach`, sampled as `abp-radio`'s core-range tests sample them:
+    /// uniform in the reach disk, on the core circle at hashed angles,
+    /// and exactly on (and one ulp either side of) the circle along both
+    /// axes.
+    fn receivers(seed: u64, tx_pos: Point, core: f64, reach: f64) -> Vec<Point> {
+        let mut h = seed;
+        let mut unit = || {
+            h = abp_geom::splitmix64(h);
+            (h >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut out = Vec::new();
+        for _ in 0..32 {
+            let theta = unit() * std::f64::consts::TAU;
+            let d = reach * unit().sqrt();
+            out.push(Point::new(
+                tx_pos.x + d * theta.cos(),
+                tx_pos.y + d * theta.sin(),
+            ));
+            out.push(Point::new(
+                tx_pos.x + core * theta.cos(),
+                tx_pos.y + core * theta.sin(),
+            ));
+        }
+        let ulp = |c: f64, k: i64| f64::from_bits((c.to_bits() as i64 + k) as u64);
+        for c in [ulp(core, -1), core, ulp(core, 1)] {
+            out.extend([
+                Point::new(tx_pos.x + c, tx_pos.y),
+                Point::new(tx_pos.x - c, tx_pos.y),
+                Point::new(tx_pos.x, tx_pos.y + c),
+                Point::new(tx_pos.x, tx_pos.y - c),
+            ]);
+        }
+        out
+    }
+
+    /// The wrapper forwards its base's core exactly where no fault can
+    /// cut a link — a live beacon under no burst or a transparent one —
+    /// and claims none for a dead or sleeping beacon or under a burst
+    /// that can lose messages. Every core it does claim is honoured by
+    /// `connected`, boundary receivers included.
     #[test]
-    fn faulty_radio_has_no_guaranteed_core() {
-        let base = IdealDisk::new(15.0);
-        assert!(base.core_range(TxId(1), Point::ORIGIN).is_some());
-        for plan in [full_plan(), FaultPlan::none()] {
-            let s = plan.compile(7);
-            for epoch in 0..3 {
-                let w = s.wrap(&base, epoch);
-                for tx in (0..20).map(TxId) {
-                    assert_eq!(w.core_range(tx, Point::new(5.0, 5.0)), None);
+    fn faulty_radio_forwards_the_base_core_only_where_no_fault_cuts() {
+        let flapping = MortalityPlan {
+            death_rate: 0.3,
+            flap_rate: 0.5,
+            duty_cycle: 0.5,
+        };
+        let bursty = |x| FaultPlan {
+            burst: Some(BurstPlan::paper(x)),
+            ..FaultPlan::none()
+        };
+        let uncut = [
+            FaultPlan::none(),
+            FaultPlan {
+                mortality: Some(flapping),
+                ..FaultPlan::none()
+            },
+            bursty(0.0),
+            FaultPlan {
+                mortality: Some(flapping),
+                ..bursty(0.0)
+            },
+        ];
+        let cutting = [full_plan(), bursty(0.4), bursty(0.8)];
+        let ideal = IdealDisk::new(15.0);
+        let noisy = abp_radio::PerBeaconNoise::new(15.0, 0.3, 11);
+        let bases: [&dyn Propagation; 2] = [&ideal, &noisy];
+        let (mut forwarded, mut withheld, mut inside) = (0, 0, 0);
+        for base in bases {
+            for epoch in 0..4 {
+                for id in 0..40u64 {
+                    let tx = TxId(id);
+                    let pos = Point::new((id * 7 % 90) as f64, (id * 13 % 90) as f64);
+                    for plan in cutting {
+                        let w = plan.compile(7).wrap(base, epoch);
+                        assert_eq!(w.core_range(tx, pos), None, "{plan:?} epoch {epoch}");
+                    }
+                    for plan in uncut {
+                        let s = plan.compile(7);
+                        let w = s.wrap(base, epoch);
+                        let core = w.core_range(tx, pos);
+                        if !s.is_alive(id, epoch) {
+                            assert_eq!(core, None, "dead or asleep {tx} at epoch {epoch}");
+                            withheld += 1;
+                            continue;
+                        }
+                        assert_eq!(core, base.core_range(tx, pos), "{plan:?} epoch {epoch}");
+                        let c = core.expect("both bases have a core");
+                        forwarded += 1;
+                        let reach = w.max_range(tx, pos);
+                        assert!((0.0..=reach).contains(&c));
+                        let seed = id ^ epoch << 32;
+                        for rx in receivers(seed, pos, c, reach) {
+                            if pos.distance_squared(rx) <= c * c {
+                                inside += 1;
+                                assert!(w.connected(tx, pos, rx), "{tx} drops {rx} in core {c}");
+                            }
+                        }
+                    }
                 }
             }
         }
+        assert!(forwarded > 500 && withheld > 50, "{forwarded} / {withheld}");
+        assert!(inside > 20_000, "only {inside} core receivers");
     }
 
     #[test]

@@ -126,10 +126,13 @@ pub trait Propagation: Send + Sync {
     /// Surveys use it to skip the `connected` call for every point inside
     /// the core (same heard sets, bit-identical accumulation); only the
     /// annulus between the core and `max_range` pays for the model.
-    /// Defaults to `None` (no guaranteed core), which is always sound; a
-    /// model that can drop a link anywhere inside a base model's core —
-    /// death, bursts, obstacles, shadowing, time variation — must keep
-    /// the default.
+    /// Defaults to `None` (no guaranteed core), which is always sound. A
+    /// wrapper whose faults can drop a link inside its base model's core
+    /// — death, bursts, obstacles, shadowing, time variation — keeps
+    /// `None` for every transmitter they can cut at that moment. It may
+    /// forward the base model's core for a transmitter none of its faults
+    /// can cut, as `abp-fault`'s `FaultyRadio` does for a live beacon
+    /// under no lossy burst.
     fn core_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
         None
     }

@@ -221,6 +221,9 @@ pub fn run_trial(
     let faulty1 = schedule.wrap(&*model1, 1);
     let before1 = ErrorMap::survey(&lattice, &field, &faulty1, cfg.policy);
     let before1_mean = before1.mean_error();
+    // One after-map per trial: each further algorithm resets it from the
+    // baseline in place rather than allocating a fresh clone.
+    let mut after = before1.clone();
     let improvements = spec
         .algorithms
         .iter()
@@ -245,7 +248,9 @@ pub fn run_trial(
             // exactly as a full survey of the extended field would.
             let mut extended = field.clone();
             let id = extended.add_beacon(pos);
-            let mut after = before1.clone();
+            if ai > 0 {
+                after.clone_from(&before1);
+            }
             after.add_beacon(extended.get(id).expect("just added"), &faulty1);
             before1_mean - after.mean_error()
         })

@@ -75,8 +75,8 @@ pub fn run_trial(
     let model = cfg.model(noise, splitmix64(trial_seed ^ 0x4E_01_5E));
     let lattice = cfg.lattice();
     // The shared before-survey and all quantile selections run through
-    // this worker's scratch. The per-algorithm `after` map stays a clone:
-    // each algorithm mutates its own private copy.
+    // this worker's scratch. Each algorithm mutates a private after-map:
+    // one clone of the baseline, reset from it in place per algorithm.
     crate::scratch::with_trial_scratch(|scratch| {
         let before = ErrorMap::survey_indexed_with(
             &lattice,
@@ -87,6 +87,7 @@ pub fn run_trial(
         );
         let before_mean = before.mean_error();
         let before_median = scratch.survey.median_error(&before);
+        let mut after = before.clone();
         let samples = algorithms
             .iter()
             .enumerate()
@@ -106,7 +107,9 @@ pub fn run_trial(
                 };
                 let mut extended = field.clone();
                 let id = extended.add_beacon(pos);
-                let mut after = before.clone();
+                if ai > 0 {
+                    after.clone_from(&before);
+                }
                 after.add_beacon(extended.get(id).expect("just added"), &*model);
                 TrialImprovement {
                     mean: before_mean - after.mean_error(),

@@ -110,7 +110,10 @@ impl fmt::Display for SurveyAccounting {
 /// Unheard points follow the configured [`UnheardPolicy`]; with
 /// [`UnheardPolicy::Exclude`] they carry no measurement and are skipped by
 /// all statistics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `clone_from` copies into the target's own four grids, so a trial that
+/// resets one after-map from its baseline per algorithm allocates it once.
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct ErrorMap {
     lattice: Lattice,
     policy: UnheardPolicy,
@@ -839,6 +842,28 @@ impl<'a> Band<'a> {
             });
         }
         tested
+    }
+}
+
+impl Clone for ErrorMap {
+    fn clone(&self) -> Self {
+        ErrorMap {
+            lattice: self.lattice,
+            policy: self.policy,
+            sum_x: self.sum_x.clone(),
+            sum_y: self.sum_y.clone(),
+            count: self.count.clone(),
+            errors: self.errors.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.lattice = source.lattice;
+        self.policy = source.policy;
+        self.sum_x.clone_from(&source.sum_x);
+        self.sum_y.clone_from(&source.sum_y);
+        self.count.clone_from(&source.count);
+        self.errors.clone_from(&source.errors);
     }
 }
 

@@ -5,7 +5,7 @@
 //! Grid scorer's row-subtotal table against the per-rectangle sum, and
 //! the incremental candidate scorers against full re-scoring.
 
-use abp_fault::FaultPlan;
+use abp_fault::{BurstPlan, FaultPlan, MortalityPlan};
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::{CentroidLocalizer, ConnectivityOracle, Localizer, UnheardPolicy};
@@ -13,7 +13,7 @@ use abp_placement::{
     greedy_batch, greedy_batch_incremental, GridPlacement, IncrementalGrid, IncrementalMax,
     IncrementalScorer, MaxPlacement,
 };
-use abp_radio::{IdealDisk, NoiseStyle, PerBeaconNoise, Propagation};
+use abp_radio::{IdealDisk, NoiseStyle, PerBeaconNoise, Propagation, TxId};
 use abp_survey::{ErrorMap, SurveyScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,11 +29,32 @@ fn dense_field(beacons: usize, seed: u64) -> BeaconField {
     )
 }
 
+/// Forwards every query to the wrapped model except `core_range`, which
+/// keeps the trait's default `None`: every point in reach asks
+/// `connected`.
+struct NoCore<M>(M);
+
+impl<M: Propagation> Propagation for NoCore<M> {
+    fn connected(&self, tx: TxId, tx_pos: Point, rx: Point) -> bool {
+        self.0.connected(tx, tx_pos, rx)
+    }
+    fn max_range(&self, tx: TxId, tx_pos: Point) -> f64 {
+        self.0.max_range(tx, tx_pos)
+    }
+    fn nominal_range(&self) -> f64 {
+        self.0.nominal_range()
+    }
+}
+
 /// The survey models every identity check runs: the all-core ideal
 /// disk, each noise style at 0.4 (core plus annulus; the coherent style
-/// is all core), and a fault wrapper that injects nothing but claims no
-/// core, so every point in reach asks `connected`.
+/// is all core), a wrapper that claims no core, so every point in reach
+/// asks `connected`, and three fault worlds over speckled noise: flapping
+/// mortality (the base core for live beacons, none for dead or sleeping
+/// ones), a transparent burst (the base core), and a cutting burst (no
+/// core at all).
 fn survey_models() -> Vec<(String, Box<dyn Propagation>)> {
+    let noise = || PerBeaconNoise::new(RANGE, 0.4, 11);
     let mut models: Vec<(String, Box<dyn Propagation>)> =
         vec![("ideal disk".into(), Box::new(IdealDisk::new(RANGE)))];
     for style in [
@@ -46,10 +67,27 @@ fn survey_models() -> Vec<(String, Box<dyn Propagation>)> {
             Box::new(PerBeaconNoise::with_style(RANGE, 0.4, 11, style)),
         ));
     }
-    let no_core = FaultPlan::none()
-        .compile(3)
-        .wrap(PerBeaconNoise::new(RANGE, 0.4, 11), 0);
-    models.push(("no core".into(), Box::new(no_core)));
+    models.push(("no core".into(), Box::new(NoCore(noise()))));
+    let mortality = FaultPlan {
+        mortality: Some(MortalityPlan {
+            death_rate: 0.3,
+            flap_rate: 0.5,
+            duty_cycle: 0.5,
+        }),
+        ..FaultPlan::none()
+    };
+    let burst = |x| FaultPlan {
+        burst: Some(BurstPlan::paper(x)),
+        ..FaultPlan::none()
+    };
+    for (what, plan, epoch) in [
+        ("flapping mortality", mortality, 1),
+        ("transparent burst", burst(0.0), 0),
+        ("cutting burst", burst(0.4), 0),
+    ] {
+        let world = plan.compile(3).wrap(noise(), epoch);
+        models.push((what.into(), Box::new(world)));
+    }
     models
 }
 
