@@ -88,7 +88,9 @@ use std::time::Instant;
 /// telemetry-overhead point estimate with `telemetry_overhead`: median
 /// and 95% CI over interleaved on/off load pairs, alternating run
 /// order to cancel drift.
-pub const SCHEMA: &str = "abp-bench-sweep/6";
+/// `/7` removes the `scaling` block with the intra-survey tile
+/// scheduler it timed; one sequential survey sweep remains.
+pub const SCHEMA: &str = "abp-bench-sweep/7";
 
 /// Scenario and sampling configuration for one bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,10 +127,6 @@ pub struct BenchConfig {
     /// between pairs); the per-pair QPS deltas feed the
     /// `telemetry_overhead` median and confidence interval.
     pub serve_ab_pairs: usize,
-    /// Thread counts for the survey-sweep scaling ladder. Empty means
-    /// auto: powers of two from 1 up to the detected parallelism,
-    /// plus the detected count itself when it is not a power of two.
-    pub scale_threads: Vec<usize>,
 }
 
 impl BenchConfig {
@@ -149,7 +147,6 @@ impl BenchConfig {
             serve_clients: 4,
             serve_requests: 2000,
             serve_ab_pairs: 3,
-            scale_threads: Vec::new(),
         }
     }
 
@@ -168,7 +165,6 @@ impl BenchConfig {
             serve_clients: 2,
             serve_requests: 150,
             serve_ab_pairs: 2,
-            scale_threads: Vec::new(),
         }
     }
 }
@@ -266,38 +262,6 @@ pub struct AllocStats {
     pub bytes_per_trial: f64,
 }
 
-/// One rung of the survey-sweep scaling ladder: the tiled sweep timed
-/// at a fixed worker count.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingPoint {
-    /// Worker threads the tile scheduler ran with.
-    pub threads: usize,
-    /// Timing of the full survey at this thread count.
-    pub timing: Timing,
-    /// Parallel efficiency: `t1_median / (threads * tn_median)`.
-    /// 1.0 is perfect linear scaling; the single-thread rung is 1.0 by
-    /// construction.
-    pub efficiency: f64,
-    /// Whether every sample at this count was bit-identical to the
-    /// reference survey. The tile scheduler guarantees this by design;
-    /// a `false` here fails CI.
-    pub identical: bool,
-}
-
-/// The `scaling` block: the tiled survey sweep across a ladder of
-/// thread counts, sampled round-robin so machine drift biases every
-/// rung equally.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScalingReport {
-    /// Parallelism detected on the benched machine
-    /// (`std::thread::available_parallelism`). On a 1-core runner the
-    /// auto ladder collapses to `[1]` — consumers must not assume
-    /// multi-thread rungs exist.
-    pub max_threads: usize,
-    /// One entry per benched thread count, ascending.
-    pub points: Vec<ScalingPoint>,
-}
-
 /// Throughput cost of live telemetry, estimated from interleaved
 /// on/off serve-load pairs rather than a single A/B sample. The old
 /// `/5` point estimate regularly reported *negative* overhead (the
@@ -326,8 +290,8 @@ impl TelemetryOverhead {
     }
 }
 
-/// The machine a report was measured on, so a ratio or a scaling rung
-/// can be read against its hardware.
+/// The machine a report was measured on, so a ratio can be read against
+/// its hardware.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Host {
     /// Parallelism detected by `std::thread::available_parallelism`.
@@ -385,8 +349,6 @@ pub struct BenchReport {
     /// the request path allocation-free) while the excess is answered
     /// `Overloaded`.
     pub overload: abp_serve::bench::OverloadReport,
-    /// The tiled survey sweep across the thread-count ladder.
-    pub scaling: ScalingReport,
     /// Telemetry overhead from the interleaved on/off load pairs.
     pub telemetry: TelemetryOverhead,
 }
@@ -396,10 +358,7 @@ impl BenchReport {
     /// bit for bit — and the served localization path matched the batch
     /// pipeline over the full lattice (in both serve runs).
     pub fn all_identical(&self) -> bool {
-        self.kernels.iter().all(|k| k.identical)
-            && self.serve.identical
-            && self.serve_off.identical
-            && self.scaling.points.iter().all(|p| p.identical)
+        self.kernels.iter().all(|k| k.identical) && self.serve.identical && self.serve_off.identical
     }
 
     /// Throughput lost to live telemetry, in percent of the
@@ -516,28 +475,6 @@ impl BenchReport {
             o.alloc_counting,
             json_f64(o.allocs_per_request)
         ));
-        out.push_str("  },\n");
-        out.push_str("  \"scaling\": {\n");
-        out.push_str(&format!(
-            "    \"max_threads\": {},\n",
-            self.scaling.max_threads
-        ));
-        out.push_str("    \"points\": [\n");
-        for (i, p) in self.scaling.points.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"threads\": {}, \"timing\": {}, \"efficiency\": {}, \"identical\": {}}}{}\n",
-                p.threads,
-                timing_json(&p.timing),
-                json_f64(p.efficiency),
-                p.identical,
-                if i + 1 == self.scaling.points.len() {
-                    ""
-                } else {
-                    ","
-                }
-            ));
-        }
-        out.push_str("    ]\n");
         out.push_str("  },\n");
         out.push_str("  \"kernels\": [\n");
         for (i, k) in self.kernels.iter().enumerate() {
@@ -715,11 +652,6 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         cfg,
     ));
 
-    // The scaling ladder: the same survey through the banded tile
-    // scheduler at each benched thread count, with scratch reuse and a
-    // per-sample bit-identity gate against the reference map.
-    let scaling = run_scaling(cfg, &lattice, &field, &model, policy, &base_map);
-
     // Kernel 5 (reported as `serve_qps`, not a brute/indexed pair): the
     // online daemon under concurrent TCP load — the serving layer's
     // throughput, tail latency, allocation rate, and bit-identity gate.
@@ -754,8 +686,6 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         idle_timeout: std::time::Duration::from_secs(300),
         state_path: None,
         panic_seed: None,
-        // Snapshot rebuilds stay single-tile so the A/B pairs measure
-        // telemetry cost alone, not scheduler jitter.
         survey_threads: 1,
     };
     let run_pair_side = |serve_cfg: &mut abp_serve::daemon::ServeConfig, on: bool| {
@@ -816,106 +746,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         serve,
         serve_off,
         overload,
-        scaling,
         telemetry,
-    }
-}
-
-/// The thread counts the scaling ladder runs at: the configured list
-/// (sorted, deduplicated, 1 forced in so efficiency has its anchor),
-/// or — when empty — powers of two from 1 up to the detected
-/// parallelism plus the detected count itself.
-fn scaling_ladder(cfg: &BenchConfig, max_threads: usize) -> Vec<usize> {
-    let mut counts: Vec<usize> = if cfg.scale_threads.is_empty() {
-        let mut c = Vec::new();
-        let mut t = 1;
-        while t <= max_threads {
-            c.push(t);
-            t *= 2;
-        }
-        c.push(max_threads);
-        c
-    } else {
-        let mut c = cfg.scale_threads.clone();
-        c.retain(|&t| t > 0);
-        c.push(1);
-        c
-    };
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-/// Times the banded survey sweep at every rung of the thread ladder.
-///
-/// Samples are taken round-robin across the rungs (one sample per
-/// count per round) so machine drift biases every count equally — the
-/// same discipline the kernel pairs use. Each rung keeps its own
-/// [`SurveyScratch`] warm across samples, and every sample is
-/// bit-compared against the reference map: the tile scheduler's
-/// deterministic fold order makes any thread count bit-identical to
-/// single-threaded, and this gate proves it on the benched build.
-fn run_scaling(
-    cfg: &BenchConfig,
-    lattice: &Lattice,
-    field: &BeaconField,
-    model: &dyn Propagation,
-    policy: UnheardPolicy,
-    base_map: &ErrorMap,
-) -> ScalingReport {
-    let max_threads = abp_survey::resolve_survey_threads(0);
-    let counts = scaling_ladder(cfg, max_threads);
-    let mut scratches: Vec<SurveyScratch> = counts.iter().map(|_| SurveyScratch::new()).collect();
-    let mut samples: Vec<Vec<f64>> = counts.iter().map(|_| Vec::new()).collect();
-    let mut identical: Vec<bool> = counts.iter().map(|_| true).collect();
-    // Warmup: grow each rung's scratch (and spawn its worker pool once)
-    // so the timed rounds measure the steady state.
-    for (i, &threads) in counts.iter().enumerate() {
-        let warm = ErrorMap::survey_indexed_with_threads(
-            lattice,
-            field,
-            model,
-            policy,
-            &mut scratches[i],
-            threads,
-        );
-        scratches[i].recycle(warm);
-    }
-    for _ in 0..cfg.repeats {
-        for (i, &threads) in counts.iter().enumerate() {
-            let t = Instant::now();
-            let map = ErrorMap::survey_indexed_with_threads(
-                lattice,
-                field,
-                model,
-                policy,
-                &mut scratches[i],
-                threads,
-            );
-            samples[i].push(t.elapsed().as_secs_f64());
-            identical[i] &= maps_bit_identical(&map, base_map);
-            scratches[i].recycle(map);
-        }
-    }
-    let timings: Vec<Timing> = samples.iter().map(|s| Timing::from_samples(s)).collect();
-    let t1 = timings[0].median_s; // counts[0] == 1 by construction
-    let points = counts
-        .iter()
-        .zip(timings)
-        .zip(identical)
-        .map(|((&threads, timing), identical)| {
-            let efficiency = t1 / (threads as f64 * timing.median_s.max(f64::MIN_POSITIVE));
-            ScalingPoint {
-                threads,
-                timing,
-                efficiency,
-                identical,
-            }
-        })
-        .collect();
-    ScalingReport {
-        max_threads,
-        points,
     }
 }
 
@@ -1184,18 +1015,6 @@ mod tests {
         assert!(report.telemetry_overhead_pct().is_finite());
         assert!(report.telemetry.ci95_lo_pct <= report.telemetry.median_pct);
         assert!(report.telemetry.median_pct <= report.telemetry.ci95_hi_pct);
-        assert!(!report.scaling.points.is_empty());
-        assert_eq!(
-            report.scaling.points[0].threads, 1,
-            "the ladder must anchor at one thread"
-        );
-        assert_eq!(report.scaling.points[0].efficiency, 1.0);
-        for p in &report.scaling.points {
-            assert!(p.identical, "tiled sweep at {} threads diverged", p.threads);
-            assert!(p.timing.median_s > 0.0);
-            assert!(p.efficiency.is_finite() && p.efficiency > 0.0);
-            assert_eq!(p.timing.samples, cfg.repeats);
-        }
         assert_eq!(report.alloc.counting, abp_trace::counting());
         if report.alloc.counting {
             assert_eq!(
@@ -1340,23 +1159,6 @@ mod tests {
                 allocs_per_request: 0.0,
                 alloc_counting: true,
             },
-            scaling: ScalingReport {
-                max_threads: 4,
-                points: vec![
-                    ScalingPoint {
-                        threads: 1,
-                        timing: Timing::from_samples(&[0.4]),
-                        efficiency: 1.0,
-                        identical: true,
-                    },
-                    ScalingPoint {
-                        threads: 4,
-                        timing: Timing::from_samples(&[0.125]),
-                        efficiency: 0.8,
-                        identical: true,
-                    },
-                ],
-            },
             telemetry: TelemetryOverhead {
                 pair_pcts: vec![20.0, 18.0, 22.0],
                 median_pct: 20.0,
@@ -1365,7 +1167,7 @@ mod tests {
             },
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/6\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/7\""));
         assert!(json.contains("\"preset\": \"tiny\""));
         assert!(json.contains("\"skip_brute\": false"));
         assert!(json.contains(
@@ -1388,10 +1190,7 @@ mod tests {
         assert!(json.contains(
             "\"telemetry_overhead\": {\"pairs\": 3, \"median_pct\": 20, \"ci95_lo_pct\": 18, \"ci95_hi_pct\": 22}"
         ));
-        assert!(json.contains("\"scaling\": {"));
-        assert!(json.contains("\"max_threads\": 4"));
-        assert!(json.contains("\"threads\": 1"));
-        assert!(json.contains("\"efficiency\": 0.8"));
+        assert!(!json.contains("\"scaling\""));
         assert!(json.contains("\"speedup_ci95\": [1.25, 3.75]"));
         assert!(json.contains("\"overload\": {"));
         assert!(json.contains("\"offered_clients\": 4"));
@@ -1425,22 +1224,6 @@ mod tests {
     #[should_panic(expected = "at least one timed sample")]
     fn empty_samples_panic() {
         let _ = Timing::from_samples(&[]);
-    }
-
-    #[test]
-    fn scaling_ladder_auto_is_powers_of_two_plus_max() {
-        let cfg = BenchConfig::tiny();
-        assert_eq!(scaling_ladder(&cfg, 1), vec![1]);
-        assert_eq!(scaling_ladder(&cfg, 4), vec![1, 2, 4]);
-        assert_eq!(scaling_ladder(&cfg, 6), vec![1, 2, 4, 6]);
-        assert_eq!(scaling_ladder(&cfg, 8), vec![1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn scaling_ladder_explicit_is_sorted_deduped_and_anchored_at_one() {
-        let mut cfg = BenchConfig::tiny();
-        cfg.scale_threads = vec![4, 2, 4, 0];
-        assert_eq!(scaling_ladder(&cfg, 1), vec![1, 2, 4]);
     }
 
     #[test]

@@ -70,9 +70,9 @@
 //!                               quick/tiny = seconds-scale smoke)
 //!   --trials N                  override trials per density
 //!   --step METERS               override survey lattice step
-//!   --threads N                 worker threads (0 = all cores); bench runs
-//!                               its scaling ladder at [1, N] instead of the
-//!                               auto powers-of-two sweep when N > 0
+//!   --threads N                 worker threads (0 = all cores): trial
+//!                               workers for figures, request workers for
+//!                               serve/serve-bench; bench ignores it
 //!   --seed HEX                  master seed
 //!   --noise X                   noise level for ablation/duel/batch [default: 0]
 //!   --beacons N                 field size for robustness/faults/batch [default: 40]
@@ -872,12 +872,6 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
             if let Some(r) = opts.repeats {
                 bcfg.repeats = r;
             }
-            // `--threads N` pins the scaling ladder to [1, N] (the
-            // config's own sort/dedup folds N == 1 together); 0 keeps
-            // the auto powers-of-two sweep up to the detected cores.
-            if opts.cfg.threads > 0 {
-                bcfg.scale_threads = vec![1, opts.cfg.threads];
-            }
             bcfg.skip_brute = opts.skip_brute;
             if bcfg.skip_brute {
                 eprintln!(
@@ -913,20 +907,6 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                         );
                     }
                 }
-            }
-            println!(
-                "scaling (tiled survey sweep, {} hardware threads detected):",
-                report.scaling.max_threads
-            );
-            println!(
-                "{:<8} {:>14} {:>11} {:>10}",
-                "threads", "median", "efficiency", "identical"
-            );
-            for p in &report.scaling.points {
-                println!(
-                    "{:<8} {:>13.4}s {:>11.2} {:>10}",
-                    p.threads, p.timing.median_s, p.efficiency, p.identical
-                );
             }
             if report.alloc.counting {
                 println!(
@@ -1218,8 +1198,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
 
 /// Builds the daemon configuration `serve` and `serve-bench` share:
 /// the preset scale plus the generic overrides (`--beacons`, `--step`,
-/// `--seed`, `--threads` as worker count *and* survey-rebuild tile
-/// count, `--port` as bind port).
+/// `--seed`, `--threads` as worker count, `--port` as bind port).
 fn serve_config(opts: &Options) -> Result<abp_serve::daemon::ServeConfig, String> {
     let mut scfg = match opts.preset.as_str() {
         "paper" => abp_serve::daemon::ServeConfig::paper_scale(),
@@ -1228,7 +1207,6 @@ fn serve_config(opts: &Options) -> Result<abp_serve::daemon::ServeConfig, String
     };
     scfg.addr = format!("127.0.0.1:{}", opts.port);
     scfg.workers = opts.cfg.threads;
-    scfg.survey_threads = opts.cfg.threads;
     scfg.metrics_addr = opts.metrics_port.map(|p| format!("127.0.0.1:{p}"));
     if let Some(n) = opts.beacons {
         if n == 0 {
@@ -1435,7 +1413,7 @@ mod tests {
         o.out = Some(dir.clone());
         run(&o).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/6\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/7\""));
         assert!(json.contains("\"seed\": 7"), "--seed reaches bench: {json}");
         assert!(json.contains("\"name\": \"survey_sweep\""));
         assert!(json.contains("\"name\": \"survey_sweep_scratch\""));
@@ -1458,9 +1436,6 @@ mod tests {
         assert!(json.contains("\"overload\": {"));
         assert!(json.contains("\"shed_connections\": "));
         assert!(json.contains("\"bounded\": true"));
-        assert!(json.contains("\"scaling\": {"));
-        assert!(json.contains("\"max_threads\": "));
-        assert!(json.contains("\"efficiency\": "));
         assert!(json.contains("\"speedup_ci95\": ["));
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -10,8 +10,8 @@ use crate::field::BeaconField;
 /// The AoS walk of the indexed survey touches a 24-byte `Beacon` record
 /// per candidate just to read two coordinates; at paper scale that wastes
 /// two thirds of every cache line. `BeaconSoA` packs the three values the
-/// disk-membership test needs into dense `f64` slices so the tiled sweep
-/// kernel in `abp-survey` streams them with unit stride.
+/// disk-membership test needs into dense `f64` slices that a sweep can
+/// stream with unit stride.
 ///
 /// The squared reach comes from a caller-supplied closure rather than a
 /// propagation model, so this crate stays independent of `abp-radio`;

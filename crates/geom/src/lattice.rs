@@ -200,51 +200,23 @@ impl Lattice {
     }
 
     /// Enumerates the lattice points inside `disk` (boundary included),
-    /// invoking `f(index, point)` for each.
+    /// row by row, invoking `f(index, point, d2)` for each.
     ///
     /// This is the hot inner loop of the beacon-major survey: the caller
     /// visits, per beacon, only the `O((R/step)²)` points the beacon can
     /// reach rather than the full lattice.
-    pub fn for_each_in_disk<F: FnMut(LatticeIndex, Point)>(&self, disk: Disk, mut f: F) {
+    ///
+    /// `d2` is the point's squared distance from the disk center — the
+    /// membership test's own value, bit-equal to
+    /// `disk.center().distance_squared(point)` — so callers that compare
+    /// it against another radius (the survey's guaranteed core) need not
+    /// recompute it.
+    pub fn for_each_in_disk<F: FnMut(LatticeIndex, Point, f64)>(&self, disk: Disk, mut f: F) {
         let c = disk.center();
         let r = disk.radius();
         let Some((j_lo, j_hi)) = self.axis_range(c.y - r, c.y + r) else {
             return;
         };
-        self.for_each_in_disk_rows(disk, j_lo, j_hi, |ix, p, _| f(ix, p));
-    }
-
-    /// [`Lattice::for_each_in_disk`] restricted to lattice rows
-    /// `j_lo..=j_hi` — the same per-row membership math, over a caller-
-    /// chosen row band.
-    ///
-    /// This is the banding primitive of the intra-survey tile scheduler
-    /// (`abp-survey`): the disk's full row span comes from
-    /// [`Lattice::index_span`]`(c.y - r, c.y + r)`, gets split into
-    /// contiguous bands, and each worker enumerates its band through this
-    /// method. Because each row is processed independently, the union of
-    /// any disjoint band cover visits exactly the points
-    /// [`Lattice::for_each_in_disk`] would, with identical `(index,
-    /// point)` values.
-    ///
-    /// The callback also receives the point's squared distance from the
-    /// disk center — the membership test's own value, bit-equal to
-    /// `disk.center().distance_squared(point)` — so callers that compare
-    /// it against another radius (the survey's guaranteed core) need not
-    /// recompute it.
-    ///
-    /// Rows must lie within the lattice (`j_hi < per_side`); rows outside
-    /// the disk simply match no points.
-    pub fn for_each_in_disk_rows<F: FnMut(LatticeIndex, Point, f64)>(
-        &self,
-        disk: Disk,
-        j_lo: u32,
-        j_hi: u32,
-        mut f: F,
-    ) {
-        debug_assert!(j_hi < self.per_side, "row band exceeds the lattice");
-        let c = disk.center();
-        let r = disk.radius();
         let r2 = r * r;
         for j in j_lo..=j_hi {
             let y = j as f64 * self.step;
@@ -299,7 +271,7 @@ impl Lattice {
     /// that need to revisit the same point set (e.g. incremental re-survey).
     pub fn offsets_in_disk(&self, disk: Disk) -> Vec<usize> {
         let mut out = Vec::new();
-        self.for_each_in_disk(disk, |ix, _| out.push(self.flat(ix)));
+        self.for_each_in_disk(disk, |ix, _, _| out.push(self.flat(ix)));
         out
     }
 }
@@ -386,7 +358,12 @@ mod tests {
         ] {
             let disk = Disk::new(Point::new(cx, cy), r);
             let mut fast = Vec::new();
-            lat.for_each_in_disk(disk, |ix, _| fast.push(ix));
+            lat.for_each_in_disk(disk, |ix, p, d2| {
+                // The squared distance handed out is the center's own
+                // `distance_squared`, bit for bit.
+                assert_eq!(d2.to_bits(), disk.center().distance_squared(p).to_bits());
+                fast.push(ix);
+            });
             let mut brute: Vec<_> = lat
                 .indices()
                 .filter(|ix| lat.point(*ix).distance_squared(disk.center()) <= r * r)
@@ -394,43 +371,6 @@ mod tests {
             fast.sort();
             brute.sort();
             assert_eq!(fast, brute, "disk ({cx},{cy},{r})");
-        }
-    }
-
-    #[test]
-    fn disk_row_bands_union_to_the_full_enumeration() {
-        let lat = Lattice::new(Terrain::square(20.0), 1.0);
-        for &(cx, cy, r) in &[(10.0, 10.0, 3.0), (0.0, 0.0, 5.0), (19.5, 2.5, 4.0)] {
-            let disk = Disk::new(Point::new(cx, cy), r);
-            let mut full = Vec::new();
-            lat.for_each_in_disk(disk, |ix, p| full.push((ix, p)));
-            let (j_lo, j_hi) = lat.index_span(cy - r, cy + r).unwrap();
-            // Any disjoint row-band cover must visit the same (index,
-            // point) sequence band by band, in the same per-row order.
-            // The squared distance handed out is the center's own
-            // `distance_squared`, bit for bit.
-            let visit = |ix: LatticeIndex, p: Point, d2: f64, out: &mut Vec<_>| {
-                assert_eq!(d2.to_bits(), disk.center().distance_squared(p).to_bits());
-                out.push((ix, p));
-            };
-            for split in j_lo..=j_hi {
-                let mut banded = Vec::new();
-                lat.for_each_in_disk_rows(disk, j_lo, split, |ix, p, d2| {
-                    visit(ix, p, d2, &mut banded)
-                });
-                if split < j_hi {
-                    lat.for_each_in_disk_rows(disk, split + 1, j_hi, |ix, p, d2| {
-                        visit(ix, p, d2, &mut banded)
-                    });
-                }
-                assert_eq!(banded, full, "disk ({cx},{cy},{r}) split at row {split}");
-            }
-            // Rows outside the disk match nothing.
-            if j_hi + 1 < lat.per_side() {
-                lat.for_each_in_disk_rows(disk, j_hi + 1, j_hi + 1, |ix, _, _| {
-                    panic!("row past the disk matched {ix}")
-                });
-            }
         }
     }
 

@@ -67,7 +67,7 @@ pub fn region_map(lattice: &Lattice, field: &BeaconField, model: &dyn Propagatio
     let mut sig = vec![(0u64, 0u32); lattice.len()]; // (xor of hashes, count)
     for b in field {
         let reach = model.max_range(b.tx(), b.pos());
-        lattice.for_each_in_disk(abp_geom::Disk::new(b.pos(), reach), |ix, p| {
+        lattice.for_each_in_disk(abp_geom::Disk::new(b.pos(), reach), |ix, p, _| {
             if model.connected(b.tx(), b.pos(), p) {
                 let slot = &mut sig[lattice.flat(ix)];
                 slot.0 ^= splitmix64(b.id().0 ^ 0xB1A5_0000);

@@ -9,8 +9,9 @@
 //!   so the request path touches no shared mutable state beyond the
 //!   epoch hint,
 //! * **rebuilder** — the control plane: receives applied placement
-//!   points, re-surveys on a private [`WorldSnapshot`] build, publishes
-//!   the next epoch. All allocation-heavy work lives here.
+//!   points, grows the published [`WorldSnapshot`] by one incrementally
+//!   surveyed beacon, publishes the next epoch. All allocation-heavy work
+//!   lives here.
 //!
 //! Connections are persistent: a worker serves frames until clean EOF,
 //! a socket error, or shutdown. Reads run under a short timeout so every
@@ -117,12 +118,8 @@ pub struct ServeConfig {
     /// panics inside the handler, exercising panic isolation
     /// end-to-end. `None` (the default everywhere) disables the seam.
     pub panic_seed: Option<u64>,
-    /// Survey tile threads for snapshot (re)builds: the background
-    /// world rebuild runs its sweep across this many workers via
-    /// `abp-survey`'s intra-survey tile scheduler. `0` = all cores,
-    /// `1` = sequential. Bit-identical at any setting, so it is a
-    /// throughput knob only and deliberately excluded from the
-    /// warm-restart config fingerprint.
+    /// Kept for the whole-run benchmark (`perfbench`), which still reads
+    /// it; the thread count is ignored.
     pub survey_threads: usize,
 }
 
@@ -439,18 +436,12 @@ impl Daemon {
         let initial = match &state_open {
             StateOpen::Loaded { epoch, positions } => {
                 let field = BeaconField::from_positions(terrain, positions.iter().copied());
-                WorldSnapshot::build_with_threads(
-                    *epoch,
-                    field,
-                    model,
-                    cfg.step,
-                    cfg.survey_threads,
-                )
+                WorldSnapshot::build(*epoch, field, model, cfg.step)
             }
             _ => {
                 let mut rng = StdRng::seed_from_u64(cfg.seed);
                 let field = BeaconField::random_uniform(cfg.beacons, terrain, &mut rng);
-                WorldSnapshot::build_with_threads(0, field, model, cfg.step, cfg.survey_threads)
+                WorldSnapshot::build(0, field, model, cfg.step)
             }
         };
 

@@ -45,11 +45,6 @@ pub struct WorldSnapshot {
     index: CellIndex,
     soa: BeaconSoA,
     model: Arc<dyn Propagation>,
-    step: f64,
-    /// Survey tile threads for rebuilds of *this* world (0 = all cores):
-    /// successor epochs built via [`WorldSnapshot::with_beacon_added`]
-    /// inherit it, so one daemon setting governs every rebuild.
-    survey_threads: usize,
     max_point: Point,
     grid_point: Point,
     fingerprint: u64,
@@ -58,40 +53,50 @@ pub struct WorldSnapshot {
 impl WorldSnapshot {
     /// Surveys `field` under `model` on a lattice of spacing `step` and
     /// bundles the result as epoch `epoch`. This is the expensive
-    /// control-plane build — `O(beacons · lattice)` — that the snapshot
-    /// swap keeps off the request path. Runs the survey single-threaded;
-    /// use [`WorldSnapshot::build_with_threads`] to tile it.
+    /// control-plane build — a full survey of the field — that the
+    /// snapshot swap keeps off the request path.
     pub fn build(epoch: u64, field: BeaconField, model: Arc<dyn Propagation>, step: f64) -> Self {
-        Self::build_with_threads(epoch, field, model, step, 1)
+        let lattice = Lattice::new(field.terrain(), step);
+        let map = ErrorMap::survey(&lattice, &field, &*model, SERVE_POLICY);
+        Self::assemble(epoch, field, map, model)
     }
 
-    /// [`WorldSnapshot::build`] with the survey sweep tiled across
-    /// `survey_threads` workers (`0` = all cores, `1` = sequential) via
-    /// `abp-survey`'s intra-survey tile scheduler. The survey is
-    /// bit-identical at any thread count, so the snapshot fingerprint —
-    /// which folds the map — is too; thread count is a throughput knob,
-    /// never a state change (and it is deliberately *not* part of the
-    /// warm-restart config fingerprint).
+    /// [`WorldSnapshot::build`], kept for the whole-run benchmark
+    /// (`perfbench`), which still calls it; the thread count is ignored.
     pub fn build_with_threads(
         epoch: u64,
         field: BeaconField,
         model: Arc<dyn Propagation>,
         step: f64,
-        survey_threads: usize,
+        _survey_threads: usize,
     ) -> Self {
-        let lattice = Lattice::new(field.terrain(), step);
-        // The rebuilder allocates freely (it is off the hot path), so a
-        // fresh scratch per build is fine; what matters is the tiled
-        // sweep inside.
-        let mut scratch = abp_survey::SurveyScratch::new();
-        let map = ErrorMap::survey_indexed_with_threads(
-            &lattice,
-            &field,
-            &*model,
-            SERVE_POLICY,
-            &mut scratch,
-            survey_threads,
-        );
+        Self::build(epoch, field, model, step)
+    }
+
+    /// Builds the successor epoch after `point` received a beacon: same
+    /// model and lattice, epoch advanced by one.
+    ///
+    /// The map is this epoch's map plus one [`ErrorMap::add_beacon`], not
+    /// a full survey. That is exact: the new beacon is the last one every
+    /// point adds, so the map equals a survey of the grown field bit for
+    /// bit.
+    pub fn with_beacon_added(&self, point: Point) -> WorldSnapshot {
+        let mut field = self.field.clone();
+        let id = field.add_beacon(self.field.terrain().bounds().clamp_point(point));
+        let mut map = self.map.clone();
+        map.add_beacon(field.get(id).expect("beacon just added"), &*self.model);
+        Self::assemble(self.epoch + 1, field, map, Arc::clone(&self.model))
+    }
+
+    /// Bundles a surveyed `map` of `field` with everything else a request
+    /// needs: the spatial index, the SoA mirror, the precomputed Max and
+    /// Grid answers, and the fingerprint.
+    fn assemble(
+        epoch: u64,
+        field: BeaconField,
+        map: ErrorMap,
+        model: Arc<dyn Propagation>,
+    ) -> Self {
         let index = ConnectivityOracle::build_index(&field, &*model);
         let mut soa = BeaconSoA::new();
         soa.rebuild_with(&field, |b| {
@@ -118,27 +123,10 @@ impl WorldSnapshot {
             index,
             soa,
             model,
-            step,
-            survey_threads,
             max_point,
             grid_point,
             fingerprint,
         }
-    }
-
-    /// Rebuilds the successor epoch after `point` received a beacon:
-    /// same model, lattice spacing, and survey thread count, epoch
-    /// advanced by one.
-    pub fn with_beacon_added(&self, point: Point) -> WorldSnapshot {
-        let mut field = self.field.clone();
-        field.add_beacon(self.field.terrain().bounds().clamp_point(point));
-        WorldSnapshot::build_with_threads(
-            self.epoch + 1,
-            field,
-            Arc::clone(&self.model),
-            self.step,
-            self.survey_threads,
-        )
     }
 
     /// The epoch this snapshot was published as.

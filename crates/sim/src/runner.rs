@@ -16,12 +16,8 @@
 //!   completed trial is kept, and the sweep layer still flushes its
 //!   checkpoint entry, so a timeout never loses finished results.
 //!
-//! Both engines parallelize *across* trials. Parallelism *inside* one
-//! survey — row-band tiles of a single big lattice — lives in
-//! `abp-survey`'s tile scheduler (`crates/survey/src/tiles.rs`), which
-//! mirrors [`parallel_try_map`]'s claiming-and-panic discipline; it is
-//! re-implemented there rather than shared because `abp-sim` depends on
-//! `abp-survey`, not the other way around.
+//! Both engines parallelize *across* trials; each survey runs on the
+//! one worker that owns its trial.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;

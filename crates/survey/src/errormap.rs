@@ -8,7 +8,6 @@ use abp_radio::Propagation;
 use abp_stats::Summary;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The lattice region an incremental survey update touched.
 ///
@@ -200,7 +199,8 @@ impl ErrorMap {
     /// the lattice rows of its reach disk and adds itself to every point
     /// that hears it. Points inside the beacon's guaranteed core
     /// (`Propagation::core_range`) are heard without a `connected` call;
-    /// only the annulus beyond asks the model. The name, from an earlier
+    /// only the annulus beyond asks the model. Errors are then derived in
+    /// one pass over the lattice. The name, from an earlier
     /// index-based sweep, is kept because the whole-run benchmark
     /// (`perfbench`) calls this function by name.
     ///
@@ -219,93 +219,31 @@ impl ErrorMap {
         policy: UnheardPolicy,
         scratch: &mut SurveyScratch,
     ) -> Self {
-        Self::survey_indexed_with_threads(lattice, field, model, policy, scratch, 1)
-    }
-
-    /// [`ErrorMap::survey_indexed_with`] across the intra-survey tile
-    /// scheduler: the lattice is split into row bands (about four per
-    /// worker, for load balance), each band owns disjoint
-    /// `sum_x/sum_y/count/errors` slices and walks every beacon, in
-    /// insertion order, over its own rows, and a worker pool mirroring
-    /// `abp-sim`'s `parallel_try_map` discipline (atomic work claiming,
-    /// per-band panic isolation, deterministic re-panic) executes them.
-    /// Error derivation joins the same band pass, fused with the sweep
-    /// under the `radio.connectivity_sweep` span. Kept under its old name
-    /// like [`ErrorMap::survey_indexed_with`].
-    ///
-    /// `threads` follows the workspace convention: `0` means all
-    /// available cores; `1` runs the plain sequential sweep.
-    ///
-    /// **Bit-identical at any thread count**: a point's accumulation
-    /// happens entirely inside the band that owns its row, in beacon
-    /// insertion order, so the schedule cannot influence any output
-    /// bit. Asserted by `four_sweeps_bit_identical`, the
-    /// proptests, and `tests/indexing.rs` at paper scale.
-    pub fn survey_indexed_with_threads(
-        lattice: &Lattice,
-        field: &BeaconField,
-        model: &dyn Propagation,
-        policy: UnheardPolicy,
-        scratch: &mut SurveyScratch,
-        threads: usize,
-    ) -> Self {
-        let workers = crate::tiles::resolve_survey_threads(threads);
-        let (mut sum_x, mut sum_y, mut count, mut errors) = scratch.take_grids(lattice.len());
-        let per_side = lattice.per_side() as usize;
-
-        if workers <= 1 {
-            {
-                let _span = abp_trace::span!("radio.connectivity_sweep");
-                let mut all = Band {
-                    j_lo: 0,
-                    j_hi: lattice.per_side() - 1,
-                    sum_x: &mut sum_x,
-                    sum_y: &mut sum_y,
-                    count: &mut count,
-                    errors: &mut errors,
-                };
-                let tested = all.sweep(lattice, field, model);
-                abp_radio::metrics::LINKS_TESTED.add(tested);
-            }
-            let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
-            {
-                let _span = abp_trace::span!("localize.derive_errors");
-                for flat in 0..map.len() {
-                    map.errors[flat] = map.derive_error(flat);
-                }
-            }
-            return map;
-        }
-
-        let bands = crate::tiles::row_bands(per_side, workers * 4);
-        let tasks = Band::split(
-            lattice,
-            &bands,
-            &mut sum_x,
-            &mut sum_y,
-            &mut count,
-            &mut errors,
-        );
-        let tested = AtomicU64::new(0);
+        let (mut sum_x, mut sum_y, mut count, errors) = scratch.take_grids(lattice.len());
         {
             let _span = abp_trace::span!("radio.connectivity_sweep");
-            crate::tiles::run_pool(tasks, workers, |_, mut band| {
-                tested.fetch_add(band.sweep(lattice, field, model), Ordering::Relaxed);
-                let base = band.j_lo as usize * per_side;
-                for off in 0..band.errors.len() {
-                    band.errors[off] = derive_error_at(
-                        lattice,
-                        policy,
-                        base + off,
-                        band.sum_x[off],
-                        band.sum_y[off],
-                        band.count[off],
-                    );
-                }
-            });
-            abp_radio::metrics::LINKS_TESTED.add(tested.into_inner());
+            // Slices, so the walk's closure holds the grids' pointers
+            // directly; a captured `&mut Vec` costs one more load per point.
+            let (sx, sy, heard) = (&mut sum_x[..], &mut sum_y[..], &mut count[..]);
+            let mut tested = 0u64;
+            for b in field {
+                let (bx, by) = (b.pos().x, b.pos().y);
+                tested += walk_beacon(lattice, b, model, |_, flat| {
+                    sx[flat] += bx;
+                    sy[flat] += by;
+                    heard[flat] += 1;
+                });
+            }
+            abp_radio::metrics::LINKS_TESTED.add(tested);
         }
-        ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors)
+        let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
+        {
+            let _span = abp_trace::span!("localize.derive_errors");
+            for flat in 0..map.len() {
+                map.errors[flat] = map.derive_error(flat);
+            }
+        }
+        map
     }
 
     /// Reference implementation: runs an arbitrary [`Localizer`] at every
@@ -431,8 +369,7 @@ impl ErrorMap {
         let (bx, by) = (beacon.pos().x, beacon.pos().y);
         let mut changed: Option<(LatticeIndex, LatticeIndex)> = None;
         let mut touched = 0usize;
-        let last_row = lattice.per_side() - 1;
-        let tested = walk_beacon(&lattice, beacon, model, 0, last_row, |ix, flat| {
+        let tested = walk_beacon(&lattice, beacon, model, |ix, flat| {
             if add {
                 self.sum_x[flat] += bx;
                 self.sum_y[flat] += by;
@@ -714,8 +651,8 @@ impl ErrorMap {
 
 /// Derives one lattice point's localization error from its accumulator
 /// values — the exact arithmetic of `ErrorMap::derive_error`, exposed as
-/// a free function so survey tiles (which hold band-local slices, not a
-/// finished map) derive errors in the same pass that sweeps them.
+/// a free function so an incremental update can derive a point's error
+/// while it still holds the map's grids mutably.
 pub(crate) fn derive_error_at(
     lattice: &Lattice,
     policy: UnheardPolicy,
@@ -737,39 +674,29 @@ pub(crate) fn derive_error_at(
     }
 }
 
-/// One beacon's walk over lattice rows `j_lo..=j_hi` of its reach disk
-/// (`Propagation::max_range`): calls `heard(index, flat)` for every point
-/// that hears the beacon, row by row. A point inside the beacon's
-/// guaranteed core (`Propagation::core_range`, in the contract's squared
-/// form) is heard without asking the model; only the rest of the disk
-/// pays for a `connected` call. Returns the points decided — the links
-/// tested.
+/// One beacon's walk over its reach disk (`Propagation::max_range`):
+/// calls `heard(index, flat)` for every point that hears the beacon, row
+/// by row. A point inside the beacon's guaranteed core
+/// (`Propagation::core_range`, in the contract's squared form) is heard
+/// without asking the model; only the rest of the disk pays for a
+/// `connected` call. Returns the points decided — the links tested.
 ///
-/// Full sweeps (sequential and banded) and incremental updates all run
-/// this walk, so they hear exactly the same points.
+/// Full sweeps and incremental updates both run this walk, so they hear
+/// exactly the same points.
 fn walk_beacon(
     lattice: &Lattice,
     beacon: &Beacon,
     model: &dyn Propagation,
-    j_lo: u32,
-    j_hi: u32,
     mut heard: impl FnMut(LatticeIndex, usize),
 ) -> u64 {
     let (tx, pos) = (beacon.tx(), beacon.pos());
     let reach = model.max_range(tx, pos);
-    let Some((lo, hi)) = lattice.index_span(pos.y - reach, pos.y + reach) else {
-        return 0;
-    };
-    let (lo, hi) = (lo.max(j_lo), hi.min(j_hi));
-    if lo > hi {
-        return 0;
-    }
     // Without a core no distance is small enough to skip the model.
     let core2 = model
         .core_range(tx, pos)
         .map_or(f64::NEG_INFINITY, |c| c * c);
     let mut tested = 0u64;
-    lattice.for_each_in_disk_rows(Disk::new(pos, reach), lo, hi, |ix, p, d2| {
+    lattice.for_each_in_disk(Disk::new(pos, reach), |ix, p, d2| {
         tested += 1;
         // `d2` is bit-equal to `pos.distance_squared(p)`, the contract's form.
         if d2 <= core2 || model.connected(tx, pos, p) {
@@ -777,72 +704,6 @@ fn walk_beacon(
         }
     });
     tested
-}
-
-/// One row band's disjoint view of the four accumulator grids: rows
-/// `j_lo..=j_hi`, slices indexed `flat - j_lo * per_side`.
-struct Band<'a> {
-    j_lo: u32,
-    j_hi: u32,
-    sum_x: &'a mut [f64],
-    sum_y: &'a mut [f64],
-    count: &'a mut [u32],
-    errors: &'a mut [f64],
-}
-
-impl<'a> Band<'a> {
-    /// Splits the grids into `bands` (contiguous `(first_row, rows)`
-    /// pairs from [`crate::tiles::row_bands`]), in band order.
-    fn split(
-        lattice: &Lattice,
-        bands: &[(usize, usize)],
-        mut sum_x: &'a mut [f64],
-        mut sum_y: &'a mut [f64],
-        mut count: &'a mut [u32],
-        mut errors: &'a mut [f64],
-    ) -> Vec<Band<'a>> {
-        fn take<'s, T>(rest: &mut &'s mut [T], len: usize) -> &'s mut [T] {
-            let (head, tail) = std::mem::take(rest).split_at_mut(len);
-            *rest = tail;
-            head
-        }
-        let per_side = lattice.per_side() as usize;
-        bands
-            .iter()
-            .map(|&(start, rows)| {
-                let len = rows * per_side;
-                Band {
-                    j_lo: start as u32,
-                    j_hi: (start + rows) as u32 - 1,
-                    sum_x: take(&mut sum_x, len),
-                    sum_y: take(&mut sum_y, len),
-                    count: take(&mut count, len),
-                    errors: take(&mut errors, len),
-                }
-            })
-            .collect()
-    }
-
-    /// The beacon-major sweep over this band: every beacon, in insertion
-    /// order, walks its reach disk over the band's rows ([`walk_beacon`])
-    /// and adds itself to each point that hears it. The accumulators must
-    /// start zeroed; each point then sums its heard beacons in insertion
-    /// order from 0.0, exactly the additions of the point-major oracle.
-    /// Returns the links tested.
-    fn sweep(&mut self, lattice: &Lattice, field: &BeaconField, model: &dyn Propagation) -> u64 {
-        let base = self.j_lo as usize * lattice.per_side() as usize;
-        let mut tested = 0u64;
-        for b in field {
-            let (bx, by) = (b.pos().x, b.pos().y);
-            tested += walk_beacon(lattice, b, model, self.j_lo, self.j_hi, |_, flat| {
-                let off = flat - base;
-                self.sum_x[off] += bx;
-                self.sum_y[off] += by;
-                self.count[off] += 1;
-            });
-        }
-        tested
-    }
 }
 
 impl Clone for ErrorMap {
@@ -990,11 +851,11 @@ mod tests {
         }
     }
 
-    /// The production sweep — fresh, scratch-reused, and banded at 2, 3
-    /// and 4 threads — against the point-major oracle, bit for bit, under
-    /// the ideal disk, every noise style at 0.4, and a model with no core.
+    /// The production sweep — fresh and scratch-reused — against the
+    /// point-major oracle, bit for bit, under the ideal disk, every noise
+    /// style at 0.4, and a model with no core.
     #[test]
-    fn four_sweeps_bit_identical() {
+    fn production_sweeps_bit_identical_to_oracle() {
         use abp_radio::NoiseStyle;
         let lat = lattice(2.0);
         let mut rng = StdRng::seed_from_u64(17);
@@ -1013,7 +874,6 @@ mod tests {
             ("no core", &no_core),
         ];
         let mut scratch = crate::SurveyScratch::new();
-        let mut scratch_mt = crate::SurveyScratch::new();
         for (name, model) in models {
             for policy in [UnheardPolicy::TerrainCenter, UnheardPolicy::Exclude] {
                 let label = format!("{name} {policy:?}");
@@ -1024,27 +884,13 @@ mod tests {
                     ErrorMap::survey_indexed_with(&lat, &field, model, policy, &mut scratch);
                 assert_bit_identical(&oracle, &reused, &format!("{label}: scratch-reused"));
                 scratch.recycle(reused);
-                // More workers than cores is fine: oversubscription
-                // changes only scheduling, never bits.
-                for threads in [2usize, 3, 4] {
-                    let banded = ErrorMap::survey_indexed_with_threads(
-                        &lat,
-                        &field,
-                        model,
-                        policy,
-                        &mut scratch_mt,
-                        threads,
-                    );
-                    assert_bit_identical(&oracle, &banded, &format!("{label}: {threads} threads"));
-                    scratch_mt.recycle(banded);
-                }
             }
         }
     }
 
     /// An empty field through every form of the sweep matches the oracle.
     #[test]
-    fn tiled_survey_handles_empty_field() {
+    fn empty_field_survey_matches_oracle() {
         let lat = lattice(10.0);
         let field = BeaconField::new(terrain());
         let model = IdealDisk::new(15.0);
@@ -1053,18 +899,9 @@ mod tests {
             let oracle = ErrorMap::survey_point_major(&lat, &field, &model, policy);
             let fresh = ErrorMap::survey(&lat, &field, &model, policy);
             assert_bit_identical(&oracle, &fresh, "empty field fresh");
-            for threads in [1, 4] {
-                let banded = ErrorMap::survey_indexed_with_threads(
-                    &lat,
-                    &field,
-                    &model,
-                    policy,
-                    &mut scratch,
-                    threads,
-                );
-                assert_bit_identical(&oracle, &banded, "empty field banded");
-                scratch.recycle(banded);
-            }
+            let reused = ErrorMap::survey_indexed_with(&lat, &field, &model, policy, &mut scratch);
+            assert_bit_identical(&oracle, &reused, "empty field scratch-reused");
+            scratch.recycle(reused);
         }
     }
 

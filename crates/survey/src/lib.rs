@@ -46,11 +46,9 @@ pub mod robot;
 pub mod sampling;
 pub mod scratch;
 pub mod snapshot;
-pub mod tiles;
 
 pub use errormap::{ErrorMap, SurveyAccounting, SurveyDelta};
 pub use plan::SurveyPlan;
 pub use robot::{Robot, RobotReport};
 pub use sampling::SubsampleStrategy;
 pub use scratch::SurveyScratch;
-pub use tiles::{resolve_survey_threads, row_bands};

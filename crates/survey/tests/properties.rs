@@ -213,37 +213,6 @@ proptest! {
         }
     }
 
-    /// The tile scheduler's row-band decomposition keeps every
-    /// per-point accumulation inside one band, so the surveyed map is
-    /// bit-identical at any worker count — on the all-core ideal disk and
-    /// on noisy models with an annulus.
-    #[test]
-    fn threaded_survey_bit_identical_at_any_thread_count(
-        n in 0usize..30, seed in any::<u64>(), noise in 0.0..0.5f64,
-        threads in 2usize..6
-    ) {
-        let (lattice, field, noisy) = setup(n, seed, noise, 4.0);
-        let ideal = IdealDisk::new(12.0);
-        for model in [&ideal as &dyn Propagation, &noisy] {
-            let mut seq_scratch = SurveyScratch::new();
-            let mut par_scratch = SurveyScratch::new();
-            let seq = ErrorMap::survey_indexed_with(
-                &lattice, &field, &model, UnheardPolicy::TerrainCenter, &mut seq_scratch,
-            );
-            let par = ErrorMap::survey_indexed_with_threads(
-                &lattice, &field, &model, UnheardPolicy::TerrainCenter,
-                &mut par_scratch, threads,
-            );
-            for ix in lattice.indices() {
-                prop_assert_eq!(par.heard_at(ix), seq.heard_at(ix));
-                prop_assert_eq!(
-                    par.error_at(ix).map(f64::to_bits),
-                    seq.error_at(ix).map(f64::to_bits)
-                );
-            }
-        }
-    }
-
     #[test]
     fn partial_survey_subset_of_full(
         n in 0usize..30, seed in any::<u64>(), fraction in 0.05..1.0f64

@@ -12,25 +12,30 @@
 //!
 //! The first lock covers `fig4`, `fig6`, `fig5-mean/median`, the
 //! noise-style ablation (all three `NoiseStyle` readings at noise 0.5)
-//! and `fig9-mean/median` (the noisy incremental `ErrorMap::add_beacon`
-//! after every Grid placement). The second covers every other figure
-//! that runs the Grid scorer: the algorithm ablation (Grid and weighted
-//! Grid) at noise 0 and 0.5, both robustness figures, the multi-beacon
-//! figure (one-shot `propose_top_k` with `k > 1` and greedy Grid
-//! batches), multilateration, the weighted-Grid noise figures, and the
-//! heatmap demo. The tiny preset has `NG = 100` grids on a 5 m lattice,
+//! and `fig7`/`fig8`/`fig9-mean/median` (the noisy incremental
+//! `ErrorMap::add_beacon` after every Random, Max and Grid placement).
+//! The second covers every other figure that runs the Grid scorer: the
+//! algorithm ablation (Grid and weighted Grid) at noise 0 and 0.5, both
+//! robustness figures, the multi-beacon figure (one-shot
+//! `propose_top_k` with `k > 1` and greedy Grid batches),
+//! multilateration, the weighted-Grid noise figures, and the heatmap
+//! demo. The tiny preset has `NG = 100` grids on a 5 m lattice,
 //! so the grid-column bands span uneven numbers of lattice columns.
 
 use abp_sim::{figures, heatmap_demo, AlgorithmKind, Ctx, Figure, SimConfig};
 
 /// `(figure id, digest of its CSV)`, in the order [`figure_digests`]
 /// produces them.
-const DIGESTS: [(&str, u64); 7] = [
+const DIGESTS: [(&str, u64); 11] = [
     ("fig4", 0x038b_8e9d_dca0_1596),
     ("fig6", 0x7180_63c9_6166_f864),
     ("fig5-mean", 0x8ffa_c2db_4bd2_dc34),
     ("fig5-median", 0x050d_e0d0_a78f_fef1),
     ("ablation-noise-styles", 0xb76d_61a6_720e_1a1c),
+    ("fig7-mean", 0x8865_5daa_e936_1c63),
+    ("fig7-median", 0xc0d1_6769_0f8e_beff),
+    ("fig8-mean", 0x8d0e_070c_3e7e_3948),
+    ("fig8-median", 0x2aba_576b_f383_63aa),
     ("fig9-mean", 0x620a_0d02_0912_dcc5),
     ("fig9-median", 0x5862_efe2_4e06_0d6e),
 ];
@@ -73,13 +78,19 @@ fn figure_digests(threads: usize) -> Vec<(String, u64)> {
     let cfg = tiny(threads);
     let ctx = Ctx::noop();
     let (fig5_mean, fig5_median) = figures::fig5_with(&cfg, ctx);
+    let (fig7_mean, fig7_median) = figures::fig_noise_with(&cfg, AlgorithmKind::Random, ctx);
+    let (fig8_mean, fig8_median) = figures::fig_noise_with(&cfg, AlgorithmKind::Max, ctx);
     let (fig9_mean, fig9_median) = figures::fig_noise_with(&cfg, AlgorithmKind::Grid, ctx);
-    let figs: [Figure; 7] = [
+    let figs: [Figure; 11] = [
         figures::fig4_with(&cfg, ctx),
         figures::fig6_with(&cfg, ctx),
         fig5_mean,
         fig5_median,
         figures::ablation_noise_styles_with(&cfg, 0.5, ctx),
+        fig7_mean,
+        fig7_median,
+        fig8_mean,
+        fig8_median,
         fig9_mean,
         fig9_median,
     ];

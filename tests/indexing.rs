@@ -151,34 +151,6 @@ fn scratch_reused_survey_is_bit_identical_to_fresh_at_scale() {
     }
 }
 
-/// The banded sweep returns the exact bits of the oracle at paper
-/// scale, at every worker count, under every survey model. (The
-/// container may expose a single core; oversubscribed worker counts
-/// change only the scheduling, never a band's arithmetic, so the gate
-/// is equally strong there.)
-#[test]
-fn tiled_survey_is_bit_identical_to_single_thread_at_scale() {
-    let field = dense_field(100, 7);
-    let lattice = Lattice::new(Terrain::square(SIDE), 1.0);
-    let policy = UnheardPolicy::TerrainCenter;
-    for (what, model) in &survey_models() {
-        let oracle = ErrorMap::survey_point_major(&lattice, &field, model, policy);
-        let mut scratch = SurveyScratch::new();
-        for threads in [1usize, 2, 3, 4, 8] {
-            let banded = ErrorMap::survey_indexed_with_threads(
-                &lattice,
-                &field,
-                model,
-                policy,
-                &mut scratch,
-                threads,
-            );
-            assert_maps_bit_identical(&oracle, &banded, &format!("{what} threads={threads}"));
-            scratch.recycle(banded);
-        }
-    }
-}
-
 /// Incremental re-surveys at paper scale, under every survey model: an
 /// added beacon lands exactly where the oracle survey of the grown field
 /// puts it, and removing it again restores the original field's heard
@@ -186,7 +158,7 @@ fn tiled_survey_is_bit_identical_to_single_thread_at_scale() {
 /// rounding of the original field's oracle (taking a coordinate back out
 /// of a floating-point sum need not restore its last bit).
 #[test]
-fn threaded_incremental_updates_are_bit_identical_at_scale() {
+fn incremental_updates_are_bit_identical_at_scale() {
     let field = dense_field(100, 21);
     let lattice = Lattice::new(Terrain::square(SIDE), 1.0);
     let policy = UnheardPolicy::TerrainCenter;
