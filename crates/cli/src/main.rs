@@ -576,6 +576,12 @@ fn emit(fig: &Figure, out: &Option<PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
+/// The saturation density of `fig`'s series named `series`.
+fn saturation(fig: &Figure, series: &str) -> Option<f64> {
+    let series = fig.series.iter().find(|s| s.name == series)?;
+    density_error::series_saturation_density(series, 0.1)
+}
+
 fn emit_pair(figs: (Figure, Figure), out: &Option<PathBuf>) -> Result<(), String> {
     emit(&figs.0, out)?;
     emit(&figs.1, out)
@@ -693,11 +699,9 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
         }
         "fig4" => {
             announce("fig4");
-            emit(&figures::fig4_with(cfg, ctx), &opts.out)?;
-            // With a checkpoint in ctx this restores the sweep fig4 just
-            // persisted instead of recomputing it.
-            let points = density_error::run_sweep(cfg, 0.0, ctx).points;
-            if let Some(sat) = density_error::saturation_density(&points, 0.1) {
+            let fig = figures::fig4_with(cfg, ctx);
+            emit(&fig, &opts.out)?;
+            if let Some(sat) = saturation(&fig, "Ideal") {
                 println!("saturation beacon density (10% of plateau): {sat:.4} /m^2");
             }
         }
@@ -707,10 +711,10 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
         }
         "fig6" => {
             announce("fig6");
-            emit(&figures::fig6_with(cfg, ctx), &opts.out)?;
-            for noise in [0.0, 0.5] {
-                let points = density_error::run_sweep(cfg, noise, ctx).points;
-                if let Some(sat) = density_error::saturation_density(&points, 0.1) {
+            let fig = figures::fig6_with(cfg, ctx);
+            emit(&fig, &opts.out)?;
+            for (noise, series) in [(0.0, "Ideal"), (0.5, "Noise=0.5")] {
+                if let Some(sat) = saturation(&fig, series) {
                     println!("saturation density at noise {noise}: {sat:.4} /m^2");
                 }
             }

@@ -9,11 +9,7 @@
 //!   extend one beacon at a time,
 //! * [`generate`] — field generators: uniform-random (the paper's
 //!   evaluation workload), regular grids (the §2.2 error-bound analysis),
-//!   perturbed grids (the air-drop scenario of §1), and clustered fields,
-//! * [`CellIndex`] — a cell-bucket spatial index over beacons for
-//!   radius-bounded queries,
-//! * [`BeaconSoA`] — a structure-of-arrays mirror (`xs`/`ys`/`reach²`)
-//!   for the dense sweep kernels in `abp-survey`.
+//!   perturbed grids (the air-drop scenario of §1), and clustered fields.
 //!
 //! # Example
 //!
@@ -39,10 +35,6 @@
 pub mod beacon;
 pub mod field;
 pub mod generate;
-pub mod index;
-pub mod soa;
 
 pub use beacon::{Beacon, BeaconId};
 pub use field::BeaconField;
-pub use index::CellIndex;
-pub use soa::BeaconSoA;

@@ -1,7 +1,7 @@
 //! Property-based tests for beacon fields and generators.
 
 use abp_field::generate::{clustered, grid_with_spacing, perturbed_grid, uniform_grid};
-use abp_field::{BeaconField, BeaconSoA, CellIndex};
+use abp_field::BeaconField;
 use abp_geom::{Point, Terrain};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -76,26 +76,6 @@ proptest! {
     }
 
     #[test]
-    fn cell_index_matches_bruteforce(
-        n in 0usize..150, seed in any::<u64>(), cell in 0.5..60.0f64,
-        qx in 0.0..100.0f64, qy in 0.0..100.0f64, r in 0.0..120.0f64
-    ) {
-        let terrain = Terrain::square(100.0);
-        let field = BeaconField::random_uniform(n, terrain, &mut StdRng::seed_from_u64(seed));
-        let idx = CellIndex::build(&field, cell);
-        let q = Point::new(qx, qy);
-        let mut got: Vec<_> = idx.within(q, r).iter().map(|b| b.id()).collect();
-        got.sort();
-        let mut want: Vec<_> = field
-            .iter()
-            .filter(|b| b.pos().distance(q) <= r)
-            .map(|b| b.id())
-            .collect();
-        want.sort();
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
     fn nearest_distance_is_minimum(n in 1usize..100, seed in any::<u64>(), qx in 0.0..100.0f64, qy in 0.0..100.0f64) {
         let terrain = Terrain::square(100.0);
         let field = BeaconField::random_uniform(n, terrain, &mut StdRng::seed_from_u64(seed));
@@ -103,31 +83,6 @@ proptest! {
         let nearest = field.nearest_distance(q).unwrap();
         for b in &field {
             prop_assert!(b.pos().distance(q) >= nearest - 1e-9);
-        }
-    }
-
-    /// `BeaconSoA` round-trips with `BeaconField`: same length, same
-    /// insertion order, bit-identical coordinates, and each `reach2`
-    /// lane is exactly what the closure returned for that beacon —
-    /// even through a rebuild from a different field.
-    #[test]
-    fn soa_round_trips_with_field(
-        n in 0usize..150, m in 0usize..150, seed in any::<u64>(), r in 0.0..40.0f64
-    ) {
-        let terrain = Terrain::square(100.0);
-        let first = BeaconField::random_uniform(n, terrain, &mut StdRng::seed_from_u64(seed));
-        let second =
-            BeaconField::random_uniform(m, terrain, &mut StdRng::seed_from_u64(seed ^ 1));
-        let mut soa = BeaconSoA::new();
-        for field in [&first, &second] {
-            soa.rebuild_with(field, |_| r * r);
-            prop_assert_eq!(soa.len(), field.len());
-            prop_assert_eq!(soa.is_empty(), field.is_empty());
-            for (k, b) in field.iter().enumerate() {
-                prop_assert_eq!(soa.xs()[k].to_bits(), b.pos().x.to_bits());
-                prop_assert_eq!(soa.ys()[k].to_bits(), b.pos().y.to_bits());
-                prop_assert_eq!(soa.reach2()[k].to_bits(), (r * r).to_bits());
-            }
         }
     }
 

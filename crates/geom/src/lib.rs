@@ -9,8 +9,6 @@
 //! * [`Lattice`] — the `step`-spaced measurement lattice a survey agent
 //!   walks (the paper's `(i·step, j·step)` grid corners),
 //! * [`Disk`] — radio coverage disks and fast lattice/disk intersection,
-//! * [`GridBins`] — a uniform grid-bin spatial index with deterministic,
-//!   insertion-ordered radius queries (the indexed sweep's backbone),
 //! * [`circle`] — circle–circle intersection and lens areas (used by the
 //!   locus-based localizer),
 //! * [`polygon`] — polygon area/centroid for locus regions,
@@ -38,7 +36,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bins;
 pub mod circle;
 pub mod disk;
 pub mod hash;
@@ -48,7 +45,6 @@ pub mod polygon;
 pub mod rect;
 pub mod segment;
 
-pub use bins::GridBins;
 pub use circle::{circle_circle_intersections, lens_area, Circle};
 pub use disk::Disk;
 pub use hash::{splitmix64, DeterministicField};

@@ -243,75 +243,3 @@ proptest! {
         prop_assert!(s.distance_to_point(p) < 1e-6 * (1.0 + s.length()));
     }
 }
-
-/// Brute-force reference for `GridBins::within`: the same filter, in the
-/// same insertion order. The index must agree *including order*.
-fn within_brute(points: &[Point], center: Point, radius: f64) -> Vec<(usize, Point)> {
-    points
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.distance_squared(center) <= radius * radius)
-        .map(|(k, p)| (k, *p))
-        .collect()
-}
-
-proptest! {
-    #[test]
-    fn grid_bins_equals_brute_filter(
-        pts in prop::collection::vec(point(), 0..60),
-        q in point(),
-        r in 0.0..2e4f64,
-        cell in 0.05..500.0f64,
-    ) {
-        let bins = abp_geom::GridBins::build(&pts, cell);
-        prop_assert_eq!(bins.within(q, r), within_brute(&pts, q, r));
-    }
-
-    #[test]
-    fn grid_bins_zero_radius_matches_exact_coincidence(
-        pts in prop::collection::vec(point(), 1..40),
-        pick in 0usize..40,
-        cell in 0.1..100.0f64,
-    ) {
-        // Query exactly at one of the indexed points with r = 0: the brute
-        // filter keeps precisely the coincident points, and so must the
-        // index.
-        let q = pts[pick % pts.len()];
-        let bins = abp_geom::GridBins::build(&pts, cell);
-        let hits = bins.within(q, 0.0);
-        prop_assert_eq!(&hits, &within_brute(&pts, q, 0.0));
-        prop_assert!(hits.iter().any(|&(_, p)| p == q));
-    }
-
-    #[test]
-    fn grid_bins_handles_cell_boundary_points(
-        n in 1usize..8,
-        cell in 0.5..20.0f64,
-        r in 0.0..100.0f64,
-        qi in 0i64..8,
-        qj in 0i64..8,
-    ) {
-        // Every point sits exactly on a cell corner of the build grid —
-        // the worst case for floor()-based binning.
-        let mut pts = Vec::new();
-        for j in 0..n {
-            for i in 0..n {
-                pts.push(Point::new(i as f64 * cell, j as f64 * cell));
-            }
-        }
-        let bins = abp_geom::GridBins::build(&pts, cell);
-        let q = Point::new(qi as f64 * cell, qj as f64 * cell);
-        prop_assert_eq!(bins.within(q, r), within_brute(&pts, q, r));
-    }
-
-    #[test]
-    fn grid_bins_order_is_ascending_insertion(
-        pts in prop::collection::vec(point(), 0..60),
-        q in point(),
-        r in 0.0..2e4f64,
-    ) {
-        let bins = abp_geom::GridBins::build(&pts, 7.3);
-        let hits = bins.within(q, r);
-        prop_assert!(hits.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-}

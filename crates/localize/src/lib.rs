@@ -3,7 +3,9 @@
 //! A client node estimates its own position from the beacons it can hear:
 //!
 //! * [`ConnectivityOracle`] — computes the connected beacon set at any
-//!   point, combining a beacon field with a propagation model,
+//!   point, combining a beacon field with a propagation model; a
+//!   [`CandidateTable`] narrows each query to the beacons listed for its
+//!   cell, for surveys that query a whole lattice point by point,
 //! * [`CentroidLocalizer`] — the paper's localizer (from Bulusu,
 //!   Heidemann & Estrin, *GPS-less low cost outdoor localization for very
 //!   small devices*, 2000): the estimate is the **centroid of the
@@ -60,7 +62,7 @@ pub use centroid::{CentroidLocalizer, UnheardPolicy};
 pub use error::localization_error;
 pub use locus::LocusLocalizer;
 pub use multilat::MultilaterationLocalizer;
-pub use oracle::ConnectivityOracle;
+pub use oracle::{CandidateTable, ConnectivityOracle};
 pub use weighted::WeightedCentroidLocalizer;
 
 use abp_field::BeaconField;
@@ -143,8 +145,8 @@ pub trait Localizer {
     fn localize(&self, field: &BeaconField, model: &dyn Propagation, at: Point) -> Fix;
 
     /// Produces a fix using a caller-provided [`ConnectivityOracle`] —
-    /// the entry point that lets neighbor gathering go through a spatial
-    /// index ([`ConnectivityOracle::with_index`]).
+    /// the entry point that lets neighbor gathering go through a
+    /// candidate table ([`ConnectivityOracle::with_index`]).
     ///
     /// The default delegates to [`Localizer::localize`] with the oracle's
     /// field and model (ignoring any attached index), so third-party

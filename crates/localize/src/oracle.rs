@@ -1,6 +1,6 @@
 //! The connectivity oracle: who can a client hear?
 
-use abp_field::{Beacon, BeaconField, CellIndex};
+use abp_field::{Beacon, BeaconField};
 use abp_geom::Point;
 use abp_radio::Propagation;
 
@@ -8,11 +8,11 @@ use abp_radio::Propagation;
 /// "which beacons are connected at point `P`?" — the primitive every
 /// localizer builds on.
 ///
-/// By default each query scans every beacon. Attach a spatial index with
-/// [`ConnectivityOracle::with_index`] and queries visit only the beacons
-/// whose grid cells the query's reach disk touches — same results, in the
-/// same beacon-insertion order (see the `abp_field::CellIndex` ordering
-/// contract), so downstream f64 accumulation stays bit-identical.
+/// By default each query scans every beacon. Attach a
+/// [`CandidateTable`] with [`ConnectivityOracle::with_index`] and a
+/// query walks only the beacons listed for its cell — same results, in
+/// the same beacon-insertion order, so downstream f64 accumulation stays
+/// bit-identical.
 ///
 /// # Example
 ///
@@ -35,12 +35,7 @@ use abp_radio::Propagation;
 pub struct ConnectivityOracle<'a> {
     field: &'a BeaconField,
     model: &'a dyn Propagation,
-    /// Spatial index, the query radius (the field-wide maximum reach:
-    /// beacons farther than this cannot be connected, by the
-    /// `Propagation::max_range` upper-bound contract), and whether the
-    /// index's precomputed candidate lists cover that radius (decided
-    /// once at construction so the per-query path is branch-stable).
-    index: Option<(&'a CellIndex, f64, bool)>,
+    index: Option<&'a CandidateTable>,
 }
 
 impl std::fmt::Debug for ConnectivityOracle<'_> {
@@ -68,43 +63,41 @@ impl<'a> ConnectivityOracle<'a> {
     ///
     /// `index` must have been built over exactly the beacons of `field`
     /// (see [`ConnectivityOracle::build_index`]); results and their order
-    /// are then identical to the brute-force oracle — the index only
-    /// prunes beacons that `Propagation::max_range` proves unreachable.
+    /// are then identical to the brute-force oracle — the table only
+    /// skips beacons that `Propagation::max_range` proves unreachable.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` lists a different number of beacons than
+    /// `field` holds, or covers less than the field's
+    /// [`query_reach`](ConnectivityOracle::query_reach) under `model`.
     pub fn with_index(
         field: &'a BeaconField,
         model: &'a dyn Propagation,
-        index: &'a CellIndex,
+        index: &'a CandidateTable,
     ) -> Self {
-        debug_assert_eq!(
-            index.len(),
+        assert_eq!(
+            index.len,
             field.len(),
             "index must cover exactly the field's beacons"
         );
         let reach = Self::query_reach(field, model);
-        // The precomputed candidate lists are usable only when they
-        // cover the full query reach (an index built with a smaller cell
-        // would miss beacons between its reach and ours).
-        let precomputed = index.candidate_reach() >= reach;
+        assert!(
+            index.reach >= reach,
+            "index covers reach {} but the oracle needs {reach}",
+            index.reach
+        );
         ConnectivityOracle {
             field,
             model,
-            index: Some((index, reach, precomputed)),
+            index: Some(index),
         }
     }
 
-    /// Builds the spatial index matching this field and model: cell size
-    /// equal to the field-wide maximum reach, so a query touches at most
-    /// nine cells.
-    pub fn build_index(field: &BeaconField, model: &dyn Propagation) -> CellIndex {
-        CellIndex::build(field, Self::query_reach(field, model))
-    }
-
-    /// Rebuilds `index` in place for this field and model — equivalent to
-    /// `*index = ConnectivityOracle::build_index(field, model)` but
-    /// reusing the index's buffers (see [`CellIndex::rebuild`]), so a
-    /// scratch-held index costs no allocations across trials.
-    pub fn rebuild_index(index: &mut CellIndex, field: &BeaconField, model: &dyn Propagation) {
-        index.rebuild(field, Self::query_reach(field, model));
+    /// Builds the candidate table matching this field and model, covering
+    /// the field-wide maximum reach.
+    pub fn build_index(field: &BeaconField, model: &dyn Propagation) -> CandidateTable {
+        CandidateTable::build(field, Self::query_reach(field, model))
     }
 
     /// The field-wide maximum connectivity distance: no beacon can be
@@ -137,44 +130,27 @@ impl<'a> ConnectivityOracle<'a> {
     /// Invokes `f` for every beacon connected at `at`, in beacon
     /// insertion order (on both the brute and the indexed path).
     pub fn for_each_heard<F: FnMut(&Beacon)>(&self, at: Point, mut f: F) {
-        match self.index {
-            // Fast path: the index's precomputed candidate lists cover
-            // the query reach, so the query is one slice walk. An inline
-            // distance check rejects out-of-reach candidates before the
-            // (virtual) `connected()` call — sound because `reach` upper
-            // bounds every beacon's `max_range`, so a beacon farther
-            // than `reach` cannot be connected. The heard set and its
-            // order are exactly the brute scan's.
-            Some((index, reach, true)) => {
-                let r2 = reach * reach;
-                let mut tested = 0u64;
-                index.for_each_candidate(at, |b| {
-                    tested += 1;
-                    if b.pos().distance_squared(at) <= r2
-                        && self.model.connected(b.tx(), b.pos(), at)
-                    {
-                        f(b);
-                    }
-                });
-                abp_radio::metrics::LINKS_TESTED.add(tested);
-            }
-            Some((index, reach, false)) => {
-                let mut tested = 0u64;
-                index.for_each_within(at, reach, |b| {
-                    tested += 1;
-                    if self.model.connected(b.tx(), b.pos(), at) {
-                        f(b);
-                    }
-                });
-                abp_radio::metrics::LINKS_TESTED.add(tested);
-            }
-            None => {
-                abp_radio::metrics::LINKS_TESTED.add(self.field.len() as u64);
-                for b in self.field {
-                    if self.model.connected(b.tx(), b.pos(), at) {
-                        f(b);
-                    }
+        let Some(index) = self.index else {
+            abp_radio::metrics::LINKS_TESTED.add(self.field.len() as u64);
+            for b in self.field {
+                if self.model.connected(b.tx(), b.pos(), at) {
+                    f(b);
                 }
+            }
+            return;
+        };
+        // An inline distance check rejects out-of-reach candidates before
+        // the (virtual) `connected()` call — sound because the table's
+        // reach bounds every beacon's `max_range`, so a farther beacon
+        // cannot be connected.
+        let candidates = index.candidates(at);
+        abp_radio::metrics::LINKS_TESTED.add(candidates.len() as u64);
+        let beacons = self.field.beacons();
+        let r2 = index.reach * index.reach;
+        for &slot in candidates {
+            let b = &beacons[slot as usize];
+            if b.pos().distance_squared(at) <= r2 && self.model.connected(b.tx(), b.pos(), at) {
+                f(b);
             }
         }
     }
@@ -202,6 +178,117 @@ impl<'a> ConnectivityOracle<'a> {
         self.for_each_heard(at, |b| ids.push(b.id()));
         ids.sort();
         ids
+    }
+}
+
+/// The spatial index of an indexed [`ConnectivityOracle`], built by
+/// [`ConnectivityOracle::build_index`].
+///
+/// The beacons' bounding box is cut into square cells at least the
+/// query reach wide, and each cell lists the slots of every beacon in
+/// its 3×3 block of cells. A beacon within reach of a point therefore
+/// sits in the list of the point's cell, clamped to the grid for points
+/// outside the box. The lists are filled in slot order, so each is
+/// ascending: a query visits candidates in the brute scan's order.
+#[derive(Debug, Clone)]
+pub struct CandidateTable {
+    /// The query radius the lists cover.
+    reach: f64,
+    /// Number of beacons listed.
+    len: usize,
+    /// Lower-left corner of the beacons' bounding box.
+    origin: Point,
+    /// Cell side: the reach, doubled while the grid would exceed
+    /// `O(len)` cells.
+    cell: f64,
+    nx: usize,
+    ny: usize,
+    /// `slots[starts[c]..starts[c + 1]]` is cell `c`'s list (row-major).
+    starts: Vec<u32>,
+    slots: Vec<u32>,
+}
+
+impl CandidateTable {
+    fn build(field: &BeaconField, reach: f64) -> Self {
+        let corner = |pick: fn(f64, f64) -> f64| {
+            field
+                .positions()
+                .reduce(|a, b| Point::new(pick(a.x, b.x), pick(a.y, b.y)))
+                .unwrap_or(Point::ORIGIN)
+        };
+        let (origin, far) = (corner(f64::min), corner(f64::max));
+        // Keep the cell count O(len): a reach tiny against the field's
+        // extent would otherwise allocate an unbounded grid.
+        let cap = (field.len().max(16) * 4) as f64;
+        let mut cell = reach;
+        let (nx, ny) = loop {
+            let nx = ((far.x - origin.x) / cell).floor() + 1.0;
+            let ny = ((far.y - origin.y) / cell).floor() + 1.0;
+            if nx * ny <= cap {
+                break (nx as usize, ny as usize);
+            }
+            cell *= 2.0;
+        };
+        let mut table = CandidateTable {
+            reach,
+            len: field.len(),
+            origin,
+            cell,
+            nx,
+            ny,
+            starts: Vec::new(),
+            slots: Vec::new(),
+        };
+        // Two passes over the beacons in slot order: count each cell's
+        // list, then fill it.
+        let ncells = nx * ny;
+        let mut starts = vec![0u32; ncells + 1];
+        for p in field.positions() {
+            table.for_each_block_cell(p, |c| starts[c + 1] += 1);
+        }
+        for c in 0..ncells {
+            starts[c + 1] += starts[c];
+        }
+        let mut next = starts[..ncells].to_vec();
+        let mut slots = vec![0; starts[ncells] as usize];
+        for (slot, p) in field.positions().enumerate() {
+            table.for_each_block_cell(p, |c| {
+                slots[next[c] as usize] = slot as u32;
+                next[c] += 1;
+            });
+        }
+        table.starts = starts;
+        table.slots = slots;
+        table
+    }
+
+    /// The grid cell of `p` as `(column, row)`, clamped to the grid.
+    fn cell_of(&self, p: Point) -> (usize, usize) {
+        let axis = |v: f64, lo: f64, n: usize| {
+            ((v - lo) / self.cell).floor().clamp(0.0, (n - 1) as f64) as usize
+        };
+        (
+            axis(p.x, self.origin.x, self.nx),
+            axis(p.y, self.origin.y, self.ny),
+        )
+    }
+
+    /// Calls `f` with every cell of the 3×3 block around `p`'s cell.
+    fn for_each_block_cell(&self, p: Point, mut f: impl FnMut(usize)) {
+        let (cx, cy) = self.cell_of(p);
+        for y in cy.saturating_sub(1)..=(cy + 1).min(self.ny - 1) {
+            for x in cx.saturating_sub(1)..=(cx + 1).min(self.nx - 1) {
+                f(y * self.nx + x);
+            }
+        }
+    }
+
+    /// The slots of every beacon that may be heard at `at`, ascending: a
+    /// superset of those within the table's reach of `at`.
+    pub fn candidates(&self, at: Point) -> &[u32] {
+        let (x, y) = self.cell_of(at);
+        let c = y * self.nx + x;
+        &self.slots[self.starts[c] as usize..self.starts[c + 1] as usize]
     }
 }
 
@@ -288,6 +375,15 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "index covers reach")]
+    fn with_index_rejects_an_index_short_of_the_reach() {
+        let field = cross_field();
+        let index = ConnectivityOracle::build_index(&field, &IdealDisk::new(10.0));
+        let wider = IdealDisk::new(20.0);
+        let _ = ConnectivityOracle::with_index(&field, &wider, &index);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use abp_localize::{
     localization_error, CentroidLocalizer, ConnectivityOracle, Localizer, LocusLocalizer,
     MultilaterationLocalizer, UnheardPolicy,
 };
-use abp_radio::{IdealDisk, PerBeaconNoise, Propagation};
+use abp_radio::{IdealDisk, NoiseStyle, PerBeaconNoise, Propagation};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -143,6 +143,80 @@ proptest! {
         let f1 = loc.localize(&field, &model, at);
         let f2 = loc.localize(&field, &model, at);
         prop_assert_eq!(f1, f2);
+    }
+}
+
+/// `IdealDisk` and `PerBeaconNoise` at noise 0 and 0.4 in every style.
+fn oracle_models(seed: u64) -> Vec<Box<dyn Propagation>> {
+    let mut models: Vec<Box<dyn Propagation>> = vec![Box::new(IdealDisk::new(15.0))];
+    for noise in [0.0, 0.4] {
+        for style in [
+            NoiseStyle::Speckled,
+            NoiseStyle::CoherentRadius,
+            NoiseStyle::Lossy,
+        ] {
+            models.push(Box::new(PerBeaconNoise::with_style(
+                15.0, noise, seed, style,
+            )));
+        }
+    }
+    models
+}
+
+/// One beacon per draw: kind 0 repeats an earlier beacon (coincident
+/// beacons), kind 1 snaps to the `reach`-spaced lattice anchored at the
+/// terrain origin (the candidate table's cell corners once a lattice
+/// beacon sits on each axis), any other kind lands uniformly in the
+/// terrain.
+fn layout(draws: &[(u8, f64, f64)], reach: f64) -> Vec<Point> {
+    let corners = (SIDE / reach).floor() + 1.0;
+    let mut positions: Vec<Point> = Vec::with_capacity(draws.len());
+    for &(kind, u, v) in draws {
+        let p = match kind {
+            0 if !positions.is_empty() => positions[(u * positions.len() as f64) as usize],
+            1 => Point::new((u * corners).floor() * reach, (v * corners).floor() * reach),
+            _ => Point::new(u * SIDE, v * SIDE),
+        };
+        positions.push(p);
+    }
+    positions
+}
+
+proptest! {
+    /// The indexed oracle hears exactly the brute oracle's beacons, in
+    /// the same order, at points inside and outside the beacons'
+    /// bounding box and the terrain: query kind 0 sits on a beacon,
+    /// kind 1 on a lattice corner (possibly off the terrain), any other
+    /// kind anywhere in a margin around the terrain.
+    #[test]
+    fn indexed_heard_lists_equal_brute_in_order(
+        draws in prop::collection::vec((0u8..3, 0.0..1.0f64, 0.0..1.0f64), 0..151),
+        queries in prop::collection::vec((0u8..3, -0.4..1.4f64, -0.4..1.4f64), 1..24),
+        seed in any::<u64>(),
+    ) {
+        for model in oracle_models(seed) {
+            // The reach depends on the beacon ids only, so a stand-in
+            // field of the same size tells where the cell corners fall.
+            let stand_in =
+                BeaconField::from_positions(terrain(), vec![Point::ORIGIN; draws.len()]);
+            let reach = ConnectivityOracle::query_reach(&stand_in, &*model);
+            let positions = layout(&draws, reach);
+            let field = BeaconField::from_positions(terrain(), positions.iter().copied());
+            let brute = ConnectivityOracle::new(&field, &*model);
+            let index = ConnectivityOracle::build_index(&field, &*model);
+            let indexed = ConnectivityOracle::with_index(&field, &*model, &index);
+            let corners = (SIDE / reach).floor() + 1.0;
+            for &(kind, u, v) in &queries {
+                let at = match kind {
+                    0 if !positions.is_empty() => {
+                        positions[(u.clamp(0.0, 0.999) * positions.len() as f64) as usize]
+                    }
+                    1 => Point::new((u * corners).floor() * reach, (v * corners).floor() * reach),
+                    _ => Point::new(u * SIDE, v * SIDE),
+                };
+                prop_assert_eq!(indexed.heard(at), brute.heard(at), "at {}", at);
+            }
+        }
     }
 }
 

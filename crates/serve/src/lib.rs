@@ -11,8 +11,8 @@
 //!   suggestion via Random/Max/Grid), **info** (epoch + terrain +
 //!   beacon roster), and **stats** (a live telemetry snapshot),
 //! * [`snapshot`] — the [`WorldSnapshot`](snapshot::WorldSnapshot):
-//!   an immutable bundle of `BeaconField` + `ErrorMap` + `CellIndex` +
-//!   `BeaconSoA` published through an epoch-stamped
+//!   an immutable bundle of `BeaconField` + `ErrorMap` + precomputed
+//!   placement answers, published through an epoch-stamped
 //!   [`SnapshotCell`](snapshot::SnapshotCell), so background re-surveys
 //!   rebuild off to the side while request workers never block,
 //! * [`engine`] — the per-request compute, bit-identical to the batch

@@ -2,9 +2,8 @@
 //!
 //! A [`WorldSnapshot`] is everything a request needs, built **once** per
 //! epoch off the hot path: the beacon field, its surveyed [`ErrorMap`],
-//! the [`CellIndex`] spatial index, the [`BeaconSoA`] dense mirror, and
-//! the deterministic placement answers (Max and Grid) precomputed so a
-//! place request is a field read instead of an `O(map)` scan.
+//! and the deterministic placement answers (Max and Grid) precomputed so
+//! a place request is a field read instead of an `O(map)` scan.
 //!
 //! Publication is a generation swap: the [`SnapshotCell`] holds the
 //! current `Arc<WorldSnapshot>` behind a lock that is only ever touched
@@ -18,9 +17,9 @@
 //! Every snapshot carries a fingerprint folded over all of its parts at
 //! build time; [`WorldSnapshot::is_consistent`] refolds and compares, so
 //! the churn tests can prove a reader never observes a torn mix of one
-//! epoch's map with another's index.
+//! epoch's map with another's field.
 
-use abp_field::{BeaconField, BeaconSoA, CellIndex};
+use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::{CentroidLocalizer, ConnectivityOracle, UnheardPolicy};
 use abp_placement::{GridPlacement, MaxPlacement, PlacementAlgorithm, SurveyView};
@@ -42,8 +41,6 @@ pub struct WorldSnapshot {
     epoch: u64,
     field: BeaconField,
     map: ErrorMap,
-    index: CellIndex,
-    soa: BeaconSoA,
     model: Arc<dyn Propagation>,
     max_point: Point,
     grid_point: Point,
@@ -89,20 +86,13 @@ impl WorldSnapshot {
     }
 
     /// Bundles a surveyed `map` of `field` with everything else a request
-    /// needs: the spatial index, the SoA mirror, the precomputed Max and
-    /// Grid answers, and the fingerprint.
+    /// needs: the precomputed Max and Grid answers, and the fingerprint.
     fn assemble(
         epoch: u64,
         field: BeaconField,
         map: ErrorMap,
         model: Arc<dyn Propagation>,
     ) -> Self {
-        let index = ConnectivityOracle::build_index(&field, &*model);
-        let mut soa = BeaconSoA::new();
-        soa.rebuild_with(&field, |b| {
-            let r = model.max_range(b.tx(), b.pos());
-            r * r
-        });
         // Precompute the deterministic placement answers so a place
         // request is O(1). Both algorithms ignore the rng.
         let view = SurveyView {
@@ -114,14 +104,11 @@ impl WorldSnapshot {
         let max_point = MaxPlacement::new().propose(&view, &mut rng);
         let grid_point =
             GridPlacement::paper(field.terrain(), model.nominal_range()).propose(&view, &mut rng);
-        let fingerprint =
-            fold_fingerprint(epoch, &field, &map, &index, &soa, max_point, grid_point);
+        let fingerprint = fold_fingerprint(epoch, &field, &map, max_point, grid_point);
         WorldSnapshot {
             epoch,
             field,
             map,
-            index,
-            soa,
             model,
             max_point,
             grid_point,
@@ -145,18 +132,6 @@ impl WorldSnapshot {
     #[inline]
     pub fn map(&self) -> &ErrorMap {
         &self.map
-    }
-
-    /// The spatial index built over exactly this epoch's beacons.
-    #[inline]
-    pub fn index(&self) -> &CellIndex {
-        &self.index
-    }
-
-    /// The dense structure-of-arrays mirror of this epoch's beacons.
-    #[inline]
-    pub fn soa(&self) -> &BeaconSoA {
-        &self.soa
     }
 
     /// The propagation model in effect.
@@ -183,11 +158,12 @@ impl WorldSnapshot {
         self.grid_point
     }
 
-    /// A connectivity oracle over this epoch's field, routed through its
-    /// spatial index. Allocation-free to construct.
+    /// A brute-force connectivity oracle over this epoch's field, for
+    /// checking served answers against the batch localizer (the request
+    /// path never gathers neighbors). Allocation-free to construct.
     #[inline]
     pub fn oracle(&self) -> ConnectivityOracle<'_> {
-        ConnectivityOracle::with_index(&self.field, self.model(), &self.index)
+        ConnectivityOracle::new(&self.field, self.model())
     }
 
     /// The fingerprint folded over every part of this snapshot at build
@@ -216,8 +192,6 @@ impl WorldSnapshot {
             self.epoch,
             &self.field,
             &self.map,
-            &self.index,
-            &self.soa,
             self.max_point,
             self.grid_point,
         ) == self.fingerprint
@@ -248,8 +222,6 @@ fn fold_fingerprint(
     epoch: u64,
     field: &BeaconField,
     map: &ErrorMap,
-    index: &CellIndex,
-    soa: &BeaconSoA,
     max_point: Point,
     grid_point: Point,
 ) -> u64 {
@@ -263,9 +235,6 @@ fn fold_fingerprint(
     h = mix(h ^ map.len() as u64);
     h = mix(h ^ map.valid_count() as u64);
     h = mix(h ^ map.mean_error().to_bits());
-    h = mix(h ^ index.len() as u64);
-    h = mix(h ^ index.cell_size().to_bits());
-    h = mix(h ^ soa.len() as u64);
     h = mix(h ^ max_point.x.to_bits() ^ max_point.y.to_bits());
     h = mix(h ^ grid_point.x.to_bits() ^ grid_point.y.to_bits());
     h
@@ -382,8 +351,6 @@ mod tests {
     fn build_is_consistent_and_precomputes_placements() {
         let snap = snapshot(0, 12);
         assert!(snap.is_consistent());
-        assert_eq!(snap.index().len(), snap.field().len());
-        assert_eq!(snap.soa().len(), snap.field().len());
         // Precomputed answers equal a live run of the real algorithms.
         let view = SurveyView {
             map: snap.map(),

@@ -8,6 +8,7 @@
 
 use crate::config::SimConfig;
 use crate::progress::{Ctx, TrialFailureReport};
+use crate::report::Series;
 use crate::runner::{parallel_try_map, supervised_try_map};
 use abp_geom::splitmix64;
 use abp_stats::{ConfidenceInterval, Welford};
@@ -356,14 +357,26 @@ fn aggregate(cfg: &SimConfig, beacons: usize, samples: &[TrialSample]) -> Densit
 ///
 /// Returns `None` for an empty sweep.
 pub fn saturation_density(points: &[DensityErrorPoint], tolerance: f64) -> Option<f64> {
-    let plateau = points
-        .iter()
-        .map(|p| p.mean_error.estimate)
-        .fold(f64::INFINITY, f64::min);
+    knee(
+        points.iter().map(|p| (p.density, p.mean_error.estimate)),
+        tolerance,
+    )
+}
+
+/// [`saturation_density`] read off a density figure's series, whose
+/// points carry each density and its mean-error CI (`fig4`, `fig6`).
+pub fn series_saturation_density(series: &Series, tolerance: f64) -> Option<f64> {
+    knee(series.points.iter().map(|p| (p.x, p.y.estimate)), tolerance)
+}
+
+/// The first `(density, mean error)` within `tolerance` of the minimum
+/// mean error.
+fn knee(points: impl Iterator<Item = (f64, f64)> + Clone, tolerance: f64) -> Option<f64> {
+    let plateau = points.clone().map(|(_, e)| e).fold(f64::INFINITY, f64::min);
     points
-        .iter()
-        .find(|p| p.mean_error.estimate <= plateau * (1.0 + tolerance))
-        .map(|p| p.density)
+        .into_iter()
+        .find(|&(_, e)| e <= plateau * (1.0 + tolerance))
+        .map(|(d, _)| d)
 }
 
 #[cfg(test)]

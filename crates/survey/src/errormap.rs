@@ -271,9 +271,9 @@ impl ErrorMap {
             errors: vec![f64::NAN; n],
         };
         let _span = abp_trace::span!("localize.survey");
-        // One index for the whole sweep: localizers gather neighbors
-        // through it (Localizer::localize_via), which is order-identical
-        // to the brute scan — see the CellIndex ordering contract.
+        // One candidate table for the whole sweep: localizers gather
+        // neighbors through it (Localizer::localize_via), in the brute
+        // scan's order.
         let index = ConnectivityOracle::build_index(field, model);
         let oracle = ConnectivityOracle::with_index(field, model, &index);
         for ix in lattice.indices() {

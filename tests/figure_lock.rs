@@ -21,7 +21,12 @@
 //! multilateration, the weighted-Grid noise figures, and the heatmap
 //! demo. The tiny preset has `NG = 100` grids on a 5 m lattice,
 //! so the grid-column bands span uneven numbers of lattice columns.
+//! The third covers the figures that place no beacon, with the CLI's
+//! arguments: the Figure 1 granularity curve, the §2.2 overlap bound,
+//! the solution-space census and the localizer comparison (which
+//! surveys every localizer through the indexed connectivity oracle).
 
+use abp_sim::experiments::overlap_bound::BoundConfig;
 use abp_sim::{figures, heatmap_demo, AlgorithmKind, Ctx, Figure, SimConfig};
 
 /// `(figure id, digest of its CSV)`, in the order [`figure_digests`]
@@ -53,6 +58,15 @@ const GRID_DIGESTS: [(&str, u64); 9] = [
     ("figx-weighted-grid-mean", 0x37d0_6080_9954_3224),
     ("figx-weighted-grid-median", 0x0415_9f9f_642c_59cf),
     ("heatmap_demo", 0x21f7_45b1_9c21_df2e),
+];
+
+/// `(figure id, digest)` for the figures without placement, in the
+/// order [`other_digests`] produces them.
+const OTHER_DIGESTS: [(&str, u64); 4] = [
+    ("fig1", 0xc4d3_825f_9d8e_5bd3),
+    ("bound", 0x7838_79c9_8e5a_e684),
+    ("solution-space", 0x9287_bf15_2007_7910),
+    ("localizers", 0xe839_c9ec_4c7c_998b),
 ];
 
 /// FNV-1a, 64-bit.
@@ -125,6 +139,20 @@ fn grid_digests(threads: usize) -> Vec<(String, u64)> {
     out
 }
 
+fn other_digests(threads: usize) -> Vec<(String, u64)> {
+    let cfg = tiny(threads);
+    let ctx = Ctx::noop();
+    [
+        figures::fig1_with(&cfg, &[1, 2, 3, 4, 6, 8, 10], ctx),
+        figures::bound_with(&BoundConfig::default(), ctx),
+        figures::solution_space_with(&cfg, 0.0, 100, 0.02, ctx),
+        figures::localizers_with(&cfg, 0.05, ctx),
+    ]
+    .iter()
+    .map(|f| (f.id.clone(), csv_digest(f)))
+    .collect()
+}
+
 fn assert_digests(got: &[(String, u64)], want: &[(&str, u64)], threads: usize) {
     assert_eq!(got.len(), want.len(), "figure count changed");
     for ((id, digest), (want_id, want)) in got.iter().zip(want) {
@@ -147,5 +175,12 @@ fn density_and_improvement_figures_match_committed_digests() {
 fn grid_consuming_figures_match_committed_digests() {
     for threads in [1, 2] {
         assert_digests(&grid_digests(threads), &GRID_DIGESTS, threads);
+    }
+}
+
+#[test]
+fn figures_without_placement_match_committed_digests() {
+    for threads in [1, 2] {
+        assert_digests(&other_digests(threads), &OTHER_DIGESTS, threads);
     }
 }

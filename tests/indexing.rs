@@ -340,8 +340,11 @@ fn index_prunes_but_preserves_heard_order() {
     ] {
         assert_eq!(brute.heard(at), indexed.heard(at), "at {at}");
     }
-    // Pruning is observable through the cell telemetry: a reach-sized
-    // query on a 100 m terrain covers at most 3x3 of the ~7x7 cells.
-    let pruned = index.for_each_within(Point::new(SIDE / 2.0, SIDE / 2.0), RANGE, |_| {});
-    assert!(pruned > 0, "center query should prune cells");
+    // Pruning is observable through the candidate list: a query's cell
+    // lists the beacons of at most 3x3 of the ~7x7 cells.
+    let candidates = index.candidates(Point::new(SIDE / 2.0, SIDE / 2.0));
+    assert!(
+        candidates.len() < field.len(),
+        "center query should skip beacons"
+    );
 }
