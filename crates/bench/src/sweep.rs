@@ -11,7 +11,11 @@
 //!
 //! The survey kernel times the full sweep: the point-major oracle
 //! [`ErrorMap::survey_point_major`] against the beacon-major production
-//! sweep [`ErrorMap::survey`]. The candidate-scan kernels
+//! sweep [`ErrorMap::survey`], under the ideal disk, where each beacon's
+//! whole reach is its guaranteed core. The `survey_sweep_noisy` kernel
+//! times the same pair under speckled noise at 0.5, where most of each
+//! reach is the annulus the model decides, with the production side
+//! threading a reused [`SurveyScratch`]. The candidate-scan kernels
 //! mirror the greedy deployment loops round for round but time **only
 //! the scan/score phase** (brute: `propose_ranked`; incremental: scorer
 //! construction + `ranked` + `apply_delta`): the per-round deployment
@@ -35,7 +39,8 @@
 //! carries the reused path's steady-state allocator traffic — the
 //! `alloc` block's `allocs_per_trial` / `bytes_per_trial`, measured
 //! with [`abp_trace::thread_snapshot`] deltas around the post-warmup
-//! scratch samples only — and the CLI fails the run if it is nonzero.
+//! scratch samples of both scratch-threading kernels only — and the CLI
+//! fails the run if it is nonzero.
 //!
 //! Timings are reported as the median over `repeats` interleaved
 //! samples with a distribution-free 95% confidence interval on the
@@ -57,7 +62,7 @@ use abp_placement::{
     greedy_batch, greedy_batch_incremental, pick_unoccupied, GridPlacement, IncrementalGrid,
     IncrementalMax, IncrementalScorer, MaxPlacement, PlacementAlgorithm, SurveyView,
 };
-use abp_radio::{IdealDisk, Propagation};
+use abp_radio::{IdealDisk, PerBeaconNoise, Propagation};
 use abp_stats::Summary;
 use abp_survey::{ErrorMap, SurveyScratch};
 use rand::rngs::StdRng;
@@ -90,7 +95,12 @@ use std::time::Instant;
 /// order to cancel drift.
 /// `/7` removes the `scaling` block with the intra-survey tile
 /// scheduler it timed; one sequential survey sweep remains.
-pub const SCHEMA: &str = "abp-bench-sweep/7";
+/// `/8` adds the `survey_sweep_noisy` kernel: the sweep under speckled
+/// noise at 0.5, where most of each beacon's reach is the annulus the
+/// model decides, timed as the point-major oracle against the
+/// production sweep through a reused scratch. Its steady-state
+/// allocations join the `alloc` block.
+pub const SCHEMA: &str = "abp-bench-sweep/8";
 
 /// Scenario and sampling configuration for one bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,8 +257,9 @@ impl KernelResult {
 }
 
 /// Steady-state allocator traffic of the scratch-reused survey path,
-/// measured over the post-warmup samples of the `survey_sweep_scratch`
-/// kernel. Meaningful only when [`AllocStats::counting`] is `true`
+/// measured over the post-warmup production samples of the
+/// `survey_sweep_scratch` and `survey_sweep_noisy` kernels. Meaningful
+/// only when [`AllocStats::counting`] is `true`
 /// (the binary was built with `--features count-allocs`); otherwise
 /// both rates are reported as 0 because nothing was counted.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -578,23 +589,14 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     // (allocating its four grids every time) vs the same
     // survey through one reused `SurveyScratch`. This is the path the
     // Monte-Carlo engine runs per trial; the alloc stats come from the
-    // reused side's post-warmup samples.
-    let alloc;
+    // reused side's post-warmup samples, here and in kernel 3.
+    let mut scratch = SurveyScratch::new();
+    let mut allocs = AllocCount::default();
     {
         let mut fresh_s = Vec::with_capacity(cfg.repeats);
         let mut reused_s = Vec::with_capacity(cfg.repeats);
         let mut identical = true;
-        let mut scratch = SurveyScratch::new();
-        // Warmup: the first reused pass grows the scratch buffers; the
-        // second proves they are warm so the timed/counted samples below
-        // measure the steady state only.
-        for _ in 0..2 {
-            let warm =
-                ErrorMap::survey_indexed_with(&lattice, &field, &model, policy, &mut scratch);
-            scratch.recycle(warm);
-        }
-        let mut allocs_total: u64 = 0;
-        let mut bytes_total: u64 = 0;
+        warm_scratch(&lattice, &field, &model, policy, &mut scratch);
         for _ in 0..cfg.repeats {
             if !cfg.skip_brute {
                 let t = Instant::now();
@@ -602,25 +604,13 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
                 fresh_s.push(t.elapsed().as_secs_f64());
                 identical &= maps_bit_identical(&fresh, &base_map);
             }
-            let before = abp_trace::thread_snapshot();
-            let t = Instant::now();
-            let reused =
-                ErrorMap::survey_indexed_with(&lattice, &field, &model, policy, &mut scratch);
-            reused_s.push(t.elapsed().as_secs_f64());
-            let delta = abp_trace::thread_snapshot().delta_since(before);
-            allocs_total += delta.allocs;
-            bytes_total += delta.bytes;
+            let (reused, seconds) = allocs.survey(&lattice, &field, &model, policy, &mut scratch);
+            reused_s.push(seconds);
             if !cfg.skip_brute {
                 identical &= maps_bit_identical(&reused, &base_map);
             }
             scratch.recycle(reused);
         }
-        let n = cfg.repeats.max(1) as f64;
-        alloc = AllocStats {
-            counting: abp_trace::counting(),
-            allocs_per_trial: allocs_total as f64 / n,
-            bytes_per_trial: bytes_total as f64 / n,
-        };
         kernels.push(if cfg.skip_brute {
             kernel_result_skipped("survey_sweep_scratch", &reused_s)
         } else {
@@ -628,7 +618,41 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         });
     }
 
-    // Kernels 3–4: the greedy candidate scan, full re-score vs
+    // Kernel 3: the survey sweep under the paper's noise at its highest
+    // level (speckled, Noise = 0.5), where most of each beacon's reach is
+    // annulus the model decides in batches: the point-major oracle vs the
+    // production sweep through the reused scratch.
+    {
+        let noisy = PerBeaconNoise::new(cfg.nominal_range, 0.5, cfg.seed);
+        let mut brute_s = Vec::with_capacity(cfg.repeats);
+        let mut indexed_s = Vec::with_capacity(cfg.repeats);
+        let mut identical = true;
+        let oracle = (!cfg.skip_brute)
+            .then(|| ErrorMap::survey_point_major(&lattice, &field, &noisy, policy));
+        warm_scratch(&lattice, &field, &noisy, policy, &mut scratch);
+        for _ in 0..cfg.repeats {
+            if let Some(oracle) = &oracle {
+                let t = Instant::now();
+                let brute = ErrorMap::survey_point_major(&lattice, &field, &noisy, policy);
+                brute_s.push(t.elapsed().as_secs_f64());
+                identical &= maps_bit_identical(&brute, oracle);
+            }
+            let (swept, seconds) = allocs.survey(&lattice, &field, &noisy, policy, &mut scratch);
+            indexed_s.push(seconds);
+            if let Some(oracle) = &oracle {
+                identical &= maps_bit_identical(&swept, oracle);
+            }
+            scratch.recycle(swept);
+        }
+        kernels.push(if cfg.skip_brute {
+            kernel_result_skipped("survey_sweep_noisy", &indexed_s)
+        } else {
+            kernel_result("survey_sweep_noisy", identical, &brute_s, &indexed_s)
+        });
+    }
+    let alloc = allocs.stats();
+
+    // Kernels 4–5: the greedy candidate scan, full re-score vs
     // incremental delta re-score, for Grid and Max.
     let grid_algo = GridPlacement::paper(terrain, cfg.nominal_range);
     kernels.push(candidate_scan_kernel(
@@ -652,7 +676,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         cfg,
     ));
 
-    // Kernel 5 (reported as `serve_qps`, not a brute/indexed pair): the
+    // Kernel 6 (reported as `serve_qps`, not a brute/indexed pair): the
     // online daemon under concurrent TCP load — the serving layer's
     // throughput, tail latency, allocation rate, and bit-identity gate.
     // The load runs `serve_ab_pairs` times each with telemetry OFF (no
@@ -747,6 +771,63 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         serve_off,
         overload,
         telemetry,
+    }
+}
+
+/// Runs the production sweep through `scratch` twice, untimed: the first
+/// pass grows the scratch buffers, the second proves them warm, so later
+/// samples measure the steady state only.
+fn warm_scratch(
+    lattice: &Lattice,
+    field: &BeaconField,
+    model: &dyn Propagation,
+    policy: UnheardPolicy,
+    scratch: &mut SurveyScratch,
+) {
+    for _ in 0..2 {
+        let warm = ErrorMap::survey_indexed_with(lattice, field, model, policy, scratch);
+        scratch.recycle(warm);
+    }
+}
+
+/// Allocator traffic summed over timed steady-state scratch surveys.
+#[derive(Default)]
+struct AllocCount {
+    allocs: u64,
+    bytes: u64,
+    trials: u64,
+}
+
+impl AllocCount {
+    /// One production sweep through `scratch`, timed and counted; returns
+    /// the map and its seconds.
+    fn survey(
+        &mut self,
+        lattice: &Lattice,
+        field: &BeaconField,
+        model: &dyn Propagation,
+        policy: UnheardPolicy,
+        scratch: &mut SurveyScratch,
+    ) -> (ErrorMap, f64) {
+        let before = abp_trace::thread_snapshot();
+        let t = Instant::now();
+        let map = ErrorMap::survey_indexed_with(lattice, field, model, policy, scratch);
+        let seconds = t.elapsed().as_secs_f64();
+        let delta = abp_trace::thread_snapshot().delta_since(before);
+        self.allocs += delta.allocs;
+        self.bytes += delta.bytes;
+        self.trials += 1;
+        (map, seconds)
+    }
+
+    /// The per-trial rates.
+    fn stats(&self) -> AllocStats {
+        let n = self.trials.max(1) as f64;
+        AllocStats {
+            counting: abp_trace::counting(),
+            allocs_per_trial: self.allocs as f64 / n,
+            bytes_per_trial: self.bytes as f64 / n,
+        }
     }
 }
 
@@ -982,7 +1063,7 @@ mod tests {
         let mut cfg = BenchConfig::tiny();
         cfg.repeats = 2;
         let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 4);
+        assert_eq!(report.kernels.len(), 5);
         assert!(report.all_identical(), "indexed kernels changed outputs");
         for k in &report.kernels {
             assert!(k.brute.median_s > 0.0, "{}: zero brute median", k.name);
@@ -991,6 +1072,7 @@ mod tests {
             assert!(k.speedup.is_finite() && k.speedup > 0.0);
         }
         assert_eq!(report.kernels[1].name, "survey_sweep_scratch");
+        assert_eq!(report.kernels[2].name, "survey_sweep_noisy");
         assert!(report.host.nproc >= 1);
         assert!(!report.host.cpu.is_empty() && !report.host.rustc.is_empty());
         assert_eq!(report.serve.clients, cfg.serve_clients);
@@ -1036,7 +1118,7 @@ mod tests {
         cfg.repeats = 2;
         cfg.skip_brute = true;
         let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 4);
+        assert_eq!(report.kernels.len(), 5);
         for k in &report.kernels {
             assert!(k.identical, "{}: vacuously true under skip_brute", k.name);
             assert_eq!(k.speedup, 1.0, "{}: degenerate speedup", k.name);
@@ -1167,7 +1249,7 @@ mod tests {
             },
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/7\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/8\""));
         assert!(json.contains("\"preset\": \"tiny\""));
         assert!(json.contains("\"skip_brute\": false"));
         assert!(json.contains(

@@ -1417,10 +1417,11 @@ mod tests {
         o.out = Some(dir.clone());
         run(&o).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/7\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/8\""));
         assert!(json.contains("\"seed\": 7"), "--seed reaches bench: {json}");
         assert!(json.contains("\"name\": \"survey_sweep\""));
         assert!(json.contains("\"name\": \"survey_sweep_scratch\""));
+        assert!(json.contains("\"name\": \"survey_sweep_noisy\""));
         assert!(json.contains("\"name\": \"candidate_scan_grid\""));
         assert!(json.contains("\"name\": \"candidate_scan_max\""));
         assert!(json.contains("\"identical\": true"));

@@ -6,7 +6,7 @@ use crate::gps::{GpsFault, GpsOutage, GpsOutagePlan};
 use crate::mix;
 use crate::mortality::{MortalityPlan, MortalitySchedule};
 use abp_geom::{DeterministicField, Point};
-use abp_radio::{Propagation, TxId};
+use abp_radio::{Propagation, Run, TxId};
 use serde::{Deserialize, Serialize};
 
 /// A declarative description of which faults afflict a trial.
@@ -231,6 +231,37 @@ impl<M: Propagation> Propagation for FaultyRadio<M> {
             return None;
         }
         self.base.core_range(tx, tx_pos)
+    }
+
+    /// Follows the rule of `core_range`: a dead or sleeping beacon hears
+    /// nobody, so its masks are all zero without asking the base model; a
+    /// transmitter no fault can cut takes the base model's masks as they
+    /// are; under a lossy burst each bit the base model sets survives
+    /// only if its link escapes the burst, and bits the base model
+    /// leaves clear are never simulated.
+    fn connected_runs(&self, tx: TxId, tx_pos: Point, step: f64, runs: &[Run], masks: &mut [u64]) {
+        assert_eq!(runs.len(), masks.len(), "one mask per run");
+        if !self.is_alive(tx) {
+            masks.fill(0);
+            return;
+        }
+        self.base.connected_runs(tx, tx_pos, step, runs, masks);
+        let Some(burst) = &self.burst else {
+            return;
+        };
+        let keyed = self.link_field.keyed(tx.0);
+        for (run, mask) in runs.iter().zip(masks) {
+            let mut heard = *mask;
+            while heard != 0 {
+                let k = heard.trailing_zeros();
+                heard &= heard - 1;
+                let rx = run.receiver(k, step);
+                let link = keyed.absorb(rx.x.to_bits()).absorb(rx.y.to_bits());
+                if !burst.link_up(link.finish(), self.epoch) {
+                    *mask &= !(1 << k);
+                }
+            }
+        }
     }
 }
 

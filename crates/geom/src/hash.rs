@@ -25,14 +25,50 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Mixes a sequence of words into one hash.
-#[inline]
-fn mix(words: &[u64]) -> u64 {
-    let mut h = 0x243F_6A88_85A3_08D3; // pi digits; arbitrary non-zero seed
-    for &w in words {
-        h = splitmix64(h ^ w);
+/// A [`DeterministicField`] hash part-way through its words: the left
+/// fold of [`splitmix64`] over the words absorbed so far.
+///
+/// Every field hash absorbs the seed, a key and then any further words
+/// in that order, so a caller that needs many hashes sharing a prefix —
+/// one beacon's draws at many points, one lattice column's at many rows
+/// — absorbs the prefix once and continues from a copy of the state.
+/// The continued hash has exactly the bits of the one-shot hash.
+///
+/// # Example
+///
+/// ```
+/// use abp_geom::{DeterministicField, Point};
+/// let field = DeterministicField::new(42);
+/// let p = Point::new(3.0, 4.0);
+/// let column = field.keyed(7).absorb(p.x.to_bits());
+/// assert_eq!(column.absorb(p.y.to_bits()).finish(), field.hash(7, p));
+/// assert_eq!(column.absorb(p.y.to_bits()).unit(), field.unit(7, p));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct HashState(u64);
+
+impl HashState {
+    /// The state before any word: pi digits, an arbitrary non-zero seed.
+    const START: HashState = HashState(0x243F_6A88_85A3_08D3);
+
+    /// The state after absorbing `word`.
+    #[inline]
+    pub fn absorb(self, word: u64) -> HashState {
+        HashState(splitmix64(self.0 ^ word))
     }
-    h
+
+    /// The hash of the words absorbed so far.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
+
+    /// The hash as a value uniform in `[0, 1)`: its 53 high bits, the
+    /// standard conversion to a double.
+    #[inline]
+    pub fn unit(self) -> f64 {
+        (self.0 >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
 }
 
 /// A deterministic scalar field: maps `(beacon id, point)` to reproducible
@@ -71,17 +107,30 @@ impl DeterministicField {
         self.seed
     }
 
+    /// The hash state after the seed and `key`: the prefix every
+    /// `(key, point)` hash of this field shares.
+    #[inline]
+    pub fn keyed(&self, key: u64) -> HashState {
+        HashState::START.absorb(self.seed).absorb(key)
+    }
+
+    /// The hash state after the seed, `key` and the point's coordinate
+    /// bits.
+    #[inline]
+    fn at(&self, key: u64, p: Point) -> HashState {
+        self.keyed(key).absorb(p.x.to_bits()).absorb(p.y.to_bits())
+    }
+
     /// Raw 64-bit hash for `(key, point)`.
     #[inline]
     pub fn hash(&self, key: u64, p: Point) -> u64 {
-        mix(&[self.seed, key, p.x.to_bits(), p.y.to_bits()])
+        self.at(key, p).finish()
     }
 
     /// A value uniform in `[0, 1)` for `(key, point)`.
     #[inline]
     pub fn unit(&self, key: u64, p: Point) -> f64 {
-        // 53 high bits -> [0, 1) double, the standard conversion.
-        (self.hash(key, p) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.at(key, p).unit()
     }
 
     /// A value uniform in `[-1, 1)` for `(key, point)` — the paper's `u`
@@ -96,14 +145,14 @@ impl DeterministicField {
     /// Used for per-beacon draws such as the noise factor `nf(B)`.
     #[inline]
     pub fn unit_keyed(&self, key: u64) -> f64 {
-        (mix(&[self.seed, key]) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        self.keyed(key).unit()
     }
 
     /// Derives a new independent field, e.g. for a sub-experiment.
     #[inline]
     pub fn split(&self, label: u64) -> DeterministicField {
         DeterministicField {
-            seed: mix(&[self.seed, label, 0x5EED]),
+            seed: self.keyed(label).absorb(0x5EED).finish(),
         }
     }
 }

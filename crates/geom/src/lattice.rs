@@ -4,8 +4,8 @@
 //! `(i*step, j*step)` of the terrain — the corners obtained by subdividing
 //! the terrain into `step x step` squares. [`Lattice`] models that set of
 //! points, provides dense row-major indexing for per-point accumulators, and
-//! fast enumeration of the lattice points inside a disk (the inner loop of
-//! the beacon-major survey).
+//! exact row-by-row enumeration of the lattice points inside a disk and
+//! its core (the walk of the beacon-major survey).
 
 use crate::disk::Disk;
 use crate::point::Point;
@@ -202,46 +202,94 @@ impl Lattice {
     /// Enumerates the lattice points inside `disk` (boundary included),
     /// row by row, invoking `f(index, point, d2)` for each.
     ///
-    /// This is the hot inner loop of the beacon-major survey: the caller
-    /// visits, per beacon, only the `O((R/step)²)` points the beacon can
-    /// reach rather than the full lattice.
-    ///
     /// `d2` is the point's squared distance from the disk center — the
     /// membership test's own value, bit-equal to
-    /// `disk.center().distance_squared(point)` — so callers that compare
-    /// it against another radius (the survey's guaranteed core) need not
-    /// recompute it.
+    /// `disk.center().distance_squared(point)` — and a point is visited
+    /// exactly when `d2 <= radius²`. The rows and columns come from
+    /// [`Lattice::for_each_disk_row`].
     pub fn for_each_in_disk<F: FnMut(LatticeIndex, Point, f64)>(&self, disk: Disk, mut f: F) {
         let c = disk.center();
-        let r = disk.radius();
-        let Some((j_lo, j_hi)) = self.axis_range(c.y - r, c.y + r) else {
-            return;
-        };
-        let r2 = r * r;
-        for j in j_lo..=j_hi {
-            let y = j as f64 * self.step;
+        self.for_each_disk_row(disk, None, |row| {
+            let y = row.j as f64 * self.step;
             let dy = y - c.y;
-            let span2 = r2 - dy * dy;
-            if span2 < 0.0 {
-                continue;
-            }
-            let span = span2.sqrt();
-            let Some((i_lo, i_hi)) = self.axis_range(c.x - span, c.x + span) else {
-                continue;
-            };
-            for i in i_lo..=i_hi {
+            let dy2 = dy * dy;
+            for i in row.lo..row.hi {
                 let x = i as f64 * self.step;
-                // The slab computation already guarantees membership up to
-                // floating-point rounding; re-check to keep the contract
-                // exact for callers that compare against radius elsewhere.
                 // (x - c.x)² equals (c.x - x)² bit for bit, so `d2` is
                 // exactly `Point::distance_squared` from the center.
                 let dx = x - c.x;
-                let d2 = dx * dx + dy * dy;
-                if d2 <= r2 {
-                    f(LatticeIndex { i, j }, Point::new(x, y), d2);
-                }
+                f(
+                    LatticeIndex { i, j: row.j },
+                    Point::new(x, y),
+                    dx * dx + dy2,
+                );
             }
+        });
+    }
+
+    /// Walks the lattice rows that `disk` covers, bottom to top, handing
+    /// `f` one [`DiskRow`] per row with at least one point inside: the
+    /// columns whose points satisfy `d2 <= radius²`, and among them the
+    /// columns with `d2 <= core²` (none when `core` is `None`). `d2` is
+    /// `disk.center().distance_squared(point)`, so both tests are the
+    /// exact squared forms a caller would write per point.
+    ///
+    /// Both sets are contiguous: along a row (or a column) `d2` falls
+    /// until the point passes the center and rises after, so each test
+    /// holds on one interval. Each interval is guessed from a square
+    /// root and then trimmed with the test itself, which makes it exact
+    /// whatever the guess's rounding. A core at least as large as the
+    /// radius reuses the disk's interval.
+    #[inline]
+    pub fn for_each_disk_row<F: FnMut(DiskRow)>(&self, disk: Disk, core: Option<f64>, mut f: F) {
+        let c = disk.center();
+        let r = disk.radius();
+        let r2 = r * r;
+        let core2 = core.map_or(f64::NEG_INFINITY, |k| k * k);
+        let rows = self.axis(c.y);
+        let cols = self.axis(c.x);
+        let (j_lo, j_hi) = rows.span(0.0, r2, r);
+        for j in j_lo..j_hi {
+            let dy = j as f64 * self.step - c.y;
+            let dy2 = dy * dy;
+            let (lo, hi) = cols.span(dy2, r2, (r2 - dy2).sqrt());
+            if lo == hi {
+                continue;
+            }
+            let (core_lo, core_hi) = if core2 >= r2 {
+                (lo, hi)
+            } else {
+                cols.span(dy2, core2, (core2 - dy2).sqrt())
+            };
+            f(DiskRow {
+                j,
+                lo,
+                core_lo,
+                core_hi,
+                hi,
+            });
+        }
+    }
+
+    /// The lattice coordinates along one axis relative to `center`.
+    fn axis(&self, center: f64) -> Axis {
+        let n = self.per_side;
+        let offset = |k: u32| k as f64 * self.step - center;
+        // The first index past the center, where `offset` turns positive;
+        // offsets only grow with the index.
+        let mut split = ((center / self.step).max(0.0) as u32).min(n);
+        while split > 0 && offset(split - 1) > 0.0 {
+            split -= 1;
+        }
+        while split < n && offset(split) <= 0.0 {
+            split += 1;
+        }
+        Axis {
+            center,
+            step: self.step,
+            inv: 1.0 / self.step,
+            n,
+            split,
         }
     }
 
@@ -283,6 +331,84 @@ impl fmt::Display for Lattice {
             "{}x{} lattice (step {} m) over {}",
             self.per_side, self.per_side, self.step, self.terrain
         )
+    }
+}
+
+/// One lattice row's share of a disk, from [`Lattice::for_each_disk_row`]:
+/// columns `lo..hi` lie inside the disk, and `core_lo..core_hi` — a
+/// possibly empty sub-range, `lo <= core_lo <= core_hi <= hi` — inside
+/// its core.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DiskRow {
+    /// The row index.
+    pub j: u32,
+    /// The first column inside the disk.
+    pub lo: u32,
+    /// The first column inside the core.
+    pub core_lo: u32,
+    /// One past the last column inside the core.
+    pub core_hi: u32,
+    /// One past the last column inside the disk (`lo < hi`).
+    pub hi: u32,
+}
+
+/// Lattice coordinates `k·step` along one axis around a center: indices
+/// below `split` lie at or before the center, the rest after it.
+struct Axis {
+    center: f64,
+    step: f64,
+    /// `1 / step`, for the guesses.
+    inv: f64,
+    n: u32,
+    split: u32,
+}
+
+impl Axis {
+    /// The indices `lo..hi` with `(k·step − center)² + off2 <= r2`, from a
+    /// guessed half-width `half`. The square falls and then rises with
+    /// `k`, turning at `split`, so the passing indices form one interval:
+    /// its lower end is the first pass at or before `split`, its upper end
+    /// the first fail after it, and each end walks from its guess to the
+    /// exact boundary. An empty set is returned as `split..split`.
+    #[inline]
+    fn span(&self, off2: f64, r2: f64, half: f64) -> (u32, u32) {
+        // Every squared distance is at least `off2`.
+        if off2 > r2 {
+            return (self.split, self.split);
+        }
+        let inside = |k: u32| {
+            let d = k as f64 * self.step - self.center;
+            d * d + off2 <= r2
+        };
+        // Truncating floors the guesses (clamped at 0), which puts the
+        // lower end at or just below its boundary and the upper end at or
+        // just above, where one test each confirms them.
+        let floor = |x: f64| (x * self.inv).max(0.0) as u32;
+        let mut lo = floor(self.center - half).min(self.split);
+        if lo < self.split && !inside(lo) {
+            lo += 1;
+            while lo < self.split && !inside(lo) {
+                lo += 1;
+            }
+        } else {
+            while lo > 0 && inside(lo - 1) {
+                lo -= 1;
+            }
+        }
+        let mut hi = floor(self.center + half)
+            .saturating_add(1)
+            .clamp(self.split, self.n);
+        if hi > self.split && !inside(hi - 1) {
+            hi -= 1;
+            while hi > self.split && !inside(hi - 1) {
+                hi -= 1;
+            }
+        } else {
+            while hi < self.n && inside(hi) {
+                hi += 1;
+            }
+        }
+        (lo, hi)
     }
 }
 
@@ -371,6 +497,36 @@ mod tests {
             fast.sort();
             brute.sort();
             assert_eq!(fast, brute, "disk ({cx},{cy},{r})");
+        }
+    }
+
+    /// The interval search is exact from any guess: one far too narrow,
+    /// one far too wide, and no guess at all (NaN) all trim to the brute
+    /// filter's interval.
+    #[test]
+    fn axis_span_is_exact_from_any_guess() {
+        let lat = Lattice::new(Terrain::square(30.0), 0.75);
+        for &(center, off2, r2) in &[
+            (12.3, 4.0, 49.0),
+            (0.0, 0.0, 25.0),
+            (-3.0, 1.0, 36.0),
+            (31.0, 0.0, 9.0),
+            (15.0, 2.0, 1.0),
+        ] {
+            let axis = lat.axis(center);
+            let inside = |k: u32| {
+                let d = k as f64 * lat.step() - center;
+                d * d + off2 <= r2
+            };
+            let brute: Vec<u32> = (0..lat.per_side()).filter(|&k| inside(k)).collect();
+            for half in [0.0, 1.0, (r2 - off2).max(0.0).sqrt(), 50.0, 1e12, f64::NAN] {
+                let (lo, hi) = axis.span(off2, r2, half);
+                assert_eq!(
+                    (lo..hi).collect::<Vec<_>>(),
+                    brute,
+                    "center {center} half {half}"
+                );
+            }
         }
     }
 

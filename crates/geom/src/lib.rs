@@ -47,8 +47,8 @@ pub mod segment;
 
 pub use circle::{circle_circle_intersections, lens_area, Circle};
 pub use disk::Disk;
-pub use hash::{splitmix64, DeterministicField};
-pub use lattice::{Lattice, LatticeIndex};
+pub use hash::{splitmix64, DeterministicField, HashState};
+pub use lattice::{DiskRow, Lattice, LatticeIndex};
 pub use point::{centroid, Point, Vec2};
 pub use polygon::Polygon;
 pub use rect::{Rect, Terrain};

@@ -243,3 +243,128 @@ proptest! {
         prop_assert!(s.distance_to_point(p) < 1e-6 * (1.0 + s.length()));
     }
 }
+
+/// A disk-enumeration case: a lattice with a step from 0.25 to 5 m, a
+/// centre on a lattice point, off the lattice or outside the terrain, a
+/// radius of 0, the exact distance to some lattice point, or a random
+/// value, and a core radius that is none, the radius, one ulp below it,
+/// the exact distance to some lattice point, or a random fraction of the
+/// radius.
+#[derive(Debug, Clone, Copy)]
+struct DiskCase {
+    lattice: Lattice,
+    center: Point,
+    radius: f64,
+    core: Option<f64>,
+}
+
+fn disk_case() -> impl Strategy<Value = DiskCase> {
+    (
+        (5.0..40.0f64, 0.25..5.0f64),
+        (0u8..3, 0.0..1.0f64, 0.0..1.0f64),
+        (0u8..3, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+        (0u8..5, 0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64),
+    )
+        .prop_map(
+            |((side, step), (at, fx, fy), (rk, r0, r1, r2), (ck, c0, c1, c2))| {
+                let lattice = Lattice::new(Terrain::square(side), step);
+                let n = lattice.per_side() as f64;
+                let on_lattice = |u: f64, v: f64| {
+                    let k = |w: f64| ((w * n) as u32).min(lattice.per_side() - 1);
+                    lattice.point(abp_geom::LatticeIndex::new(k(u), k(v)))
+                };
+                let center = match at {
+                    0 => on_lattice(fx, fy),
+                    1 => Point::new(fx * side, fy * side),
+                    // Left of or right of the terrain, at any height around it.
+                    _ => {
+                        let x = if fx < 0.5 {
+                            -1.0 - 40.0 * fx
+                        } else {
+                            side + 1.0 + 40.0 * (fx - 0.5)
+                        };
+                        Point::new(x, fy * (side + 60.0) - 30.0)
+                    }
+                };
+                let exact = |u: f64, v: f64| center.distance(on_lattice(u, v));
+                let radius = match rk {
+                    0 => 0.0,
+                    1 => exact(r0, r1),
+                    _ => 30.0 * r2,
+                };
+                let core = match ck {
+                    0 => None,
+                    1 => Some(radius),
+                    2 => Some(exact(c0, c1)),
+                    3 => Some(f64::from_bits(radius.to_bits().saturating_sub(1))),
+                    _ => Some(radius * c2),
+                };
+                DiskCase {
+                    lattice,
+                    center,
+                    radius,
+                    core,
+                }
+            },
+        )
+}
+
+/// Every lattice point with `d2 <= r²` under the brute filter, with its
+/// `d2` bits, in row-major order.
+fn brute_disk(case: &DiskCase) -> Vec<(abp_geom::LatticeIndex, u64)> {
+    let r2 = case.radius * case.radius;
+    case.lattice
+        .indices()
+        .filter_map(|ix| {
+            let d2 = case.center.distance_squared(case.lattice.point(ix));
+            (d2 <= r2).then_some((ix, d2.to_bits()))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `for_each_in_disk` visits, row by row, exactly the lattice points
+    /// the brute filter keeps, handing out bit-equal squared distances.
+    #[test]
+    fn disk_enumeration_is_exact(case in disk_case()) {
+        let disk = Disk::new(case.center, case.radius);
+        let mut seen = Vec::new();
+        case.lattice.for_each_in_disk(disk, |ix, p, d2| {
+            assert_eq!(p, case.lattice.point(ix));
+            seen.push((ix, d2.to_bits()));
+        });
+        prop_assert_eq!(seen, brute_disk(&case));
+    }
+
+    /// The row walk's intervals cover exactly the brute filter's points,
+    /// one non-empty row at a time in ascending order, and its core
+    /// split holds every point with `d2 <= core²` and no other.
+    #[test]
+    fn disk_rows_and_core_split_are_exact(case in disk_case()) {
+        let disk = Disk::new(case.center, case.radius);
+        let core2 = case.core.map_or(f64::NEG_INFINITY, |c| c * c);
+        let (mut seen, mut in_core, mut want_core) = (Vec::new(), Vec::new(), Vec::new());
+        let mut last_row = None;
+        case.lattice.for_each_disk_row(disk, case.core, |row| {
+            assert!(row.lo <= row.core_lo && row.core_lo <= row.core_hi && row.core_hi <= row.hi);
+            assert!(row.lo < row.hi, "empty row {row:?}");
+            assert!(last_row < Some(row.j), "rows out of order");
+            last_row = Some(row.j);
+            for i in row.lo..row.hi {
+                let ix = abp_geom::LatticeIndex::new(i, row.j);
+                let d2 = case.center.distance_squared(case.lattice.point(ix));
+                seen.push((ix, d2.to_bits()));
+                if (row.core_lo..row.core_hi).contains(&i) {
+                    in_core.push(ix);
+                }
+                if d2 <= core2 {
+                    want_core.push(ix);
+                }
+            }
+        });
+        prop_assert_eq!(seen, brute_disk(&case));
+        prop_assert_eq!(in_core, want_core);
+    }
+}

@@ -5,6 +5,9 @@
 //! simulation. This crate provides:
 //!
 //! * [`Propagation`] — the connectivity predicate every model implements,
+//!   with [`Propagation::connected_runs`] deciding whole lattice [`Run`]s
+//!   of receivers in one call (surveys send it every receiver outside a
+//!   beacon's guaranteed core),
 //! * [`IdealDisk`] — the paper's idealized radio model (§2.1): perfect
 //!   spherical propagation, identical range `R` for all radios,
 //! * [`PerBeaconNoise`] — the paper's noise model (§4.2.1): beacon `B`
@@ -102,6 +105,11 @@ impl From<u64> for TxId {
 ///   distance at which [`Propagation::connected`] can return `true`, which
 ///   the beacon-major survey uses to prune its inner loop.
 ///
+/// Two provided methods let a survey do less work for the same answers:
+/// [`Propagation::core_range`] names a radius heard without asking, and
+/// [`Propagation::connected_runs`] decides many receivers per call. An
+/// override of either must agree with `connected` bit for bit.
+///
 /// The trait is object-safe; the experiment engine stores models as
 /// `&dyn Propagation`.
 pub trait Propagation: Send + Sync {
@@ -136,6 +144,105 @@ pub trait Propagation: Send + Sync {
     fn core_range(&self, _tx: TxId, _tx_pos: Point) -> Option<f64> {
         None
     }
+
+    /// Decides a batch of lattice [`Run`]s of receivers for `tx` at once:
+    /// bit `k` of `masks[n]` is set exactly when
+    /// `connected(tx, tx_pos, runs[n].receiver(k, step))` is `true`, for
+    /// `k < runs[n].len()`; higher bits are clear.
+    ///
+    /// Surveys hand each beacon's receivers outside its core here in one
+    /// call instead of one `connected` call per receiver. The default asks
+    /// `connected` per receiver, which is always exact; a model overrides
+    /// it when it can share work across the batch, as
+    /// [`PerBeaconNoise`] shares its per-beacon and per-column hashing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `masks` and `runs` differ in length.
+    fn connected_runs(&self, tx: TxId, tx_pos: Point, step: f64, runs: &[Run], masks: &mut [u64]) {
+        connected_runs_by_point(self, tx, tx_pos, step, runs, masks);
+    }
+}
+
+/// A run of up to 64 consecutive lattice receivers along one row, for
+/// [`Propagation::connected_runs`]: the points `((i0 + k)·step, j·step)`
+/// for `k < len`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Run {
+    j: u32,
+    i0: u32,
+    len: u32,
+}
+
+impl Run {
+    /// The most receivers one run holds: one bit each of a `u64` mask.
+    pub const MAX_LEN: u32 = 64;
+
+    /// The run of `len` receivers in row `j` from column `i0`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds [`Run::MAX_LEN`].
+    #[inline]
+    pub fn new(j: u32, i0: u32, len: u32) -> Run {
+        assert!(
+            len <= Run::MAX_LEN,
+            "a run holds at most 64 receivers, got {len}"
+        );
+        Run { j, i0, len }
+    }
+
+    /// The row index.
+    #[inline]
+    pub fn j(&self) -> u32 {
+        self.j
+    }
+
+    /// The first column index.
+    #[inline]
+    pub fn i0(&self) -> u32 {
+        self.i0
+    }
+
+    /// The number of receivers.
+    #[inline]
+    pub fn len(&self) -> u32 {
+        self.len
+    }
+
+    /// Whether the run holds no receiver.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Receiver `k` of the run on a lattice of spacing `step`, computed
+    /// as `abp_geom::Lattice::point` computes it.
+    #[inline]
+    pub fn receiver(&self, k: u32, step: f64) -> Point {
+        Point::new((self.i0 + k) as f64 * step, self.j as f64 * step)
+    }
+}
+
+/// [`Propagation::connected_runs`] by one `connected` call per receiver:
+/// the trait's default, and the fallback of overrides for the cases they
+/// do not batch.
+pub(crate) fn connected_runs_by_point<M: Propagation + ?Sized>(
+    model: &M,
+    tx: TxId,
+    tx_pos: Point,
+    step: f64,
+    runs: &[Run],
+    masks: &mut [u64],
+) {
+    assert_eq!(runs.len(), masks.len(), "one mask per run");
+    for (run, mask) in runs.iter().zip(masks) {
+        let mut bits = 0u64;
+        for k in 0..run.len {
+            bits |= u64::from(model.connected(tx, tx_pos, run.receiver(k, step))) << k;
+        }
+        *mask = bits;
+    }
 }
 
 // Allow `&M` and boxed models wherever a model is expected.
@@ -152,6 +259,9 @@ impl<M: Propagation + ?Sized> Propagation for &M {
     fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
         (**self).core_range(tx, tx_pos)
     }
+    fn connected_runs(&self, tx: TxId, tx_pos: Point, step: f64, runs: &[Run], masks: &mut [u64]) {
+        (**self).connected_runs(tx, tx_pos, step, runs, masks)
+    }
 }
 
 impl<M: Propagation + ?Sized> Propagation for Box<M> {
@@ -166,6 +276,9 @@ impl<M: Propagation + ?Sized> Propagation for Box<M> {
     }
     fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
         (**self).core_range(tx, tx_pos)
+    }
+    fn connected_runs(&self, tx: TxId, tx_pos: Point, step: f64, runs: &[Run], masks: &mut [u64]) {
+        (**self).connected_runs(tx, tx_pos, step, runs, masks)
     }
 }
 

@@ -1,7 +1,7 @@
 //! The paper's static per-beacon propagation-noise model (§4.2.1).
 
-use crate::{Propagation, TxId};
-use abp_geom::{DeterministicField, Point};
+use crate::{connected_runs_by_point, Propagation, Run, TxId};
+use abp_geom::{DeterministicField, HashState, Point};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -217,6 +217,76 @@ impl Propagation for PerBeaconNoise {
             }
             NoiseStyle::CoherentRadius => self.max_range(tx, tx_pos),
         })
+    }
+
+    /// Under the per-point styles, `nf(B)` and the hash state of
+    /// `(seed, tx)` are computed once per call, each column's `x` round
+    /// once (into a stack buffer of 256 entries when the batch's
+    /// columns fit), and each receiver costs one `y` round and a
+    /// branch-free compare. Every step is `connected`'s own arithmetic in
+    /// its order, so each bit equals `connected`'s answer.
+    /// [`NoiseStyle::CoherentRadius`] asks `connected` per receiver.
+    fn connected_runs(&self, tx: TxId, tx_pos: Point, step: f64, runs: &[Run], masks: &mut [u64]) {
+        if self.style == NoiseStyle::CoherentRadius {
+            return connected_runs_by_point(self, tx, tx_pos, step, runs, masks);
+        }
+        assert_eq!(runs.len(), masks.len(), "one mask per run");
+        let keyed = self.field.keyed(tx.0);
+        // The x round and squared x offset of column `i`.
+        let column = |i: u32| {
+            let x = i as f64 * step;
+            let dx = tx_pos.x - x;
+            (keyed.absorb(x.to_bits()), dx * dx)
+        };
+        let first = runs.iter().map(|r| r.i0()).min().unwrap_or(0);
+        let end = runs.iter().map(|r| r.i0() + r.len()).max().unwrap_or(0);
+        if end - first <= COLUMNS as u32 {
+            let mut cols = [(HashState::default(), 0.0); COLUMNS];
+            for (i, col) in (first..end).zip(&mut cols) {
+                *col = column(i);
+            }
+            self.decide_runs(tx, tx_pos, step, runs, masks, |i| {
+                cols[(i - first) as usize]
+            });
+        } else {
+            self.decide_runs(tx, tx_pos, step, runs, masks, column);
+        }
+    }
+}
+
+/// Columns whose `x` rounds one `connected_runs` call keeps on the stack.
+const COLUMNS: usize = 256;
+
+impl PerBeaconNoise {
+    /// The per-point styles' `connected_runs` body, reading column `i`'s
+    /// hash state after its `x` round and its squared `x` offset from
+    /// `column(i)`.
+    fn decide_runs(
+        &self,
+        tx: TxId,
+        tx_pos: Point,
+        step: f64,
+        runs: &[Run],
+        masks: &mut [u64],
+        column: impl Fn(u32) -> (HashState, f64),
+    ) {
+        let nf = self.noise_factor(tx);
+        let lossy = self.style == NoiseStyle::Lossy;
+        for (run, mask) in runs.iter().zip(masks) {
+            let y = run.j() as f64 * step;
+            let dy = tx_pos.y - y;
+            let (dy2, y_bits) = (dy * dy, y.to_bits());
+            let mut bits = 0u64;
+            for k in 0..run.len() {
+                let (hash, dx2) = column(run.i0() + k);
+                let unit = hash.absorb(y_bits).unit();
+                // `u` as `PerBeaconNoise::u` draws it, then `connected`.
+                let u = if lossy { -unit } else { unit * 2.0 - 1.0 };
+                let r = self.nominal * (1.0 + u * nf);
+                bits |= u64::from(dx2 + dy2 <= r * r) << k;
+            }
+            *mask = bits;
+        }
     }
 }
 

@@ -4,7 +4,7 @@ use crate::SurveyScratch;
 use abp_field::{Beacon, BeaconField};
 use abp_geom::{Disk, Lattice, LatticeIndex, Point, Rect};
 use abp_localize::{ConnectivityOracle, Localizer, UnheardPolicy};
-use abp_radio::Propagation;
+use abp_radio::{Propagation, Run};
 use abp_stats::Summary;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -181,12 +181,7 @@ impl ErrorMap {
                 map.count[flat] = n;
             }
         }
-        {
-            let _span = abp_trace::span!("localize.derive_errors");
-            for flat in 0..n {
-                map.errors[flat] = map.derive_error(flat);
-            }
-        }
+        map.derive_errors();
         map
     }
 
@@ -196,19 +191,22 @@ impl ErrorMap {
     /// sweep's largest trial.
     ///
     /// The sweep is beacon-major: each beacon, in insertion order, walks
-    /// the lattice rows of its reach disk and adds itself to every point
-    /// that hears it. Points inside the beacon's guaranteed core
-    /// (`Propagation::core_range`) are heard without a `connected` call;
-    /// only the annulus beyond asks the model. Errors are then derived in
-    /// one pass over the lattice. The name, from an earlier
+    /// the lattice rows of its reach disk
+    /// ([`Lattice::for_each_disk_row`]). Per row, the
+    /// points inside the beacon's guaranteed core
+    /// (`Propagation::core_range`) are heard as one contiguous run
+    /// without asking the model; the rest of the row is queued as runs
+    /// the model decides in batches through
+    /// `Propagation::connected_runs`. Errors are then derived in one
+    /// row-major pass over the lattice. The name, from an earlier
     /// index-based sweep, is kept because the whole-run benchmark
     /// (`perfbench`) calls this function by name.
     ///
     /// **Bit-identical** to [`ErrorMap::survey_point_major`]: every point
-    /// sums its heard beacons in insertion order starting from 0.0, and
-    /// the core test only skips `connected` calls that would return
-    /// `true`. Asserted by tests here, in `scratch.rs`, and at scale in
-    /// `tests/indexing.rs`.
+    /// sums its heard beacons in insertion order starting from 0.0, the
+    /// core only skips `connected` calls that would return `true`, and
+    /// each mask bit is exactly `connected`'s answer. Asserted by tests
+    /// here, in `scratch.rs`, and at scale in `tests/indexing.rs`.
     ///
     /// The returned map *owns* the grid buffers; hand them back with
     /// [`SurveyScratch::recycle`] when done.
@@ -223,26 +221,24 @@ impl ErrorMap {
         {
             let _span = abp_trace::span!("radio.connectivity_sweep");
             // Slices, so the walk's closure holds the grids' pointers
-            // directly; a captured `&mut Vec` costs one more load per point.
+            // directly; a captured `&mut Vec` costs one more load per run.
             let (sx, sy, heard) = (&mut sum_x[..], &mut sum_y[..], &mut count[..]);
+            let per_side = lattice.per_side() as usize;
             let mut tested = 0u64;
             for b in field {
                 let (bx, by) = (b.pos().x, b.pos().y);
-                tested += walk_beacon(lattice, b, model, |_, flat| {
-                    sx[flat] += bx;
-                    sy[flat] += by;
-                    heard[flat] += 1;
+                tested += walk_beacon(lattice, b, model, |j, lo, hi| {
+                    let row = j as usize * per_side;
+                    let cols = row + lo as usize..row + hi as usize;
+                    sx[cols.clone()].iter_mut().for_each(|v| *v += bx);
+                    sy[cols.clone()].iter_mut().for_each(|v| *v += by);
+                    heard[cols].iter_mut().for_each(|v| *v += 1);
                 });
             }
             abp_radio::metrics::LINKS_TESTED.add(tested);
         }
         let mut map = ErrorMap::from_parts(*lattice, policy, sum_x, sum_y, count, errors);
-        {
-            let _span = abp_trace::span!("localize.derive_errors");
-            for flat in 0..map.len() {
-                map.errors[flat] = map.derive_error(flat);
-            }
-        }
+        map.derive_errors();
         map
     }
 
@@ -367,29 +363,34 @@ impl ErrorMap {
     ) -> SurveyDelta {
         let (lattice, policy) = (self.lattice, self.policy);
         let (bx, by) = (beacon.pos().x, beacon.pos().y);
+        let per_side = lattice.per_side() as usize;
         let mut changed: Option<(LatticeIndex, LatticeIndex)> = None;
         let mut touched = 0usize;
-        let tested = walk_beacon(&lattice, beacon, model, |ix, flat| {
-            if add {
-                self.sum_x[flat] += bx;
-                self.sum_y[flat] += by;
-                self.count[flat] += 1;
-            } else {
-                debug_assert!(self.count[flat] > 0, "removing unaccounted beacon");
-                self.sum_x[flat] -= bx;
-                self.sum_y[flat] -= by;
-                self.count[flat] -= 1;
+        let tested = walk_beacon(&lattice, beacon, model, |j, lo, hi| {
+            for i in lo..hi {
+                let flat = j as usize * per_side + i as usize;
+                if add {
+                    self.sum_x[flat] += bx;
+                    self.sum_y[flat] += by;
+                    self.count[flat] += 1;
+                } else {
+                    debug_assert!(self.count[flat] > 0, "removing unaccounted beacon");
+                    self.sum_x[flat] -= bx;
+                    self.sum_y[flat] -= by;
+                    self.count[flat] -= 1;
+                }
+                self.errors[flat] = derive_error_at(
+                    &lattice,
+                    policy,
+                    lattice.point(LatticeIndex::new(i, j)),
+                    self.sum_x[flat],
+                    self.sum_y[flat],
+                    self.count[flat],
+                );
             }
-            self.errors[flat] = derive_error_at(
-                &lattice,
-                policy,
-                flat,
-                self.sum_x[flat],
-                self.sum_y[flat],
-                self.count[flat],
-            );
-            touched += 1;
-            Self::grow_bounds(&mut changed, ix);
+            touched += (hi - lo) as usize;
+            Self::grow_bounds(&mut changed, LatticeIndex::new(lo, j));
+            Self::grow_bounds(&mut changed, LatticeIndex::new(hi - 1, j));
         });
         if add {
             abp_radio::metrics::LINKS_TESTED.add(tested);
@@ -407,15 +408,25 @@ impl ErrorMap {
         });
     }
 
-    fn derive_error(&self, flat: usize) -> f64 {
-        derive_error_at(
-            &self.lattice,
-            self.policy,
-            flat,
-            self.sum_x[flat],
-            self.sum_y[flat],
-            self.count[flat],
-        )
+    /// Derives every point's error from its accumulators, row by row, so
+    /// each point's position comes from its row and column directly.
+    fn derive_errors(&mut self) {
+        let _span = abp_trace::span!("localize.derive_errors");
+        let lattice = self.lattice;
+        let per_side = lattice.per_side();
+        for j in 0..per_side {
+            for i in 0..per_side {
+                let flat = j as usize * per_side as usize + i as usize;
+                self.errors[flat] = derive_error_at(
+                    &lattice,
+                    self.policy,
+                    lattice.point(LatticeIndex::new(i, j)),
+                    self.sum_x[flat],
+                    self.sum_y[flat],
+                    self.count[flat],
+                );
+            }
+        }
     }
 
     /// The survey lattice.
@@ -650,18 +661,18 @@ impl ErrorMap {
 }
 
 /// Derives one lattice point's localization error from its accumulator
-/// values — the exact arithmetic of `ErrorMap::derive_error`, exposed as
-/// a free function so an incremental update can derive a point's error
-/// while it still holds the map's grids mutably.
+/// values at the point's position `p` — the arithmetic of every error
+/// the map holds, exposed as a free function so an incremental update
+/// can derive a point's error while it still holds the map's grids
+/// mutably.
 pub(crate) fn derive_error_at(
     lattice: &Lattice,
     policy: UnheardPolicy,
-    flat: usize,
+    p: Point,
     sum_x: f64,
     sum_y: f64,
     count: u32,
 ) -> f64 {
-    let p = lattice.point(lattice.unflat(flat));
     let estimate = if count > 0 {
         let inv = 1.0 / count as f64;
         Some(Point::new(sum_x * inv, sum_y * inv))
@@ -674,36 +685,76 @@ pub(crate) fn derive_error_at(
     }
 }
 
+/// Annulus runs one `Propagation::connected_runs` call decides: enough
+/// for a whole beacon's annulus at the paper's 1 m step.
+const RUN_BATCH: usize = 128;
+
 /// One beacon's walk over its reach disk (`Propagation::max_range`):
-/// calls `heard(index, flat)` for every point that hears the beacon, row
-/// by row. A point inside the beacon's guaranteed core
-/// (`Propagation::core_range`, in the contract's squared form) is heard
-/// without asking the model; only the rest of the disk pays for a
-/// `connected` call. Returns the points decided — the links tested.
+/// calls `heard(j, lo, hi)` for runs of points `lo..hi` of row `j` that
+/// hear the beacon. Each row's points inside the beacon's guaranteed core
+/// (`Propagation::core_range`, in the contract's squared form) are heard
+/// as one run without asking the model. The rest of the row is queued as
+/// runs of at most 64 points into a fixed batch that one
+/// `Propagation::connected_runs` call decides, when the batch fills and
+/// when the walk ends; only their set bits reach `heard`. Returns the
+/// points decided — the links tested.
 ///
 /// Full sweeps and incremental updates both run this walk, so they hear
-/// exactly the same points.
-fn walk_beacon(
+/// exactly the same points. Each heard point is reported once, but not
+/// in lattice order: an annulus run is reported when its batch is
+/// decided, after the cores of later rows.
+fn walk_beacon<F: FnMut(u32, u32, u32)>(
     lattice: &Lattice,
     beacon: &Beacon,
     model: &dyn Propagation,
-    mut heard: impl FnMut(LatticeIndex, usize),
+    mut heard: F,
 ) -> u64 {
     let (tx, pos) = (beacon.tx(), beacon.pos());
     let reach = model.max_range(tx, pos);
-    // Without a core no distance is small enough to skip the model.
-    let core2 = model
-        .core_range(tx, pos)
-        .map_or(f64::NEG_INFINITY, |c| c * c);
+    let step = lattice.step();
+    let decide = |runs: &[Run], masks: &mut [u64], heard: &mut F| {
+        model.connected_runs(tx, pos, step, runs, masks);
+        for (run, &mask) in runs.iter().zip(masks.iter()) {
+            for_each_set_run(mask, |lo, hi| heard(run.j(), run.i0() + lo, run.i0() + hi));
+        }
+    };
+    let mut runs = [Run::default(); RUN_BATCH];
+    let mut masks = [0u64; RUN_BATCH];
+    let mut queued = 0;
     let mut tested = 0u64;
-    lattice.for_each_in_disk(Disk::new(pos, reach), |ix, p, d2| {
-        tested += 1;
-        // `d2` is bit-equal to `pos.distance_squared(p)`, the contract's form.
-        if d2 <= core2 || model.connected(tx, pos, p) {
-            heard(ix, lattice.flat(ix));
+    let core = model.core_range(tx, pos);
+    lattice.for_each_disk_row(Disk::new(pos, reach), core, |row| {
+        tested += u64::from(row.hi - row.lo);
+        if row.core_lo < row.core_hi {
+            heard(row.j, row.core_lo, row.core_hi);
+        }
+        for (mut lo, hi) in [(row.lo, row.core_lo), (row.core_hi, row.hi)] {
+            while lo < hi {
+                if queued == RUN_BATCH {
+                    decide(&runs, &mut masks, &mut heard);
+                    queued = 0;
+                }
+                let len = (hi - lo).min(Run::MAX_LEN);
+                runs[queued] = Run::new(row.j, lo, len);
+                queued += 1;
+                lo += len;
+            }
         }
     });
+    decide(&runs[..queued], &mut masks[..queued], &mut heard);
     tested
+}
+
+/// Calls `f(lo, hi)` for each maximal run of set bits `lo..hi` of `mask`,
+/// lowest first.
+#[inline]
+fn for_each_set_run(mut mask: u64, mut f: impl FnMut(u32, u32)) {
+    while mask != 0 {
+        let lo = mask.trailing_zeros();
+        let hi = lo + (mask >> lo).trailing_ones();
+        f(lo, hi);
+        mask = mask.checked_shr(hi).map_or(0, |m| m << hi);
+    }
 }
 
 impl Clone for ErrorMap {
@@ -921,7 +972,10 @@ mod tests {
         }
         let (lattice, policy) = (*extended.lattice(), extended.policy());
         let errors = (0..extended.len())
-            .map(|f| derive_error_at(&lattice, policy, f, sum_x[f], sum_y[f], count[f]))
+            .map(|f| {
+                let p = lattice.point(lattice.unflat(f));
+                derive_error_at(&lattice, policy, p, sum_x[f], sum_y[f], count[f])
+            })
             .collect();
         ErrorMap::from_parts(lattice, policy, sum_x, sum_y, count, errors)
     }
