@@ -79,10 +79,12 @@
 //!   --retry N                   re-run a panicked or timed-out trial up to N
 //!                               more times; each attempt re-derives its seed
 //!                               deterministically, so healthy trials are
-//!                               bit-identical with or without the flag
+//!                               bit-identical with or without the flag;
+//!                               every Monte-Carlo command honours it
 //!   --trial-timeout DUR         abort any trial attempt running longer than
 //!                               DUR (e.g. 30s, 500ms) and record a structured
-//!                               timeout; combines with --retry
+//!                               timeout; combines with --retry and reaches
+//!                               the same commands
 //!   --skip-brute                bench only: skip the brute/reference sides
 //!                               for fast local iteration; DISABLES the
 //!                               bit-identity gate, never use for baselines
@@ -120,6 +122,9 @@
 //!   --progress                  live completed/total and ETA on stderr
 //!   --metrics-json PATH         write per-figure wall-clock/throughput JSON
 //!   --checkpoint PATH           persist finished sweeps; resume from PATH
+//!                               (density, improvement and fault sweeps:
+//!                               fig4..fig9, ablation, noise-styles,
+//!                               faults, all)
 //!   --trace PATH                write a structured trace of the run
 //!   --trace-format jsonl|chrome trace file format [default: jsonl]; chrome
 //!                               loads in chrome://tracing and Perfetto
@@ -808,8 +813,13 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
         "duel" => {
             announce("duel (paired Grid vs Max)");
             use abp_sim::experiments::improvement::paired_comparison;
-            let points =
-                paired_comparison(cfg, opts.noise, AlgorithmKind::Grid, AlgorithmKind::Max);
+            let points = paired_comparison(
+                cfg,
+                opts.noise,
+                AlgorithmKind::Grid,
+                AlgorithmKind::Max,
+                ctx,
+            );
             println!(
                 "paired per-field difference in mean-error improvement, Grid - Max (noise {}):",
                 opts.noise

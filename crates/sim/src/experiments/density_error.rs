@@ -9,14 +9,12 @@
 use crate::config::SimConfig;
 use crate::progress::{Ctx, TrialFailureReport};
 use crate::report::Series;
-use crate::runner::{parallel_try_map, supervised_try_map};
+use crate::sweep::{self, Codec, Sweep};
 use abp_geom::splitmix64;
 use abp_stats::{ConfidenceInterval, Welford};
 use abp_survey::ErrorMap;
 use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use std::time::Instant;
 
 /// One density point of the error-vs-density curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -134,126 +132,34 @@ pub fn run_sweep_with<F>(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>, trial: F) ->
 where
     F: Fn(&SimConfig, f64, usize, u64) -> TrialSample + Send + Sync + 'static,
 {
-    // The supervised engine's workers are detached threads, so the trial
-    // function and config cross into `'static` land behind `Arc`s.
-    let trial = Arc::new(trial);
-    let shared_cfg = Arc::new(cfg.clone());
-    let mut points = Vec::with_capacity(cfg.beacon_counts.len());
-    let mut failures = Vec::new();
-    // One checkpoint-row staging buffer for the whole sweep.
-    let mut row = BytesMut::with_capacity(80);
-    for (di, &beacons) in cfg.beacon_counts.iter().enumerate() {
-        // The key carries the noise *style* as well as the level: callers
-        // (e.g. the noise-style ablation) sweep styles within one run, and
-        // the shared checkpoint must keep their entries apart.
-        let key = format!(
-            "{EXPERIMENT}/style={}/noise={noise}/di={di}/beacons={beacons}",
-            cfg.noise_style
-        );
-        if let Some(entry) = ctx.checkpoint.and_then(|c| c.get(&key)) {
-            if let Some((point, mut restored)) = decode_density_entry(&entry) {
-                for f in &mut restored {
-                    f.density_index = di;
-                }
-                ctx.probe
-                    .sweep_done(EXPERIMENT, beacons, std::time::Duration::ZERO, true);
-                points.push(point);
-                failures.extend(restored);
-                continue;
-            }
-        }
-        ctx.probe.sweep_start(EXPERIMENT, beacons, cfg.trials);
-        let started = Instant::now();
-        let (samples, sweep_failures) = if ctx.policy.is_active() {
-            let worker_cfg = Arc::clone(&shared_cfg);
-            let worker_trial = Arc::clone(&trial);
-            let outcome = supervised_try_map(
-                cfg.trials,
-                cfg.threads,
-                ctx.policy,
-                move |t, attempt| {
-                    let _span = abp_trace::span!("trial.density_error");
-                    worker_trial(
-                        &worker_cfg,
-                        noise,
-                        beacons,
-                        worker_cfg.retry_seed(di, t, attempt),
-                    )
-                },
-                crate::progress::forward_trial_events(ctx.probe, EXPERIMENT, di, beacons),
-            );
-            let sweep_failures: Vec<TrialFailureReport> = outcome
-                .failures
-                .iter()
-                .map(|f| TrialFailureReport {
-                    experiment: EXPERIMENT,
-                    density_index: di,
-                    beacons,
-                    trial: f.index,
-                    seed: cfg.retry_seed(di, f.index, f.attempts.saturating_sub(1)),
-                    message: f.fault.to_string(),
-                })
-                .collect();
-            let samples: Vec<TrialSample> = outcome.successes.into_iter().map(|(_, s)| s).collect();
-            (samples, sweep_failures)
-        } else {
-            let outcome = parallel_try_map(cfg.trials, cfg.threads, |t| {
-                let _span = abp_trace::span!("trial.density_error");
-                let begun = Instant::now();
-                let sample = trial(cfg, noise, beacons, cfg.trial_seed(di, t));
-                ctx.probe.trial_done(begun.elapsed());
-                sample
-            });
-            let sweep_failures: Vec<TrialFailureReport> = outcome
-                .failures
-                .into_iter()
-                .map(|f| TrialFailureReport {
-                    experiment: EXPERIMENT,
-                    density_index: di,
-                    beacons,
-                    trial: f.index,
-                    seed: cfg.trial_seed(di, f.index),
-                    message: f.message,
-                })
-                .collect();
-            let samples: Vec<TrialSample> = outcome.successes.into_iter().map(|(_, s)| s).collect();
-            (samples, sweep_failures)
-        };
-        for f in &sweep_failures {
-            ctx.probe.trial_failed(f);
-        }
-        let point = aggregate(cfg, beacons, &samples);
-        if let Some(ckpt) = ctx.checkpoint {
-            if let Err(e) = ckpt.put(
-                &key,
-                encode_density_entry_into(&mut row, &point, &sweep_failures),
-            ) {
-                eprintln!(
-                    "warning: checkpoint save to {} failed: {e}",
-                    ckpt.path().display()
-                );
-            }
-        }
-        ctx.probe
-            .sweep_done(EXPERIMENT, beacons, started.elapsed(), false);
-        points.push(point);
-        failures.extend(sweep_failures);
-    }
+    // The key carries the noise *style* as well as the level: callers
+    // (e.g. the noise-style ablation) sweep styles within one run, and
+    // the shared checkpoint must keep their entries apart.
+    let key = |di: usize| {
+        format!(
+            "{EXPERIMENT}/style={}/noise={noise}/di={di}/beacons={}",
+            cfg.noise_style, cfg.beacon_counts[di]
+        )
+    };
+    let (points, failures) = sweep::run(
+        cfg,
+        ctx,
+        Sweep {
+            codec: Some(Codec {
+                key: &key,
+                encode: &encode_point,
+                decode: &decode_point,
+            }),
+            ..Sweep::new(EXPERIMENT, "trial.density_error", sweep::densities(cfg))
+        },
+        move |cfg, &beacons, seed| trial(cfg, noise, beacons, seed),
+        |&beacons, samples| aggregate(cfg, beacons, samples),
+    );
     SweepOutcome { points, failures }
 }
 
-/// Encodes one completed density (point + its failures) for the
-/// checkpoint. All floats travel as raw IEEE bits — decoding restores the
-/// exact values, which is what makes resumed figures bit-identical.
-/// The sweep keeps one `BytesMut` row staging buffer alive across
-/// densities, so only the final owned `Vec<u8>` the checkpoint stores is
-/// allocated per row.
-fn encode_density_entry_into(
-    buf: &mut BytesMut,
-    point: &DensityErrorPoint,
-    failures: &[TrialFailureReport],
-) -> Vec<u8> {
-    buf.clear();
+/// A density point's checkpoint bytes; floats travel as raw IEEE bits.
+fn encode_point(point: &DensityErrorPoint, buf: &mut BytesMut) {
     buf.put_u64(point.beacons as u64);
     buf.put_f64(point.density);
     buf.put_f64(point.per_coverage);
@@ -262,24 +168,14 @@ fn encode_density_entry_into(
     buf.put_f64(point.median_error.estimate);
     buf.put_f64(point.median_error.half_width);
     buf.put_f64(point.unheard_fraction);
-    buf.put_u32(failures.len() as u32);
-    for f in failures {
-        buf.put_u64(f.trial as u64);
-        buf.put_u64(f.seed);
-        buf.put_u32(f.message.len() as u32);
-        buf.put_slice(f.message.as_bytes());
-    }
-    buf.to_vec()
 }
 
-fn decode_density_entry(raw: &[u8]) -> Option<(DensityErrorPoint, Vec<TrialFailureReport>)> {
-    let mut buf = raw;
-    if buf.remaining() < 8 * 8 + 4 {
+fn decode_point(buf: &mut &[u8]) -> Option<DensityErrorPoint> {
+    if buf.remaining() < 8 * 8 {
         return None;
     }
-    let beacons = buf.get_u64() as usize;
-    let point = DensityErrorPoint {
-        beacons,
+    Some(DensityErrorPoint {
+        beacons: buf.get_u64() as usize,
         density: buf.get_f64(),
         per_coverage: buf.get_f64(),
         mean_error: ConfidenceInterval {
@@ -291,36 +187,7 @@ fn decode_density_entry(raw: &[u8]) -> Option<(DensityErrorPoint, Vec<TrialFailu
             half_width: buf.get_f64(),
         },
         unheard_fraction: buf.get_f64(),
-    };
-    let n_failures = buf.get_u32();
-    let mut failures = Vec::with_capacity(n_failures as usize);
-    for _ in 0..n_failures {
-        if buf.remaining() < 8 + 8 + 4 {
-            return None;
-        }
-        let trial = buf.get_u64() as usize;
-        let seed = buf.get_u64();
-        let mlen = buf.get_u32() as usize;
-        if buf.remaining() < mlen {
-            return None;
-        }
-        let message = String::from_utf8(buf[..mlen].to_vec()).ok()?;
-        buf = &buf[mlen..];
-        failures.push(TrialFailureReport {
-            experiment: EXPERIMENT,
-            // The density index is not stored; the caller patches it in
-            // from the checkpoint key it used to look this entry up.
-            density_index: usize::MAX,
-            beacons,
-            trial,
-            seed,
-            message,
-        });
-    }
-    if buf.remaining() != 0 {
-        return None;
-    }
-    Some((point, failures))
+    })
 }
 
 fn aggregate(cfg: &SimConfig, beacons: usize, samples: &[TrialSample]) -> DensityErrorPoint {
@@ -635,7 +502,12 @@ mod tests {
         );
         ckpt.put(
             &key,
-            encode_density_entry_into(&mut BytesMut::with_capacity(80), &full.points[0], &[]),
+            sweep::encode_entry(
+                &mut BytesMut::with_capacity(80),
+                &encode_point,
+                &full.points[0],
+                &[],
+            ),
         )
         .unwrap();
 

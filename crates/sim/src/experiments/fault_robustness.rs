@@ -32,7 +32,7 @@
 
 use crate::config::{AlgorithmKind, SimConfig};
 use crate::progress::{Ctx, TrialFailureReport};
-use crate::runner::{parallel_try_map, supervised_try_map};
+use crate::sweep::{self, Codec, Point, Sweep};
 use abp_fault::{BurstPlan, FaultPlan, GpsOutagePlan, MortalityPlan};
 use abp_geom::splitmix64;
 use abp_placement::SurveyView;
@@ -43,8 +43,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
 
 /// Which fault family the sweep's x-axis scales.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -270,99 +268,38 @@ pub fn run_trial(
 /// Deterministic in `cfg.seed` and thread-count invariant; a healthy
 /// sweep is bit-identical under any retry policy.
 pub fn run_sweep(cfg: &SimConfig, noise: f64, spec: &FaultSweepSpec, ctx: Ctx<'_>) -> SweepOutcome {
-    let shared = Arc::new((cfg.clone(), spec.clone()));
-    let mut points = Vec::with_capacity(spec.xs.len());
-    let mut failures = Vec::new();
-    for (xi, &x) in spec.xs.iter().enumerate() {
-        let plan_fp = spec.plan_at(x).fingerprint();
-        let key = format!(
-            "{EXPERIMENT}/plan={plan_fp:016x}/axis={}/noise={noise}/x={x}/beacons={}",
+    let key = |xi: usize| {
+        let x = spec.xs[xi];
+        format!(
+            "{EXPERIMENT}/plan={:016x}/axis={}/noise={noise}/x={x}/beacons={}",
+            spec.plan_at(x).fingerprint(),
             spec.axis.name(),
             spec.beacons
-        );
-        if let Some(entry) = ctx.checkpoint.and_then(|c| c.get(&key)) {
-            if let Some((point, mut restored)) = decode_axis_entry(&entry, spec.algorithms.len()) {
-                for f in &mut restored {
-                    f.density_index = xi;
-                }
-                ctx.probe
-                    .sweep_done(EXPERIMENT, spec.beacons, std::time::Duration::ZERO, true);
-                points.push(point);
-                failures.extend(restored);
-                continue;
-            }
-        }
-        ctx.probe.sweep_start(EXPERIMENT, spec.beacons, cfg.trials);
-        let started = Instant::now();
-        let (samples, sweep_failures) = if ctx.policy.is_active() {
-            let worker = Arc::clone(&shared);
-            let outcome = supervised_try_map(
-                cfg.trials,
-                cfg.threads,
-                ctx.policy,
-                move |t, attempt| {
-                    let _span = abp_trace::span!("trial.fault_robustness");
-                    let (cfg, spec) = &*worker;
-                    run_trial(cfg, noise, spec, x, cfg.retry_seed(xi, t, attempt))
-                },
-                crate::progress::forward_trial_events(ctx.probe, EXPERIMENT, xi, spec.beacons),
-            );
-            let sweep_failures: Vec<TrialFailureReport> = outcome
-                .failures
-                .iter()
-                .map(|f| TrialFailureReport {
-                    experiment: EXPERIMENT,
-                    density_index: xi,
-                    beacons: spec.beacons,
-                    trial: f.index,
-                    seed: cfg.retry_seed(xi, f.index, f.attempts.saturating_sub(1)),
-                    message: f.fault.to_string(),
-                })
-                .collect();
-            let samples: Vec<FaultTrialSample> =
-                outcome.successes.into_iter().map(|(_, s)| s).collect();
-            (samples, sweep_failures)
-        } else {
-            let outcome = parallel_try_map(cfg.trials, cfg.threads, |t| {
-                let _span = abp_trace::span!("trial.fault_robustness");
-                let begun = Instant::now();
-                let sample = run_trial(cfg, noise, spec, x, cfg.trial_seed(xi, t));
-                ctx.probe.trial_done(begun.elapsed());
-                sample
-            });
-            let sweep_failures: Vec<TrialFailureReport> = outcome
-                .failures
-                .into_iter()
-                .map(|f| TrialFailureReport {
-                    experiment: EXPERIMENT,
-                    density_index: xi,
-                    beacons: spec.beacons,
-                    trial: f.index,
-                    seed: cfg.trial_seed(xi, f.index),
-                    message: f.message,
-                })
-                .collect();
-            let samples: Vec<FaultTrialSample> =
-                outcome.successes.into_iter().map(|(_, s)| s).collect();
-            (samples, sweep_failures)
-        };
-        for f in &sweep_failures {
-            ctx.probe.trial_failed(f);
-        }
-        let point = aggregate(spec, x, &samples);
-        if let Some(ckpt) = ctx.checkpoint {
-            if let Err(e) = ckpt.put(&key, encode_axis_entry(&point, &sweep_failures)) {
-                eprintln!(
-                    "warning: checkpoint save to {} failed: {e}",
-                    ckpt.path().display()
-                );
-            }
-        }
-        ctx.probe
-            .sweep_done(EXPERIMENT, spec.beacons, started.elapsed(), false);
-        points.push(point);
-        failures.extend(sweep_failures);
-    }
+        )
+    };
+    let points = spec
+        .xs
+        .iter()
+        .map(|&x| Point {
+            beacons: spec.beacons,
+            at: x,
+        })
+        .collect();
+    let shared = spec.clone();
+    let (points, failures) = sweep::run(
+        cfg,
+        ctx,
+        Sweep {
+            codec: Some(Codec {
+                key: &key,
+                encode: &encode_point,
+                decode: &|buf| decode_point(buf, spec.algorithms.len()),
+            }),
+            ..Sweep::new(EXPERIMENT, "trial.fault_robustness", points)
+        },
+        move |cfg, &x, seed| run_trial(cfg, noise, &shared, x, seed),
+        |&x, samples| aggregate(spec, x, samples),
+    );
     SweepOutcome { points, failures }
 }
 
@@ -393,10 +330,9 @@ fn aggregate(spec: &FaultSweepSpec, x: f64, samples: &[FaultTrialSample]) -> Fau
     }
 }
 
-/// Encodes one completed axis point (+ its failures) for the checkpoint;
-/// floats travel as raw IEEE bits so resumed sweeps are bit-identical.
-fn encode_axis_entry(point: &FaultPoint, failures: &[TrialFailureReport]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(64 + point.improvements.len() * 16);
+/// An axis point's checkpoint bytes; floats travel as raw IEEE bits so
+/// resumed sweeps are bit-identical.
+fn encode_point(point: &FaultPoint, buf: &mut BytesMut) {
     buf.put_u64(point.beacons as u64);
     buf.put_f64(point.x);
     buf.put_f64(point.mean_error.estimate);
@@ -407,21 +343,9 @@ fn encode_axis_entry(point: &FaultPoint, failures: &[TrialFailureReport]) -> Vec
         buf.put_f64(ci.estimate);
         buf.put_f64(ci.half_width);
     }
-    buf.put_u32(failures.len() as u32);
-    for f in failures {
-        buf.put_u64(f.trial as u64);
-        buf.put_u64(f.seed);
-        buf.put_u32(f.message.len() as u32);
-        buf.put_slice(f.message.as_bytes());
-    }
-    buf.freeze().to_vec()
 }
 
-fn decode_axis_entry(
-    raw: &[u8],
-    n_algorithms: usize,
-) -> Option<(FaultPoint, Vec<TrialFailureReport>)> {
-    let mut buf = raw;
+fn decode_point(buf: &mut &[u8], n_algorithms: usize) -> Option<FaultPoint> {
     if buf.remaining() < 8 + 4 * 8 + 4 {
         return None;
     }
@@ -442,46 +366,13 @@ fn decode_axis_entry(
             half_width: buf.get_f64(),
         })
         .collect();
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n_failures = buf.get_u32();
-    let mut failures = Vec::with_capacity(n_failures as usize);
-    for _ in 0..n_failures {
-        if buf.remaining() < 8 + 8 + 4 {
-            return None;
-        }
-        let trial = buf.get_u64() as usize;
-        let seed = buf.get_u64();
-        let mlen = buf.get_u32() as usize;
-        if buf.remaining() < mlen {
-            return None;
-        }
-        let message = String::from_utf8(buf[..mlen].to_vec()).ok()?;
-        buf = &buf[mlen..];
-        failures.push(TrialFailureReport {
-            experiment: EXPERIMENT,
-            // Patched in by the caller from the checkpoint key.
-            density_index: usize::MAX,
-            beacons,
-            trial,
-            seed,
-            message,
-        });
-    }
-    if buf.remaining() != 0 {
-        return None;
-    }
-    Some((
-        FaultPoint {
-            x,
-            beacons,
-            mean_error,
-            measured_fraction,
-            improvements,
-        },
-        failures,
-    ))
+    Some(FaultPoint {
+        x,
+        beacons,
+        mean_error,
+        measured_fraction,
+        improvements,
+    })
 }
 
 #[cfg(test)]
@@ -600,8 +491,13 @@ mod tests {
         // axis point only, then resume the whole sweep.
         let plan_fp = s.plan_at(s.xs[0]).fingerprint();
         let key = format!("{EXPERIMENT}/plan={plan_fp:016x}/axis=failure/noise=0/x=0/beacons=60");
-        ckpt.put(&key, encode_axis_entry(&full.points[0], &[]))
-            .unwrap();
+        let entry = sweep::encode_entry(
+            &mut BytesMut::with_capacity(64),
+            &encode_point,
+            &full.points[0],
+            &[],
+        );
+        ckpt.put(&key, entry).unwrap();
 
         let probe = crate::progress::NoopProbe;
         let resumed = run_sweep(&c, 0.0, &s, Ctx::new(&probe).with_checkpoint(&ckpt));
@@ -662,18 +558,32 @@ mod tests {
         };
         let failures = vec![TrialFailureReport {
             experiment: EXPERIMENT,
-            density_index: usize::MAX,
+            density_index: 3,
             beacons: 60,
             trial: 4,
             seed: 0xFEED,
-            message: "boom".into(),
+            message: "panicked: boom".into(),
         }];
-        let raw = encode_axis_entry(&point, &failures);
-        let (decoded, decoded_failures) = decode_axis_entry(&raw, 2).unwrap();
+        let raw = sweep::encode_entry(
+            &mut BytesMut::with_capacity(64),
+            &encode_point,
+            &point,
+            &failures,
+        );
+        let decode = |n: usize| move |buf: &mut &[u8]| decode_point(buf, n);
+        let report = |trial, seed, message| TrialFailureReport {
+            experiment: EXPERIMENT,
+            density_index: 3,
+            beacons: 60,
+            trial,
+            seed,
+            message,
+        };
+        let (decoded, decoded_failures) = sweep::decode_entry(&raw, &decode(2), report).unwrap();
         assert_eq!(decoded, point);
         assert_eq!(decoded_failures, failures);
         // Algorithm-count mismatch and truncation are both rejected.
-        assert!(decode_axis_entry(&raw, 3).is_none());
-        assert!(decode_axis_entry(&raw[..raw.len() - 1], 2).is_none());
+        assert!(sweep::decode_entry(&raw, &decode(3), report).is_none());
+        assert!(sweep::decode_entry(&raw[..raw.len() - 1], &decode(2), report).is_none());
     }
 }

@@ -14,7 +14,7 @@
 
 use crate::config::{AlgorithmKind, SimConfig};
 use crate::progress::{Ctx, TrialFailureReport};
-use crate::runner::{parallel_map, parallel_try_map};
+use crate::sweep::{self, Codec, Sweep};
 use abp_geom::splitmix64;
 use abp_placement::SurveyView;
 use abp_stats::{ConfidenceInterval, Welford};
@@ -23,7 +23,6 @@ use bytes::{Buf, BufMut, BytesMut};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 /// One density point of an algorithm's improvement curve.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -161,7 +160,9 @@ pub fn run_sweep(
 }
 
 /// [`run_sweep`] with a custom trial function — the fault-injection seam
-/// for tests.
+/// for tests. Under an active `ctx.policy` the trials run on the
+/// supervised engine, exactly as in
+/// [`density_error::run_sweep_with`](crate::experiments::density_error::run_sweep_with).
 pub fn run_sweep_with<F>(
     cfg: &SimConfig,
     noise: f64,
@@ -170,72 +171,59 @@ pub fn run_sweep_with<F>(
     trial: F,
 ) -> SweepOutcome
 where
-    F: Fn(&SimConfig, f64, usize, u64, &[AlgorithmKind]) -> Vec<TrialImprovement> + Sync,
+    F: Fn(&SimConfig, f64, usize, u64, &[AlgorithmKind]) -> Vec<TrialImprovement>
+        + Send
+        + Sync
+        + 'static,
 {
-    let mut curves: Vec<AlgorithmImprovement> = algorithms
-        .iter()
-        .map(|&algorithm| AlgorithmImprovement {
-            algorithm,
-            points: Vec::with_capacity(cfg.beacon_counts.len()),
-        })
-        .collect();
-    let mut failures = Vec::new();
     let algo_tag: String = algorithms
         .iter()
         .map(|a| a.name())
         .collect::<Vec<_>>()
         .join("+");
-    for (di, &beacons) in cfg.beacon_counts.iter().enumerate() {
-        let key = format!("{EXPERIMENT}/noise={noise}/algos={algo_tag}/di={di}/beacons={beacons}");
-        if let Some(entry) = ctx.checkpoint.and_then(|c| c.get(&key)) {
-            if let Some((points, mut restored)) = decode_density_entry(&entry, algorithms.len()) {
-                for f in &mut restored {
-                    f.density_index = di;
-                }
-                ctx.probe
-                    .sweep_done(EXPERIMENT, beacons, std::time::Duration::ZERO, true);
-                for (curve, point) in curves.iter_mut().zip(points) {
-                    curve.points.push(point);
-                }
-                failures.extend(restored);
-                continue;
-            }
-        }
-        ctx.probe.sweep_start(EXPERIMENT, beacons, cfg.trials);
-        let started = Instant::now();
-        let outcome = parallel_try_map(cfg.trials, cfg.threads, |t| {
-            let _span = abp_trace::span!("trial.improvement");
-            let begun = Instant::now();
-            let sample = trial(cfg, noise, beacons, cfg.trial_seed(di, t), algorithms);
-            ctx.probe.trial_done(begun.elapsed());
-            sample
-        });
-        let sweep_failures: Vec<TrialFailureReport> = outcome
-            .failures
-            .into_iter()
-            .map(|f| TrialFailureReport {
-                experiment: EXPERIMENT,
-                density_index: di,
-                beacons,
-                trial: f.index,
-                seed: cfg.trial_seed(di, f.index),
-                message: f.message,
-            })
-            .collect();
-        for f in &sweep_failures {
-            ctx.probe.trial_failed(f);
-        }
-        let samples: Vec<Vec<TrialImprovement>> =
-            outcome.successes.into_iter().map(|(_, s)| s).collect();
-        let mut density_points = Vec::with_capacity(algorithms.len());
-        for ai in 0..algorithms.len() {
+    let key = |di: usize| {
+        format!(
+            "{EXPERIMENT}/noise={noise}/algos={algo_tag}/di={di}/beacons={}",
+            cfg.beacon_counts[di]
+        )
+    };
+    let shared = algorithms.to_vec();
+    let (densities, failures) = sweep::run(
+        cfg,
+        ctx,
+        Sweep {
+            codec: Some(Codec {
+                key: &key,
+                encode: &|points: &Vec<_>, buf| encode_points(points, buf),
+                decode: &|buf| decode_points(buf, algorithms.len()),
+            }),
+            ..Sweep::new(EXPERIMENT, "trial.improvement", sweep::densities(cfg))
+        },
+        move |cfg, &beacons, seed| trial(cfg, noise, beacons, seed, &shared),
+        |&beacons, samples| aggregate(cfg, beacons, algorithms.len(), samples),
+    );
+    SweepOutcome {
+        curves: curves(algorithms, densities),
+        failures,
+    }
+}
+
+/// Reduces one density's trials to one point per algorithm.
+pub(crate) fn aggregate(
+    cfg: &SimConfig,
+    beacons: usize,
+    n_algorithms: usize,
+    samples: &[Vec<TrialImprovement>],
+) -> Vec<ImprovementPoint> {
+    (0..n_algorithms)
+        .map(|ai| {
             let mut mean_w = Welford::new();
             let mut median_w = Welford::new();
-            for trial in &samples {
+            for trial in samples {
                 mean_w.push(trial[ai].mean);
                 median_w.push(trial[ai].median);
             }
-            density_points.push(ImprovementPoint {
+            ImprovementPoint {
                 beacons,
                 density: cfg.density_of(beacons),
                 mean_improvement: ConfidenceInterval::from_moments(
@@ -248,30 +236,35 @@ where
                     median_w.sample_std(),
                     median_w.count(),
                 ),
-            });
-        }
-        if let Some(ckpt) = ctx.checkpoint {
-            if let Err(e) = ckpt.put(&key, encode_density_entry(&density_points, &sweep_failures)) {
-                eprintln!(
-                    "warning: checkpoint save to {} failed: {e}",
-                    ckpt.path().display()
-                );
             }
-        }
-        ctx.probe
-            .sweep_done(EXPERIMENT, beacons, started.elapsed(), false);
-        for (curve, point) in curves.iter_mut().zip(density_points) {
-            curve.points.push(point);
-        }
-        failures.extend(sweep_failures);
-    }
-    SweepOutcome { curves, failures }
+        })
+        .collect()
 }
 
-/// Encodes one completed density (one point per algorithm + failures);
-/// floats as raw IEEE bits for bit-identical resume.
-fn encode_density_entry(points: &[ImprovementPoint], failures: &[TrialFailureReport]) -> Vec<u8> {
-    let mut buf = BytesMut::with_capacity(16 + points.len() * 48);
+/// Turns per-density points (one per algorithm) into one curve per
+/// algorithm.
+pub(crate) fn curves(
+    algorithms: &[AlgorithmKind],
+    densities: Vec<Vec<ImprovementPoint>>,
+) -> Vec<AlgorithmImprovement> {
+    let mut curves: Vec<AlgorithmImprovement> = algorithms
+        .iter()
+        .map(|&algorithm| AlgorithmImprovement {
+            algorithm,
+            points: Vec::with_capacity(densities.len()),
+        })
+        .collect();
+    for points in densities {
+        for (curve, point) in curves.iter_mut().zip(points) {
+            curve.points.push(point);
+        }
+    }
+    curves
+}
+
+/// One density's checkpoint bytes (one point per algorithm); floats as
+/// raw IEEE bits for bit-identical resume.
+fn encode_points(points: &[ImprovementPoint], buf: &mut BytesMut) {
     buf.put_u64(points.first().map_or(0, |p| p.beacons) as u64);
     buf.put_u32(points.len() as u32);
     for p in points {
@@ -281,35 +274,19 @@ fn encode_density_entry(points: &[ImprovementPoint], failures: &[TrialFailureRep
         buf.put_f64(p.median_improvement.estimate);
         buf.put_f64(p.median_improvement.half_width);
     }
-    buf.put_u32(failures.len() as u32);
-    for f in failures {
-        buf.put_u64(f.trial as u64);
-        buf.put_u64(f.seed);
-        buf.put_u32(f.message.len() as u32);
-        buf.put_slice(f.message.as_bytes());
-    }
-    buf.freeze().to_vec()
 }
 
-fn decode_density_entry(
-    raw: &[u8],
-    n_algorithms: usize,
-) -> Option<(Vec<ImprovementPoint>, Vec<TrialFailureReport>)> {
-    let mut buf = raw;
+fn decode_points(buf: &mut &[u8], n_algorithms: usize) -> Option<Vec<ImprovementPoint>> {
     if buf.remaining() < 8 + 4 {
         return None;
     }
     let beacons = buf.get_u64() as usize;
     let n_points = buf.get_u32() as usize;
-    if n_points != n_algorithms {
+    if n_points != n_algorithms || buf.remaining() < n_points * 5 * 8 {
         return None;
     }
-    let mut points = Vec::with_capacity(n_points);
-    for _ in 0..n_points {
-        if buf.remaining() < 5 * 8 {
-            return None;
-        }
-        points.push(ImprovementPoint {
+    let points = (0..n_points)
+        .map(|_| ImprovementPoint {
             beacons,
             density: buf.get_f64(),
             mean_improvement: ConfidenceInterval {
@@ -320,39 +297,9 @@ fn decode_density_entry(
                 estimate: buf.get_f64(),
                 half_width: buf.get_f64(),
             },
-        });
-    }
-    if buf.remaining() < 4 {
-        return None;
-    }
-    let n_failures = buf.get_u32();
-    let mut failures = Vec::with_capacity(n_failures as usize);
-    for _ in 0..n_failures {
-        if buf.remaining() < 8 + 8 + 4 {
-            return None;
-        }
-        let trial = buf.get_u64() as usize;
-        let seed = buf.get_u64();
-        let mlen = buf.get_u32() as usize;
-        if buf.remaining() < mlen {
-            return None;
-        }
-        let message = String::from_utf8(buf[..mlen].to_vec()).ok()?;
-        buf = &buf[mlen..];
-        failures.push(TrialFailureReport {
-            experiment: EXPERIMENT,
-            // Patched in by the caller from the checkpoint key.
-            density_index: usize::MAX,
-            beacons,
-            trial,
-            seed,
-            message,
-        });
-    }
-    if buf.remaining() != 0 {
-        return None;
-    }
-    Some((points, failures))
+        })
+        .collect();
+    Some(points)
 }
 
 /// One density point of a paired algorithm comparison.
@@ -367,35 +314,44 @@ pub struct PairedPoint {
     pub diff: ConfidenceInterval,
 }
 
+/// The name paired comparisons report to probes.
+const PAIRED_EXPERIMENT: &str = "paired-comparison";
+
 /// Paired comparison of two algorithms: both run on the *same* fields and
 /// the per-field difference of their mean-error improvements is
 /// aggregated ([`abp_stats::paired_diff_ci`]). Because the shared
 /// field-to-field variance cancels, this resolves differences an order of
 /// magnitude smaller than comparing the two marginal CIs — the rigorous
 /// form of Figure 5's "Grid beats Max at low density" reading.
+///
+/// Sweep and trial events go to `ctx.probe`; a failed trial drops out of
+/// both algorithms' samples.
 pub fn paired_comparison(
     cfg: &SimConfig,
     noise: f64,
     first: AlgorithmKind,
     second: AlgorithmKind,
+    ctx: Ctx<'_>,
 ) -> Vec<PairedPoint> {
     let algorithms = [first, second];
-    cfg.beacon_counts
-        .iter()
-        .enumerate()
-        .map(|(di, &beacons)| {
-            let samples: Vec<Vec<TrialImprovement>> = parallel_map(cfg.trials, cfg.threads, |t| {
-                run_trial(cfg, noise, beacons, cfg.trial_seed(di, t), &algorithms)
-            });
-            let a: Vec<f64> = samples.iter().map(|s| s[0].mean).collect();
-            let b: Vec<f64> = samples.iter().map(|s| s[1].mean).collect();
-            PairedPoint {
-                beacons,
-                density: cfg.density_of(beacons),
-                diff: abp_stats::paired_diff_ci(&a, &b),
-            }
-        })
-        .collect()
+    let sweep = Sweep::new(
+        PAIRED_EXPERIMENT,
+        "trial.paired_comparison",
+        sweep::densities(cfg),
+    );
+    let trial = move |cfg: &SimConfig, &beacons: &usize, seed| {
+        run_trial(cfg, noise, beacons, seed, &algorithms)
+    };
+    sweep::run(cfg, ctx, sweep, trial, |&beacons, samples| {
+        let a: Vec<f64> = samples.iter().map(|s| s[0].mean).collect();
+        let b: Vec<f64> = samples.iter().map(|s| s[1].mean).collect();
+        PairedPoint {
+            beacons,
+            density: cfg.density_of(beacons),
+            diff: abp_stats::paired_diff_ci(&a, &b),
+        }
+    })
+    .0
 }
 
 #[cfg(test)]
@@ -480,7 +436,13 @@ mod tests {
             beacon_counts: vec![30, 240],
             ..SimConfig::tiny()
         };
-        let points = paired_comparison(&c, 0.0, AlgorithmKind::Grid, AlgorithmKind::Max);
+        let points = paired_comparison(
+            &c,
+            0.0,
+            AlgorithmKind::Grid,
+            AlgorithmKind::Max,
+            Ctx::noop(),
+        );
         // Low density: Grid significantly ahead (CI excludes zero).
         assert!(
             points[0].diff.lo() > 0.0,
@@ -500,8 +462,20 @@ mod tests {
         };
         // Deterministic algorithms ignore their RNG streams, so swapping
         // the order exactly negates the difference.
-        let ab = paired_comparison(&c, 0.0, AlgorithmKind::Grid, AlgorithmKind::Max);
-        let ba = paired_comparison(&c, 0.0, AlgorithmKind::Max, AlgorithmKind::Grid);
+        let ab = paired_comparison(
+            &c,
+            0.0,
+            AlgorithmKind::Grid,
+            AlgorithmKind::Max,
+            Ctx::noop(),
+        );
+        let ba = paired_comparison(
+            &c,
+            0.0,
+            AlgorithmKind::Max,
+            AlgorithmKind::Grid,
+            Ctx::noop(),
+        );
         assert!((ab[0].diff.estimate + ba[0].diff.estimate).abs() < 1e-12);
     }
 
@@ -554,6 +528,54 @@ mod tests {
             assert_eq!(curve.points.len(), 1);
             assert!(curve.points[0].mean_improvement.estimate.is_finite());
         }
+    }
+
+    #[test]
+    fn sweep_retries_flaky_trial_and_counts_it_exactly_once() {
+        use crate::runner::RunPolicy;
+        use std::time::Duration;
+        let mut c = cfg();
+        c.beacon_counts = vec![40];
+        c.trials = 8;
+        let algos = [AlgorithmKind::Grid, AlgorithmKind::Random];
+        // Trial 5 panics on its first two attempts (identified by their
+        // derived seeds) and succeeds on the third.
+        let bad0 = c.retry_seed(0, 5, 0);
+        let bad1 = c.retry_seed(0, 5, 1);
+        let policy = RunPolicy {
+            retries: 2,
+            trial_timeout: None,
+            backoff: Duration::from_millis(1),
+        };
+        let outcome = run_sweep_with(
+            &c,
+            0.0,
+            &algos,
+            Ctx::noop().with_policy(policy),
+            move |cfg, noise, beacons, seed, algorithms| {
+                if seed == bad0 || seed == bad1 {
+                    panic!("flaky trial");
+                }
+                run_trial(cfg, noise, beacons, seed, algorithms)
+            },
+        );
+        assert!(outcome.failures.is_empty(), "retries must absorb the fault");
+        // Expected statistics: all trials at their attempt-0 seeds except
+        // trial 5, which contributes its attempt-2 sample — exactly once.
+        let samples: Vec<Vec<TrialImprovement>> = (0..8)
+            .map(|t| {
+                let seed = if t == 5 {
+                    c.retry_seed(0, 5, 2)
+                } else {
+                    c.trial_seed(0, t)
+                };
+                run_trial(&c, 0.0, 40, seed, &algos)
+            })
+            .collect();
+        assert_eq!(
+            outcome.curves,
+            curves(&algos, vec![aggregate(&c, 40, algos.len(), &samples)])
+        );
     }
 
     #[test]

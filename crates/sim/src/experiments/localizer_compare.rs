@@ -12,7 +12,8 @@
 //! multilateration — all on identical fields under the ideal radio.
 
 use crate::config::SimConfig;
-use crate::runner::parallel_map;
+use crate::progress::Ctx;
+use crate::sweep::{self, Sweep};
 use abp_geom::splitmix64;
 use abp_localize::{
     CentroidLocalizer, Localizer, LocusLocalizer, MultilaterationLocalizer,
@@ -39,58 +40,59 @@ pub struct LocalizerPoint {
     pub mean_errors: Vec<ConfidenceInterval>,
 }
 
-/// Runs the comparison. `range_sigma` is the relative range-proxy error
-/// given to the weighted-centroid and multilateration localizers
+/// The name sweeps of this experiment report to probes.
+const EXPERIMENT: &str = "localizer-compare";
+
+/// Runs the comparison, reporting sweep and trial events to `ctx.probe`
+/// and honouring `ctx.policy`. `range_sigma` is the relative range-proxy
+/// error given to the weighted-centroid and multilateration localizers
 /// (`0` = perfect ranging — their best case).
 ///
 /// Point-major surveys (the locus and multilateration localizers cannot
 /// use the beacon-major sweep), so keep `cfg.step` coarse.
-pub fn run(cfg: &SimConfig, range_sigma: f64) -> Vec<LocalizerPoint> {
-    cfg.beacon_counts
-        .iter()
-        .enumerate()
-        .map(|(di, &beacons)| {
-            let samples: Vec<Vec<f64>> = parallel_map(cfg.trials, cfg.threads, |t| {
-                let trial_seed = cfg.trial_seed(di, t);
-                let field = cfg.trial_field(beacons, trial_seed);
-                let model = cfg.model(0.0, splitmix64(trial_seed ^ 0x4E_01_5E));
-                let lattice = cfg.lattice();
-                let seed = splitmix64(trial_seed ^ 0x10CA_712E);
-                let localizers: Vec<Box<dyn Localizer>> = vec![
-                    Box::new(CentroidLocalizer::new(cfg.policy)),
-                    Box::new(WeightedCentroidLocalizer::new(
-                        1.0,
-                        range_sigma,
-                        seed,
-                        cfg.policy,
-                    )),
-                    Box::new(LocusLocalizer::new(cfg.policy).with_arc_segments(32)),
-                    Box::new(MultilaterationLocalizer::new(range_sigma, seed, cfg.policy)),
-                ];
-                localizers
-                    .iter()
-                    .map(|loc| {
-                        ErrorMap::survey_with_localizer(&lattice, &field, &*model, loc.as_ref())
-                            .mean_error()
-                    })
-                    .collect()
-            });
-            let mut accs = vec![Welford::new(); LOCALIZER_NAMES.len()];
-            for trial in &samples {
-                for (acc, &v) in accs.iter_mut().zip(trial) {
-                    acc.push(v);
-                }
+pub fn run(cfg: &SimConfig, range_sigma: f64, ctx: Ctx<'_>) -> Vec<LocalizerPoint> {
+    let sweep = Sweep::new(EXPERIMENT, "trial.localizer_compare", sweep::densities(cfg));
+    let trial = move |cfg: &SimConfig, &beacons: &usize, trial_seed| -> Vec<f64> {
+        let field = cfg.trial_field(beacons, trial_seed);
+        let model = cfg.model(0.0, splitmix64(trial_seed ^ 0x4E_01_5E));
+        let lattice = cfg.lattice();
+        let seed = splitmix64(trial_seed ^ 0x10CA_712E);
+        let localizers: Vec<Box<dyn Localizer>> = vec![
+            Box::new(CentroidLocalizer::new(cfg.policy)),
+            Box::new(WeightedCentroidLocalizer::new(
+                1.0,
+                range_sigma,
+                seed,
+                cfg.policy,
+            )),
+            Box::new(LocusLocalizer::new(cfg.policy).with_arc_segments(32)),
+            Box::new(MultilaterationLocalizer::new(range_sigma, seed, cfg.policy)),
+        ];
+        localizers
+            .iter()
+            .map(|loc| {
+                ErrorMap::survey_with_localizer(&lattice, &field, &*model, loc.as_ref())
+                    .mean_error()
+            })
+            .collect()
+    };
+    sweep::run(cfg, ctx, sweep, trial, |&beacons, samples| {
+        let mut accs = vec![Welford::new(); LOCALIZER_NAMES.len()];
+        for trial in samples {
+            for (acc, &v) in accs.iter_mut().zip(trial) {
+                acc.push(v);
             }
-            LocalizerPoint {
-                beacons,
-                density: cfg.density_of(beacons),
-                mean_errors: accs
-                    .iter()
-                    .map(|w| ConfidenceInterval::from_moments(w.mean(), w.sample_std(), w.count()))
-                    .collect(),
-            }
-        })
-        .collect()
+        }
+        LocalizerPoint {
+            beacons,
+            density: cfg.density_of(beacons),
+            mean_errors: accs
+                .iter()
+                .map(|w| ConfidenceInterval::from_moments(w.mean(), w.sample_std(), w.count()))
+                .collect(),
+        }
+    })
+    .0
 }
 
 #[cfg(test)]
@@ -108,7 +110,7 @@ mod tests {
 
     #[test]
     fn produces_all_localizers_and_sane_ordering() {
-        let points = run(&cfg(), 0.0);
+        let points = run(&cfg(), 0.0, Ctx::noop());
         assert_eq!(points.len(), 2);
         for p in &points {
             assert_eq!(p.mean_errors.len(), LOCALIZER_NAMES.len());
@@ -131,7 +133,7 @@ mod tests {
 
     #[test]
     fn every_localizer_improves_with_density() {
-        let points = run(&cfg(), 0.0);
+        let points = run(&cfg(), 0.0, Ctx::noop());
         for (k, _name) in LOCALIZER_NAMES.iter().enumerate() {
             assert!(
                 points[1].mean_errors[k].estimate < points[0].mean_errors[k].estimate,
@@ -144,6 +146,6 @@ mod tests {
     #[test]
     fn deterministic() {
         let c = cfg();
-        assert_eq!(run(&c, 0.05), run(&c, 0.05));
+        assert_eq!(run(&c, 0.05, Ctx::noop()), run(&c, 0.05, Ctx::noop()));
     }
 }

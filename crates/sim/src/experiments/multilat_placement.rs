@@ -17,17 +17,21 @@
 //! is a full re-survey rather than an incremental update.
 
 use crate::config::{AlgorithmKind, SimConfig};
-use crate::experiments::improvement::{AlgorithmImprovement, ImprovementPoint, TrialImprovement};
-use crate::runner::parallel_map;
+use crate::experiments::improvement::{self, AlgorithmImprovement, TrialImprovement};
+use crate::progress::Ctx;
+use crate::sweep::{self, Sweep};
 use abp_geom::splitmix64;
 use abp_localize::MultilaterationLocalizer;
 use abp_placement::SurveyView;
-use abp_stats::{ConfidenceInterval, Welford};
 use abp_survey::ErrorMap;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Runs the multilateration placement sweep.
+/// The name sweeps of this experiment report to probes.
+const EXPERIMENT: &str = "multilateration";
+
+/// Runs the multilateration placement sweep, reporting sweep and trial
+/// events to `ctx.probe` and honouring `ctx.policy`.
 ///
 /// `range_sigma` is the relative range-measurement error of the
 /// multilateration localizer (see
@@ -40,42 +44,21 @@ pub fn run(
     cfg: &SimConfig,
     range_sigma: f64,
     algorithms: &[AlgorithmKind],
+    ctx: Ctx<'_>,
 ) -> Vec<AlgorithmImprovement> {
-    let mut curves: Vec<AlgorithmImprovement> = algorithms
-        .iter()
-        .map(|&algorithm| AlgorithmImprovement {
-            algorithm,
-            points: Vec::with_capacity(cfg.beacon_counts.len()),
-        })
-        .collect();
-    for (di, &beacons) in cfg.beacon_counts.iter().enumerate() {
-        let samples: Vec<Vec<TrialImprovement>> = parallel_map(cfg.trials, cfg.threads, |t| {
-            run_trial(cfg, range_sigma, beacons, cfg.trial_seed(di, t), algorithms)
-        });
-        for (ai, curve) in curves.iter_mut().enumerate() {
-            let mut mean_w = Welford::new();
-            let mut median_w = Welford::new();
-            for trial in &samples {
-                mean_w.push(trial[ai].mean);
-                median_w.push(trial[ai].median);
-            }
-            curve.points.push(ImprovementPoint {
-                beacons,
-                density: cfg.density_of(beacons),
-                mean_improvement: ConfidenceInterval::from_moments(
-                    mean_w.mean(),
-                    mean_w.sample_std(),
-                    mean_w.count(),
-                ),
-                median_improvement: ConfidenceInterval::from_moments(
-                    median_w.mean(),
-                    median_w.sample_std(),
-                    median_w.count(),
-                ),
-            });
-        }
-    }
-    curves
+    let sweep = Sweep::new(
+        EXPERIMENT,
+        "trial.multilat_placement",
+        sweep::densities(cfg),
+    );
+    let shared = algorithms.to_vec();
+    let trial = move |cfg: &SimConfig, &beacons: &usize, seed| {
+        run_trial(cfg, range_sigma, beacons, seed, &shared)
+    };
+    let densities = sweep::run(cfg, ctx, sweep, trial, |&beacons, samples| {
+        improvement::aggregate(cfg, beacons, algorithms.len(), samples)
+    });
+    improvement::curves(algorithms, densities.0)
 }
 
 fn run_trial(
@@ -134,7 +117,7 @@ mod tests {
 
     #[test]
     fn placement_still_helps_multilateration_at_low_density() {
-        let curves = run(&cfg(), 0.05, &[AlgorithmKind::Grid]);
+        let curves = run(&cfg(), 0.05, &[AlgorithmKind::Grid], Ctx::noop());
         let low = &curves[0].points[0];
         assert!(
             low.mean_improvement.estimate > 0.0,
@@ -145,7 +128,7 @@ mod tests {
 
     #[test]
     fn gains_shrink_with_density_like_proximity() {
-        let curves = run(&cfg(), 0.05, &[AlgorithmKind::Grid]);
+        let curves = run(&cfg(), 0.05, &[AlgorithmKind::Grid], Ctx::noop());
         let low = curves[0].points[0].mean_improvement.estimate;
         let high = curves[0].points[1].mean_improvement.estimate;
         assert!(
@@ -159,7 +142,7 @@ mod tests {
         let mut c = cfg();
         c.beacon_counts = vec![40];
         c.trials = 4;
-        let curves = run(&c, 0.05, &AlgorithmKind::PAPER);
+        let curves = run(&c, 0.05, &AlgorithmKind::PAPER, Ctx::noop());
         assert_eq!(curves.len(), 3);
         for curve in &curves {
             assert!(curve.points[0].mean_improvement.estimate.is_finite());
@@ -171,8 +154,8 @@ mod tests {
         let mut c = cfg();
         c.beacon_counts = vec![40];
         c.trials = 4;
-        let a = run(&c, 0.05, &[AlgorithmKind::Max]);
-        let b = run(&c, 0.05, &[AlgorithmKind::Max]);
+        let a = run(&c, 0.05, &[AlgorithmKind::Max], Ctx::noop());
+        let b = run(&c, 0.05, &[AlgorithmKind::Max], Ctx::noop());
         assert_eq!(a, b);
     }
 }

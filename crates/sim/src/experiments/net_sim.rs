@@ -15,19 +15,17 @@
 //!
 //! Each sweep is deterministic in `cfg.seed` and thread-count invariant,
 //! reports progress through the standard [`Ctx`] probe, and survives
-//! panicking trials exactly like the density sweep (failed trials are
-//! reported and excluded from the statistics). Net sweeps always run on
-//! the plain parallel engine — they are short compared to the Monte-Carlo
-//! surveys, so the supervised retry machinery is not wired here.
+//! failing trials exactly like the density sweep (failed trials are
+//! reported and excluded from the statistics, and `ctx.policy` retries
+//! and times them out).
 
 use crate::config::SimConfig;
 use crate::progress::{Ctx, TrialFailureReport};
-use crate::runner::parallel_try_map;
+use crate::sweep::{self, Point, Sweep};
 use abp_geom::splitmix64;
 use abp_net::{NetConfig, NetSim};
 use abp_stats::{ConfidenceInterval, Welford};
 use abp_survey::ErrorMap;
-use std::time::Instant;
 
 /// Experiment name of the interval axis (probe events, figure id).
 pub const NET_INTERVAL: &str = "net-interval";
@@ -140,23 +138,14 @@ pub struct NetSweepOutcome {
 /// — `primary` is the mean localization error, `secondary` the fraction
 /// of lattice points hearing no beacon at all.
 pub fn interval_sweep(cfg: &SimConfig, axes: &NetAxes, ctx: Ctx<'_>) -> NetSweepOutcome {
-    let mut outcome = NetSweepOutcome {
-        points: Vec::with_capacity(axes.periods.len()),
-        failures: Vec::new(),
-    };
-    for (di, &period) in axes.periods.iter().enumerate() {
+    let points = axes.periods.iter().map(|&period| {
         let ncfg = NetConfig {
             period,
             ..axes.interval.clone()
         };
-        let (point, failures) =
-            run_point(cfg, NET_INTERVAL, di, axes.beacons, period, ctx, |seed| {
-                interval_trial(cfg, &ncfg, axes.beacons, seed)
-            });
-        outcome.points.push(point);
-        outcome.failures.extend(failures);
-    }
-    outcome
+        (period, axes.beacons, ncfg)
+    });
+    net_sweep(cfg, ctx, NET_INTERVAL, points, interval_trial)
 }
 
 /// One interval-axis trial, exposed for tests.
@@ -184,19 +173,11 @@ pub fn interval_trial(
 /// ([`abp_net::NetStats::collision_rate`]), `secondary` the backoffs per
 /// transmitted message.
 pub fn collision_sweep(cfg: &SimConfig, axes: &NetAxes, ctx: Ctx<'_>) -> NetSweepOutcome {
-    let mut outcome = NetSweepOutcome {
-        points: Vec::with_capacity(cfg.beacon_counts.len()),
-        failures: Vec::new(),
-    };
-    for (di, &beacons) in cfg.beacon_counts.iter().enumerate() {
-        let x = cfg.density_of(beacons);
-        let (point, failures) = run_point(cfg, NET_COLLISIONS, di, beacons, x, ctx, |seed| {
-            collision_trial(cfg, &axes.collision, beacons, seed)
-        });
-        outcome.points.push(point);
-        outcome.failures.extend(failures);
-    }
-    outcome
+    let points = cfg
+        .beacon_counts
+        .iter()
+        .map(|&beacons| (cfg.density_of(beacons), beacons, axes.collision.clone()));
+    net_sweep(cfg, ctx, NET_COLLISIONS, points, collision_trial)
 }
 
 /// One collision-axis trial, exposed for tests.
@@ -221,22 +202,14 @@ pub fn collision_trial(
 /// death, or the full duration when everyone survives), `secondary` the
 /// fraction of beacons still alive at the end.
 pub fn lifetime_sweep(cfg: &SimConfig, axes: &NetAxes, ctx: Ctx<'_>) -> NetSweepOutcome {
-    let mut outcome = NetSweepOutcome {
-        points: Vec::with_capacity(axes.duty_cycles.len()),
-        failures: Vec::new(),
-    };
-    for (di, &duty) in axes.duty_cycles.iter().enumerate() {
+    let points = axes.duty_cycles.iter().map(|&duty| {
         let ncfg = NetConfig {
             duty_cycle: duty,
             ..axes.lifetime.clone()
         };
-        let (point, failures) = run_point(cfg, NET_LIFETIME, di, axes.beacons, duty, ctx, |seed| {
-            lifetime_trial(cfg, &ncfg, axes.beacons, seed)
-        });
-        outcome.points.push(point);
-        outcome.failures.extend(failures);
-    }
-    outcome
+        (duty, axes.beacons, ncfg)
+    });
+    net_sweep(cfg, ctx, NET_LIFETIME, points, lifetime_trial)
 }
 
 /// One lifetime-axis trial, exposed for tests.
@@ -255,67 +228,45 @@ pub fn lifetime_trial(
     }
 }
 
-/// Runs `cfg.trials` trials of one axis point on the parallel engine,
-/// reporting sweep/trial events to `ctx.probe` and isolating panicking
-/// trials, then aggregates both metrics into 95 % confidence intervals.
-fn run_point<F>(
+/// One net sweep: `cfg.trials` trials at each `(x, beacons, config)`
+/// point, both metrics reduced to 95 % confidence intervals.
+fn net_sweep(
     cfg: &SimConfig,
-    experiment: &'static str,
-    di: usize,
-    beacons: usize,
-    x: f64,
     ctx: Ctx<'_>,
-    trial: F,
-) -> (NetPoint, Vec<TrialFailureReport>)
-where
-    F: Fn(u64) -> NetTrialSample + Sync,
-{
-    ctx.probe.sweep_start(experiment, beacons, cfg.trials);
-    let started = Instant::now();
-    let outcome = parallel_try_map(cfg.trials, cfg.threads, |t| {
-        let _span = abp_trace::span!("trial.net");
-        let begun = Instant::now();
-        let sample = trial(cfg.trial_seed(di, t));
-        ctx.probe.trial_done(begun.elapsed());
-        sample
-    });
-    let failures: Vec<TrialFailureReport> = outcome
-        .failures
-        .into_iter()
-        .map(|f| TrialFailureReport {
-            experiment,
-            density_index: di,
-            beacons,
-            trial: f.index,
-            seed: cfg.trial_seed(di, f.index),
-            message: f.message,
-        })
-        .collect();
-    for f in &failures {
-        ctx.probe.trial_failed(f);
-    }
-    let mut primary = Welford::new();
-    let mut secondary = Welford::new();
-    for (_, s) in &outcome.successes {
-        primary.push(s.primary);
-        secondary.push(s.secondary);
-    }
-    let point = NetPoint {
-        x,
-        primary: ConfidenceInterval::from_moments(
-            primary.mean(),
-            primary.sample_std(),
-            primary.count(),
-        ),
-        secondary: ConfidenceInterval::from_moments(
-            secondary.mean(),
-            secondary.sample_std(),
-            secondary.count(),
-        ),
-    };
-    ctx.probe
-        .sweep_done(experiment, beacons, started.elapsed(), false);
-    (point, failures)
+    experiment: &'static str,
+    points: impl Iterator<Item = (f64, usize, NetConfig)>,
+    trial: fn(&SimConfig, &NetConfig, usize, u64) -> NetTrialSample,
+) -> NetSweepOutcome {
+    let points = points.map(|at| Point { beacons: at.1, at }).collect();
+    let sweep = Sweep::new(experiment, "trial.net", points);
+    let (points, failures) = sweep::run(
+        cfg,
+        ctx,
+        sweep,
+        move |cfg, (_, beacons, ncfg), seed| trial(cfg, ncfg, *beacons, seed),
+        |&(x, ..), samples| {
+            let mut primary = Welford::new();
+            let mut secondary = Welford::new();
+            for s in samples {
+                primary.push(s.primary);
+                secondary.push(s.secondary);
+            }
+            NetPoint {
+                x,
+                primary: ConfidenceInterval::from_moments(
+                    primary.mean(),
+                    primary.sample_std(),
+                    primary.count(),
+                ),
+                secondary: ConfidenceInterval::from_moments(
+                    secondary.mean(),
+                    secondary.sample_std(),
+                    secondary.count(),
+                ),
+            }
+        },
+    );
+    NetSweepOutcome { points, failures }
 }
 
 /// The CLI's `--replay-check` gate: simulates one schedule twice from the
@@ -449,19 +400,21 @@ mod tests {
 
     #[test]
     fn failed_trials_are_reported_not_fatal() {
-        let c = cfg();
-        let (point, failures) = run_point(&c, NET_INTERVAL, 0, 60, 1.0, Ctx::noop(), |seed| {
-            if seed == c.trial_seed(0, 2) {
+        fn flaky(cfg: &SimConfig, _: &NetConfig, _: usize, seed: u64) -> NetTrialSample {
+            if seed == cfg.trial_seed(0, 2) {
                 panic!("injected net fault");
             }
             NetTrialSample {
                 primary: 1.0,
                 secondary: 0.5,
             }
-        });
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].trial, 2);
-        assert!(failures[0].message.contains("injected net fault"));
-        assert_eq!(point.primary.estimate, 1.0);
+        }
+        let c = cfg();
+        let points = [(1.0, 60, NetConfig::paper())].into_iter();
+        let outcome = net_sweep(&c, Ctx::noop(), NET_INTERVAL, points, flaky);
+        assert_eq!(outcome.failures.len(), 1);
+        assert_eq!(outcome.failures[0].trial, 2);
+        assert!(outcome.failures[0].message.contains("injected net fault"));
+        assert_eq!(outcome.points[0].primary.estimate, 1.0);
     }
 }

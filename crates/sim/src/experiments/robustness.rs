@@ -18,9 +18,11 @@
 
 use crate::config::{AlgorithmKind, SimConfig};
 use crate::progress::Ctx;
-use crate::runner::parallel_map;
+use crate::sweep::{self, Point, Sweep};
+use abp_field::BeaconField;
 use abp_geom::splitmix64;
 use abp_placement::SurveyView;
+use abp_radio::Propagation;
 use abp_stats::{ConfidenceInterval, Welford};
 use abp_survey::sampling::{survey_partial, SubsampleStrategy};
 use abp_survey::{ErrorMap, Robot, SurveyPlan};
@@ -38,63 +40,48 @@ pub struct RobustnessPoint {
     pub mean_improvement: ConfidenceInterval,
 }
 
-/// The name this experiment reports to probes.
+/// The name sweeps of this experiment report to probes.
 pub const EXPERIMENT: &str = "robustness";
 
-fn run_sweep<F>(
+fn run_sweep(
     cfg: &SimConfig,
     beacons: usize,
     xs: &[f64],
     ctx: Ctx<'_>,
-    degrade: F,
-) -> Vec<RobustnessPoint>
-where
-    F: Fn(f64, u64, &abp_field::BeaconField, &dyn abp_radio::Propagation) -> ErrorMap + Sync,
-{
-    xs.iter()
-        .enumerate()
-        .map(|(xi, &x)| {
-            ctx.probe.sweep_start(EXPERIMENT, beacons, cfg.trials);
-            let sweep_started = std::time::Instant::now();
-            let samples = parallel_map(cfg.trials, cfg.threads, |t| {
-                let begun = std::time::Instant::now();
-                let trial_seed = cfg.trial_seed(xi, t);
-                let field = cfg.trial_field(beacons, trial_seed);
-                let model = cfg.model(0.0, splitmix64(trial_seed ^ 0x4E_01_5E));
-                let lattice = cfg.lattice();
-                let truth = ErrorMap::survey(&lattice, &field, &*model, cfg.policy);
-                let view_map = degrade(x, trial_seed, &field, &*model);
-                let algo = AlgorithmKind::Grid.build(cfg);
-                let pos = {
-                    let view = SurveyView {
-                        map: &view_map,
-                        field: &field,
-                        model: &*model,
-                    };
-                    let mut rng = StdRng::seed_from_u64(splitmix64(trial_seed ^ 0xA160));
-                    algo.propose(&view, &mut rng)
-                };
-                let mut extended = field.clone();
-                let id = extended.add_beacon(pos);
-                let mut after = truth.clone();
-                after.add_beacon(extended.get(id).expect("just added"), &*model);
-                let sample = truth.mean_error() - after.mean_error();
-                ctx.probe.trial_done(begun.elapsed());
-                sample
-            });
-            let w: Welford = samples.into_iter().collect();
-            ctx.probe
-                .sweep_done(EXPERIMENT, beacons, sweep_started.elapsed(), false);
-            RobustnessPoint {
-                x,
-                mean_improvement: ConfidenceInterval::from_moments(
-                    w.mean(),
-                    w.sample_std(),
-                    w.count(),
-                ),
-            }
-        })
-        .collect()
+    degrade: fn(&SimConfig, f64, u64, &BeaconField, &dyn Propagation) -> ErrorMap,
+) -> Vec<RobustnessPoint> {
+    let points = xs.iter().map(|&x| Point { beacons, at: x }).collect();
+    let sweep = Sweep::new(EXPERIMENT, "trial.robustness", points);
+    let trial = move |cfg: &SimConfig, &x: &f64, trial_seed| {
+        let field = cfg.trial_field(beacons, trial_seed);
+        let model = cfg.model(0.0, splitmix64(trial_seed ^ 0x4E_01_5E));
+        let lattice = cfg.lattice();
+        let truth = ErrorMap::survey(&lattice, &field, &*model, cfg.policy);
+        let view_map = degrade(cfg, x, trial_seed, &field, &*model);
+        let algo = AlgorithmKind::Grid.build(cfg);
+        let pos = {
+            let view = SurveyView {
+                map: &view_map,
+                field: &field,
+                model: &*model,
+            };
+            let mut rng = StdRng::seed_from_u64(splitmix64(trial_seed ^ 0xA160));
+            algo.propose(&view, &mut rng)
+        };
+        let mut extended = field.clone();
+        let id = extended.add_beacon(pos);
+        let mut after = truth.clone();
+        after.add_beacon(extended.get(id).expect("just added"), &*model);
+        truth.mean_error() - after.mean_error()
+    };
+    sweep::run(cfg, ctx, sweep, trial, |&x, samples| {
+        let w: Welford = samples.iter().copied().collect();
+        RobustnessPoint {
+            x,
+            mean_improvement: ConfidenceInterval::from_moments(w.mean(), w.sample_std(), w.count()),
+        }
+    })
+    .0
 }
 
 /// Sweeps the exploration fraction: the Grid algorithm sees only a random
@@ -107,7 +94,8 @@ pub fn exploration_sweep(
     exploration_sweep_with(cfg, beacons, fractions, Ctx::noop())
 }
 
-/// [`exploration_sweep`], reporting sweep and trial events to `ctx.probe`.
+/// [`exploration_sweep`], reporting sweep and trial events to `ctx.probe`
+/// and honouring `ctx.policy`.
 pub fn exploration_sweep_with(
     cfg: &SimConfig,
     beacons: usize,
@@ -119,7 +107,7 @@ pub fn exploration_sweep_with(
         beacons,
         fractions,
         ctx,
-        |fraction, trial_seed, field, model| {
+        |cfg, fraction, trial_seed, field, model| {
             let lattice = cfg.lattice();
             let mut rng = StdRng::seed_from_u64(splitmix64(trial_seed ^ 0x5A3E));
             survey_partial(
@@ -140,7 +128,8 @@ pub fn gps_noise_sweep(cfg: &SimConfig, beacons: usize, sigmas: &[f64]) -> Vec<R
     gps_noise_sweep_with(cfg, beacons, sigmas, Ctx::noop())
 }
 
-/// [`gps_noise_sweep`], reporting sweep and trial events to `ctx.probe`.
+/// [`gps_noise_sweep`], reporting sweep and trial events to `ctx.probe`
+/// and honouring `ctx.policy`.
 pub fn gps_noise_sweep_with(
     cfg: &SimConfig,
     beacons: usize,
@@ -152,7 +141,7 @@ pub fn gps_noise_sweep_with(
         beacons,
         sigmas,
         ctx,
-        |sigma, trial_seed, field, model| {
+        |cfg, sigma, trial_seed, field, model| {
             let plan = SurveyPlan::from_lattice(cfg.lattice());
             let mut robot = Robot::new(sigma, 0, splitmix64(trial_seed ^ 0x9B5));
             let (map, _) = robot.survey(&plan, field, model, cfg.policy);

@@ -24,7 +24,8 @@
 //! density explains why no algorithm helps past saturation.
 
 use crate::config::SimConfig;
-use crate::runner::parallel_map;
+use crate::progress::Ctx;
+use crate::sweep::{self, Sweep};
 use abp_geom::splitmix64;
 use abp_stats::{ConfidenceInterval, Welford};
 use abp_survey::ErrorMap;
@@ -48,57 +49,54 @@ pub struct SolutionSpacePoint {
     pub positive_fraction: ConfidenceInterval,
 }
 
+/// The name sweeps of this experiment report to probes.
+const EXPERIMENT: &str = "solution-space";
+
 /// Runs the sweep: `candidates` uniform-random placements per trial,
 /// satisfaction threshold `threshold` (relative reduction of the field's
-/// mean error; `0.02` = "cuts the error by 2 %").
+/// mean error; `0.02` = "cuts the error by 2 %"), reporting sweep and
+/// trial events to `ctx.probe` and honouring `ctx.policy`.
 ///
 /// # Panics
 ///
-/// Panics if `candidates == 0` or `threshold` is outside `(0, 1]`.
+/// Panics, before any trial runs, if `candidates == 0` or `threshold` is
+/// outside `(0, 1]`.
 pub fn run(
     cfg: &SimConfig,
     noise: f64,
     candidates: usize,
     threshold: f64,
+    ctx: Ctx<'_>,
 ) -> Vec<SolutionSpacePoint> {
     assert!(candidates > 0, "need at least one candidate");
     assert!(
         threshold > 0.0 && threshold <= 1.0,
         "threshold must be in (0, 1], got {threshold}"
     );
-    cfg.beacon_counts
-        .iter()
-        .enumerate()
-        .map(|(di, &beacons)| {
-            let samples = parallel_map(cfg.trials, cfg.threads, |t| {
-                trial(
-                    cfg,
-                    noise,
-                    beacons,
-                    cfg.trial_seed(di, t),
-                    candidates,
-                    threshold,
-                )
-            });
-            let mut best_w = Welford::new();
-            let mut sat_w = Welford::new();
-            let mut pos_w = Welford::new();
-            for (best, sat, pos) in samples {
-                best_w.push(best);
-                sat_w.push(sat);
-                pos_w.push(pos);
-            }
-            let ci =
-                |w: &Welford| ConfidenceInterval::from_moments(w.mean(), w.sample_std(), w.count());
-            SolutionSpacePoint {
-                beacons,
-                density: cfg.density_of(beacons),
-                best_improvement: ci(&best_w),
-                satisfying_fraction: ci(&sat_w),
-                positive_fraction: ci(&pos_w),
-            }
-        })
-        .collect()
+    let sweep = Sweep::new(EXPERIMENT, "trial.solution_space", sweep::densities(cfg));
+    let trial = move |cfg: &SimConfig, &beacons: &usize, seed| {
+        trial(cfg, noise, beacons, seed, candidates, threshold)
+    };
+    sweep::run(cfg, ctx, sweep, trial, |&beacons, samples| {
+        let mut best_w = Welford::new();
+        let mut sat_w = Welford::new();
+        let mut pos_w = Welford::new();
+        for &(best, sat, pos) in samples {
+            best_w.push(best);
+            sat_w.push(sat);
+            pos_w.push(pos);
+        }
+        let ci =
+            |w: &Welford| ConfidenceInterval::from_moments(w.mean(), w.sample_std(), w.count());
+        SolutionSpacePoint {
+            beacons,
+            density: cfg.density_of(beacons),
+            best_improvement: ci(&best_w),
+            satisfying_fraction: ci(&sat_w),
+            positive_fraction: ci(&pos_w),
+        }
+    })
+    .0
 }
 
 fn trial(
@@ -153,7 +151,7 @@ mod tests {
 
     #[test]
     fn solution_space_is_denser_at_low_density() {
-        let points = run(&cfg(), 0.0, 60, 0.02);
+        let points = run(&cfg(), 0.0, 60, 0.02, Ctx::noop());
         let low = &points[0];
         let high = &points[1];
         assert!(
@@ -168,7 +166,7 @@ mod tests {
 
     #[test]
     fn fractions_are_valid_probabilities() {
-        let points = run(&cfg(), 0.3, 30, 0.02);
+        let points = run(&cfg(), 0.3, 30, 0.02, Ctx::noop());
         for p in &points {
             assert!((0.0..=1.0).contains(&p.satisfying_fraction.estimate));
             assert!((0.0..=1.0).contains(&p.positive_fraction.estimate));
@@ -178,12 +176,38 @@ mod tests {
     #[test]
     fn deterministic() {
         let c = cfg();
-        assert_eq!(run(&c, 0.0, 20, 0.02), run(&c, 0.0, 20, 0.02));
+        assert_eq!(
+            run(&c, 0.0, 20, 0.02, Ctx::noop()),
+            run(&c, 0.0, 20, 0.02, Ctx::noop())
+        );
     }
 
     #[test]
     #[should_panic(expected = "threshold")]
     fn rejects_bad_threshold() {
-        let _ = run(&cfg(), 0.0, 10, 0.0);
+        let _ = run(&cfg(), 0.0, 10, 0.0, Ctx::noop());
+    }
+
+    #[test]
+    fn bad_arguments_panic_before_any_sweep_starts() {
+        use crate::progress::Probe;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        #[derive(Default)]
+        struct Starts(AtomicUsize);
+        impl Probe for Starts {
+            fn sweep_start(&self, _: &str, _: usize, _: usize) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let c = cfg();
+        for (candidates, threshold) in [(0, 0.02), (10, 0.0), (10, 1.5), (10, f64::NAN)] {
+            let starts = Starts::default();
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                run(&c, 0.0, candidates, threshold, Ctx::new(&starts))
+            }));
+            assert!(run.is_err(), "{candidates} candidates at {threshold}");
+            assert_eq!(starts.0.load(Ordering::Relaxed), 0);
+        }
     }
 }

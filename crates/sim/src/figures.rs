@@ -520,7 +520,7 @@ pub fn solution_space(cfg: &SimConfig, noise: f64, candidates: usize, threshold:
     solution_space_with(cfg, noise, candidates, threshold, Ctx::noop())
 }
 
-/// [`solution_space()`] with figure timing via `ctx`.
+/// [`solution_space()`] with observability and retry policy via `ctx`.
 pub fn solution_space_with(
     cfg: &SimConfig,
     noise: f64,
@@ -529,53 +529,49 @@ pub fn solution_space_with(
     ctx: Ctx<'_>,
 ) -> Figure {
     timed(ctx, "solution-space", || {
-        solution_space_inner(cfg, noise, candidates, threshold)
+        let points = solution_space::run(cfg, noise, candidates, threshold, ctx);
+        let mut fig = Figure::new(
+            "solution-space",
+            format!(
+                "Solution-space density (noise {noise}, {candidates} candidates, \
+                 satisfying = -{:.0}% mean error)",
+                threshold * 100.0
+            ),
+            "density (/m^2)",
+            "fraction / meters",
+        );
+        fig.series.push(Series::new(
+            "satisfying-fraction",
+            points
+                .iter()
+                .map(|p| SeriesPoint {
+                    x: p.density,
+                    y: p.satisfying_fraction,
+                })
+                .collect(),
+        ));
+        fig.series.push(Series::new(
+            "positive-fraction",
+            points
+                .iter()
+                .map(|p| SeriesPoint {
+                    x: p.density,
+                    y: p.positive_fraction,
+                })
+                .collect(),
+        ));
+        fig.series.push(Series::new(
+            "best-improvement (m)",
+            points
+                .iter()
+                .map(|p| SeriesPoint {
+                    x: p.density,
+                    y: p.best_improvement,
+                })
+                .collect(),
+        ));
+        fig
     })
-}
-
-fn solution_space_inner(cfg: &SimConfig, noise: f64, candidates: usize, threshold: f64) -> Figure {
-    let points = solution_space::run(cfg, noise, candidates, threshold);
-    let mut fig = Figure::new(
-        "solution-space",
-        format!(
-            "Solution-space density (noise {noise}, {candidates} candidates, \
-             satisfying = -{:.0}% mean error)",
-            threshold * 100.0
-        ),
-        "density (/m^2)",
-        "fraction / meters",
-    );
-    fig.series.push(Series::new(
-        "satisfying-fraction",
-        points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.density,
-                y: p.satisfying_fraction,
-            })
-            .collect(),
-    ));
-    fig.series.push(Series::new(
-        "positive-fraction",
-        points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.density,
-                y: p.positive_fraction,
-            })
-            .collect(),
-    ));
-    fig.series.push(Series::new(
-        "best-improvement (m)",
-        points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.density,
-                y: p.best_improvement,
-            })
-            .collect(),
-    ));
-    fig
 }
 
 /// §6 future work: gains from adding `k` beacons at once — greedy with
@@ -584,7 +580,7 @@ pub fn multi_beacon(cfg: &SimConfig, noise: f64, beacons: usize, ks: &[usize]) -
     multi_beacon_with(cfg, noise, beacons, ks, Ctx::noop())
 }
 
-/// [`multi_beacon()`] with figure timing via `ctx`.
+/// [`multi_beacon()`] with observability and retry policy via `ctx`.
 pub fn multi_beacon_with(
     cfg: &SimConfig,
     noise: f64,
@@ -593,39 +589,35 @@ pub fn multi_beacon_with(
     ctx: Ctx<'_>,
 ) -> Figure {
     timed(ctx, "multi-beacon", || {
-        multi_beacon_inner(cfg, noise, beacons, ks)
+        let points = multi_beacon::run(cfg, noise, beacons, ks, ctx);
+        let mut fig = Figure::new(
+            "multi-beacon",
+            format!("Adding k beacons at once ({beacons} initial beacons, noise {noise})"),
+            "beacons added (k)",
+            "total improvement in mean error (m)",
+        );
+        fig.series.push(Series::new(
+            "greedy (re-measure)",
+            points
+                .iter()
+                .map(|p| SeriesPoint {
+                    x: p.k as f64,
+                    y: p.greedy,
+                })
+                .collect(),
+        ));
+        fig.series.push(Series::new(
+            "one-shot top-k",
+            points
+                .iter()
+                .map(|p| SeriesPoint {
+                    x: p.k as f64,
+                    y: p.oneshot,
+                })
+                .collect(),
+        ));
+        fig
     })
-}
-
-fn multi_beacon_inner(cfg: &SimConfig, noise: f64, beacons: usize, ks: &[usize]) -> Figure {
-    let points = multi_beacon::run(cfg, noise, beacons, ks);
-    let mut fig = Figure::new(
-        "multi-beacon",
-        format!("Adding k beacons at once ({beacons} initial beacons, noise {noise})"),
-        "beacons added (k)",
-        "total improvement in mean error (m)",
-    );
-    fig.series.push(Series::new(
-        "greedy (re-measure)",
-        points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.k as f64,
-                y: p.greedy,
-            })
-            .collect(),
-    ));
-    fig.series.push(Series::new(
-        "one-shot top-k",
-        points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.k as f64,
-                y: p.oneshot,
-            })
-            .collect(),
-    ));
-    fig
 }
 
 /// Estimator ablation: mean error vs density for the paper's centroid,
@@ -635,32 +627,30 @@ pub fn localizers(cfg: &SimConfig, range_sigma: f64) -> Figure {
     localizers_with(cfg, range_sigma, Ctx::noop())
 }
 
-/// [`localizers`] with figure timing via `ctx`.
+/// [`localizers`] with observability and retry policy via `ctx`.
 pub fn localizers_with(cfg: &SimConfig, range_sigma: f64, ctx: Ctx<'_>) -> Figure {
-    timed(ctx, "localizers", || localizers_inner(cfg, range_sigma))
-}
-
-fn localizers_inner(cfg: &SimConfig, range_sigma: f64) -> Figure {
-    let points = localizer_compare::run(cfg, range_sigma);
-    let mut fig = Figure::new(
-        "localizers",
-        format!("Localizer comparison, mean error vs density (range sigma {range_sigma})"),
-        "density (/m^2)",
-        "mean localization error (m)",
-    );
-    for (k, name) in localizer_compare::LOCALIZER_NAMES.iter().enumerate() {
-        fig.series.push(Series::new(
-            *name,
-            points
-                .iter()
-                .map(|p| SeriesPoint {
-                    x: p.density,
-                    y: p.mean_errors[k],
-                })
-                .collect(),
-        ));
-    }
-    fig
+    timed(ctx, "localizers", || {
+        let points = localizer_compare::run(cfg, range_sigma, ctx);
+        let mut fig = Figure::new(
+            "localizers",
+            format!("Localizer comparison, mean error vs density (range sigma {range_sigma})"),
+            "density (/m^2)",
+            "mean localization error (m)",
+        );
+        for (k, name) in localizer_compare::LOCALIZER_NAMES.iter().enumerate() {
+            fig.series.push(Series::new(
+                *name,
+                points
+                    .iter()
+                    .map(|p| SeriesPoint {
+                        x: p.density,
+                        y: p.mean_errors[k],
+                    })
+                    .collect(),
+            ));
+        }
+        fig
+    })
 }
 
 /// §6 future work: the paper's algorithms recast for multilateration
@@ -670,35 +660,31 @@ pub fn multilateration(cfg: &SimConfig, range_sigma: f64) -> Figure {
     multilateration_with(cfg, range_sigma, Ctx::noop())
 }
 
-/// [`multilateration`] with figure timing via `ctx`.
+/// [`multilateration`] with observability and retry policy via `ctx`.
 pub fn multilateration_with(cfg: &SimConfig, range_sigma: f64, ctx: Ctx<'_>) -> Figure {
     timed(ctx, "multilateration", || {
-        multilateration_inner(cfg, range_sigma)
+        let curves = multilat_placement::run(cfg, range_sigma, &AlgorithmKind::PAPER, ctx);
+        let mut fig = Figure::new(
+            "multilateration",
+            format!("Improvement in mean error under multilateration (range sigma {range_sigma})"),
+            "density (/m^2)",
+            "improvement in mean error (m)",
+        );
+        for curve in &curves {
+            fig.series.push(Series::new(
+                capitalized(curve.algorithm.name()),
+                curve
+                    .points
+                    .iter()
+                    .map(|p| SeriesPoint {
+                        x: p.density,
+                        y: p.mean_improvement,
+                    })
+                    .collect(),
+            ));
+        }
+        fig
     })
-}
-
-fn multilateration_inner(cfg: &SimConfig, range_sigma: f64) -> Figure {
-    let curves = multilat_placement::run(cfg, range_sigma, &AlgorithmKind::PAPER);
-    let mut fig = Figure::new(
-        "multilateration",
-        format!("Improvement in mean error under multilateration (range sigma {range_sigma})"),
-        "density (/m^2)",
-        "improvement in mean error (m)",
-    );
-    for curve in &curves {
-        fig.series.push(Series::new(
-            capitalized(curve.algorithm.name()),
-            curve
-                .points
-                .iter()
-                .map(|p| SeriesPoint {
-                    x: p.density,
-                    y: p.mean_improvement,
-                })
-                .collect(),
-        ));
-    }
-    fig
 }
 
 /// Converts a net sweep's two metric streams into figure series.

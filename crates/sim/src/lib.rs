@@ -11,7 +11,12 @@
 //!   20–240 beacons, 1000 fields per density),
 //! * [`runner`] — deterministic, fault-tolerant parallel trial execution,
 //!   including the supervised engine ([`runner::supervised_try_map`]) with
-//!   seed-re-deriving retries and a per-trial watchdog,
+//!   seed-re-deriving retries and a per-trial watchdog. Every experiment
+//!   runs its trials through one crate-private sweep driver, which picks
+//!   the plain engine for an inert [`RunPolicy`] and the supervised one
+//!   otherwise, reports each sweep and trial to the [`Probe`], drops and
+//!   reports failed trials, and checkpoints the density, improvement and
+//!   fault sweeps,
 //! * [`progress`] — the [`Probe`] observability hooks (progress lines,
 //!   run metrics) threaded through experiments and figures,
 //! * [`checkpoint`] — crash-safe persistence of completed density sweeps
@@ -54,6 +59,7 @@ pub mod progress;
 pub mod report;
 pub mod runner;
 pub mod scratch;
+mod sweep;
 pub mod traceprobe;
 
 pub use checkpoint::{CheckpointOpen, SweepCheckpoint};

@@ -19,22 +19,27 @@ use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A trial that panicked during a sweep, with enough context to reproduce
-/// it in isolation: the experiment, the density point, the trial index,
+/// A trial that failed during a sweep (it panicked, or the watchdog
+/// abandoned it, on its last attempt), with enough context to reproduce
+/// it in isolation: the experiment, the sweep point, the trial index,
 /// and the exact derived seed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrialFailureReport {
     /// Which experiment family the trial belonged to.
     pub experiment: &'static str,
-    /// Index into `cfg.beacon_counts`.
+    /// Index of the sweep point: a density of `cfg.beacon_counts`, or the
+    /// experiment's own axis value (a fault intensity, a `k`, …).
     pub density_index: usize,
-    /// Beacon count at that density.
+    /// Beacon count at that point.
     pub beacons: usize,
-    /// Trial index within the density.
+    /// Trial index within the point.
     pub trial: usize,
-    /// The derived trial seed (`cfg.trial_seed(density_index, trial)`).
+    /// The seed of the failed attempt
+    /// (`cfg.retry_seed(density_index, trial, attempt)`, which is
+    /// `cfg.trial_seed(density_index, trial)` for attempt 0).
     pub seed: u64,
-    /// The panic payload rendered as text.
+    /// What went wrong, as [`crate::TrialFault`] renders it:
+    /// `panicked: <payload>` or `timed out after <limit>`.
     pub message: String,
 }
 
@@ -42,7 +47,7 @@ impl fmt::Display for TrialFailureReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}: trial {} at density #{} ({} beacons, seed {:#018x}) panicked: {}",
+            "{}: trial {} at density #{} ({} beacons, seed {:#018x}) {}",
             self.experiment, self.trial, self.density_index, self.beacons, self.seed, self.message
         )
     }
@@ -54,11 +59,11 @@ impl fmt::Display for TrialFailureReport {
 pub struct TrialRetryReport {
     /// Which experiment family the trial belonged to.
     pub experiment: &'static str,
-    /// Index into `cfg.beacon_counts`.
+    /// Index of the sweep point (see [`TrialFailureReport::density_index`]).
     pub density_index: usize,
-    /// Beacon count at that density.
+    /// Beacon count at that point.
     pub beacons: usize,
-    /// Trial index within the density.
+    /// Trial index within the point.
     pub trial: usize,
     /// The attempt number that just failed (0 = first run).
     pub failed_attempt: u32,
@@ -91,11 +96,11 @@ impl fmt::Display for TrialRetryReport {
 pub struct TrialTimeoutReport {
     /// Which experiment family the trial belonged to.
     pub experiment: &'static str,
-    /// Index into `cfg.beacon_counts`.
+    /// Index of the sweep point (see [`TrialFailureReport::density_index`]).
     pub density_index: usize,
-    /// Beacon count at that density.
+    /// Beacon count at that point.
     pub beacons: usize,
-    /// Trial index within the density.
+    /// Trial index within the point.
     pub trial: usize,
     /// The attempt number that was aborted (0 = first run).
     pub attempt: u32,
@@ -116,8 +121,8 @@ impl fmt::Display for TrialTimeoutReport {
 /// Receives experiment lifecycle events.
 ///
 /// All methods have empty defaults; implement only what you observe.
-/// `trial_done` is called from worker threads on every finished trial —
-/// keep it cheap.
+/// `trial_done` fires on every finished trial, from worker threads on the
+/// plain engine — keep it cheap.
 pub trait Probe: Sync {
     /// A named figure (or table) regeneration began.
     fn figure_start(&self, id: &str) {
@@ -140,12 +145,15 @@ pub trait Probe: Sync {
         let _ = (experiment, beacons, wall, from_checkpoint);
     }
 
-    /// One trial finished; `busy` is the time the worker spent on it.
+    /// One trial finished; `busy` is the time the worker spent on it. The
+    /// plain engine calls this from the worker thread that ran the trial;
+    /// the supervised engine calls it on the calling thread.
     fn trial_done(&self, busy: Duration) {
         let _ = busy;
     }
 
-    /// One trial panicked (the sweep continues without it).
+    /// One trial failed on its last attempt (the sweep continues without
+    /// it).
     fn trial_failed(&self, failure: &TrialFailureReport) {
         let _ = failure;
     }
@@ -167,65 +175,6 @@ pub trait Probe: Sync {
     /// ignored an incompatible existing file.
     fn checkpoint_opened(&self, path: &Path, open: &CheckpointOpen) {
         let _ = (path, open);
-    }
-}
-
-/// Builds the `on_event` callback experiments hand to
-/// [`crate::runner::supervised_try_map`]: forwards successes, retries,
-/// and watchdog timeouts to `probe` with full experiment context.
-/// Terminal failures are *not* forwarded here — sweeps report them in
-/// index order after the run, via [`Probe::trial_failed`].
-pub(crate) fn forward_trial_events<'a>(
-    probe: &'a dyn Probe,
-    experiment: &'static str,
-    density_index: usize,
-    beacons: usize,
-) -> impl FnMut(crate::runner::TrialEvent<'_>) + 'a {
-    use crate::runner::{TrialEvent, TrialFault};
-    move |event| match event {
-        TrialEvent::Done { busy, .. } => probe.trial_done(busy),
-        TrialEvent::Retry {
-            index,
-            failed_attempt,
-            fault,
-            backoff,
-        } => {
-            if let TrialFault::Timeout { limit } = fault {
-                probe.trial_timed_out(&TrialTimeoutReport {
-                    experiment,
-                    density_index,
-                    beacons,
-                    trial: index,
-                    attempt: failed_attempt,
-                    limit: *limit,
-                });
-            }
-            probe.trial_retried(&TrialRetryReport {
-                experiment,
-                density_index,
-                beacons,
-                trial: index,
-                failed_attempt,
-                fault: fault.to_string(),
-                backoff,
-            });
-        }
-        TrialEvent::Failed {
-            index,
-            attempts,
-            fault,
-        } => {
-            if let TrialFault::Timeout { limit } = fault {
-                probe.trial_timed_out(&TrialTimeoutReport {
-                    experiment,
-                    density_index,
-                    beacons,
-                    trial: index,
-                    attempt: attempts.saturating_sub(1),
-                    limit: *limit,
-                });
-            }
-        }
     }
 }
 

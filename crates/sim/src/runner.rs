@@ -151,32 +151,6 @@ where
     outcome
 }
 
-/// Runs `f(0..n)` across `threads` workers and returns the results in
-/// index order.
-///
-/// Same scheduling guarantees as [`parallel_try_map`]. A panic in `f`
-/// propagates after all workers stop — use [`parallel_try_map`] to survive
-/// it instead.
-///
-/// # Example
-///
-/// ```
-/// use abp_sim::runner::parallel_map;
-/// let squares = parallel_map(8, 4, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-/// ```
-pub fn parallel_map<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let outcome = parallel_try_map(n, threads, f);
-    if let Some(first) = outcome.failures.first() {
-        panic!("{first}");
-    }
-    outcome.into_values()
-}
-
 /// Retry/watchdog settings for [`supervised_try_map`].
 ///
 /// The inactive default (`retries == 0`, no timeout) routes sweeps
@@ -677,7 +651,7 @@ mod tests {
 
     #[test]
     fn preserves_index_order() {
-        let out = parallel_map(100, 8, |i| i * 3);
+        let out = parallel_try_map(100, 8, |i| i * 3).into_values();
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 3);
@@ -686,24 +660,25 @@ mod tests {
 
     #[test]
     fn zero_and_one_tasks() {
-        assert!(parallel_map(0, 4, |i| i).is_empty());
-        assert_eq!(parallel_map(1, 4, |i| i + 7), vec![7]);
+        assert!(parallel_try_map(0, 4, |i| i).into_values().is_empty());
+        assert_eq!(parallel_try_map(1, 4, |i| i + 7).into_values(), vec![7]);
     }
 
     #[test]
     fn single_thread_equals_multi_thread() {
-        let seq = parallel_map(64, 1, |i| (i as f64).sqrt());
-        let par = parallel_map(64, 8, |i| (i as f64).sqrt());
+        let seq = parallel_try_map(64, 1, |i| (i as f64).sqrt()).into_values();
+        let par = parallel_try_map(64, 8, |i| (i as f64).sqrt()).into_values();
         assert_eq!(seq, par);
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
         let calls = AtomicU64::new(0);
-        let out = parallel_map(500, 7, |i| {
+        let out = parallel_try_map(500, 7, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
-        });
+        })
+        .into_values();
         assert_eq!(calls.load(Ordering::Relaxed), 500);
         assert_eq!(out.len(), 500);
     }
@@ -716,7 +691,7 @@ mod tests {
 
     #[test]
     fn more_threads_than_tasks_is_fine() {
-        let out = parallel_map(3, 64, |i| i);
+        let out = parallel_try_map(3, 64, |i| i).into_values();
         assert_eq!(out, vec![0, 1, 2]);
     }
 
@@ -762,17 +737,6 @@ mod tests {
         });
         assert_eq!(outcome.failures[0].message, "owned message");
         assert_eq!(outcome.failures[1].message, "non-string panic payload");
-    }
-
-    #[test]
-    #[should_panic(expected = "trial 5 panicked")]
-    fn parallel_map_propagates_first_failure() {
-        parallel_map(10, 1, |i| {
-            if i >= 5 {
-                panic!("bad trial");
-            }
-            i
-        });
     }
 
     #[test]

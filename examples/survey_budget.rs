@@ -9,7 +9,7 @@
 //! Run with: `cargo run --release --example survey_budget`
 
 use abp_sim::experiments::{robustness, solution_space};
-use abp_sim::SimConfig;
+use abp_sim::{Ctx, SimConfig};
 
 fn main() {
     let cfg = SimConfig {
@@ -41,7 +41,7 @@ fn main() {
     let mut sol_cfg = cfg.clone();
     sol_cfg.beacon_counts = vec![20, 40, 100, 240];
     sol_cfg.trials = 30;
-    let sol = solution_space::run(&sol_cfg, 0.0, 100, 0.02);
+    let sol = solution_space::run(&sol_cfg, 0.0, 100, 0.02, Ctx::noop());
     println!(
         "\n{:>10} {:>22} {:>20}",
         "density", "satisfying candidates", "best possible (m)"

@@ -1,16 +1,22 @@
-//! Tier-1 reach for two contracts whose heavy tests live in their
+//! Tier-1 reach for three contracts whose heavy tests live in their
 //! crates: a checkpointed density sweep resumes bit for bit (with the
-//! serve daemon's state file round trip), and no hostile payload makes a
-//! serve codec panic.
+//! serve daemon's state file round trip), the checkpoint files of the
+//! density, improvement and fault sweeps keep their bytes across
+//! versions, and no hostile payload makes a serve codec panic.
 
 use abp_geom::{Point, Terrain};
 use abp_serve::protocol::{self as wire, MAX_FRAME};
 use abp_serve::state::{config_fingerprint, load_state, save_state, StateOpen};
 use abp_sim::experiments::density_error;
-use abp_sim::{CheckpointOpen, Ctx, SimConfig, SweepCheckpoint};
+use abp_sim::{
+    figures, AlgorithmKind, CheckpointOpen, Ctx, Figure, Probe, SimConfig, SweepCheckpoint,
+};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use std::io::Cursor;
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// A density sweep interrupted after its first density resumes to the
 /// uninterrupted result bit for bit, and a finished checkpoint replays
@@ -98,6 +104,158 @@ fn checkpoint_resume_and_state_file_round_trip() {
         }
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Counts the sweep and trial events a run reports.
+#[derive(Default)]
+struct EventCount {
+    sweeps_started: AtomicUsize,
+    sweeps_computed: AtomicUsize,
+    sweeps_restored: AtomicUsize,
+    trials_done: AtomicUsize,
+}
+
+impl Probe for EventCount {
+    fn sweep_start(&self, _experiment: &str, _beacons: usize, _trials: usize) {
+        self.sweeps_started.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn sweep_done(&self, _experiment: &str, _beacons: usize, _wall: Duration, restored: bool) {
+        let count = if restored {
+            &self.sweeps_restored
+        } else {
+            &self.sweeps_computed
+        };
+        count.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn trial_done(&self, _busy: Duration) {
+        self.trials_done.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// One checkpointed figure of [`checkpoint_files_keep_their_bytes`].
+struct Locked {
+    name: &'static str,
+    run: fn(&SimConfig, Ctx<'_>) -> Vec<Figure>,
+    /// FNV-1a digest, byte length and entry count of the fresh file.
+    file: (u64, usize, usize),
+    /// The figure-lock (or fault-lock) digest of each CSV.
+    csvs: &'static [u64],
+}
+
+const LOCKED: [Locked; 4] = [
+    Locked {
+        name: "fig4",
+        run: |cfg, ctx| vec![figures::fig4_with(cfg, ctx)],
+        file: (0xd0a1_11fe_10c3_d7f3, 414, 3),
+        csvs: &[0x038b_8e9d_dca0_1596],
+    },
+    Locked {
+        name: "fig5",
+        run: |cfg, ctx| {
+            let (mean, median) = figures::fig5_with(cfg, ctx);
+            vec![mean, median]
+        },
+        file: (0x0e48_d728_856f_b344, 633, 3),
+        csvs: &[0x8ffa_c2db_4bd2_dc34, 0x050d_e0d0_a78f_fef1],
+    },
+    Locked {
+        name: "fig9",
+        run: |cfg, ctx| {
+            let (mean, median) = figures::fig_noise_with(cfg, AlgorithmKind::Grid, ctx);
+            vec![mean, median]
+        },
+        file: (0xba6e_a449_7cda_911e, 1392, 12),
+        csvs: &[0x620a_0d02_0912_dcc5, 0x5862_efe2_4e06_0d6e],
+    },
+    Locked {
+        name: "faults",
+        run: |cfg, ctx| {
+            let (failure, burst) = figures::faults_with(cfg, 40, ctx);
+            vec![failure, burst]
+        },
+        file: (0xccf0_9b36_45e2_619c, 1828, 10),
+        csvs: &[0x6f52_6269_4fa3_1bf6, 0xdcfe_a404_805f_8720],
+    },
+];
+
+fn csv_digests(figs: &[Figure]) -> Vec<u64> {
+    figs.iter().map(|f| fnv1a(f.to_csv().as_bytes())).collect()
+}
+
+/// The checkpoint file each checkpointed sweep family writes at the tiny
+/// preset hashes to a committed digest, at any thread count, so every
+/// key and entry byte holds across versions and a file an older build
+/// wrote keeps resuming. Reopened, the file replays its figure without
+/// starting a sweep or running a trial, and the CSVs match the figure
+/// and fault locks.
+#[test]
+fn checkpoint_files_keep_their_bytes() {
+    let dir = std::env::temp_dir().join(format!("abp-ckpt-lock-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for threads in [1, 2] {
+        let cfg = SimConfig {
+            trials: 3,
+            threads,
+            ..SimConfig::tiny()
+        };
+        for lock in &LOCKED {
+            let path = dir.join(format!("{}-{threads}.ckpt", lock.name));
+            let _ = std::fs::remove_file(&path);
+            let fresh = SweepCheckpoint::open(&path, cfg.fingerprint()).unwrap();
+            let figs = (lock.run)(&cfg, Ctx::noop().with_checkpoint(&fresh));
+            assert_eq!(csv_digests(&figs), lock.csvs, "{} CSVs", lock.name);
+            let raw = std::fs::read(&path).unwrap();
+            let (digest, len, entries) = lock.file;
+            assert_eq!(
+                (fnv1a(&raw), raw.len(), fresh.len()),
+                (digest, len, entries),
+                "{} checkpoint at {threads} thread(s): {:#018x}, {} B",
+                lock.name,
+                fnv1a(&raw),
+                raw.len()
+            );
+
+            replay(&cfg, lock, &path, entries);
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Reopens a finished checkpoint and re-runs its figure: every sweep
+/// comes back restored, no trial runs, and the CSVs are unchanged.
+fn replay(cfg: &SimConfig, lock: &Locked, path: &Path, entries: usize) {
+    let reopened = SweepCheckpoint::open(path, cfg.fingerprint()).unwrap();
+    assert_eq!(
+        reopened.opened(),
+        CheckpointOpen::Resumed {
+            entries,
+            quarantined: 0
+        }
+    );
+    let count = EventCount::default();
+    let figs = (lock.run)(cfg, Ctx::new(&count).with_checkpoint(&reopened));
+    assert_eq!(csv_digests(&figs), lock.csvs, "{} replayed CSVs", lock.name);
+    let seen = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+    assert_eq!(
+        (
+            seen(&count.sweeps_started),
+            seen(&count.sweeps_computed),
+            seen(&count.trials_done),
+            seen(&count.sweeps_restored)
+        ),
+        (0, 0, 0, entries),
+        "{} replay must restore every sweep and run no trial",
+        lock.name
+    );
 }
 
 /// Every request and response decoder, and the frame reader, takes a

@@ -25,7 +25,10 @@
 //! arguments: the Figure 1 granularity curve, the §2.2 overlap bound,
 //! the solution-space census and the localizer comparison (which
 //! surveys every localizer through the indexed connectivity oracle).
+//! The fourth covers the three time-domain figures of `abp net`, on the
+//! axes that command derives from the config.
 
+use abp_sim::experiments::net_sim::NetAxes;
 use abp_sim::experiments::overlap_bound::BoundConfig;
 use abp_sim::{figures, heatmap_demo, AlgorithmKind, Ctx, Figure, SimConfig};
 
@@ -67,6 +70,14 @@ const OTHER_DIGESTS: [(&str, u64); 4] = [
     ("bound", 0x7838_79c9_8e5a_e684),
     ("solution-space", 0x9287_bf15_2007_7910),
     ("localizers", 0xe839_c9ec_4c7c_998b),
+];
+
+/// `(figure id, digest)` for the net figures, in the order
+/// [`net_digests`] produces them.
+const NET_DIGESTS: [(&str, u64); 3] = [
+    ("net-interval", 0x7112_6311_897b_17ad),
+    ("net-collisions", 0x2d3c_35b4_da19_84bb),
+    ("net-lifetime", 0xacf9_c0ed_b4fe_9e71),
 ];
 
 /// FNV-1a, 64-bit.
@@ -153,6 +164,20 @@ fn other_digests(threads: usize) -> Vec<(String, u64)> {
     .collect()
 }
 
+fn net_digests(threads: usize) -> Vec<(String, u64)> {
+    let cfg = tiny(threads);
+    let ctx = Ctx::noop();
+    let axes = NetAxes::for_config(&cfg);
+    [
+        figures::net_interval_with(&cfg, &axes, ctx),
+        figures::net_collisions_with(&cfg, &axes, ctx),
+        figures::net_lifetime_with(&cfg, &axes, ctx),
+    ]
+    .iter()
+    .map(|f| (f.id.clone(), csv_digest(f)))
+    .collect()
+}
+
 fn assert_digests(got: &[(String, u64)], want: &[(&str, u64)], threads: usize) {
     assert_eq!(got.len(), want.len(), "figure count changed");
     for ((id, digest), (want_id, want)) in got.iter().zip(want) {
@@ -182,5 +207,12 @@ fn grid_consuming_figures_match_committed_digests() {
 fn figures_without_placement_match_committed_digests() {
     for threads in [1, 2] {
         assert_digests(&other_digests(threads), &OTHER_DIGESTS, threads);
+    }
+}
+
+#[test]
+fn net_figures_match_committed_digests() {
+    for threads in [1, 2] {
+        assert_digests(&net_digests(threads), &NET_DIGESTS, threads);
     }
 }
