@@ -1,7 +1,7 @@
-//! Criterion benchmarks for the beaconplace workspace (see the
-//! `benches/` directory), plus the tracked bench baseline behind the
-//! `abp bench` subcommand ([`sweep`]): brute-vs-indexed timings of the
-//! survey sweep and greedy candidate scan with a bit-identical output
+//! The tracked kernel harness behind the `abp bench` subcommand
+//! ([`sweep`]): each hot kernel — the survey sweep, the incremental
+//! re-survey and the greedy candidate scan — timed in its production
+//! form against its brute-force oracle, with a bit-identical output
 //! check on every sample.
 #![forbid(unsafe_code)]
 

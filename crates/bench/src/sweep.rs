@@ -1,13 +1,14 @@
 //! The tracked bench baseline behind `abp bench`.
 //!
-//! Times the two hot kernels — the survey connectivity sweep and the
-//! greedy candidate scan — in both their brute-force and production
-//! ("indexed" in the report) forms, on the same field, and verifies on
-//! every run that the production outputs are **bit-identical** to the
-//! brute ones before reporting any timing. A bench that reports
-//! a speedup for a kernel that changed the answer would be worthless;
-//! here `identical: false` in the emitted JSON is a red flag CI fails
-//! on.
+//! Times the hot kernels — the survey connectivity sweep, the
+//! incremental re-survey and the greedy candidate scan — in both their
+//! brute-force and production ("indexed" in the report) forms, on the
+//! same field, and verifies on every sample that the production outputs
+//! are **bit-identical** to the brute ones before reporting any timing.
+//! A bench that reports a speedup for a kernel that changed the answer
+//! would be worthless; here `identical: false` in the emitted JSON is a
+//! red flag CI fails on. Every run times every kernel against its
+//! oracle: there is no mode that skips the brute side or the check.
 //!
 //! The survey kernel times the full sweep: the point-major oracle
 //! [`ErrorMap::survey_point_major`] against the beacon-major production
@@ -15,7 +16,12 @@
 //! whole reach is its guaranteed core. The `survey_sweep_noisy` kernel
 //! times the same pair under speckled noise at 0.5, where most of each
 //! reach is the annulus the model decides, with the production side
-//! threading a reused [`SurveyScratch`]. The candidate-scan kernels
+//! threading a reused [`SurveyScratch`]. The `resurvey_incremental`
+//! kernel grows the field by one beacon at the terrain centre and times
+//! a full [`ErrorMap::survey`] of the grown field against
+//! [`ErrorMap::add_beacon`] on a copy of the base map (the copy is made
+//! outside the timed region); both are checked against the point-major
+//! oracle of the grown field. The candidate-scan kernels
 //! mirror the greedy deployment loops round for round but time **only
 //! the scan/score phase** (brute: `propose_ranked`; incremental: scorer
 //! construction + `ranked` + `apply_delta`): the per-round deployment
@@ -48,12 +54,6 @@
 //! range — exact for small sample counts, no normality assumption).
 //! See `docs/PERFORMANCE.md` for how to read the emitted
 //! `BENCH_sweep.json`.
-//!
-//! With [`BenchConfig::skip_brute`] set (the CLI's `--skip-brute`) the
-//! brute/reference sides are not run at all: each kernel reports its
-//! indexed timing on both sides, `speedup` degenerates to 1, and the
-//! bit-identity gate is **disabled** — the run is for fast local
-//! iteration on the indexed kernels only, never for tracked baselines.
 
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
@@ -100,7 +100,12 @@ use std::time::Instant;
 /// model decides, timed as the point-major oracle against the
 /// production sweep through a reused scratch. Its steady-state
 /// allocations join the `alloc` block.
-pub const SCHEMA: &str = "abp-bench-sweep/8";
+/// `/9` removes the telemetry on/off load pairs (`serve_ab_pairs`,
+/// `qps_metrics_off`, `telemetry_overhead`) and the `skip_brute` flag,
+/// and adds the `resurvey_incremental` kernel: one added beacon as a
+/// full survey of the grown field against `ErrorMap::add_beacon` on the
+/// base map.
+pub const SCHEMA: &str = "abp-bench-sweep/9";
 
 /// Scenario and sampling configuration for one bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,19 +129,10 @@ pub struct BenchConfig {
     pub greedy_k: usize,
     /// Seed for the random beacon field.
     pub seed: u64,
-    /// Skip the brute/reference sides entirely: indexed timings are
-    /// reported on both sides, speedups degenerate to 1, and the
-    /// bit-identity gate is disabled. For fast local iteration only.
-    pub skip_brute: bool,
     /// Client threads the serve load harness drives.
     pub serve_clients: usize,
     /// Measured requests per serve client (after warm-up).
     pub serve_requests: usize,
-    /// Interleaved telemetry on/off load pairs for the overhead CI.
-    /// Each pair runs the full serve load twice (order alternating
-    /// between pairs); the per-pair QPS deltas feed the
-    /// `telemetry_overhead` median and confidence interval.
-    pub serve_ab_pairs: usize,
 }
 
 impl BenchConfig {
@@ -153,10 +149,8 @@ impl BenchConfig {
             repeats: 17,
             greedy_k: 16,
             seed: 42,
-            skip_brute: false,
             serve_clients: 4,
             serve_requests: 2000,
-            serve_ab_pairs: 3,
         }
     }
 
@@ -171,10 +165,8 @@ impl BenchConfig {
             repeats: 3,
             greedy_k: 3,
             seed: 42,
-            skip_brute: false,
             serve_clients: 2,
             serve_requests: 150,
-            serve_ab_pairs: 2,
         }
     }
 }
@@ -198,30 +190,21 @@ impl Timing {
     /// order-statistic ranks (clamped to the observed min/max, so with
     /// very few samples the interval degenerates to the full range).
     fn from_samples(seconds: &[f64]) -> Timing {
-        let (median_s, ci95_lo_s, ci95_hi_s) = median_ci95(seconds);
+        assert!(!seconds.is_empty(), "need at least one timed sample");
+        let summary = Summary::from_slice(seconds);
+        let sorted = summary.sorted_values();
+        let n = sorted.len();
+        let half = 0.98 * (n as f64).sqrt();
+        let mid = (n as f64 - 1.0) / 2.0;
+        let lo = ((mid - half).floor().max(0.0)) as usize;
+        let hi = ((mid + half).ceil() as usize).min(n - 1);
         Timing {
-            median_s,
-            ci95_lo_s,
-            ci95_hi_s,
-            samples: seconds.len(),
+            median_s: summary.median(),
+            ci95_lo_s: sorted[lo],
+            ci95_hi_s: sorted[hi],
+            samples: n,
         }
     }
-}
-
-/// Median and distribution-free 95% CI on the median (binomial
-/// order-statistic ranks, clamped to the observed range). Shared by
-/// the per-kernel [`Timing`] summaries and the telemetry-overhead
-/// percentage samples, which can legitimately be negative.
-fn median_ci95(values: &[f64]) -> (f64, f64, f64) {
-    assert!(!values.is_empty(), "need at least one timed sample");
-    let summary = Summary::from_slice(values);
-    let sorted = summary.sorted_values();
-    let n = sorted.len();
-    let half = 0.98 * (n as f64).sqrt();
-    let mid = (n as f64 - 1.0) / 2.0;
-    let lo = ((mid - half).floor().max(0.0)) as usize;
-    let hi = ((mid + half).ceil() as usize).min(n - 1);
-    (summary.median(), sorted[lo], sorted[hi])
 }
 
 /// One kernel's brute-vs-indexed comparison.
@@ -248,8 +231,7 @@ pub struct KernelResult {
 impl KernelResult {
     /// Whether the speedup interval contains 1.0 — i.e. the bench
     /// cannot distinguish the indexed kernel from the brute one at
-    /// this sample count. Skipped-brute results (degenerate interval
-    /// exactly `[1, 1]`) do not count as straddling.
+    /// this sample count.
     pub fn speedup_ci_straddles_unity(&self) -> bool {
         let (lo, hi) = self.speedup_ci95;
         lo < 1.0 && 1.0 < hi
@@ -271,34 +253,6 @@ pub struct AllocStats {
     pub allocs_per_trial: f64,
     /// Mean bytes requested per reused-scratch survey.
     pub bytes_per_trial: f64,
-}
-
-/// Throughput cost of live telemetry, estimated from interleaved
-/// on/off serve-load pairs rather than a single A/B sample. The old
-/// `/5` point estimate regularly reported *negative* overhead (the
-/// instrumented run measuring faster than its baseline) because one
-/// pair of runs cannot separate the effect from drift; the median over
-/// alternating-order pairs plus a CI makes the noise visible instead
-/// of laundering it into a signed point value.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryOverhead {
-    /// Per-pair overhead percentages, in run order:
-    /// `(off.qps - on.qps) / off.qps * 100`.
-    pub pair_pcts: Vec<f64>,
-    /// Median of the per-pair percentages.
-    pub median_pct: f64,
-    /// Lower bound of the 95% CI on the median.
-    pub ci95_lo_pct: f64,
-    /// Upper bound of the 95% CI on the median.
-    pub ci95_hi_pct: f64,
-}
-
-impl TelemetryOverhead {
-    /// Whether the CI contains zero — i.e. the measured overhead is
-    /// indistinguishable from noise at this pair count.
-    pub fn ci_straddles_zero(&self) -> bool {
-        self.ci95_lo_pct < 0.0 && 0.0 < self.ci95_hi_pct
-    }
 }
 
 /// The machine a report was measured on, so a ratio can be read against
@@ -347,37 +301,24 @@ pub struct BenchReport {
     /// Allocation accounting for the reused-scratch survey path.
     pub alloc: AllocStats,
     /// The `abp-serve` daemon under the in-process load harness with
-    /// per-opcode telemetry ON and the `/metrics` HTTP listener scraped
-    /// concurrently: client-observed latency quantiles, throughput, the
+    /// the `/metrics` HTTP listener scraped concurrently:
+    /// client-observed latency quantiles, throughput, the
     /// served-vs-batch bit-identity gate, and the serving path's
     /// allocation rate.
     pub serve: abp_serve::bench::LoadReport,
-    /// The same load with telemetry OFF and no metrics listener — the
-    /// baseline the telemetry-overhead figure is measured against.
-    pub serve_off: abp_serve::bench::LoadReport,
     /// The daemon flooded at twice its admission cap: proof that load
     /// shedding keeps the accepted requests' tail latency bounded (and
     /// the request path allocation-free) while the excess is answered
     /// `Overloaded`.
     pub overload: abp_serve::bench::OverloadReport,
-    /// Telemetry overhead from the interleaved on/off load pairs.
-    pub telemetry: TelemetryOverhead,
 }
 
 impl BenchReport {
     /// Whether every kernel's indexed variant matched its brute output
     /// bit for bit — and the served localization path matched the batch
-    /// pipeline over the full lattice (in both serve runs).
+    /// pipeline over the full lattice.
     pub fn all_identical(&self) -> bool {
-        self.kernels.iter().all(|k| k.identical) && self.serve.identical && self.serve_off.identical
-    }
-
-    /// Throughput lost to live telemetry, in percent of the
-    /// telemetry-off baseline: the median over the interleaved on/off
-    /// pairs (negative medians mean the effect is inside measurement
-    /// noise — check [`TelemetryOverhead::ci_straddles_zero`]).
-    pub fn telemetry_overhead_pct(&self) -> f64 {
-        self.telemetry.median_pct
+        self.kernels.iter().all(|k| k.identical) && self.serve.identical
     }
 
     /// Serializes the report as a single JSON object (schema
@@ -403,11 +344,6 @@ impl BenchReport {
         out.push_str(&format!("  \"seed\": {},\n", self.config.seed));
         out.push_str(&format!("  \"repeats\": {},\n", self.config.repeats));
         out.push_str(&format!("  \"greedy_k\": {},\n", self.config.greedy_k));
-        out.push_str(&format!(
-            "  \"serve_ab_pairs\": {},\n",
-            self.config.serve_ab_pairs
-        ));
-        out.push_str(&format!("  \"skip_brute\": {},\n", self.config.skip_brute));
         let text = |value: &str| value.replace(['"', '\\'], "_");
         out.push_str(&format!(
             "  \"host\": {{\"nproc\": {}, \"cpu\": \"{}\", \"rustc\": \"{}\"}},\n",
@@ -445,18 +381,6 @@ impl BenchReport {
         out.push_str(&format!(
             "    \"scrape_max_s\": {},\n",
             json_f64(s.scrape_max_s)
-        ));
-        out.push_str(&format!(
-            "    \"qps_metrics_off\": {},\n",
-            json_f64(self.serve_off.qps)
-        ));
-        let t = &self.telemetry;
-        out.push_str(&format!(
-            "    \"telemetry_overhead\": {{\"pairs\": {}, \"median_pct\": {}, \"ci95_lo_pct\": {}, \"ci95_hi_pct\": {}}},\n",
-            t.pair_pcts.len(),
-            json_f64(t.median_pct),
-            json_f64(t.ci95_lo_pct),
-            json_f64(t.ci95_hi_pct)
         ));
         out.push_str(&format!("    \"identical\": {},\n", s.identical));
         out.push_str(&format!("    \"final_epoch\": {}\n", s.final_epoch));
@@ -560,29 +484,24 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         let mut indexed_s = Vec::with_capacity(cfg.repeats);
         let mut identical = true;
         // Warmup (untimed) to fault in code and caches.
-        if !cfg.skip_brute {
-            let _ = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
-        }
+        let _ = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
         let _ = ErrorMap::survey(&lattice, &field, &model, policy);
         for _ in 0..cfg.repeats {
-            if !cfg.skip_brute {
-                let t = Instant::now();
-                let brute = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
-                brute_s.push(t.elapsed().as_secs_f64());
-                identical &= maps_bit_identical(&brute, &base_map);
-            }
+            let t = Instant::now();
+            let brute = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
+            brute_s.push(t.elapsed().as_secs_f64());
+            identical &= maps_bit_identical(&brute, &base_map);
             let t = Instant::now();
             let indexed = ErrorMap::survey(&lattice, &field, &model, policy);
             indexed_s.push(t.elapsed().as_secs_f64());
-            if !cfg.skip_brute {
-                identical &= maps_bit_identical(&indexed, &base_map);
-            }
+            identical &= maps_bit_identical(&indexed, &base_map);
         }
-        kernels.push(if cfg.skip_brute {
-            kernel_result_skipped("survey_sweep", &indexed_s)
-        } else {
-            kernel_result("survey_sweep", identical, &brute_s, &indexed_s)
-        });
+        kernels.push(kernel_result(
+            "survey_sweep",
+            identical,
+            &brute_s,
+            &indexed_s,
+        ));
     }
 
     // Kernel 2: the steady-state trial loop — a fresh survey per sample
@@ -598,24 +517,21 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         let mut identical = true;
         warm_scratch(&lattice, &field, &model, policy, &mut scratch);
         for _ in 0..cfg.repeats {
-            if !cfg.skip_brute {
-                let t = Instant::now();
-                let fresh = ErrorMap::survey(&lattice, &field, &model, policy);
-                fresh_s.push(t.elapsed().as_secs_f64());
-                identical &= maps_bit_identical(&fresh, &base_map);
-            }
+            let t = Instant::now();
+            let fresh = ErrorMap::survey(&lattice, &field, &model, policy);
+            fresh_s.push(t.elapsed().as_secs_f64());
+            identical &= maps_bit_identical(&fresh, &base_map);
             let (reused, seconds) = allocs.survey(&lattice, &field, &model, policy, &mut scratch);
             reused_s.push(seconds);
-            if !cfg.skip_brute {
-                identical &= maps_bit_identical(&reused, &base_map);
-            }
+            identical &= maps_bit_identical(&reused, &base_map);
             scratch.recycle(reused);
         }
-        kernels.push(if cfg.skip_brute {
-            kernel_result_skipped("survey_sweep_scratch", &reused_s)
-        } else {
-            kernel_result("survey_sweep_scratch", identical, &fresh_s, &reused_s)
-        });
+        kernels.push(kernel_result(
+            "survey_sweep_scratch",
+            identical,
+            &fresh_s,
+            &reused_s,
+        ));
     }
 
     // Kernel 3: the survey sweep under the paper's noise at its highest
@@ -627,32 +543,64 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         let mut brute_s = Vec::with_capacity(cfg.repeats);
         let mut indexed_s = Vec::with_capacity(cfg.repeats);
         let mut identical = true;
-        let oracle = (!cfg.skip_brute)
-            .then(|| ErrorMap::survey_point_major(&lattice, &field, &noisy, policy));
+        let oracle = ErrorMap::survey_point_major(&lattice, &field, &noisy, policy);
         warm_scratch(&lattice, &field, &noisy, policy, &mut scratch);
         for _ in 0..cfg.repeats {
-            if let Some(oracle) = &oracle {
-                let t = Instant::now();
-                let brute = ErrorMap::survey_point_major(&lattice, &field, &noisy, policy);
-                brute_s.push(t.elapsed().as_secs_f64());
-                identical &= maps_bit_identical(&brute, oracle);
-            }
+            let t = Instant::now();
+            let brute = ErrorMap::survey_point_major(&lattice, &field, &noisy, policy);
+            brute_s.push(t.elapsed().as_secs_f64());
+            identical &= maps_bit_identical(&brute, &oracle);
             let (swept, seconds) = allocs.survey(&lattice, &field, &noisy, policy, &mut scratch);
             indexed_s.push(seconds);
-            if let Some(oracle) = &oracle {
-                identical &= maps_bit_identical(&swept, oracle);
-            }
+            identical &= maps_bit_identical(&swept, &oracle);
             scratch.recycle(swept);
         }
-        kernels.push(if cfg.skip_brute {
-            kernel_result_skipped("survey_sweep_noisy", &indexed_s)
-        } else {
-            kernel_result("survey_sweep_noisy", identical, &brute_s, &indexed_s)
-        });
+        kernels.push(kernel_result(
+            "survey_sweep_noisy",
+            identical,
+            &brute_s,
+            &indexed_s,
+        ));
     }
     let alloc = allocs.stats();
 
-    // Kernels 4–5: the greedy candidate scan, full re-score vs
+    // Kernel 4: one beacon added at the terrain centre, as a full survey
+    // of the grown field vs `add_beacon` on a copy of the base map. The
+    // copy is refreshed outside the timed region, so only the update is
+    // timed; both sides are checked against the grown field's
+    // point-major oracle.
+    {
+        let mut grown_field = field.clone();
+        let id = grown_field.add_beacon(Point::new(cfg.side / 2.0, cfg.side / 2.0));
+        let beacon = *grown_field.get(id).expect("beacon just added");
+        let oracle = ErrorMap::survey_point_major(&lattice, &grown_field, &model, policy);
+        // Warmup (untimed) of both sides.
+        let mut grown = base_map.clone();
+        grown.add_beacon(&beacon, &model);
+        let _ = ErrorMap::survey(&lattice, &grown_field, &model, policy);
+        let mut brute_s = Vec::with_capacity(cfg.repeats);
+        let mut indexed_s = Vec::with_capacity(cfg.repeats);
+        let mut identical = true;
+        for _ in 0..cfg.repeats {
+            let t = Instant::now();
+            let full = ErrorMap::survey(&lattice, &grown_field, &model, policy);
+            brute_s.push(t.elapsed().as_secs_f64());
+            identical &= maps_bit_identical(&full, &oracle);
+            grown.clone_from(&base_map);
+            let t = Instant::now();
+            grown.add_beacon(&beacon, &model);
+            indexed_s.push(t.elapsed().as_secs_f64());
+            identical &= maps_bit_identical(&grown, &oracle);
+        }
+        kernels.push(kernel_result(
+            "resurvey_incremental",
+            identical,
+            &brute_s,
+            &indexed_s,
+        ));
+    }
+
+    // Kernels 5–6: the greedy candidate scan, full re-score vs
     // incremental delta re-score, for Grid and Max.
     let grid_algo = GridPlacement::paper(terrain, cfg.nominal_range);
     kernels.push(candidate_scan_kernel(
@@ -676,13 +624,10 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         cfg,
     ));
 
-    // Kernel 6 (reported as `serve_qps`, not a brute/indexed pair): the
-    // online daemon under concurrent TCP load — the serving layer's
-    // throughput, tail latency, allocation rate, and bit-identity gate.
-    // The load runs `serve_ab_pairs` times each with telemetry OFF (no
-    // listener) and ON (live `/metrics` scraped concurrently), pairs
-    // interleaved and run order alternating between pairs, so slow
-    // drift cancels out of the per-pair overhead percentages.
+    // The online daemon under concurrent TCP load (reported as
+    // `serve_qps`, not a brute/indexed pair): the serving layer's
+    // throughput, tail latency, allocation rate and bit-identity gate,
+    // with the `/metrics` listener scraped concurrently.
     let load = abp_serve::bench::LoadConfig {
         clients: cfg.serve_clients,
         requests_per_client: cfg.serve_requests,
@@ -690,74 +635,25 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         place_every: 16,
         seed: cfg.seed,
     };
+    // The resilience knobs stay at their neutral defaults; the overload
+    // run arms `max_conns` itself.
     let mut serve_cfg = abp_serve::daemon::ServeConfig {
-        addr: "127.0.0.1:0".into(),
-        workers: 0,
         beacons: cfg.beacons,
         side: cfg.side,
         step: cfg.step,
         nominal_range: cfg.nominal_range,
         seed: cfg.seed,
-        telemetry: false,
-        metrics_addr: None,
-        // The resilience knobs stay at their neutral defaults for the
-        // throughput runs; the overload run below arms `max_conns`
-        // itself.
-        max_conns: 0,
-        shed_watermark: 0,
-        deadline: None,
-        frame_window: std::time::Duration::from_secs(10),
-        idle_timeout: std::time::Duration::from_secs(300),
-        state_path: None,
-        panic_seed: None,
-        survey_threads: 1,
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..abp_serve::daemon::ServeConfig::paper_scale()
     };
-    let run_pair_side = |serve_cfg: &mut abp_serve::daemon::ServeConfig, on: bool| {
-        serve_cfg.telemetry = on;
-        serve_cfg.metrics_addr = on.then(|| "127.0.0.1:0".into());
-        abp_serve::bench::run_load(serve_cfg, &load)
-            .expect("serve load harness failed (loopback bind or client error)")
-    };
-    let pairs = cfg.serve_ab_pairs.max(1);
-    let mut pair_pcts = Vec::with_capacity(pairs);
-    let mut serve = None;
-    let mut serve_off = None;
-    for pair in 0..pairs {
-        // Alternate which side runs first so any monotone drift in
-        // machine load biases the overhead estimate both ways.
-        let (off, on) = if pair % 2 == 0 {
-            let off = run_pair_side(&mut serve_cfg, false);
-            let on = run_pair_side(&mut serve_cfg, true);
-            (off, on)
-        } else {
-            let on = run_pair_side(&mut serve_cfg, true);
-            let off = run_pair_side(&mut serve_cfg, false);
-            (off, on)
-        };
-        pair_pcts.push(if off.qps > 0.0 {
-            (off.qps - on.qps) / off.qps * 100.0
-        } else {
-            0.0
-        });
-        serve = Some(on);
-        serve_off = Some(off);
-    }
-    let serve = serve.expect("at least one A/B pair ran");
-    let serve_off = serve_off.expect("at least one A/B pair ran");
-    let (median_pct, ci95_lo_pct, ci95_hi_pct) = median_ci95(&pair_pcts);
-    let telemetry = TelemetryOverhead {
-        pair_pcts,
-        median_pct,
-        ci95_lo_pct,
-        ci95_hi_pct,
-    };
+    let serve = abp_serve::bench::run_load(&serve_cfg, &load)
+        .expect("serve load harness failed (loopback bind or client error)");
 
     // Overload run: the same daemon shape flooded at twice its
     // admission cap (`run_overload` pins `max_conns` to the load's
-    // client count and offers 2× that). Telemetry off and no listener:
-    // the block isolates what admission control itself does to the
-    // accepted tail.
-    serve_cfg.telemetry = false;
+    // client count and offers 2× that). No listener: the block
+    // isolates what admission control itself does to the accepted
+    // tail.
     serve_cfg.metrics_addr = None;
     let overload = abp_serve::bench::run_overload(&serve_cfg, &load)
         .expect("serve overload harness failed (loopback bind or client error)");
@@ -768,9 +664,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         kernels,
         alloc,
         serve,
-        serve_off,
         overload,
-        telemetry,
     }
 }
 
@@ -970,16 +864,6 @@ fn candidate_scan_kernel<S: IncrementalScorer>(
     model: &dyn Propagation,
     cfg: &BenchConfig,
 ) -> KernelResult {
-    if cfg.skip_brute {
-        // Timing-only mode: no brute mirror, no reference verification.
-        let _ = incremental_scan_run(&make_scorer, field, base_map, model, cfg.greedy_k);
-        let mut indexed_s = Vec::with_capacity(cfg.repeats);
-        for _ in 0..cfg.repeats {
-            let i = incremental_scan_run(&make_scorer, field, base_map, model, cfg.greedy_k);
-            indexed_s.push(i.scan_s);
-        }
-        return kernel_result_skipped(name, &indexed_s);
-    }
     // Reference: the actual production entry points, untimed. These also
     // serve as warmup for the timed mirrors below.
     let (ref_positions, ref_map) = {
@@ -1039,21 +923,6 @@ fn kernel_result(
     }
 }
 
-/// The degenerate result a kernel reports under `skip_brute`: the
-/// indexed timing stands in on both sides, so `speedup` is exactly 1
-/// and `identical` is vacuously true (nothing was compared).
-fn kernel_result_skipped(name: &'static str, indexed_s: &[f64]) -> KernelResult {
-    let indexed = Timing::from_samples(indexed_s);
-    KernelResult {
-        name,
-        identical: true,
-        speedup: 1.0,
-        speedup_ci95: (1.0, 1.0),
-        brute: indexed.clone(),
-        indexed,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1063,7 +932,7 @@ mod tests {
         let mut cfg = BenchConfig::tiny();
         cfg.repeats = 2;
         let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 5);
+        assert_eq!(report.kernels.len(), 6);
         assert!(report.all_identical(), "indexed kernels changed outputs");
         for k in &report.kernels {
             assert!(k.brute.median_s > 0.0, "{}: zero brute median", k.name);
@@ -1073,6 +942,7 @@ mod tests {
         }
         assert_eq!(report.kernels[1].name, "survey_sweep_scratch");
         assert_eq!(report.kernels[2].name, "survey_sweep_noisy");
+        assert_eq!(report.kernels[3].name, "resurvey_incremental");
         assert!(report.host.nproc >= 1);
         assert!(!report.host.cpu.is_empty() && !report.host.rustc.is_empty());
         assert_eq!(report.serve.clients, cfg.serve_clients);
@@ -1086,17 +956,6 @@ mod tests {
             report.serve.scrapes > 0,
             "the /metrics listener must be scraped during the instrumented run"
         );
-        assert_eq!(report.serve_off.requests, report.serve.requests);
-        assert!(report.serve_off.identical, "baseline must match batch too");
-        assert_eq!(report.serve_off.scrapes, 0, "baseline has no listener");
-        assert_eq!(
-            report.telemetry.pair_pcts.len(),
-            cfg.serve_ab_pairs,
-            "one overhead sample per A/B pair"
-        );
-        assert!(report.telemetry_overhead_pct().is_finite());
-        assert!(report.telemetry.ci95_lo_pct <= report.telemetry.median_pct);
-        assert!(report.telemetry.median_pct <= report.telemetry.ci95_hi_pct);
         assert_eq!(report.alloc.counting, abp_trace::counting());
         if report.alloc.counting {
             assert_eq!(
@@ -1110,25 +969,6 @@ mod tests {
             assert_eq!(report.alloc.allocs_per_trial, 0.0);
             assert_eq!(report.alloc.bytes_per_trial, 0.0);
         }
-    }
-
-    #[test]
-    fn skip_brute_reports_degenerate_but_well_formed_kernels() {
-        let mut cfg = BenchConfig::tiny();
-        cfg.repeats = 2;
-        cfg.skip_brute = true;
-        let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 5);
-        for k in &report.kernels {
-            assert!(k.identical, "{}: vacuously true under skip_brute", k.name);
-            assert_eq!(k.speedup, 1.0, "{}: degenerate speedup", k.name);
-            assert_eq!(k.speedup_ci95, (1.0, 1.0));
-            assert!(!k.speedup_ci_straddles_unity());
-            assert_eq!(k.brute, k.indexed, "{}: indexed stands in", k.name);
-            assert!(k.indexed.median_s > 0.0);
-        }
-        let json = report.to_json();
-        assert!(json.contains("\"skip_brute\": true"));
     }
 
     /// The bench's per-rectangle Grid oracle ranks exactly like the
@@ -1208,26 +1048,6 @@ mod tests {
                 scrape_p50_s: 0.0002,
                 scrape_max_s: 0.001,
             },
-            serve_off: abp_serve::bench::LoadReport {
-                clients: 2,
-                requests: 300,
-                wall_s: 0.4,
-                qps: 750.0,
-                p50_s: 0.001,
-                p95_s: 0.002,
-                p99_s: 0.003,
-                min_s: 0.0005,
-                max_s: 0.004,
-                measured_requests: 220,
-                allocs_per_request: 0.0,
-                bytes_per_request: 0.0,
-                alloc_counting: true,
-                identical: true,
-                final_epoch: 0,
-                scrapes: 0,
-                scrape_p50_s: 0.0,
-                scrape_max_s: 0.0,
-            },
             overload: abp_serve::bench::OverloadReport {
                 offered_clients: 4,
                 max_conns: 2,
@@ -1241,17 +1061,10 @@ mod tests {
                 allocs_per_request: 0.0,
                 alloc_counting: true,
             },
-            telemetry: TelemetryOverhead {
-                pair_pcts: vec![20.0, 18.0, 22.0],
-                median_pct: 20.0,
-                ci95_lo_pct: 18.0,
-                ci95_hi_pct: 22.0,
-            },
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/8\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/9\""));
         assert!(json.contains("\"preset\": \"tiny\""));
-        assert!(json.contains("\"skip_brute\": false"));
         assert!(json.contains(
             "\"host\": {\"nproc\": 2, \"cpu\": \"Test _CPU_ @ 2.0GHz\", \"rustc\": \"rustc 1.80.0\"}"
         ));
@@ -1268,11 +1081,15 @@ mod tests {
         assert!(json.contains("\"scrapes\": 40"));
         assert!(json.contains("\"scrape_p50_s\": 0.0002"));
         assert!(json.contains("\"scrape_max_s\": 0.001"));
-        assert!(json.contains("\"qps_metrics_off\": 750"));
-        assert!(json.contains(
-            "\"telemetry_overhead\": {\"pairs\": 3, \"median_pct\": 20, \"ci95_lo_pct\": 18, \"ci95_hi_pct\": 22}"
-        ));
-        assert!(!json.contains("\"scaling\""));
+        for gone in [
+            "scaling",
+            "serve_ab_pairs",
+            "skip_brute",
+            "qps_metrics_off",
+            "telemetry_overhead",
+        ] {
+            assert!(!json.contains(&format!("\"{gone}\"")), "{gone}");
+        }
         assert!(json.contains("\"speedup_ci95\": [1.25, 3.75]"));
         assert!(json.contains("\"overload\": {"));
         assert!(json.contains("\"offered_clients\": 4"));

@@ -23,16 +23,16 @@
 //!   duel              paired Grid-vs-Max comparison with significance verdicts
 //!   localizers        estimator ablation: centroid vs weighted/locus/multilat
 //!   heatmap           ASCII before/after heatmap of one placement step
-//!   bench             time the brute vs spatially-indexed hot kernels
-//!                     (survey sweep, scratch-reused survey, greedy
-//!                     candidate scan), verify the indexed outputs are
+//!   bench             time each hot kernel against its brute-force
+//!                     oracle (survey sweep, scratch-reused survey,
+//!                     noisy survey, incremental re-survey, greedy
+//!                     candidate scan), verify every sample is
 //!                     bit-identical, and with --out write
 //!                     BENCH_sweep.json (median + 95% CI per kernel,
 //!                     plus steady-state allocs/trial when the binary
 //!                     was built with --features count-allocs; the
 //!                     serve_qps block drives the daemon under load
-//!                     twice — telemetry off, then on with /metrics
-//!                     scraped concurrently — to price live telemetry)
+//!                     with /metrics scraped concurrently)
 //!   serve             run the online localization daemon until
 //!                     SIGTERM/SIGINT: answers localize/place/info
 //!                     queries over the length-prefixed TCP protocol
@@ -85,9 +85,6 @@
 //!                               DUR (e.g. 30s, 500ms) and record a structured
 //!                               timeout; combines with --retry and reaches
 //!                               the same commands
-//!   --skip-brute                bench only: skip the brute/reference sides
-//!                               for fast local iteration; DISABLES the
-//!                               bit-identity gate, never use for baselines
 //!   --repeats N                 bench only: timed samples per kernel
 //!                               variant (default: preset's repeats);
 //!                               raise it when a speedup CI straddles 1.0
@@ -153,7 +150,7 @@ enum TraceFormat {
     Chrome,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Options {
     command: String,
     cfg: SimConfig,
@@ -176,8 +173,6 @@ struct Options {
     trace: Option<PathBuf>,
     trace_format: TraceFormat,
     counters: bool,
-    /// `--skip-brute`: bench-only fast iteration, identity gate off.
-    skip_brute: bool,
     /// `--repeats` when given explicitly (bench).
     repeats: Option<usize>,
     /// `--port` for serve/serve-bench (0 = ephemeral) and top (the
@@ -211,7 +206,7 @@ fn usage() -> &'static str {
      serve-bench|serve-chaos|top|net|all> \
      [--preset paper|quick|tiny] [--trials N] [--step M] [--threads N] \
      [--seed HEX] [--noise X] [--beacons N] [--out DIR] \
-     [--retry N] [--trial-timeout DUR] [--skip-brute] [--repeats N] \
+     [--retry N] [--trial-timeout DUR] [--repeats N] \
      [--port N] [--clients N] [--requests N] \
      [--metrics-port N] [--interval DUR] [--polls N] \
      [--max-conns N] [--deadline DUR] [--idle-timeout DUR] [--state PATH] \
@@ -262,7 +257,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut trace = None;
     let mut trace_format = TraceFormat::default();
     let mut counters = false;
-    let mut skip_brute = false;
     let mut repeats = None;
     let mut port = 0u16;
     let mut clients = None;
@@ -356,7 +350,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--counters" => counters = true,
-            "--skip-brute" => skip_brute = true,
             "--repeats" => {
                 let n = value("--repeats")?
                     .parse::<usize>()
@@ -490,7 +483,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         trace,
         trace_format,
         counters,
-        skip_brute,
         repeats,
         port,
         clients,
@@ -886,14 +878,6 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
             if let Some(r) = opts.repeats {
                 bcfg.repeats = r;
             }
-            bcfg.skip_brute = opts.skip_brute;
-            if bcfg.skip_brute {
-                eprintln!(
-                    "WARNING: --skip-brute: brute/reference kernels skipped, the \
-                     bit-identity gate is DISABLED; timings are for local iteration \
-                     only and must not be committed as a baseline"
-                );
-            }
             eprintln!(
                 "running bench ({} scale: {} beacons, step {} m, {} samples/kernel)",
                 bcfg.preset, bcfg.beacons, bcfg.step, bcfg.repeats
@@ -909,17 +893,15 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                     k.name, k.brute.median_s, k.indexed.median_s, k.speedup, k.identical
                 );
             }
-            if !bcfg.skip_brute {
-                for k in &report.kernels {
-                    if k.speedup_ci_straddles_unity() {
-                        eprintln!(
-                            "WARNING: {}: speedup 95% CI [{:.2}x, {:.2}x] straddles 1.0 — \
-                             the measured speedup is indistinguishable from noise at \
-                             {} samples; raise --repeats before trusting or committing \
-                             this number",
-                            k.name, k.speedup_ci95.0, k.speedup_ci95.1, k.indexed.samples
-                        );
-                    }
+            for k in &report.kernels {
+                if k.speedup_ci_straddles_unity() {
+                    eprintln!(
+                        "WARNING: {}: speedup 95% CI [{:.2}x, {:.2}x] straddles 1.0 — \
+                         the measured speedup is indistinguishable from noise at \
+                         {} samples; raise --repeats before trusting or committing \
+                         this number",
+                        k.name, k.speedup_ci95.0, k.speedup_ci95.1, k.indexed.samples
+                    );
                 }
             }
             if report.alloc.counting {
@@ -934,21 +916,9 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                 );
             }
             println!(
-                "serve_qps: {:.0} req/s telemetry on (p99 {:.1} us), {:.0} req/s off; \
-                 overhead {:+.1}% (95% CI [{:+.1}%, {:+.1}%] over {} pairs{}); \
-                 {} scrapes under load (p50 {:.1} us)",
+                "serve_qps: {:.0} req/s (p99 {:.1} us); {} scrapes under load (p50 {:.1} us)",
                 report.serve.qps,
                 report.serve.p99_s * 1e6,
-                report.serve_off.qps,
-                report.telemetry.median_pct,
-                report.telemetry.ci95_lo_pct,
-                report.telemetry.ci95_hi_pct,
-                report.telemetry.pair_pcts.len(),
-                if report.telemetry.ci_straddles_zero() {
-                    ", within noise"
-                } else {
-                    ""
-                },
                 report.serve.scrapes,
                 report.serve.scrape_p50_s * 1e6
             );
@@ -975,7 +945,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                     .map_err(|e| format!("writing {}: {e}", path.display()))?;
                 eprintln!("wrote {}", path.display());
             }
-            if !bcfg.skip_brute && !report.all_identical() {
+            if !report.all_identical() {
                 return Err(
                     "bench: an indexed kernel produced output that differs from brute force".into(),
                 );
@@ -1172,34 +1142,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                 run_command(
                     &Options {
                         command: cmd.to_string(),
-                        cfg: cfg.clone(),
-                        preset: opts.preset.clone(),
-                        noise: opts.noise,
-                        beacons: opts.beacons,
-                        step_override: opts.step_override,
-                        seed_override: opts.seed_override,
-                        out: opts.out.clone(),
-                        retry: opts.retry,
-                        trial_timeout: opts.trial_timeout,
-                        progress: opts.progress,
-                        metrics_json: opts.metrics_json.clone(),
-                        checkpoint: opts.checkpoint.clone(),
-                        trace: opts.trace.clone(),
-                        trace_format: opts.trace_format,
-                        counters: opts.counters,
-                        skip_brute: opts.skip_brute,
-                        repeats: opts.repeats,
-                        port: opts.port,
-                        clients: opts.clients,
-                        requests: opts.requests,
-                        metrics_port: opts.metrics_port,
-                        interval: opts.interval,
-                        polls: opts.polls,
-                        max_conns: opts.max_conns,
-                        deadline: opts.deadline,
-                        idle_timeout: opts.idle_timeout,
-                        state: opts.state.clone(),
-                        replay_check: opts.replay_check,
+                        ..opts.clone()
                     },
                     ctx,
                 )?;
@@ -1427,16 +1370,16 @@ mod tests {
         o.out = Some(dir.clone());
         run(&o).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/8\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/9\""));
         assert!(json.contains("\"seed\": 7"), "--seed reaches bench: {json}");
         assert!(json.contains("\"name\": \"survey_sweep\""));
         assert!(json.contains("\"name\": \"survey_sweep_scratch\""));
         assert!(json.contains("\"name\": \"survey_sweep_noisy\""));
+        assert!(json.contains("\"name\": \"resurvey_incremental\""));
         assert!(json.contains("\"name\": \"candidate_scan_grid\""));
         assert!(json.contains("\"name\": \"candidate_scan_max\""));
         assert!(json.contains("\"identical\": true"));
         assert!(!json.contains("\"identical\": false"));
-        assert!(json.contains("\"skip_brute\": false"));
         assert!(json.contains("\"alloc\": {\"counting\": "));
         assert!(json.contains("\"allocs_per_trial\": "));
         assert!(json.contains("\"bytes_per_trial\": "));
@@ -1445,9 +1388,14 @@ mod tests {
         assert!(json.contains("\"p99_s\": "));
         assert!(json.contains("\"allocs_per_request\": "));
         assert!(json.contains("\"scrapes\": "));
-        assert!(json.contains("\"qps_metrics_off\": "));
-        assert!(json.contains("\"telemetry_overhead\": {\"pairs\": 2, "));
-        assert!(json.contains("\"ci95_lo_pct\": "));
+        for gone in [
+            "serve_ab_pairs",
+            "skip_brute",
+            "qps_metrics_off",
+            "telemetry_overhead",
+        ] {
+            assert!(!json.contains(gone), "{gone} is gone from /9");
+        }
         assert!(json.contains("\"overload\": {"));
         assert!(json.contains("\"shed_connections\": "));
         assert!(json.contains("\"bounded\": true"));
@@ -1463,15 +1411,8 @@ mod tests {
         assert!(parse(&["bench", "--repeats", "0"]).is_err());
         // Off by default: the preset's repeats stand.
         assert_eq!(parse(&["bench"]).unwrap().repeats, None);
-    }
-
-    #[test]
-    fn skip_brute_flag_parses_and_bench_runs_with_it() {
-        let o = parse(&["bench", "--skip-brute", "--preset", "tiny"]).unwrap();
-        assert!(o.skip_brute);
-        run(&o).unwrap();
-        // Off by default.
-        assert!(!parse(&["bench", "--preset", "tiny"]).unwrap().skip_brute);
+        // No flag turns the brute side or the identity gate off.
+        assert!(parse(&["bench", "--skip-brute"]).is_err());
     }
 
     #[test]

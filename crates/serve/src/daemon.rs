@@ -80,10 +80,6 @@ pub struct ServeConfig {
     pub nominal_range: f64,
     /// Seed for the initial field.
     pub seed: u64,
-    /// Record per-request telemetry (per-opcode counts, latency
-    /// histograms, the flight recorder). On by default; the bench
-    /// harness turns it off to measure its overhead.
-    pub telemetry: bool,
     /// Bind address for the side HTTP/1.0 `GET /metrics` listener
     /// (Prometheus text exposition); `None` disables it.
     pub metrics_addr: Option<String>,
@@ -135,7 +131,6 @@ impl ServeConfig {
             step: 1.0,
             nominal_range: 15.0,
             seed: 42,
-            telemetry: true,
             metrics_addr: None,
             max_conns: 0,
             shed_watermark: 0,
@@ -158,7 +153,6 @@ impl ServeConfig {
             step: 4.0,
             nominal_range: 15.0,
             seed: 42,
-            telemetry: true,
             metrics_addr: None,
             max_conns: 0,
             shed_watermark: 0,
@@ -198,8 +192,8 @@ struct Stats {
 }
 
 /// One opcode class's shutdown summary: request count and latency
-/// quantiles from the per-daemon histograms (zeros when telemetry was
-/// off or the class saw no traffic).
+/// quantiles from the per-daemon histograms (zeros when the class saw
+/// no traffic).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OpcodeSummary {
     /// Requests served in this class.
@@ -244,8 +238,7 @@ pub struct StatsSnapshot {
     /// zero vacuously.
     pub alloc_counting: bool,
     /// Per-opcode-class counts and latency quantiles, indexed like
-    /// [`ALL_CLASSES`]. All zeros when the
-    /// daemon ran with `telemetry: false`.
+    /// [`ALL_CLASSES`].
     pub opcodes: [OpcodeSummary; OP_CLASSES],
     /// Flight-recorder offers dropped to lock contention.
     pub flight_dropped: u64,
@@ -306,7 +299,8 @@ impl StatsSnapshot {
 
     /// Multi-line per-opcode breakdown: count and p50/p95/p99 handler
     /// latency per class, plus drop accounting. Printed by the CLI under
-    /// [`StatsSnapshot::summary_line`]; empty when telemetry was off.
+    /// [`StatsSnapshot::summary_line`]; empty when no request was
+    /// served.
     pub fn summary_table(&self) -> String {
         if self.opcodes.iter().all(|o| o.count == 0) {
             return String::new();
@@ -374,7 +368,6 @@ struct Shared {
     shutdown: AtomicBool,
     stats: Stats,
     metrics: ServeMetrics,
-    telemetry: bool,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
     apply_tx: Mutex<Sender<Point>>,
@@ -455,7 +448,6 @@ impl Daemon {
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
             metrics: ServeMetrics::new(),
-            telemetry: cfg.telemetry,
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
             apply_tx: Mutex::new(apply_tx),
@@ -1042,21 +1034,8 @@ fn serve_connection(
                 Ok(pair) => pair,
                 Err(_) => {
                     shared.metrics.note_panic();
-                    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
                     shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    crate::REQUESTS.add(1);
-                    let elapsed = started.elapsed();
-                    crate::REQUEST_NS.record(elapsed);
-                    if shared.telemetry {
-                        let latency_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-                        shared.metrics.record(OpClass::Error, latency_ns);
-                        shared.metrics.flight.offer(FlightEntry {
-                            class: OpClass::Error as u8,
-                            heard: 0,
-                            latency_ns,
-                            epoch: shared.cell.epoch_hint(),
-                        });
-                    }
+                    record_request(shared, OpClass::Error, 0, started.elapsed());
                     // The handler may have unwound mid-encode; discard
                     // the torn scratch (allocates — panics are far off
                     // the steady-state path).
@@ -1078,19 +1057,7 @@ fn serve_connection(
                 heard = 0;
             }
         }
-        crate::REQUEST_NS.record(elapsed);
-        crate::REQUESTS.add(1);
-        shared.stats.requests.fetch_add(1, Ordering::Relaxed);
-        if shared.telemetry {
-            let latency_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-            shared.metrics.record(class, latency_ns);
-            shared.metrics.flight.offer(FlightEntry {
-                class: class as u8,
-                heard,
-                latency_ns,
-                epoch: shared.cell.epoch_hint(),
-            });
-        }
+        record_request(shared, class, heard, elapsed);
         served += 1;
 
         if stream.write_all(&scratch.out_buf).is_err() {
@@ -1106,6 +1073,23 @@ fn serve_connection(
         s.measured_allocs.fetch_add(delta.allocs, Ordering::Relaxed);
         s.measured_bytes.fetch_add(delta.bytes, Ordering::Relaxed);
     }
+}
+
+/// Counts one answered request in the process-wide counters and both
+/// daemon ledgers (`Stats` and the per-class metrics), and offers it to
+/// the flight recorder.
+fn record_request(shared: &Shared, class: OpClass, heard: u32, elapsed: Duration) {
+    crate::REQUEST_NS.record(elapsed);
+    crate::REQUESTS.add(1);
+    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
+    let latency_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    shared.metrics.record(class, latency_ns);
+    shared.metrics.flight.offer(FlightEntry {
+        class: class as u8,
+        heard,
+        latency_ns,
+        epoch: shared.cell.epoch_hint(),
+    });
 }
 
 /// Work-budget admission: decide from the opcode byte alone — before
@@ -1428,30 +1412,71 @@ mod tests {
         assert!(snap.summary_table().contains("localize"));
     }
 
+    /// The daemon keeps two request ledgers: `Stats` (the shutdown
+    /// counters) and `ServeMetrics` (the per-class counts behind the Stats
+    /// opcode and `/metrics`). Both count every request once; they differ
+    /// in where a request that fails after decoding lands: `Stats` counts
+    /// an unknown-beacon Localize as a localize *and* an error, the
+    /// per-class ledger only as an error.
     #[test]
-    fn telemetry_off_serves_but_records_nothing() {
-        let cfg = ServeConfig {
-            telemetry: false,
-            ..ServeConfig::tiny()
-        };
-        let daemon = Daemon::start(&cfg).unwrap();
+    fn request_ledgers_agree_on_totals_and_split_errors_differently() {
+        let daemon = Daemon::start(&ServeConfig::tiny()).unwrap();
         let mut conn = TcpStream::connect(daemon.local_addr()).unwrap();
         let mut out = Vec::new();
         let mut frame = Vec::new();
+
+        // 1. A good Localize (one roster id; the tiny field numbers its
+        //    beacons from 0).
+        wire::encode_localize_request(&mut out, &[0]);
+        roundtrip(&mut conn, &out, &mut frame);
+        assert_eq!(wire::decode_localize_response(&frame).unwrap().heard, 1);
+        // 2. A Localize naming an unknown beacon.
+        wire::encode_localize_request(&mut out, &[u64::MAX]);
+        roundtrip(&mut conn, &out, &mut frame);
+        assert_eq!(
+            wire::decode_localize_response(&frame),
+            Err(Status::UnknownBeacon)
+        );
+        // 3. A malformed frame: a Localize announcing 5 ids, carrying none.
+        let payload = [1u8, 5, 0, 0, 0];
+        let mut malformed = (payload.len() as u32).to_le_bytes().to_vec();
+        malformed.extend_from_slice(&payload);
+        roundtrip(&mut conn, &malformed, &mut frame);
+        assert_eq!(frame, vec![Status::BadFrame as u8]);
+        // 4. Info.
         wire::encode_info_request(&mut out);
         roundtrip(&mut conn, &out, &mut frame);
+        assert!(wire::decode_info_response(&frame).is_ok());
+        // 5. A dry-run Place.
+        wire::encode_place_request(&mut out, PlaceAlgo::Max, 0, false);
+        roundtrip(&mut conn, &out, &mut frame);
+        assert!(!wire::decode_place_response(&frame).unwrap().applied);
+        // 6. Stats.
         wire::encode_stats_request(&mut out);
         roundtrip(&mut conn, &out, &mut frame);
-        let stats = wire::decode_stats_response(&frame).unwrap();
-        // The opcode still answers (gauges live), but per-request
-        // classes and the flight recorder stay empty.
-        assert_eq!(stats.requests_total(), 0);
-        assert!(stats.flight.is_empty());
-        assert_eq!(stats.connections_live, 1);
+        assert!(wire::decode_stats_response(&frame).is_ok());
+
         drop(conn);
         let snap = daemon.shutdown();
-        assert_eq!(snap.requests, 2);
-        assert!(snap.summary_table().is_empty());
+        let count = |class: OpClass| snap.opcodes[class as usize].count;
+        assert_eq!(snap.requests, 6);
+        assert_eq!(
+            snap.opcodes.iter().map(|o| o.count).sum::<u64>(),
+            snap.requests,
+            "both ledgers count every request once"
+        );
+        assert_eq!(count(OpClass::Error), 2);
+        assert_eq!(snap.errors, count(OpClass::Error));
+        assert_eq!(snap.localize, 2, "Stats counts the unknown-beacon Localize");
+        assert_eq!(count(OpClass::Localize), 1, "the per-class ledger does not");
+        assert_eq!(
+            (
+                count(OpClass::Info),
+                count(OpClass::Place),
+                count(OpClass::Stats)
+            ),
+            (1, 1, 1)
+        );
     }
 
     /// Satellite regression: an unknown opcode's payload is consumed in

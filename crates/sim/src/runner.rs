@@ -17,7 +17,10 @@
 //!   checkpoint entry, so a timeout never loses finished results.
 //!
 //! Both engines parallelize *across* trials; each survey runs on the
-//! one worker that owns its trial.
+//! one worker that owns its trial. Both stay on purpose: sending every
+//! sweep through the supervised engine cost each batch workload of
+//! `perfbench` throughput (ROADMAP.md records the measurement), so an
+//! inert [`RunPolicy`] keeps the plain engine.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::num::NonZeroUsize;
