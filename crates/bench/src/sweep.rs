@@ -12,11 +12,12 @@
 //!
 //! The survey kernel times the full sweep: the point-major oracle
 //! [`ErrorMap::survey_point_major`] against the beacon-major production
-//! sweep [`ErrorMap::survey`], under the ideal disk, where each beacon's
-//! whole reach is its guaranteed core. The `survey_sweep_noisy` kernel
+//! sweep, under the ideal disk, where each beacon's whole reach is its
+//! guaranteed core. The production side is the path every Monte-Carlo
+//! trial runs: [`ErrorMap::survey_indexed_with`] threading one
+//! [`SurveyScratch`] across samples. The `survey_sweep_noisy` kernel
 //! times the same pair under speckled noise at 0.5, where most of each
-//! reach is the annulus the model decides, with the production side
-//! threading a reused [`SurveyScratch`]. The `resurvey_incremental`
+//! reach is the annulus the model decides. The `resurvey_incremental`
 //! kernel grows the field by one beacon at the terrain centre and times
 //! a full [`ErrorMap::survey`] of the grown field against
 //! [`ErrorMap::add_beacon`] on a copy of the base map (the copy is made
@@ -36,17 +37,12 @@
 //! and a full sort, which is what the committed baselines timed before
 //! production Grid scoring moved to a row-subtotal table.
 //!
-//! The `survey_sweep_scratch` kernel times the steady-state trial
-//! loop's two forms: a fresh [`ErrorMap::survey`] per sample (the same
-//! sweep allocating its grids every time) against
-//! [`ErrorMap::survey_indexed_with`] threading one [`SurveyScratch`]
-//! across samples (what the Monte-Carlo engine does). When the
-//! binary is built with `--features count-allocs` the report also
-//! carries the reused path's steady-state allocator traffic — the
-//! `alloc` block's `allocs_per_trial` / `bytes_per_trial`, measured
+//! When the binary is built with `--features count-allocs` the report
+//! also carries the reused scratch's steady-state allocator traffic —
+//! the `alloc` block's `allocs_per_trial` / `bytes_per_trial`, measured
 //! with [`abp_trace::thread_snapshot`] deltas around the post-warmup
-//! scratch samples of both scratch-threading kernels only — and the CLI
-//! fails the run if it is nonzero.
+//! production samples of both survey kernels only — and the CLI fails
+//! the run if it is nonzero.
 //!
 //! Timings are reported as the median over `repeats` interleaved
 //! samples with a distribution-free 95% confidence interval on the
@@ -105,7 +101,11 @@ use std::time::Instant;
 /// and adds the `resurvey_incremental` kernel: one added beacon as a
 /// full survey of the grown field against `ErrorMap::add_beacon` on the
 /// base map.
-pub const SCHEMA: &str = "abp-bench-sweep/9";
+/// `/10` removes the `survey_sweep_scratch` kernel, which timed one sweep
+/// with and without scratch reuse: `survey_sweep`'s production side now
+/// threads the reused scratch, and the `alloc` block sums the
+/// `survey_sweep` and `survey_sweep_noisy` samples.
+pub const SCHEMA: &str = "abp-bench-sweep/10";
 
 /// Scenario and sampling configuration for one bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -240,7 +240,7 @@ impl KernelResult {
 
 /// Steady-state allocator traffic of the scratch-reused survey path,
 /// measured over the post-warmup production samples of the
-/// `survey_sweep_scratch` and `survey_sweep_noisy` kernels. Meaningful
+/// `survey_sweep` and `survey_sweep_noisy` kernels. Meaningful
 /// only when [`AllocStats::counting`] is `true`
 /// (the binary was built with `--features count-allocs`); otherwise
 /// both rates are reported as 0 because nothing was counted.
@@ -477,24 +477,30 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
 
     let mut kernels = Vec::new();
 
+    // The alloc stats come from the production side's post-warmup
+    // samples of kernels 1 and 2, which both thread one reused
+    // `SurveyScratch`: the path every Monte-Carlo trial runs.
+    let mut scratch = SurveyScratch::new();
+    let mut allocs = AllocCount::default();
+
     // Kernel 1: the survey connectivity sweep, the point-major oracle
-    // vs the beacon-major production sweep.
+    // vs the beacon-major production sweep through the reused scratch.
     {
         let mut brute_s = Vec::with_capacity(cfg.repeats);
         let mut indexed_s = Vec::with_capacity(cfg.repeats);
         let mut identical = true;
         // Warmup (untimed) to fault in code and caches.
         let _ = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
-        let _ = ErrorMap::survey(&lattice, &field, &model, policy);
+        warm_scratch(&lattice, &field, &model, policy, &mut scratch);
         for _ in 0..cfg.repeats {
             let t = Instant::now();
             let brute = ErrorMap::survey_point_major(&lattice, &field, &model, policy);
             brute_s.push(t.elapsed().as_secs_f64());
             identical &= maps_bit_identical(&brute, &base_map);
-            let t = Instant::now();
-            let indexed = ErrorMap::survey(&lattice, &field, &model, policy);
-            indexed_s.push(t.elapsed().as_secs_f64());
+            let (indexed, seconds) = allocs.survey(&lattice, &field, &model, policy, &mut scratch);
+            indexed_s.push(seconds);
             identical &= maps_bit_identical(&indexed, &base_map);
+            scratch.recycle(indexed);
         }
         kernels.push(kernel_result(
             "survey_sweep",
@@ -504,37 +510,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         ));
     }
 
-    // Kernel 2: the steady-state trial loop — a fresh survey per sample
-    // (allocating its four grids every time) vs the same
-    // survey through one reused `SurveyScratch`. This is the path the
-    // Monte-Carlo engine runs per trial; the alloc stats come from the
-    // reused side's post-warmup samples, here and in kernel 3.
-    let mut scratch = SurveyScratch::new();
-    let mut allocs = AllocCount::default();
-    {
-        let mut fresh_s = Vec::with_capacity(cfg.repeats);
-        let mut reused_s = Vec::with_capacity(cfg.repeats);
-        let mut identical = true;
-        warm_scratch(&lattice, &field, &model, policy, &mut scratch);
-        for _ in 0..cfg.repeats {
-            let t = Instant::now();
-            let fresh = ErrorMap::survey(&lattice, &field, &model, policy);
-            fresh_s.push(t.elapsed().as_secs_f64());
-            identical &= maps_bit_identical(&fresh, &base_map);
-            let (reused, seconds) = allocs.survey(&lattice, &field, &model, policy, &mut scratch);
-            reused_s.push(seconds);
-            identical &= maps_bit_identical(&reused, &base_map);
-            scratch.recycle(reused);
-        }
-        kernels.push(kernel_result(
-            "survey_sweep_scratch",
-            identical,
-            &fresh_s,
-            &reused_s,
-        ));
-    }
-
-    // Kernel 3: the survey sweep under the paper's noise at its highest
+    // Kernel 2: the survey sweep under the paper's noise at its highest
     // level (speckled, Noise = 0.5), where most of each beacon's reach is
     // annulus the model decides in batches: the point-major oracle vs the
     // production sweep through the reused scratch.
@@ -564,7 +540,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
     }
     let alloc = allocs.stats();
 
-    // Kernel 4: one beacon added at the terrain centre, as a full survey
+    // Kernel 3: one beacon added at the terrain centre, as a full survey
     // of the grown field vs `add_beacon` on a copy of the base map. The
     // copy is refreshed outside the timed region, so only the update is
     // timed; both sides are checked against the grown field's
@@ -600,7 +576,7 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         ));
     }
 
-    // Kernels 5–6: the greedy candidate scan, full re-score vs
+    // Kernels 4–5: the greedy candidate scan, full re-score vs
     // incremental delta re-score, for Grid and Max.
     let grid_algo = GridPlacement::paper(terrain, cfg.nominal_range);
     kernels.push(candidate_scan_kernel(
@@ -932,7 +908,7 @@ mod tests {
         let mut cfg = BenchConfig::tiny();
         cfg.repeats = 2;
         let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 6);
+        assert_eq!(report.kernels.len(), 5);
         assert!(report.all_identical(), "indexed kernels changed outputs");
         for k in &report.kernels {
             assert!(k.brute.median_s > 0.0, "{}: zero brute median", k.name);
@@ -940,9 +916,9 @@ mod tests {
             assert!(k.ci95_contains_median(), "{}: CI excludes median", k.name);
             assert!(k.speedup.is_finite() && k.speedup > 0.0);
         }
-        assert_eq!(report.kernels[1].name, "survey_sweep_scratch");
-        assert_eq!(report.kernels[2].name, "survey_sweep_noisy");
-        assert_eq!(report.kernels[3].name, "resurvey_incremental");
+        assert_eq!(report.kernels[0].name, "survey_sweep");
+        assert_eq!(report.kernels[1].name, "survey_sweep_noisy");
+        assert_eq!(report.kernels[2].name, "resurvey_incremental");
         assert!(report.host.nproc >= 1);
         assert!(!report.host.cpu.is_empty() && !report.host.rustc.is_empty());
         assert_eq!(report.serve.clients, cfg.serve_clients);
@@ -1063,7 +1039,7 @@ mod tests {
             },
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/9\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/10\""));
         assert!(json.contains("\"preset\": \"tiny\""));
         assert!(json.contains(
             "\"host\": {\"nproc\": 2, \"cpu\": \"Test _CPU_ @ 2.0GHz\", \"rustc\": \"rustc 1.80.0\"}"

@@ -1370,10 +1370,9 @@ mod tests {
         o.out = Some(dir.clone());
         run(&o).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/9\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/10\""));
         assert!(json.contains("\"seed\": 7"), "--seed reaches bench: {json}");
         assert!(json.contains("\"name\": \"survey_sweep\""));
-        assert!(json.contains("\"name\": \"survey_sweep_scratch\""));
         assert!(json.contains("\"name\": \"survey_sweep_noisy\""));
         assert!(json.contains("\"name\": \"resurvey_incremental\""));
         assert!(json.contains("\"name\": \"candidate_scan_grid\""));
@@ -1393,8 +1392,9 @@ mod tests {
             "skip_brute",
             "qps_metrics_off",
             "telemetry_overhead",
+            "survey_sweep_scratch",
         ] {
-            assert!(!json.contains(gone), "{gone} is gone from /9");
+            assert!(!json.contains(gone), "{gone} must stay absent");
         }
         assert!(json.contains("\"overload\": {"));
         assert!(json.contains("\"shed_connections\": "));
@@ -1677,9 +1677,9 @@ mod tests {
         }
     }
 
-    /// A healthy run is bit-identical with and without the supervised
-    /// engine: attempt 0 re-derives exactly the plain trial seed, so
-    /// turning on `--retry`/`--trial-timeout` cannot move any number.
+    /// A healthy run is bit-identical with and without a retry policy:
+    /// attempt 0 re-derives exactly the plain trial seed, so turning on
+    /// `--retry`/`--trial-timeout` cannot move any number.
     #[test]
     fn supervised_healthy_run_matches_plain_csv() {
         let dir = std::env::temp_dir().join(format!("abp-cli-retry-{}", std::process::id()));

@@ -122,12 +122,12 @@ pub fn run_sweep(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>) -> SweepOutcome {
 /// tests substitute a trial that panics at a chosen index and assert the
 /// sweep completes with the failure reported.
 ///
-/// When `ctx.policy` is active the sweep runs on the supervised engine:
-/// failed attempts are retried with [`SimConfig::retry_seed`]-derived
-/// seeds after exponential backoff, and a watchdog abandons attempts
-/// exceeding the per-trial timeout (recorded as structured timeouts).
-/// Healthy trials always run attempt 0 with the plain trial seed, so a
-/// fault-free sweep is bit-identical under any policy.
+/// Under `ctx.policy`, failed attempts are retried with
+/// [`SimConfig::retry_seed`]-derived seeds after exponential backoff, and
+/// a watchdog abandons attempts exceeding the per-trial timeout (recorded
+/// as structured timeouts). Healthy trials always run attempt 0 with the
+/// plain trial seed, so a fault-free sweep is bit-identical under any
+/// policy.
 pub fn run_sweep_with<F>(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>, trial: F) -> SweepOutcome
 where
     F: Fn(&SimConfig, f64, usize, u64) -> TrialSample + Send + Sync + 'static,

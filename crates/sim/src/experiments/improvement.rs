@@ -160,8 +160,7 @@ pub fn run_sweep(
 }
 
 /// [`run_sweep`] with a custom trial function — the fault-injection seam
-/// for tests. Under an active `ctx.policy` the trials run on the
-/// supervised engine, exactly as in
+/// for tests. `ctx.policy` retries and times out trials exactly as in
 /// [`density_error::run_sweep_with`](crate::experiments::density_error::run_sweep_with).
 pub fn run_sweep_with<F>(
     cfg: &SimConfig,

@@ -9,14 +9,14 @@
 //! * [`SimConfig`] — experiment parameters; [`SimConfig::paper`] is
 //!   Table 1 (`Side = 100 m`, `R = 15 m`, `step = 1 m`, `NG = 400`,
 //!   20–240 beacons, 1000 fields per density),
-//! * [`runner`] — deterministic, fault-tolerant parallel trial execution,
-//!   including the supervised engine ([`runner::supervised_try_map`]) with
-//!   seed-re-deriving retries and a per-trial watchdog. Every experiment
-//!   runs its trials through one crate-private sweep driver, which picks
-//!   the plain engine for an inert [`RunPolicy`] and the supervised one
-//!   otherwise, reports each sweep and trial to the [`Probe`], drops and
-//!   reports failed trials, and checkpoints the density, improvement and
-//!   fault sweeps,
+//! * [`runner`] — deterministic, fault-tolerant parallel trial execution
+//!   on one engine: a per-sweep worker pool with per-trial panic
+//!   isolation, seed-re-deriving retries and a per-trial watchdog, as a
+//!   [`RunPolicy`] grants them. Every experiment runs its trials through
+//!   one crate-private sweep driver, which runs each point on that pool,
+//!   reports each sweep and trial to the [`Probe`] from the calling
+//!   thread, drops and reports failed trials, and checkpoints the
+//!   density, improvement and fault sweeps,
 //! * [`progress`] — the [`Probe`] observability hooks (progress lines,
 //!   run metrics) threaded through experiments and figures,
 //! * [`checkpoint`] — crash-safe persistence of completed density sweeps
@@ -70,6 +70,6 @@ pub use progress::{
     TrialRetryReport, TrialTimeoutReport,
 };
 pub use report::{Figure, Series, SeriesPoint};
-pub use runner::{RunPolicy, SupervisedFailure, SupervisedOutcome, TrialFault};
+pub use runner::{RunPolicy, TrialFault};
 pub use scratch::{with_trial_scratch, TrialScratch};
 pub use traceprobe::TraceProbe;

@@ -3,8 +3,9 @@
 //!
 //! The experiment drivers accept a [`Ctx`] carrying a [`Probe`] (and
 //! optionally a [`crate::checkpoint::SweepCheckpoint`]). Probes receive
-//! figure/sweep/trial lifecycle events from whatever thread completed the
-//! work, so implementations must be `Sync` and cheap. Three are provided:
+//! figure/sweep/trial lifecycle events on the thread that called the
+//! experiment — the trial workers never call them — and must be `Sync`
+//! so a [`Ctx`] can be shared. Three are provided:
 //!
 //! * [`NoopProbe`] — the default; zero overhead,
 //! * [`ProgressProbe`] — live `completed/total`, throughput, and ETA on
@@ -121,8 +122,8 @@ impl fmt::Display for TrialTimeoutReport {
 /// Receives experiment lifecycle events.
 ///
 /// All methods have empty defaults; implement only what you observe.
-/// `trial_done` fires on every finished trial, from worker threads on the
-/// plain engine — keep it cheap.
+/// Every event arrives on the thread that called the experiment.
+/// `trial_done` fires once per finished trial — keep it cheap.
 pub trait Probe: Sync {
     /// A named figure (or table) regeneration began.
     fn figure_start(&self, id: &str) {
@@ -146,8 +147,9 @@ pub trait Probe: Sync {
     }
 
     /// One trial finished; `busy` is the time the worker spent on it. The
-    /// plain engine calls this from the worker thread that ran the trial;
-    /// the supervised engine calls it on the calling thread.
+    /// sweep driver forwards finished trials in batches, at least every
+    /// 100 ms while a point runs, and all of a point's trials before its
+    /// `sweep_done`.
     fn trial_done(&self, busy: Duration) {
         let _ = busy;
     }
@@ -197,8 +199,8 @@ pub struct Ctx<'a> {
     /// When present, completed sweeps are persisted here and restored on
     /// the next run.
     pub checkpoint: Option<&'a SweepCheckpoint>,
-    /// Retry/watchdog policy. The inert default keeps sweeps on the plain
-    /// engine; an active policy routes them through the supervised one.
+    /// Retry/watchdog policy every sweep's trials run under. The default
+    /// retries nothing and arms no watchdog.
     pub policy: RunPolicy,
 }
 
@@ -1081,13 +1083,13 @@ mod tests {
     #[test]
     fn ctx_policy_defaults_inert() {
         let ctx = Ctx::noop();
-        assert!(!ctx.policy.is_active());
+        assert_eq!(ctx.policy, RunPolicy::default());
         let policy = RunPolicy {
             retries: 2,
             ..RunPolicy::default()
         };
         let ctx = ctx.with_policy(policy);
-        assert!(ctx.policy.is_active());
+        assert_ne!(ctx.policy, RunPolicy::default());
         assert_eq!(ctx.policy.retries, 2);
     }
 

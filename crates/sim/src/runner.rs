@@ -1,34 +1,44 @@
 //! Deterministic parallel trial execution with per-trial fault isolation.
 //!
-//! Two engines live here:
+//! One engine runs every trial, under any [`RunPolicy`]: a pool of
+//! worker threads that the sweep driver starts at a sweep's first
+//! computed point, hands every later point of that sweep, and joins
+//! before it returns. Within a point:
 //!
-//! * [`parallel_try_map`] — the default path: scoped workers, an atomic
-//!   claiming cursor, per-trial `catch_unwind`. Zero supervision
-//!   overhead, used whenever no [`RunPolicy`] is active, and guaranteed
-//!   bit-identical to the single-threaded run.
-//! * [`supervised_try_map`] — the self-healing path: the same claiming
-//!   discipline plus a supervisor that **retries** failed trials with
-//!   exponential backoff (the caller re-derives each attempt's seed
-//!   deterministically from the attempt number) and a **watchdog** that
-//!   abandons trials exceeding a deadline, recording them as structured
-//!   [`TrialFault::Timeout`]s instead of hanging the sweep. A watchdog
-//!   abort never cancels other work: the queue keeps draining, every
-//!   completed trial is kept, and the sweep layer still flushes its
-//!   checkpoint entry, so a timeout never loses finished results.
+//! * workers claim trials from a shared queue, run each attempt under
+//!   `catch_unwind`, and store the outcome by trial index, so results —
+//!   and every statistic downstream — are independent of the thread
+//!   count and of scheduling;
+//! * a worker whose attempt panicked runs the trial's next attempt itself,
+//!   after the policy's exponential backoff, until the policy's retries
+//!   are spent (the caller re-derives each attempt's seed from the
+//!   attempt number; attempt 0 uses the plain trial seed);
+//! * the calling thread sleeps on one condvar and wakes only when the
+//!   point settles, when the watchdog's next deadline is due, or after
+//!   100 ms, to hand finished trials, retries and timeouts to its
+//!   `on_event` callback. An attempt that overruns the policy's
+//!   `trial_timeout` is abandoned: safe Rust cannot stop its thread, so
+//!   the attempt is charged a [`TrialFault::Timeout`], its trial is
+//!   retried or recorded as failed, and a replacement worker keeps the
+//!   pool at strength. The abandoned worker exits when the attempt
+//!   returns, and its result is discarded. A timeout never cancels other
+//!   work: the queue keeps draining and every completed trial is kept.
 //!
-//! Both engines parallelize *across* trials; each survey runs on the
-//! one worker that owns its trial. Both stay on purpose: sending every
-//! sweep through the supervised engine cost each batch workload of
-//! `perfbench` throughput (ROADMAP.md records the measurement), so an
-//! inert [`RunPolicy`] keeps the plain engine.
+//! The default policy — no retries, no deadline — runs on the same code.
+//! Each worker keeps its thread-local [`crate::TrialScratch`] for the
+//! whole sweep, so only a sweep's first trials per worker grow buffers.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The longest a waiting caller goes without handing finished trials to
+/// its `on_event` callback: `ProgressProbe`'s render throttle, so
+/// `--progress` moves while a point runs.
+const TICK: Duration = Duration::from_millis(100);
 
 /// Resolves a thread-count setting: `0` means one thread per available
 /// core.
@@ -42,44 +52,6 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// A trial that panicked instead of producing a result.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrialFailure {
-    /// The task index passed to the closure.
-    pub index: usize,
-    /// The panic payload rendered as text (`&str`/`String` payloads are
-    /// preserved; anything else becomes a placeholder).
-    pub message: String,
-}
-
-impl std::fmt::Display for TrialFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trial {} panicked: {}", self.index, self.message)
-    }
-}
-
-/// The outcome of a fault-tolerant map: every task either succeeded or is
-/// accounted for in `failures`. Both vectors are in ascending index order.
-#[derive(Debug)]
-pub struct TryMapOutcome<T> {
-    /// `(index, value)` for every task that completed.
-    pub successes: Vec<(usize, T)>,
-    /// Every task whose closure panicked.
-    pub failures: Vec<TrialFailure>,
-}
-
-impl<T> TryMapOutcome<T> {
-    /// Discards indices and returns the surviving values in index order.
-    pub fn into_values(self) -> Vec<T> {
-        self.successes.into_iter().map(|(_, v)| v).collect()
-    }
-
-    /// Whether every task completed.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -90,76 +62,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Runs `f(0..n)` across `threads` workers, catching per-task panics so a
-/// single bad trial cannot abort a long sweep.
+/// Retry and watchdog settings for every sweep's trials.
 ///
-/// Work is claimed dynamically (an atomic cursor), so stragglers balance;
-/// results are reassembled by index, so the output — and therefore every
-/// downstream statistic — is **independent of the thread count and
-/// scheduling**. Each task must derive its own randomness from its index.
-pub fn parallel_try_map<T, F>(n: usize, threads: usize, f: F) -> TryMapOutcome<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let run_one = |i: usize| -> (usize, Result<T, String>) {
-        match panic::catch_unwind(AssertUnwindSafe(|| f(i))) {
-            Ok(v) => (i, Ok(v)),
-            Err(payload) => (i, Err(panic_message(payload))),
-        }
-    };
-
-    let threads = resolve_threads(threads).min(n.max(1));
-    let mut raw: Vec<(usize, Result<T, String>)> = if threads <= 1 || n <= 1 {
-        (0..n).map(run_one).collect()
-    } else {
-        let cursor = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let run_one = &run_one;
-                    scope.spawn(move || {
-                        let mut local = Vec::new();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
-                            local.push(run_one(i));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            let mut merged = Vec::with_capacity(n);
-            for handle in handles {
-                merged.extend(handle.join().expect("worker itself never panics"));
-            }
-            merged
-        })
-    };
-    raw.sort_unstable_by_key(|(i, _)| *i);
-
-    let mut outcome = TryMapOutcome {
-        successes: Vec::with_capacity(raw.len()),
-        failures: Vec::new(),
-    };
-    for (i, r) in raw {
-        match r {
-            Ok(v) => outcome.successes.push((i, v)),
-            Err(message) => outcome.failures.push(TrialFailure { index: i, message }),
-        }
-    }
-    outcome
-}
-
-/// Retry/watchdog settings for [`supervised_try_map`].
-///
-/// The inactive default (`retries == 0`, no timeout) routes sweeps
-/// through the unsupervised [`parallel_try_map`], keeping the healthy
-/// path bit-identical to previous releases and free of supervision
-/// overhead.
+/// The default grants no retries and arms no watchdog: a panicking trial
+/// fails at once and no attempt is ever abandoned. Every policy runs on
+/// the same engine, and attempt 0 always uses the plain trial seed, so a
+/// healthy sweep is bit-identical under any policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {
     /// Additional attempts granted to a failed trial (0 = fail fast).
@@ -183,11 +91,6 @@ impl Default for RunPolicy {
 }
 
 impl RunPolicy {
-    /// Whether any supervision (retry or watchdog) is requested.
-    pub fn is_active(&self) -> bool {
-        self.retries > 0 || self.trial_timeout.is_some()
-    }
-
     /// Backoff before attempt `attempt` (attempt 0 starts immediately;
     /// attempt `k >= 1` waits `backoff * 2^(k-1)`, saturating).
     pub fn backoff_before(&self, attempt: u32) -> Duration {
@@ -208,7 +111,7 @@ impl RunPolicy {
 /// delay until the addition is representable keeps the deadline as far
 /// out as the clock can express — the retry still waits "effectively
 /// forever", it just no longer aborts the whole sweep.
-pub fn retry_deadline(now: Instant, backoff: Duration) -> Instant {
+fn retry_deadline(now: Instant, backoff: Duration) -> Instant {
     let mut delay = backoff;
     loop {
         if let Some(deadline) = now.checked_add(delay) {
@@ -218,7 +121,7 @@ pub fn retry_deadline(now: Instant, backoff: Duration) -> Instant {
     }
 }
 
-/// Why a supervised trial ultimately failed.
+/// Why a trial ultimately failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TrialFault {
     /// The trial closure panicked.
@@ -244,9 +147,9 @@ impl std::fmt::Display for TrialFault {
     }
 }
 
-/// A trial that exhausted its attempts under [`supervised_try_map`].
+/// A trial that exhausted its attempts.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SupervisedFailure {
+pub(crate) struct MapFailure {
     /// The task index passed to the closure.
     pub index: usize,
     /// Attempts consumed (1 + retries granted).
@@ -255,406 +158,441 @@ pub struct SupervisedFailure {
     pub fault: TrialFault,
 }
 
-impl std::fmt::Display for SupervisedFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "trial {} {} (after {} attempt{})",
-            self.index,
-            self.fault,
-            self.attempts,
-            if self.attempts == 1 { "" } else { "s" }
-        )
-    }
-}
-
-/// The outcome of a supervised map. Both vectors are in ascending index
+/// The outcome of one [`Pool::map`]. Both vectors are in ascending index
 /// order; `successes` holds exactly one entry per trial that eventually
 /// succeeded, no matter how many attempts it took.
-#[derive(Debug)]
-pub struct SupervisedOutcome<T> {
+pub(crate) struct MapOutcome<T> {
     /// `(index, value)` for every task whose (first successful) attempt
     /// completed.
     pub successes: Vec<(usize, T)>,
     /// Every task that exhausted its attempts.
-    pub failures: Vec<SupervisedFailure>,
-    /// Total retry dispatches across all tasks.
-    pub retries: u32,
+    pub failures: Vec<MapFailure>,
 }
 
-impl<T> SupervisedOutcome<T> {
+impl<T> MapOutcome<T> {
     /// Discards indices and returns the surviving values in index order.
     pub fn into_values(self) -> Vec<T> {
         self.successes.into_iter().map(|(_, v)| v).collect()
     }
-
-    /// Whether every task eventually completed.
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
 }
 
-/// Progress callbacks emitted by [`supervised_try_map`] on the calling
-/// thread (safe to borrow probes and other non-`'static` state).
-#[derive(Debug)]
-pub enum TrialEvent<'a> {
-    /// An attempt completed successfully.
-    Done {
-        /// Task index.
+/// What a [`Pool::map`] hands its caller's `on_event` while a point runs.
+pub(crate) enum TrialEvent {
+    /// An attempt succeeded; `busy` is the time it took.
+    Done { busy: Duration },
+    /// The watchdog abandoned attempt `attempt` of trial `index`.
+    TimedOut {
         index: usize,
-        /// The attempt that succeeded (0 = first try).
         attempt: u32,
-        /// Wall-clock time the successful attempt took.
-        busy: Duration,
+        limit: Duration,
     },
-    /// An attempt failed and a retry was scheduled.
+    /// Attempt `failed_attempt` of trial `index` failed; the next one
+    /// starts after `backoff`.
     Retry {
-        /// Task index.
         index: usize,
-        /// The attempt that failed (0-based).
         failed_attempt: u32,
-        /// Why it failed.
-        fault: &'a TrialFault,
-        /// Delay before the next attempt starts.
+        fault: TrialFault,
         backoff: Duration,
     },
-    /// A task exhausted its attempts.
-    Failed {
-        /// Task index.
-        index: usize,
-        /// Attempts consumed.
-        attempts: u32,
-        /// The final fault.
-        fault: &'a TrialFault,
-    },
 }
 
-/// A unit of work in the supervised queue.
+/// The trial function of the point being mapped.
+type Job<T> = Arc<dyn Fn(usize, u32) -> T + Send + Sync>;
+
+/// A trial waiting for a worker: the attempt to run next, and for a retry
+/// after a timeout the earliest moment it may start.
 struct Task {
     index: usize,
     attempt: u32,
     not_before: Option<Instant>,
 }
 
-/// Shared worker queue: pending tasks + shutdown flag, with a condvar
-/// for idle workers.
-struct TaskQueue {
-    inner: Mutex<(VecDeque<Task>, bool)>,
-    available: Condvar,
+/// One worker, as the watchdog sees it.
+#[derive(Clone, Copy)]
+enum Slot {
+    Idle,
+    Running {
+        index: usize,
+        attempt: u32,
+        started: Instant,
+    },
+    /// The watchdog gave up on its attempt; the worker exits when the
+    /// attempt returns.
+    Abandoned,
 }
 
-impl TaskQueue {
-    fn push(&self, task: Task) {
-        self.inner.lock().expect("task queue").0.push_back(task);
-        self.available.notify_one();
+/// Everything the workers and the caller share, under one lock.
+struct State<T> {
+    job: Option<Job<T>>,
+    queue: VecDeque<Task>,
+    /// By worker number, for every worker the pool ever started.
+    slots: Vec<Slot>,
+    /// The current point's settled trials, by index.
+    outcomes: Vec<Option<Result<T, MapFailure>>>,
+    settled: usize,
+    /// Workers waiting for a task; the rest need no wake-up call.
+    idle: usize,
+    /// Events the caller has not handed on yet.
+    events: Vec<TrialEvent>,
+    shutdown: bool,
+}
+
+impl<T> State<T> {
+    fn settle(&mut self, index: usize, outcome: Result<T, MapFailure>) {
+        self.outcomes[index] = Some(outcome);
+        self.settled += 1;
     }
 
-    /// Blocks until a task is available or shutdown is signalled.
-    fn pop(&self) -> Option<Task> {
-        let mut guard = self.inner.lock().expect("task queue");
-        loop {
-            if let Some(task) = guard.0.pop_front() {
-                return Some(task);
-            }
-            if guard.1 {
-                return None;
-            }
-            guard = self.available.wait(guard).expect("task queue");
+    /// Settles a failed attempt: returns when the trial's next attempt may
+    /// start if the policy grants one, and records the failure otherwise.
+    fn fail(
+        &mut self,
+        policy: &RunPolicy,
+        index: usize,
+        attempt: u32,
+        fault: TrialFault,
+    ) -> Option<Instant> {
+        if attempt < policy.retries {
+            let backoff = policy.backoff_before(attempt + 1);
+            self.events.push(TrialEvent::Retry {
+                index,
+                failed_attempt: attempt,
+                fault,
+                backoff,
+            });
+            Some(retry_deadline(Instant::now(), backoff))
+        } else {
+            let attempts = attempt + 1;
+            self.settle(
+                index,
+                Err(MapFailure {
+                    index,
+                    attempts,
+                    fault,
+                }),
+            );
+            None
         }
     }
 
-    fn shutdown(&self) {
-        self.inner.lock().expect("task queue").1 = true;
-        self.available.notify_all();
+    /// Hands over a settled point's outcomes in index order.
+    fn take_outcome(&mut self) -> MapOutcome<T> {
+        self.job = None;
+        self.settled = 0;
+        let mut outcome = MapOutcome {
+            successes: Vec::with_capacity(self.outcomes.len()),
+            failures: Vec::new(),
+        };
+        for (index, settled) in self.outcomes.drain(..).enumerate() {
+            match settled.expect("a settled point has every outcome") {
+                Ok(value) => outcome.successes.push((index, value)),
+                Err(failure) => outcome.failures.push(failure),
+            }
+        }
+        outcome
     }
 }
 
-/// Messages from workers to the supervisor.
-enum WorkerMsg<T> {
-    Started {
-        index: usize,
-        attempt: u32,
-        at: Instant,
-    },
-    Finished {
-        index: usize,
-        attempt: u32,
-        result: Result<T, String>,
-        busy: Duration,
-    },
+struct Shared<T> {
+    policy: RunPolicy,
+    state: Mutex<State<T>>,
+    /// Idle workers wait here for a task.
+    work: Condvar,
+    /// The caller waits here for its point to settle.
+    settled: Condvar,
 }
 
-fn spawn_worker<T, F>(
-    queue: Arc<TaskQueue>,
-    f: Arc<F>,
-    tx: mpsc::Sender<WorkerMsg<T>>,
-) -> std::thread::JoinHandle<()>
-where
-    T: Send + 'static,
-    F: Fn(usize, u32) -> T + Send + Sync + 'static,
-{
-    std::thread::spawn(move || {
-        while let Some(task) = queue.pop() {
-            if let Some(not_before) = task.not_before {
-                let now = Instant::now();
-                if now < not_before {
-                    std::thread::sleep(not_before - now);
+impl<T> Shared<T> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state
+            .lock()
+            .expect("pool state: no thread panics while holding the lock")
+    }
+}
+
+/// One worker's life: claim a trial, run its attempts, store its outcome;
+/// exit at shutdown, or once the watchdog has abandoned its attempt.
+fn work<T>(shared: &Shared<T>, me: usize) {
+    let mut state = shared.lock();
+    loop {
+        let Task {
+            index,
+            mut attempt,
+            mut not_before,
+        } = loop {
+            if state.shutdown {
+                return;
+            }
+            match state.queue.pop_front() {
+                Some(task) => {
+                    // Wake idle workers one by one, each by the last to
+                    // claim a task: woken all at once by one thread, they
+                    // tend to queue on that thread's CPU while another
+                    // CPU idles.
+                    if state.idle > 0 && !state.queue.is_empty() {
+                        shared.work.notify_one();
+                    }
+                    break task;
+                }
+                None => {
+                    state.idle += 1;
+                    state = shared.work.wait(state).expect("pool state lock");
+                    state.idle -= 1;
                 }
             }
+        };
+        let job = Arc::clone(
+            state
+                .job
+                .as_ref()
+                .expect("a queued task has its point's job"),
+        );
+        loop {
+            if let Some(at) = not_before {
+                drop(state);
+                std::thread::sleep(at.saturating_duration_since(Instant::now()));
+                state = shared.lock();
+            }
             let started = Instant::now();
-            // A send failure means the supervisor is gone (all tasks
-            // settled while this one ran long); just stop quietly.
-            if tx
-                .send(WorkerMsg::Started {
-                    index: task.index,
-                    attempt: task.attempt,
-                    at: started,
-                })
-                .is_err()
-            {
+            state.slots[me] = Slot::Running {
+                index,
+                attempt,
+                started,
+            };
+            drop(state);
+            let result = panic::catch_unwind(AssertUnwindSafe(|| job(index, attempt)));
+            let busy = started.elapsed();
+            state = shared.lock();
+            if matches!(state.slots[me], Slot::Abandoned) {
                 return;
             }
-            let result = match panic::catch_unwind(AssertUnwindSafe(|| f(task.index, task.attempt)))
-            {
-                Ok(v) => Ok(v),
-                Err(payload) => Err(panic_message(payload)),
+            state.slots[me] = Slot::Idle;
+            let fault = match result {
+                Ok(value) => {
+                    state.events.push(TrialEvent::Done { busy });
+                    state.settle(index, Ok(value));
+                    break;
+                }
+                Err(payload) => TrialFault::Panic {
+                    message: panic_message(payload),
+                },
             };
-            let finished = WorkerMsg::Finished {
-                index: task.index,
-                attempt: task.attempt,
-                result,
-                busy: started.elapsed(),
-            };
-            if tx.send(finished).is_err() {
-                return;
+            match state.fail(&shared.policy, index, attempt, fault) {
+                Some(at) => (attempt, not_before) = (attempt + 1, Some(at)),
+                None => break,
             }
         }
-    })
+        if state.settled == state.outcomes.len() {
+            shared.settled.notify_one();
+        }
+    }
 }
 
-/// Runs `f(index, attempt)` for `0..n` under a supervisor that retries
-/// failures and aborts attempts exceeding the watchdog deadline.
-///
-/// * `f` receives the *attempt number* (0 = first try) so the caller can
-///   re-derive attempt seeds deterministically — attempt 0 must use the
-///   same seed as the unsupervised path, keeping healthy sweeps
-///   bit-identical under any policy.
-/// * A failed attempt (panic or timeout) is re-queued up to
-///   `policy.retries` times, delayed by `policy.backoff * 2^(k-1)`.
-/// * A timed-out attempt is *abandoned*: its worker thread keeps running
-///   (safe Rust cannot kill it) but its eventual result is discarded, a
-///   replacement worker keeps the pool at strength, and the trial is
-///   recorded as a structured [`TrialFault::Timeout`] once its attempts
-///   are exhausted. Other in-flight and queued trials are unaffected —
-///   the sweep drains completely and every completed result is kept.
-/// * `on_event` fires on the calling thread for every settled attempt,
-///   so probes can stream progress without `Sync + 'static` bounds.
-///
-/// Successes are recorded exactly once per trial (whichever attempt
-/// succeeds first); results are sorted by index, so downstream
-/// statistics are independent of thread count and scheduling. Note that
-/// *which* attempt of a wall-clock-limited trial succeeds can depend on
-/// machine speed; determinism holds whenever trials fail (or succeed)
-/// deterministically, which is the case for seed-derived panics and for
-/// the healthy path.
-pub fn supervised_try_map<T, F>(
-    n: usize,
-    threads: usize,
-    policy: RunPolicy,
-    f: F,
-    mut on_event: impl FnMut(TrialEvent<'_>),
-) -> SupervisedOutcome<T>
-where
-    T: Send + 'static,
-    F: Fn(usize, u32) -> T + Send + Sync + 'static,
-{
-    let mut outcome = SupervisedOutcome {
-        successes: Vec::with_capacity(n),
-        failures: Vec::new(),
-        retries: 0,
-    };
-    if n == 0 {
-        return outcome;
+/// A sweep's workers (see the module docs). Dropping the pool stops them
+/// and joins every one the watchdog did not abandon.
+pub(crate) struct Pool<T> {
+    shared: Arc<Shared<T>>,
+    /// By worker number; `None` once the watchdog abandoned the worker.
+    workers: Vec<Option<JoinHandle<()>>>,
+}
+
+impl<T: Send + 'static> Pool<T> {
+    /// Starts `min(resolve_threads(threads), trials)` workers that run
+    /// trials under `policy`.
+    pub(crate) fn new(threads: usize, trials: usize, policy: RunPolicy) -> Self {
+        let shared = Arc::new(Shared {
+            policy,
+            state: Mutex::new(State {
+                job: None,
+                queue: VecDeque::new(),
+                slots: Vec::new(),
+                outcomes: Vec::new(),
+                settled: 0,
+                idle: 0,
+                events: Vec::new(),
+                shutdown: false,
+            }),
+            work: Condvar::new(),
+            settled: Condvar::new(),
+        });
+        let mut pool = Pool {
+            shared: Arc::clone(&shared),
+            workers: Vec::new(),
+        };
+        let mut state = shared.lock();
+        for _ in 0..resolve_threads(threads).min(trials) {
+            pool.spawn_worker(&mut state);
+        }
+        drop(state);
+        pool
     }
 
-    let queue = Arc::new(TaskQueue {
-        inner: Mutex::new((VecDeque::with_capacity(n), false)),
-        available: Condvar::new(),
-    });
-    for index in 0..n {
-        queue.inner.lock().expect("task queue").0.push_back(Task {
+    fn spawn_worker(&mut self, state: &mut State<T>) {
+        let me = state.slots.len();
+        state.slots.push(Slot::Idle);
+        let shared = Arc::clone(&self.shared);
+        self.workers
+            .push(Some(std::thread::spawn(move || work(&shared, me))));
+    }
+
+    /// Runs `job(index, attempt)` for every index in `0..n` and returns
+    /// once each has succeeded or spent its attempts.
+    ///
+    /// `job` receives the attempt number (0 = first try) so the caller
+    /// can re-derive attempt seeds deterministically. `on_event` runs on
+    /// the calling thread, and every event of the map reaches it before
+    /// `map` returns. *Which* attempt of a wall-clock-limited trial
+    /// succeeds can depend on machine speed; results are deterministic
+    /// whenever trials fail (or succeed) deterministically, which is the
+    /// case for seed-derived panics and for the healthy path.
+    pub(crate) fn map(
+        &mut self,
+        n: usize,
+        job: impl Fn(usize, u32) -> T + Send + Sync + 'static,
+        mut on_event: impl FnMut(TrialEvent),
+    ) -> MapOutcome<T> {
+        let shared = Arc::clone(&self.shared);
+        let mut events = Vec::new();
+        let mut state = shared.lock();
+        state.job = Some(Arc::new(job));
+        state.outcomes.resize_with(n, || None);
+        state.queue.extend((0..n).map(|index| Task {
             index,
             attempt: 0,
             not_before: None,
-        });
-    }
-    let f = Arc::new(f);
-    let (tx, rx) = mpsc::channel::<WorkerMsg<T>>();
-    let workers = resolve_threads(threads).min(n);
-    for _ in 0..workers {
-        spawn_worker(Arc::clone(&queue), Arc::clone(&f), tx.clone());
-    }
-
-    // Supervisor state: running attempts (for the watchdog) and attempts
-    // abandoned by it (whose late results must be discarded).
-    let mut running: HashMap<usize, (u32, Instant)> = HashMap::new();
-    let mut abandoned: HashSet<(usize, u32)> = HashSet::new();
-    let mut settled = 0usize;
-
-    while settled < n {
-        let msg = match policy.trial_timeout {
-            Some(limit) => {
-                let next_deadline = running.values().map(|&(_, at)| at + limit).min();
-                match next_deadline {
-                    Some(deadline) => {
-                        let wait = deadline.saturating_duration_since(Instant::now());
-                        match rx.recv_timeout(wait) {
-                            Ok(m) => Some(m),
-                            Err(mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                unreachable!("supervisor holds a sender")
-                            }
-                        }
-                    }
-                    None => Some(rx.recv().expect("supervisor holds a sender")),
-                }
+        }));
+        // Nothing runs yet, so this is one tick from now.
+        let mut wake = self.watchdog(&mut state);
+        drop(state);
+        shared.work.notify_one();
+        loop {
+            let mut state = shared.lock();
+            if state.settled < n {
+                let timeout = wake.saturating_duration_since(Instant::now());
+                state = shared
+                    .settled
+                    .wait_timeout(state, timeout)
+                    .expect("pool state lock")
+                    .0;
             }
-            None => Some(rx.recv().expect("supervisor holds a sender")),
-        };
-
-        match msg {
-            Some(WorkerMsg::Started { index, attempt, at }) => {
-                if !abandoned.contains(&(index, attempt)) {
-                    running.insert(index, (attempt, at));
-                }
+            wake = self.watchdog(&mut state);
+            std::mem::swap(&mut state.events, &mut events);
+            let outcome = (state.settled == n).then(|| state.take_outcome());
+            drop(state);
+            for event in events.drain(..) {
+                on_event(event);
             }
-            Some(WorkerMsg::Finished {
-                index,
-                attempt,
-                result,
-                busy,
-            }) => {
-                if abandoned.remove(&(index, attempt)) {
-                    // The watchdog already charged this attempt; whatever
-                    // it eventually produced is void.
-                    continue;
-                }
-                running.remove(&index);
-                match result {
-                    Ok(value) => {
-                        outcome.successes.push((index, value));
-                        settled += 1;
-                        on_event(TrialEvent::Done {
-                            index,
-                            attempt,
-                            busy,
-                        });
-                    }
-                    Err(message) => {
-                        let fault = TrialFault::Panic { message };
-                        settled += settle_failure(
-                            &mut outcome,
-                            &queue,
-                            &policy,
-                            index,
-                            attempt,
-                            fault,
-                            &mut on_event,
-                        );
-                    }
-                }
-            }
-            None => {
-                // Watchdog tick: abandon every running attempt past its
-                // deadline. The queue keeps draining regardless.
-                let limit = policy.trial_timeout.expect("timeout armed");
-                let now = Instant::now();
-                let expired: Vec<(usize, u32)> = running
-                    .iter()
-                    .filter(|&(_, &(_, at))| now.saturating_duration_since(at) >= limit)
-                    .map(|(&index, &(attempt, _))| (index, attempt))
-                    .collect();
-                for (index, attempt) in expired {
-                    running.remove(&index);
-                    abandoned.insert((index, attempt));
-                    // The abandoned worker may be stuck for good; keep
-                    // the pool at strength so the sweep still drains.
-                    spawn_worker(Arc::clone(&queue), Arc::clone(&f), tx.clone());
-                    let fault = TrialFault::Timeout { limit };
-                    settled += settle_failure(
-                        &mut outcome,
-                        &queue,
-                        &policy,
-                        index,
-                        attempt,
-                        fault,
-                        &mut on_event,
-                    );
-                }
+            if let Some(outcome) = outcome {
+                return outcome;
             }
         }
     }
 
-    queue.shutdown();
-    outcome.successes.sort_unstable_by_key(|(i, _)| *i);
-    outcome
-        .failures
-        .sort_unstable_by_key(|failure| failure.index);
-    outcome
+    /// Abandons every attempt past the policy's deadline and returns when
+    /// to look again: the next deadline, or one tick from now. Without a
+    /// deadline the tick is [`TICK`]; with one it is at most the
+    /// deadline, so an attempt that starts while the caller sleeps is
+    /// still seen before it expires.
+    fn watchdog(&mut self, state: &mut State<T>) -> Instant {
+        let now = Instant::now();
+        let Some(limit) = self.shared.policy.trial_timeout else {
+            return now + TICK;
+        };
+        let mut wake = now + limit.min(TICK);
+        let mut expired = Vec::new();
+        for (me, slot) in state.slots.iter().enumerate() {
+            if let Slot::Running {
+                index,
+                attempt,
+                started,
+            } = *slot
+            {
+                match started.checked_add(limit) {
+                    Some(deadline) if deadline <= now => expired.push((me, index, attempt)),
+                    Some(deadline) => wake = wake.min(deadline),
+                    None => {}
+                }
+            }
+        }
+        for (me, index, attempt) in expired {
+            state.slots[me] = Slot::Abandoned;
+            // Detach the stuck thread; a replacement takes its place.
+            self.workers[me] = None;
+            state.events.push(TrialEvent::TimedOut {
+                index,
+                attempt,
+                limit,
+            });
+            let fault = TrialFault::Timeout { limit };
+            if let Some(not_before) = state.fail(&self.shared.policy, index, attempt, fault) {
+                state.queue.push_back(Task {
+                    index,
+                    attempt: attempt + 1,
+                    not_before: Some(not_before),
+                });
+            }
+            self.spawn_worker(state);
+        }
+        wake
+    }
 }
 
-/// Handles a failed attempt: schedules a retry if the policy allows,
-/// otherwise records the failure. Returns how many trials settled (0 or
-/// 1) so the supervisor can track completion.
-fn settle_failure<T>(
-    outcome: &mut SupervisedOutcome<T>,
-    queue: &TaskQueue,
-    policy: &RunPolicy,
-    index: usize,
-    attempt: u32,
-    fault: TrialFault,
-    on_event: &mut impl FnMut(TrialEvent<'_>),
-) -> usize {
-    if attempt < policy.retries {
-        let next = attempt + 1;
-        let backoff = policy.backoff_before(next);
-        on_event(TrialEvent::Retry {
-            index,
-            failed_attempt: attempt,
-            fault: &fault,
-            backoff,
-        });
-        outcome.retries += 1;
-        queue.push(Task {
-            index,
-            attempt: next,
-            not_before: Some(retry_deadline(Instant::now(), backoff)),
-        });
-        0
-    } else {
-        let attempts = attempt + 1;
-        on_event(TrialEvent::Failed {
-            index,
-            attempts,
-            fault: &fault,
-        });
-        outcome.failures.push(SupervisedFailure {
-            index,
-            attempts,
-            fault,
-        });
-        1
+impl<T> Drop for Pool<T> {
+    fn drop(&mut self) {
+        // A poisoned lock means a worker already died; the join below
+        // still reaps the rest, which fail on the same poison.
+        if let Ok(mut state) = self.shared.state.lock() {
+            state.shutdown = true;
+        }
+        self.shared.work.notify_all();
+        for worker in self.workers.iter_mut().filter_map(Option::take) {
+            // Trial panics are caught inside the worker, and a panic
+            // outside a trial has already poisoned the lock the caller
+            // reads; `drop` must not panic on top of it.
+            let _ = worker.join();
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+
+    /// One map on a fresh pool, as a sweep runs one point.
+    fn try_map<T: Send + 'static>(
+        n: usize,
+        threads: usize,
+        policy: RunPolicy,
+        f: impl Fn(usize, u32) -> T + Send + Sync + 'static,
+        on_event: impl FnMut(TrialEvent),
+    ) -> MapOutcome<T> {
+        Pool::new(threads, n, policy).map(n, f, on_event)
+    }
+
+    /// [`try_map`] under the default policy, ignoring attempts and events.
+    fn plain_map<T: Send + 'static>(
+        n: usize,
+        threads: usize,
+        f: impl Fn(usize) -> T + Send + Sync + 'static,
+    ) -> MapOutcome<T> {
+        try_map(n, threads, RunPolicy::default(), move |i, _| f(i), |_| {})
+    }
+
+    fn panic_text(failure: &MapFailure) -> &str {
+        match &failure.fault {
+            TrialFault::Panic { message } => message,
+            other => panic!("expected a panic, got {other:?}"),
+        }
+    }
+
+    fn is_retry(event: &TrialEvent) -> bool {
+        matches!(event, TrialEvent::Retry { .. })
+    }
 
     #[test]
     fn preserves_index_order() {
-        let out = parallel_try_map(100, 8, |i| i * 3).into_values();
+        let out = plain_map(100, 8, |i| i * 3).into_values();
         assert_eq!(out.len(), 100);
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, i * 3);
@@ -663,22 +601,23 @@ mod tests {
 
     #[test]
     fn zero_and_one_tasks() {
-        assert!(parallel_try_map(0, 4, |i| i).into_values().is_empty());
-        assert_eq!(parallel_try_map(1, 4, |i| i + 7).into_values(), vec![7]);
+        assert!(plain_map(0, 4, |i| i).into_values().is_empty());
+        assert_eq!(plain_map(1, 4, |i| i + 7).into_values(), vec![7]);
     }
 
     #[test]
     fn single_thread_equals_multi_thread() {
-        let seq = parallel_try_map(64, 1, |i| (i as f64).sqrt()).into_values();
-        let par = parallel_try_map(64, 8, |i| (i as f64).sqrt()).into_values();
+        let seq = plain_map(64, 1, |i| (i as f64).sqrt()).into_values();
+        let par = plain_map(64, 8, |i| (i as f64).sqrt()).into_values();
         assert_eq!(seq, par);
     }
 
     #[test]
     fn every_task_runs_exactly_once() {
-        let calls = AtomicU64::new(0);
-        let out = parallel_try_map(500, 7, |i| {
-            calls.fetch_add(1, Ordering::Relaxed);
+        let calls = Arc::new(AtomicU64::new(0));
+        let counted = Arc::clone(&calls);
+        let out = plain_map(500, 7, move |i| {
+            counted.fetch_add(1, Ordering::Relaxed);
             i
         })
         .into_values();
@@ -694,13 +633,13 @@ mod tests {
 
     #[test]
     fn more_threads_than_tasks_is_fine() {
-        let out = parallel_try_map(3, 64, |i| i).into_values();
+        let out = plain_map(3, 64, |i| i).into_values();
         assert_eq!(out, vec![0, 1, 2]);
     }
 
     #[test]
     fn try_map_isolates_panicking_trials() {
-        let outcome = parallel_try_map(50, 4, |i| {
+        let outcome = plain_map(50, 4, |i| {
             if i == 17 {
                 panic!("injected fault at {i}");
             }
@@ -708,9 +647,9 @@ mod tests {
         });
         assert_eq!(outcome.failures.len(), 1);
         assert_eq!(outcome.failures[0].index, 17);
-        assert!(outcome.failures[0].message.contains("injected fault"));
+        assert!(panic_text(&outcome.failures[0]).contains("injected fault"));
         assert_eq!(outcome.successes.len(), 49);
-        assert!(!outcome.is_complete());
+        assert!(!outcome.failures.is_empty());
         for (i, v) in &outcome.successes {
             assert_eq!(*v, i * 2);
         }
@@ -719,7 +658,7 @@ mod tests {
 
     #[test]
     fn try_map_sequential_path_catches_too() {
-        let outcome = parallel_try_map(3, 1, |i| {
+        let outcome = plain_map(3, 1, |i| {
             if i == 1 {
                 panic!("boom");
             }
@@ -732,20 +671,20 @@ mod tests {
 
     #[test]
     fn try_map_string_and_nonstring_payloads() {
-        let outcome = parallel_try_map(2, 1, |i| {
+        let outcome = plain_map(2, 1, |i| {
             if i == 0 {
                 panic!("{}", String::from("owned message"));
             }
             std::panic::panic_any(42_u32);
         });
-        assert_eq!(outcome.failures[0].message, "owned message");
-        assert_eq!(outcome.failures[1].message, "non-string panic payload");
+        assert_eq!(panic_text(&outcome.failures[0]), "owned message");
+        assert_eq!(panic_text(&outcome.failures[1]), "non-string panic payload");
     }
 
     #[test]
     fn thread_count_invariance_with_failures() {
         let run = |threads| {
-            parallel_try_map(40, threads, |i| {
+            plain_map(40, threads, |i| {
                 if i % 13 == 0 {
                     panic!("fault {i}");
                 }
@@ -767,12 +706,19 @@ mod tests {
     }
 
     #[test]
-    fn supervised_healthy_run_matches_unsupervised() {
-        let plain = parallel_try_map(50, 4, |i| i * 3);
-        let supervised = supervised_try_map(50, 4, quiet_policy(2), |i, _attempt| i * 3, |_| {});
-        assert_eq!(plain.successes, supervised.successes);
-        assert!(supervised.is_complete());
-        assert_eq!(supervised.retries, 0);
+    fn armed_policy_healthy_run_matches_default_policy() {
+        let plain = plain_map(50, 4, |i| i * 3);
+        let mut retries = 0;
+        let armed = try_map(
+            50,
+            4,
+            quiet_policy(2),
+            |i, _attempt| i * 3,
+            |e| retries += u32::from(is_retry(&e)),
+        );
+        assert_eq!(plain.successes, armed.successes);
+        assert!(armed.failures.is_empty());
+        assert_eq!(retries, 0);
     }
 
     #[test]
@@ -782,8 +728,8 @@ mod tests {
         // exactly one sample to the final statistics.
         let calls = Arc::new(AtomicU64::new(0));
         let calls_in = Arc::clone(&calls);
-        let mut retry_events = 0u32;
-        let outcome = supervised_try_map(
+        let (mut retries, mut retry_events) = (0u32, 0u32);
+        let outcome = try_map(
             10,
             4,
             quiet_policy(2),
@@ -797,13 +743,14 @@ mod tests {
                 i + 100
             },
             |event| {
+                retries += u32::from(is_retry(&event));
                 if matches!(event, TrialEvent::Retry { index: 4, .. }) {
                     retry_events += 1;
                 }
             },
         );
-        assert!(outcome.is_complete());
-        assert_eq!(outcome.retries, 2);
+        assert!(outcome.failures.is_empty());
+        assert_eq!(retries, 2);
         assert_eq!(retry_events, 2);
         assert_eq!(calls.load(Ordering::Relaxed), 3, "attempts 0, 1, 2");
         // Exactly one success for index 4, from the third attempt.
@@ -815,7 +762,8 @@ mod tests {
 
     #[test]
     fn exhausted_retries_record_the_final_panic() {
-        let outcome = supervised_try_map(
+        let mut retries = 0;
+        let outcome = try_map(
             6,
             3,
             quiet_policy(1),
@@ -825,7 +773,7 @@ mod tests {
                 }
                 i
             },
-            |_| {},
+            |e| retries += u32::from(is_retry(&e)),
         );
         assert_eq!(outcome.failures.len(), 1);
         let failure = &outcome.failures[0];
@@ -835,20 +783,20 @@ mod tests {
             matches!(&failure.fault, TrialFault::Panic { message } if message.contains("attempt 1"))
         );
         assert_eq!(outcome.successes.len(), 5);
-        assert_eq!(outcome.retries, 1);
+        assert_eq!(retries, 1);
     }
 
     #[test]
     fn watchdog_times_out_stuck_trial_and_drains_the_rest() {
-        // Satellite 6: one stuck trial must neither hang the sweep nor
-        // lose any completed result.
+        // One stuck trial must neither hang the sweep nor lose any
+        // completed result.
         let policy = RunPolicy {
             retries: 0,
             trial_timeout: Some(Duration::from_millis(100)),
             backoff: Duration::from_millis(1),
         };
         let started = Instant::now();
-        let outcome = supervised_try_map(
+        let outcome = try_map(
             8,
             4,
             policy,
@@ -887,7 +835,8 @@ mod tests {
             trial_timeout: Some(Duration::from_millis(100)),
             backoff: Duration::from_millis(1),
         };
-        let outcome = supervised_try_map(
+        let mut retries = 0;
+        let outcome = try_map(
             4,
             2,
             policy,
@@ -897,16 +846,56 @@ mod tests {
                 }
                 (i, attempt)
             },
-            |_| {},
+            |e| retries += u32::from(is_retry(&e)),
         );
-        assert!(outcome.is_complete(), "retry must rescue the stuck trial");
-        assert_eq!(outcome.retries, 1);
+        assert!(
+            outcome.failures.is_empty(),
+            "retry must rescue the stuck trial"
+        );
+        assert_eq!(retries, 1);
         let rescued = outcome
             .successes
             .iter()
             .find(|(i, _)| *i == 1)
             .expect("index 1 present");
         assert_eq!(rescued.1, (1, 1), "success must come from attempt 1");
+    }
+
+    #[test]
+    fn abandoned_worker_exits_instead_of_rejoining() {
+        // Trial 0 overruns the deadline; its replacement worker and the
+        // other original one finish the map. When trial 0's sleep ends
+        // the abandoned worker must exit, not take more trials: the
+        // healthy trials never run more than `threads` at once.
+        let policy = RunPolicy {
+            trial_timeout: Some(Duration::from_millis(100)),
+            ..RunPolicy::default()
+        };
+        let running = Arc::new(AtomicUsize::new(0));
+        let peak = Arc::new(AtomicUsize::new(0));
+        let (running_in, peak_in) = (Arc::clone(&running), Arc::clone(&peak));
+        let outcome = try_map(
+            40,
+            2,
+            policy,
+            move |i, _attempt| {
+                if i == 0 {
+                    std::thread::sleep(Duration::from_millis(300));
+                    return i;
+                }
+                let now = running_in.fetch_add(1, Ordering::SeqCst) + 1;
+                peak_in.fetch_max(now, Ordering::SeqCst);
+                std::thread::sleep(Duration::from_millis(20));
+                running_in.fetch_sub(1, Ordering::SeqCst);
+                i
+            },
+            |_| {},
+        );
+        assert_eq!(outcome.failures.len(), 1);
+        assert_eq!(outcome.failures[0].index, 0);
+        assert_eq!(outcome.successes.len(), 39);
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak <= 2, "{peak} healthy trials ran at once on 2 threads");
     }
 
     #[test]
@@ -920,8 +909,9 @@ mod tests {
         assert_eq!(policy.backoff_before(1), Duration::from_millis(100));
         assert_eq!(policy.backoff_before(2), Duration::from_millis(200));
         assert_eq!(policy.backoff_before(3), Duration::from_millis(400));
-        assert!(policy.is_active());
-        assert!(!RunPolicy::default().is_active());
+        assert_ne!(policy, RunPolicy::default());
+        let inert = RunPolicy::default();
+        assert_eq!((inert.retries, inert.trial_timeout), (0, None));
     }
 
     #[test]
@@ -949,9 +939,9 @@ mod tests {
     }
 
     #[test]
-    fn supervised_zero_tasks() {
-        let outcome = supervised_try_map::<usize, _>(0, 4, quiet_policy(1), |i, _| i, |_| {});
+    fn zero_tasks_under_an_armed_policy() {
+        let outcome = try_map::<usize>(0, 4, quiet_policy(1), |i, _| i, |_| {});
         assert!(outcome.successes.is_empty());
-        assert!(outcome.is_complete());
+        assert!(outcome.failures.is_empty());
     }
 }

@@ -8,12 +8,12 @@ use std::cell::RefCell;
 /// per-trial state.
 ///
 /// One `TrialScratch` lives per OS thread (see [`with_trial_scratch`]).
-/// Both `parallel_try_map` and the supervised engine run each worker on
-/// its own thread for the duration of a sweep, so a thread-local scratch
-/// is exactly one scratch per worker, reused across all trials that
-/// worker executes: after the first trial at the sweep's largest
-/// lattice, the steady-state trial loop performs no survey-side heap
-/// allocations (see `docs/PERFORMANCE.md`).
+/// The trial engine runs each worker on its own thread for the duration
+/// of a sweep — every point of it — so a thread-local scratch is exactly
+/// one scratch per worker, reused across all trials that worker executes:
+/// after the first trial at the sweep's largest lattice, the steady-state
+/// trial loop performs no survey-side heap allocations (see
+/// `docs/PERFORMANCE.md`).
 #[derive(Debug, Default)]
 pub struct TrialScratch {
     /// The survey-layer buffers (see [`SurveyScratch`]).

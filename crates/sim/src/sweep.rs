@@ -11,16 +11,19 @@
 //!   trial that failed, reduces the survivors, stores the result in the
 //!   checkpoint, and emits `sweep_done`.
 //!
-//! An inert `ctx.policy` runs the trials on the plain engine
-//! ([`parallel_try_map`]); an active one runs them on the supervised
-//! engine ([`supervised_try_map`]), which retries a failed trial with a
-//! [`SimConfig::retry_seed`]-derived seed and abandons attempts that
-//! overrun the watchdog. Attempt 0 always uses the plain trial seed, so a
-//! healthy sweep is bit-identical under any policy.
+//! Every trial runs on the runner's one engine: a worker pool that [`run`]
+//! starts at its first computed point, keeps for every later point, and
+//! joins before it returns, under `ctx.policy`. A failed trial is retried
+//! with a [`SimConfig::retry_seed`]-derived seed while the policy grants
+//! retries, and the watchdog abandons attempts that overrun its deadline.
+//! Attempt 0 always uses the plain trial seed, so a healthy sweep is
+//! bit-identical under any policy. The workers never touch the probe: the
+//! calling thread hands it each point's trial events, at least every
+//! 100 ms while the point runs and all of them before its `sweep_done`.
 
 use crate::config::SimConfig;
 use crate::progress::{Ctx, Probe, TrialFailureReport, TrialRetryReport, TrialTimeoutReport};
-use crate::runner::{parallel_try_map, supervised_try_map, TrialEvent, TrialFault};
+use crate::runner::{Pool, TrialEvent};
 use bytes::{Buf, BufMut, BytesMut};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,10 +97,11 @@ where
     S: Send + 'static,
 {
     let (experiment, span) = (sweep.experiment, sweep.span);
-    // The supervised engine's workers are detached threads, so the trial
-    // and config cross into `'static` land behind `Arc`s.
-    let trial = Arc::new(trial);
-    let supervised = ctx.policy.is_active().then(|| Arc::new(cfg.clone()));
+    // The pool's workers are detached threads (the watchdog may abandon
+    // one), so the trial and config cross into `'static` land behind
+    // `Arc`s.
+    let (trial, shared) = (Arc::new(trial), Arc::new(cfg.clone()));
+    let mut pool = None;
     let (mut points, mut failures) = (Vec::with_capacity(sweep.points.len()), Vec::new());
     // One staging buffer for every entry the sweep stores.
     let mut row = BytesMut::with_capacity(128);
@@ -127,50 +131,30 @@ where
 
         ctx.probe.sweep_start(experiment, beacons, cfg.trials);
         let started = Instant::now();
-        let (samples, failed): (Vec<S>, Vec<_>) = match &supervised {
-            Some(shared) => {
-                let (worker_cfg, trial, at) = (Arc::clone(shared), Arc::clone(&trial), at.clone());
-                let outcome = supervised_try_map(
-                    cfg.trials,
-                    cfg.threads,
-                    ctx.policy,
-                    move |t, attempt| {
-                        let _span = abp_trace::span!(span);
-                        trial(&worker_cfg, &at, worker_cfg.retry_seed(index, t, attempt))
-                    },
-                    forward_trial_events(ctx.probe, experiment, index, beacons),
-                );
-                let failed = outcome
-                    .failures
-                    .iter()
-                    .map(|f| {
-                        let seed = cfg.retry_seed(index, f.index, f.attempts - 1);
-                        report(f.index, seed, f.fault.to_string())
-                    })
-                    .collect();
-                (outcome.into_values(), failed)
-            }
-            None => {
-                let outcome = parallel_try_map(cfg.trials, cfg.threads, |t| {
+        let (worker_cfg, trial, worker_at) = (Arc::clone(&shared), Arc::clone(&trial), at.clone());
+        let outcome = pool
+            .get_or_insert_with(|| Pool::new(cfg.threads, cfg.trials, ctx.policy))
+            .map(
+                cfg.trials,
+                move |t, attempt| {
                     let _span = abp_trace::span!(span);
-                    let begun = Instant::now();
-                    let sample = trial(cfg, &at, cfg.trial_seed(index, t));
-                    ctx.probe.trial_done(begun.elapsed());
-                    sample
-                });
-                let failed = outcome
-                    .failures
-                    .iter()
-                    .map(|f| {
-                        let fault = TrialFault::Panic {
-                            message: f.message.clone(),
-                        };
-                        report(f.index, cfg.trial_seed(index, f.index), fault.to_string())
-                    })
-                    .collect();
-                (outcome.into_values(), failed)
-            }
-        };
+                    trial(
+                        &worker_cfg,
+                        &worker_at,
+                        worker_cfg.retry_seed(index, t, attempt),
+                    )
+                },
+                |event| forward(ctx.probe, experiment, index, beacons, event),
+            );
+        let failed: Vec<_> = outcome
+            .failures
+            .iter()
+            .map(|f| {
+                let seed = cfg.retry_seed(index, f.index, f.attempts - 1);
+                report(f.index, seed, f.fault.to_string())
+            })
+            .collect();
+        let samples = outcome.into_values();
         for f in &failed {
             ctx.probe.trial_failed(f);
         }
@@ -247,52 +231,43 @@ pub(crate) fn decode_entry<O>(
     buf.is_empty().then_some((point, failures))
 }
 
-/// The `on_event` callback handed to [`supervised_try_map`]: forwards
-/// successes, retries and watchdog timeouts to `probe` with the point's
-/// context. Terminal failures are reported by [`run`] in trial order
-/// after the engine returns.
-fn forward_trial_events<'a>(
-    probe: &'a dyn Probe,
+/// Hands one engine event to `probe` with the point's context. Terminal
+/// failures are reported by [`run`] in trial order once the point settles.
+fn forward(
+    probe: &dyn Probe,
     experiment: &'static str,
     density_index: usize,
     beacons: usize,
-) -> impl FnMut(TrialEvent<'_>) + 'a {
-    move |event| {
-        let (trial, attempt, fault, backoff) = match event {
-            TrialEvent::Done { busy, .. } => return probe.trial_done(busy),
-            TrialEvent::Retry {
-                index,
-                failed_attempt,
-                fault,
-                backoff,
-            } => (index, failed_attempt, fault, Some(backoff)),
-            TrialEvent::Failed {
-                index,
-                attempts,
-                fault,
-            } => (index, attempts - 1, fault, None),
-        };
-        if let TrialFault::Timeout { limit } = *fault {
-            probe.trial_timed_out(&TrialTimeoutReport {
-                experiment,
-                density_index,
-                beacons,
-                trial,
-                attempt,
-                limit,
-            });
-        }
-        if let Some(backoff) = backoff {
-            probe.trial_retried(&TrialRetryReport {
-                experiment,
-                density_index,
-                beacons,
-                trial,
-                failed_attempt: attempt,
-                fault: fault.to_string(),
-                backoff,
-            });
-        }
+    event: TrialEvent,
+) {
+    match event {
+        TrialEvent::Done { busy } => probe.trial_done(busy),
+        TrialEvent::TimedOut {
+            index,
+            attempt,
+            limit,
+        } => probe.trial_timed_out(&TrialTimeoutReport {
+            experiment,
+            density_index,
+            beacons,
+            trial: index,
+            attempt,
+            limit,
+        }),
+        TrialEvent::Retry {
+            index,
+            failed_attempt,
+            fault,
+            backoff,
+        } => probe.trial_retried(&TrialRetryReport {
+            experiment,
+            density_index,
+            beacons,
+            trial: index,
+            failed_attempt,
+            fault: fault.to_string(),
+            backoff,
+        }),
     }
 }
 
@@ -301,6 +276,10 @@ mod tests {
     use super::*;
     use crate::experiments::density_error::{self, TrialSample};
     use crate::runner::RunPolicy;
+    use crate::scratch::{with_trial_scratch, TrialScratch};
+    use std::collections::HashMap;
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -319,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn failure_reports_read_the_same_on_both_engines() {
+    fn failure_reports_read_the_same_under_any_policy() {
         let c = cfg();
         let first = c.trial_seed(0, 0);
         let panics = move |_: &SimConfig, _: f64, _: usize, seed: u64| {
@@ -368,6 +347,76 @@ mod tests {
         assert_eq!(
             timed_out.failures[0].to_string(),
             format!("density-error: trial 0 at density #0 (20 beacons, seed {first:#018x}) timed out after 0.050s")
+        );
+    }
+
+    #[test]
+    fn one_pool_and_its_scratch_serve_every_point() {
+        let c = SimConfig {
+            trials: 4,
+            threads: 2,
+            ..cfg()
+        };
+        let points = (0..4).map(|at| Point { beacons: 20, at }).collect();
+        let (seen, failures) = run(
+            &c,
+            Ctx::noop(),
+            Sweep::<usize, Vec<(ThreadId, usize)>>::new("pool", "trial.pool", points),
+            |_, _, _| {
+                let scratch = with_trial_scratch(|s| s as *mut TrialScratch as usize);
+                (std::thread::current().id(), scratch)
+            },
+            |_, samples| samples.to_vec(),
+        );
+        assert!(failures.is_empty());
+        let mut scratch_of = HashMap::new();
+        for &(thread, scratch) in seen.iter().flatten() {
+            let first = *scratch_of.entry(thread).or_insert(scratch);
+            assert_eq!(first, scratch, "a worker's scratch moved between points");
+        }
+        assert!(
+            scratch_of.len() <= 2,
+            "{} threads ran a 2-thread sweep",
+            scratch_of.len()
+        );
+    }
+
+    #[test]
+    fn trial_events_reach_the_probe_while_a_point_runs() {
+        #[derive(Default)]
+        struct Stamps {
+            first_trial: Mutex<Option<Instant>>,
+            sweep_done: Mutex<Option<Instant>>,
+        }
+        impl Probe for Stamps {
+            fn trial_done(&self, _busy: Duration) {
+                let mut first = self.first_trial.lock().unwrap();
+                first.get_or_insert_with(Instant::now);
+            }
+            fn sweep_done(&self, _: &str, _: usize, _: Duration, _: bool) {
+                *self.sweep_done.lock().unwrap() = Some(Instant::now());
+            }
+        }
+        let probe = Stamps::default();
+        let c = SimConfig {
+            trials: 20,
+            threads: 2,
+            ..cfg()
+        };
+        let point = vec![Point { beacons: 20, at: 0 }];
+        run(
+            &c,
+            Ctx::new(&probe),
+            Sweep::<usize, ()>::new("progress", "trial.progress", point),
+            |_, _, _| std::thread::sleep(Duration::from_millis(30)),
+            |_, _| (),
+        );
+        let first = probe.first_trial.lock().unwrap().expect("trials reported");
+        let done = probe.sweep_done.lock().unwrap().expect("point reported");
+        assert!(
+            done - first >= Duration::from_millis(100),
+            "the first trial_done came only {:?} before sweep_done",
+            done - first
         );
     }
 

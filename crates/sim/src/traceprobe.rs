@@ -29,10 +29,10 @@ pub static TRIAL_WALL: DurationHistogram = DurationHistogram::new("trial_wall");
 /// file, and trial completions feed the [`TRIALS_RUN`]/[`TRIALS_FAILED`]
 /// counters and the [`TRIAL_WALL`] histogram.
 ///
-/// Events fire from whichever worker thread finished the work, so in the
-/// Chrome export the trial marks land on the per-worker tracks next to
-/// that worker's spans. When tracing is disabled every method costs one
-/// relaxed atomic load.
+/// Events fire on the thread that runs the sweep, so in the Chrome
+/// export the probe marks share that thread's track, while each trial's
+/// own spans land on the track of the worker that ran it. When tracing is
+/// disabled every method costs one relaxed atomic load.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TraceProbe;
 
