@@ -77,7 +77,9 @@
 //!   --noise X                   noise level for ablation/duel/batch [default: 0]
 //!   --beacons N                 field size for robustness/faults/batch [default: 40]
 //!   --retry N                   re-run a panicked or timed-out trial up to N
-//!                               more times; each attempt re-derives its seed
+//!                               more times, waiting 250 ms before the first
+//!                               retry and doubling to at most 4 s; each
+//!                               attempt re-derives its seed
 //!                               deterministically, so healthy trials are
 //!                               bit-identical with or without the flag;
 //!                               every Monte-Carlo command honours it

@@ -261,16 +261,17 @@ pub fn run_overload(cfg: &ServeConfig, load: &LoadConfig) -> io::Result<Overload
     );
     let ns = 1e-9;
     let p99_s = quantile_ns(&latencies, 0.99) as f64 * ns;
-    let attempts = stats.connections + stats.shed;
+    let shed = stats.reply.shed;
+    let attempts = stats.reply.connections_total + shed;
     Ok(OverloadReport {
         offered_clients: offered,
         max_conns: capacity,
         requests: latencies.len() as u64,
-        shed_connections: stats.shed,
+        shed_connections: shed,
         shed_rate: if attempts == 0 {
             0.0
         } else {
-            stats.shed as f64 / attempts as f64
+            shed as f64 / attempts as f64
         },
         p50_s: quantile_ns(&latencies, 0.50) as f64 * ns,
         p99_s,
@@ -463,7 +464,7 @@ pub fn run_load(cfg: &ServeConfig, load: &LoadConfig) -> io::Result<LoadReport> 
         },
         alloc_counting: stats.alloc_counting,
         identical,
-        final_epoch: stats.final_epoch,
+        final_epoch: stats.reply.epoch,
         scrapes: scrape_ns.len() as u64,
         scrape_p50_s: if scrape_ns.is_empty() {
             0.0

@@ -37,6 +37,7 @@
 //! real unwind crossed the isolation boundary and was contained.
 
 use crate::daemon::{Daemon, ServeConfig};
+use crate::metrics::OpClass;
 use crate::protocol::{self as wire, PlaceAlgo, Status};
 use crate::state::StateOpen;
 use std::io::{self, ErrorKind, Read, Write};
@@ -241,19 +242,26 @@ fn hostile_inputs(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     }
 
     let stats = daemon.shutdown();
-    if stats.panics != 0 || stats.worker_respawns != 0 {
+    if stats.reply.panics != 0 || stats.worker_respawns != 0 {
         return Err(fail(
             "clean_after_chaos",
             format!(
                 "hostile inputs must not panic workers (panics {}, respawns {})",
-                stats.panics, stats.worker_respawns
+                stats.reply.panics, stats.worker_respawns
             ),
         ));
     }
-    if stats.errors < 3 {
+    // Exactly three frames were answered with an error status: the
+    // garbage opcode, the u32::MAX length and the u32::MAX count. Each
+    // is one refused frame and one error-class request.
+    let errors = stats.reply.count(OpClass::Error);
+    if stats.refused != 3 || errors != 3 {
         return Err(fail(
             "clean_after_chaos",
-            format!("want >= 3 refused frames counted, got {}", stats.errors),
+            format!(
+                "want 3 refused frames and 3 error requests, got {} and {errors}",
+                stats.refused
+            ),
         ));
     }
     if stats.alloc_counting && stats.allocs_per_request() != 0.0 {
@@ -270,7 +278,7 @@ fn hostile_inputs(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
         detail: format!(
             "polite client still served; {} refused frames counted, allocs/request {} \
              (counting {})",
-            stats.errors,
+            stats.refused,
             stats.allocs_per_request(),
             stats.alloc_counting
         ),
@@ -331,16 +339,16 @@ fn accept_flood(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     drop(second);
     drop(first);
 
-    let stats = daemon.shutdown();
+    let stats = daemon.shutdown().reply;
     if stats.shed == 0 {
         return Err(fail("accept_flood", "gate shed nothing"));
     }
-    if stats.connections != 2 {
+    if stats.connections_total != 2 {
         return Err(fail(
             "accept_flood",
             format!(
                 "want exactly 2 accepted connections, got {}",
-                stats.connections
+                stats.connections_total
             ),
         ));
     }
@@ -410,7 +418,7 @@ fn request_shed(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     drop(parked);
     drop(live);
 
-    let stats = daemon.shutdown();
+    let stats = daemon.shutdown().reply;
     if stats.shed == 0 {
         return Err(fail("request_shed", "shed counter never moved"));
     }
@@ -436,7 +444,7 @@ fn slowloris(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     let mut conn = connect(daemon.local_addr())?;
     conn.write_all(&[9])?;
     expect_silent_close("slowloris", &mut conn)?;
-    let stats = daemon.shutdown();
+    let stats = daemon.shutdown().reply;
     if stats.quarantines != 1 {
         return Err(fail(
             "slowloris",
@@ -487,10 +495,10 @@ fn handler_panic(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     drop(fresh);
 
     let stats = daemon.shutdown();
-    if stats.panics != 1 {
+    if stats.reply.panics != 1 {
         return Err(fail(
             "handler_panic",
-            format!("want 1 contained panic, got {}", stats.panics),
+            format!("want 1 contained panic, got {}", stats.reply.panics),
         ));
     }
     if stats.worker_respawns != 0 {
@@ -527,7 +535,7 @@ fn deadline_expiry(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
         }
     }
     drop(conn);
-    let stats = daemon.shutdown();
+    let stats = daemon.shutdown().reply;
     if stats.deadline_exceeded < 3 {
         return Err(fail(
             "deadline_expiry",
@@ -583,7 +591,7 @@ fn warm_restart(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     }
     drop(conn);
     let first_world = daemon.snapshot();
-    let stats = daemon.shutdown();
+    let stats = daemon.shutdown().reply;
     if stats.state_saves == 0 {
         let _ = std::fs::remove_file(&state_path);
         return Err(fail("warm_restart", "no state save recorded"));
@@ -594,7 +602,7 @@ fn warm_restart(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     let second_world = revived.snapshot();
     let fingerprints_match = second_world.fingerprint() == first_world.fingerprint();
     let epochs_match = second_world.epoch() == first_world.epoch();
-    let stats2 = revived.shutdown();
+    let stats2 = revived.shutdown().reply;
     let _ = std::fs::remove_file(&state_path);
 
     if !loaded {

@@ -25,8 +25,10 @@
 //! the bench gate pins at exactly zero.
 
 use crate::engine::{self, ServeScratch};
-use crate::metrics::{FlightEntry, OpClass, ServeMetrics, ALL_CLASSES, FLIGHT_SLOTS, OP_CLASSES};
-use crate::protocol::{self, Opcode, Request, StatsView, Status, MAX_FRAME};
+use crate::metrics::{
+    FlightEntry, OpClass, ServeMetrics, Tally, ALL_CLASSES, ALL_TALLIES, FLIGHT_SLOTS,
+};
+use crate::protocol::{self, Opcode, Request, StatsReply, StatsView, Status, MAX_FRAME};
 use crate::snapshot::{SnapshotCell, WorldSnapshot};
 use crate::state::{self, StateOpen};
 use abp_field::BeaconField;
@@ -175,58 +177,21 @@ impl ServeConfig {
     }
 }
 
-#[derive(Default)]
-struct Stats {
-    requests: AtomicU64,
-    localize: AtomicU64,
-    place: AtomicU64,
-    info: AtomicU64,
-    stats: AtomicU64,
-    errors: AtomicU64,
-    applies: AtomicU64,
-    connections: AtomicU64,
-    measured_requests: AtomicU64,
-    measured_allocs: AtomicU64,
-    measured_bytes: AtomicU64,
-    worker_respawns: AtomicU64,
-}
-
-/// One opcode class's shutdown summary: request count and latency
-/// quantiles from the per-daemon histograms (zeros when the class saw
-/// no traffic).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OpcodeSummary {
-    /// Requests served in this class.
-    pub count: u64,
-    /// Median handler latency, nanoseconds.
-    pub p50_ns: u64,
-    /// 95th-percentile handler latency, nanoseconds.
-    pub p95_ns: u64,
-    /// 99th-percentile handler latency, nanoseconds.
-    pub p99_ns: u64,
-}
-
-/// Final counters reported by [`Daemon::shutdown`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The exit report of [`Daemon::shutdown`]: the daemon's ledger as one
+/// final Stats frame carries it, decoded the way a client decodes it,
+/// plus the tallies that never travel on the wire.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Total requests served (all opcodes, including error answers).
-    pub requests: u64,
-    /// Localize requests.
-    pub localize: u64,
-    /// Place requests.
-    pub place: u64,
-    /// Info requests.
-    pub info: u64,
-    /// Stats requests.
-    pub stats: u64,
-    /// Malformed frames answered with an error status.
-    pub errors: u64,
-    /// Placement proposals applied (deployed + re-surveyed).
-    pub applies: u64,
-    /// Connections accepted.
-    pub connections: u64,
-    /// The epoch current at shutdown.
-    pub final_epoch: u64,
+    /// The final Stats reply: per-class counts and latency histograms,
+    /// connections, rebuilds, the resilience counters, and the epoch
+    /// current at shutdown.
+    pub reply: StatsReply,
+    /// Frames refused for their content ([`Tally::Refused`]); each is
+    /// also one `error`-class request in `reply`.
+    pub refused: u64,
+    /// Worker threads respawned after an escaped panic (backstop; the
+    /// per-request `catch_unwind` should keep this at zero).
+    pub worker_respawns: u64,
     /// Requests inside the post-warmup allocation measurement windows.
     pub measured_requests: u64,
     /// Allocator calls observed inside those windows.
@@ -237,30 +202,6 @@ pub struct StatsSnapshot {
     /// (`--features count-allocs`); without it the measured fields read
     /// zero vacuously.
     pub alloc_counting: bool,
-    /// Per-opcode-class counts and latency quantiles, indexed like
-    /// [`ALL_CLASSES`].
-    pub opcodes: [OpcodeSummary; OP_CLASSES],
-    /// Flight-recorder offers dropped to lock contention.
-    pub flight_dropped: u64,
-    /// Rebuilds completed over the daemon's lifetime.
-    pub rebuilds_total: u64,
-    /// Applies still queued for the rebuilder at shutdown.
-    pub rebuilds_pending: u64,
-    /// Connections/requests shed by admission control.
-    pub shed: u64,
-    /// Requests answered `DeadlineExceeded`.
-    pub deadline_exceeded: u64,
-    /// Request-handler panics contained (connection killed, worker kept).
-    pub panics: u64,
-    /// Connections quarantined by the dribble detector.
-    pub quarantines: u64,
-    /// World snapshots persisted to the state file.
-    pub state_saves: u64,
-    /// World snapshots restored from the state file at boot.
-    pub state_loads: u64,
-    /// Worker threads respawned after an escaped panic (backstop; the
-    /// per-request `catch_unwind` should keep this at zero).
-    pub worker_respawns: u64,
 }
 
 impl StatsSnapshot {
@@ -276,18 +217,20 @@ impl StatsSnapshot {
 
     /// One-line summary, printed by the CLI on shutdown.
     pub fn summary_line(&self) -> String {
+        let r = &self.reply;
         format!(
-            "served {} requests ({} localize, {} place, {} info, {} errors) \
+            "served {} requests ({} localize, {} place, {} info, {} stats, {} errors) \
              over {} connections; {} applies, final epoch {}; \
              allocs/request {:.3}{}",
-            self.requests,
-            self.localize,
-            self.place,
-            self.info,
-            self.errors,
-            self.connections,
-            self.applies,
-            self.final_epoch,
+            r.requests_total(),
+            r.count(OpClass::Localize),
+            r.count(OpClass::Place),
+            r.count(OpClass::Info),
+            r.count(OpClass::Stats),
+            r.count(OpClass::Error),
+            r.connections_total,
+            r.rebuilds_total,
+            r.epoch,
             self.allocs_per_request(),
             if self.alloc_counting {
                 ""
@@ -302,45 +245,48 @@ impl StatsSnapshot {
     /// [`StatsSnapshot::summary_line`]; empty when no request was
     /// served.
     pub fn summary_table(&self) -> String {
-        if self.opcodes.iter().all(|o| o.count == 0) {
+        let r = &self.reply;
+        if r.requests_total() == 0 {
             return String::new();
         }
         let mut out = String::new();
         out.push_str("  opcode     count       p50       p95       p99\n");
-        for (class, op) in ALL_CLASSES.iter().zip(self.opcodes.iter()) {
+        for (class, op) in ALL_CLASSES.iter().zip(r.classes.iter()) {
             if op.count == 0 {
                 continue;
             }
+            let hist = op.histogram(class.metric_name());
+            let q = |p: f64| fmt_ns(hist.quantile_ns(p).unwrap_or(0));
             out.push_str(&format!(
                 "  {:<8} {:>7}  {:>8}  {:>8}  {:>8}\n",
                 class.name(),
                 op.count,
-                fmt_ns(op.p50_ns),
-                fmt_ns(op.p95_ns),
-                fmt_ns(op.p99_ns),
+                q(0.50),
+                q(0.95),
+                q(0.99),
             ));
         }
         out.push_str(&format!(
             "  rebuilds {} done, {} pending; flight drops {}",
-            self.rebuilds_total, self.rebuilds_pending, self.flight_dropped
+            r.rebuilds_total, r.rebuilds_pending, r.flight_dropped
         ));
-        let defenses = self.shed
-            + self.deadline_exceeded
-            + self.panics
-            + self.quarantines
-            + self.state_saves
-            + self.state_loads
+        let defenses = r.shed
+            + r.deadline_exceeded
+            + r.panics
+            + r.quarantines
+            + r.state_saves
+            + r.state_loads
             + self.worker_respawns;
         if defenses > 0 {
             out.push_str(&format!(
                 "\n  shed {}, deadline-exceeded {}, panics {}, quarantines {}; \
                  state saves {} / loads {}; worker respawns {}",
-                self.shed,
-                self.deadline_exceeded,
-                self.panics,
-                self.quarantines,
-                self.state_saves,
-                self.state_loads,
+                r.shed,
+                r.deadline_exceeded,
+                r.panics,
+                r.quarantines,
+                r.state_saves,
+                r.state_loads,
                 self.worker_respawns,
             ));
         }
@@ -366,7 +312,6 @@ fn fmt_ns(ns: u64) -> String {
 struct Shared {
     cell: SnapshotCell,
     shutdown: AtomicBool,
-    stats: Stats,
     metrics: ServeMetrics,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
@@ -446,7 +391,6 @@ impl Daemon {
         let shared = Arc::new(Shared {
             cell: SnapshotCell::new(initial),
             shutdown: AtomicBool::new(false),
-            stats: Stats::default(),
             metrics: ServeMetrics::new(),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
@@ -462,7 +406,7 @@ impl Daemon {
             panic_seed: cfg.panic_seed,
         });
         if matches!(state_open, StateOpen::Loaded { .. }) {
-            shared.metrics.note_state_load();
+            shared.metrics.note(Tally::StateLoads);
         }
         // Boot save: the file exists (and a damaged one is replaced)
         // from the first instant, so a crash before the first apply
@@ -490,9 +434,7 @@ impl Daemon {
                     .spawn(move || loop {
                         match catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))) {
                             Ok(()) => return,
-                            Err(_) => {
-                                shared.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
-                            }
+                            Err(_) => shared.metrics.note(Tally::WorkerRespawns),
                         }
                     })
                     .expect("spawn worker")
@@ -564,8 +506,9 @@ impl Daemon {
     }
 
     /// Orderly shutdown: stop accepting, let every worker finish its
-    /// current frame and notice the flag, join the rebuilder, return the
-    /// final stats.
+    /// current frame and notice the flag, join the rebuilder, and read
+    /// the ledger the way a client does — one final Stats frame,
+    /// encoded and decoded — plus the tallies the wire does not carry.
     pub fn shutdown(mut self) -> StatsSnapshot {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         self.shared.queue_cv.notify_all();
@@ -581,43 +524,21 @@ impl Daemon {
         if let Some(h) = self.metrics_listener.take() {
             let _ = h.join();
         }
-        let s = &self.shared.stats;
-        let m = &self.shared.metrics;
-        let mut opcodes = [OpcodeSummary::default(); OP_CLASSES];
-        for (&class, op) in ALL_CLASSES.iter().zip(opcodes.iter_mut()) {
-            let snap = m.class_snapshot(class);
-            *op = OpcodeSummary {
-                count: m.class_count(class),
-                p50_ns: snap.quantile_ns(0.50).unwrap_or(0),
-                p95_ns: snap.quantile_ns(0.95).unwrap_or(0),
-                p99_ns: snap.quantile_ns(0.99).unwrap_or(0),
-            };
-        }
+        let shared = &self.shared;
+        let mut frame = Vec::new();
+        encode_stats(shared, shared.cell.epoch_hint(), &mut frame);
+        // Past the 4-byte length prefix.
+        let reply = protocol::decode_stats_response(&frame[4..])
+            .expect("the daemon's own Stats frame decodes");
+        let m = &shared.metrics;
         StatsSnapshot {
-            requests: s.requests.load(Ordering::Relaxed),
-            localize: s.localize.load(Ordering::Relaxed),
-            place: s.place.load(Ordering::Relaxed),
-            info: s.info.load(Ordering::Relaxed),
-            stats: s.stats.load(Ordering::Relaxed),
-            errors: s.errors.load(Ordering::Relaxed),
-            applies: s.applies.load(Ordering::Relaxed),
-            connections: s.connections.load(Ordering::Relaxed),
-            final_epoch: self.shared.cell.epoch_hint(),
-            measured_requests: s.measured_requests.load(Ordering::Relaxed),
-            measured_allocs: s.measured_allocs.load(Ordering::Relaxed),
-            measured_bytes: s.measured_bytes.load(Ordering::Relaxed),
+            reply,
+            refused: m.tally(Tally::Refused),
+            worker_respawns: m.tally(Tally::WorkerRespawns),
+            measured_requests: m.tally(Tally::MeasuredRequests),
+            measured_allocs: m.tally(Tally::MeasuredAllocs),
+            measured_bytes: m.tally(Tally::MeasuredBytes),
             alloc_counting: abp_trace::counting(),
-            opcodes,
-            flight_dropped: m.flight.dropped(),
-            rebuilds_total: m.rebuilds_total(),
-            rebuilds_pending: m.rebuilds_pending(),
-            shed: m.shed(),
-            deadline_exceeded: m.deadline_exceeded(),
-            panics: m.panics(),
-            quarantines: m.quarantines(),
-            state_saves: m.state_saves(),
-            state_loads: m.state_loads(),
-            worker_respawns: s.worker_respawns.load(Ordering::Relaxed),
         }
     }
 }
@@ -632,7 +553,7 @@ fn persist_state(shared: &Shared) {
     let snap = shared.cell.load();
     let positions: Vec<Point> = snap.field().iter().map(|b| b.pos()).collect();
     match state::save_state(path, shared.state_fingerprint, snap.epoch(), &positions) {
-        Ok(()) => shared.metrics.note_state_save(),
+        Ok(()) => shared.metrics.note(Tally::StateSaves),
         Err(e) => eprintln!("abp-serve: state save to {} failed: {e}", path.display()),
     }
 }
@@ -649,13 +570,13 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
                     let load =
                         shared.metrics.connections_live() + shared.queued.load(Ordering::Relaxed);
                     if load >= shared.max_conns as u64 {
-                        shared.metrics.note_shed();
+                        shared.metrics.note(Tally::Shed);
                         let _ = stream.set_nonblocking(false);
                         let _ = stream.write_all(&OVERLOADED_FRAME);
                         continue;
                     }
                 }
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.note(Tally::Connections);
                 shared.queued.fetch_add(1, Ordering::Relaxed);
                 let mut q = lock_unpoisoned(&shared.queue);
                 q.push_back(stream);
@@ -679,10 +600,7 @@ fn rebuild_loop(shared: &Shared, apply_rx: mpsc::Receiver<Point>) {
                 let current = shared.cell.load();
                 let next = current.with_beacon_added(point);
                 shared.cell.publish(next);
-                shared.stats.applies.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.rebuild_finished(started.elapsed());
-                crate::APPLIES.add(1);
-                crate::EPOCHS_PUBLISHED.add(1);
                 // Persist the world the readers now serve; a SIGKILL
                 // after this line restarts warm at exactly this epoch.
                 persist_state(shared);
@@ -748,72 +666,33 @@ fn serve_metrics_scrape(shared: &Shared, stream: &mut TcpStream) {
 }
 
 /// Builds the Prometheus text-exposition document for one daemon from
-/// its per-daemon instruments (never the global `abp_trace` registry, so
-/// co-resident daemons stay separate).
+/// its ledger (never the global `abp_trace` registry, so co-resident
+/// daemons stay separate).
 fn render_exposition(shared: &Shared) -> String {
     use abp_trace::{CounterSnapshot, GaugeSnapshot};
-    let s = &shared.stats;
     let m = &shared.metrics;
+    // One read per class, so the request total is exactly their sum.
+    let classes = ALL_CLASSES.map(|c| CounterSnapshot {
+        name: c.counter_name(),
+        total: m.class_count(c),
+    });
     let mut counters = vec![
         CounterSnapshot {
             name: "serve_requests",
-            total: s.requests.load(Ordering::Relaxed),
-        },
-        CounterSnapshot {
-            name: "serve_protocol_errors",
-            total: s.errors.load(Ordering::Relaxed),
-        },
-        CounterSnapshot {
-            name: "serve_applies",
-            total: s.applies.load(Ordering::Relaxed),
-        },
-        CounterSnapshot {
-            name: "serve_connections",
-            total: s.connections.load(Ordering::Relaxed),
-        },
-        CounterSnapshot {
-            name: "serve_rebuilds",
-            total: m.rebuilds_total(),
+            total: classes.iter().map(|c| c.total).sum(),
         },
         CounterSnapshot {
             name: "serve_flight_dropped",
             total: m.flight.dropped(),
         },
-        CounterSnapshot {
-            name: "serve_shed",
-            total: m.shed(),
-        },
-        CounterSnapshot {
-            name: "serve_deadline_exceeded",
-            total: m.deadline_exceeded(),
-        },
-        CounterSnapshot {
-            name: "serve_panics",
-            total: m.panics(),
-        },
-        CounterSnapshot {
-            name: "serve_quarantines",
-            total: m.quarantines(),
-        },
-        CounterSnapshot {
-            name: "serve_state_saves",
-            total: m.state_saves(),
-        },
-        CounterSnapshot {
-            name: "serve_state_loads",
-            total: m.state_loads(),
-        },
-        CounterSnapshot {
-            name: "serve_worker_respawns",
-            total: s.worker_respawns.load(Ordering::Relaxed),
-        },
     ];
-    for &class in &ALL_CLASSES {
-        counters.push(CounterSnapshot {
-            name: class.counter_name(),
-            total: m.class_count(class),
-        });
-    }
+    counters.extend(ALL_TALLIES.iter().filter_map(|&t| {
+        Some(CounterSnapshot {
+            name: t.counter_name()?,
+            total: m.tally(t),
+        })
+    }));
+    counters.extend(classes);
     let gauges = vec![
         GaugeSnapshot {
             name: "serve_epoch",
@@ -978,15 +857,16 @@ fn serve_connection(
             ReadOutcome::Frame => {}
             ReadOutcome::CleanEof | ReadOutcome::Stop | ReadOutcome::IdleExpired => break,
             ReadOutcome::FrameExpired => {
-                shared.metrics.note_quarantine();
+                shared.metrics.note(Tally::Quarantines);
                 break;
             }
         }
         let len = u32::from_le_bytes(header);
         if len > MAX_FRAME {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            crate::PROTOCOL_ERRORS.add(1);
+            let started = Instant::now();
+            shared.metrics.note(Tally::Refused);
             protocol::encode_error_response(&mut scratch.out_buf, Status::Oversize);
+            record_request(shared, OpClass::Error, 0, started.elapsed());
             let _ = stream.write_all(&scratch.out_buf);
             // The unread payload cannot be resynchronized past; drop
             // the connection.
@@ -1007,7 +887,7 @@ fn serve_connection(
         match outcome {
             ReadOutcome::Frame => {}
             ReadOutcome::FrameExpired => {
-                shared.metrics.note_quarantine();
+                shared.metrics.note(Tally::Quarantines);
                 break;
             }
             ReadOutcome::CleanEof | ReadOutcome::Stop | ReadOutcome::IdleExpired => break,
@@ -1023,7 +903,7 @@ fn serve_connection(
         // first; Localize — the service's reason to exist — holds out
         // to twice the watermark.
         let (class, heard) = if should_shed_request(shared, &scratch.in_buf) {
-            shared.metrics.note_shed();
+            shared.metrics.note(Tally::Shed);
             protocol::encode_error_response(&mut scratch.out_buf, Status::Overloaded);
             (OpClass::Error, 0)
         } else {
@@ -1033,8 +913,7 @@ fn serve_connection(
             match catch_unwind(AssertUnwindSafe(|| handle_request(shared, reader, scratch))) {
                 Ok(pair) => pair,
                 Err(_) => {
-                    shared.metrics.note_panic();
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.note(Tally::Panics);
                     record_request(shared, OpClass::Error, 0, started.elapsed());
                     // The handler may have unwound mid-encode; discard
                     // the torn scratch (allocates — panics are far off
@@ -1051,7 +930,7 @@ fn serve_connection(
         // discard the response and tell the client so.
         if let Some(deadline) = shared.deadline {
             if elapsed > deadline {
-                shared.metrics.note_deadline_exceeded();
+                shared.metrics.note(Tally::DeadlineExceeded);
                 protocol::encode_error_response(&mut scratch.out_buf, Status::DeadlineExceeded);
                 class = OpClass::Error;
                 heard = 0;
@@ -1067,21 +946,16 @@ fn serve_connection(
     shared.metrics.connection_closed();
     if let Some(base) = alloc_base {
         let delta = abp_trace::thread_snapshot().delta_since(base);
-        let s = &shared.stats;
-        s.measured_requests
-            .fetch_add(served - ALLOC_WARMUP_REQUESTS, Ordering::Relaxed);
-        s.measured_allocs.fetch_add(delta.allocs, Ordering::Relaxed);
-        s.measured_bytes.fetch_add(delta.bytes, Ordering::Relaxed);
+        let m = &shared.metrics;
+        m.add(Tally::MeasuredRequests, served - ALLOC_WARMUP_REQUESTS);
+        m.add(Tally::MeasuredAllocs, delta.allocs);
+        m.add(Tally::MeasuredBytes, delta.bytes);
     }
 }
 
-/// Counts one answered request in the process-wide counters and both
-/// daemon ledgers (`Stats` and the per-class metrics), and offers it to
-/// the flight recorder.
+/// Records one answered request in the ledger, once, in `class`, and
+/// offers it to the flight recorder.
 fn record_request(shared: &Shared, class: OpClass, heard: u32, elapsed: Duration) {
-    crate::REQUEST_NS.record(elapsed);
-    crate::REQUESTS.add(1);
-    shared.stats.requests.fetch_add(1, Ordering::Relaxed);
     let latency_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
     shared.metrics.record(class, latency_ns);
     shared.metrics.flight.offer(FlightEntry {
@@ -1125,33 +999,25 @@ fn handle_request(
     let request = match protocol::decode_request(&scratch.in_buf, &mut scratch.ids) {
         Ok(req) => req,
         Err(status) => {
-            shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-            crate::PROTOCOL_ERRORS.add(1);
+            shared.metrics.note(Tally::Refused);
             protocol::encode_error_response(&mut scratch.out_buf, status);
             return (OpClass::Error, 0);
         }
     };
     let snap = reader.current();
     match request {
-        Request::Localize => {
-            shared.stats.localize.fetch_add(1, Ordering::Relaxed);
-            crate::LOCALIZE_REQUESTS.add(1);
-            match engine::localize(snap, &scratch.ids, &mut scratch.slots) {
-                Ok(reply) => {
-                    protocol::encode_localize_response(&mut scratch.out_buf, &reply);
-                    (OpClass::Localize, reply.heard)
-                }
-                Err(_unknown_id) => {
-                    shared.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    crate::PROTOCOL_ERRORS.add(1);
-                    protocol::encode_error_response(&mut scratch.out_buf, Status::UnknownBeacon);
-                    (OpClass::Error, 0)
-                }
+        Request::Localize => match engine::localize(snap, &scratch.ids, &mut scratch.slots) {
+            Ok(reply) => {
+                protocol::encode_localize_response(&mut scratch.out_buf, &reply);
+                (OpClass::Localize, reply.heard)
             }
-        }
+            Err(_unknown_id) => {
+                shared.metrics.note(Tally::Refused);
+                protocol::encode_error_response(&mut scratch.out_buf, Status::UnknownBeacon);
+                (OpClass::Error, 0)
+            }
+        },
         Request::Place { algo, seed, apply } => {
-            shared.stats.place.fetch_add(1, Ordering::Relaxed);
-            crate::PLACE_REQUESTS.add(1);
             let position = engine::place(snap, algo, seed);
             // Applying is control-plane: enqueue for the rebuilder and
             // answer immediately from the current epoch. (The send
@@ -1179,8 +1045,6 @@ fn handle_request(
             (OpClass::Place, 0)
         }
         Request::Info => {
-            shared.stats.info.fetch_add(1, Ordering::Relaxed);
-            crate::INFO_REQUESTS.add(1);
             protocol::encode_info_response(
                 &mut scratch.out_buf,
                 snap.epoch(),
@@ -1192,21 +1056,26 @@ fn handle_request(
             (OpClass::Info, 0)
         }
         Request::Stats => {
-            shared.stats.stats.fetch_add(1, Ordering::Relaxed);
-            let mut flight = [FlightEntry::default(); FLIGHT_SLOTS];
-            let n = shared.metrics.flight.copy_into(&mut flight);
-            protocol::encode_stats_response(
-                &mut scratch.out_buf,
-                &StatsView {
-                    epoch: snap.epoch(),
-                    connections_total: shared.stats.connections.load(Ordering::Relaxed),
-                    metrics: &shared.metrics,
-                    flight: &flight[..n],
-                },
-            );
+            encode_stats(shared, snap.epoch(), &mut scratch.out_buf);
             (OpClass::Stats, 0)
         }
     }
+}
+
+/// Encodes the ledger as a Stats response frame at `epoch` into `out`.
+/// Alloc-free beyond `out`'s growth: the flight entries are copied into
+/// a stack array.
+fn encode_stats(shared: &Shared, epoch: u64, out: &mut Vec<u8>) {
+    let mut flight = [FlightEntry::default(); FLIGHT_SLOTS];
+    let n = shared.metrics.flight.copy_into(&mut flight);
+    protocol::encode_stats_response(
+        out,
+        &StatsView {
+            epoch,
+            metrics: &shared.metrics,
+            flight: &flight[..n],
+        },
+    );
 }
 
 #[cfg(test)]
@@ -1278,13 +1147,19 @@ mod tests {
 
         drop(conn);
         let stats = daemon.shutdown();
-        assert_eq!(stats.requests, 6);
-        assert_eq!(stats.localize, 3);
-        assert_eq!(stats.place, 1);
-        assert_eq!(stats.info, 2);
-        assert_eq!(stats.errors, 1);
-        assert_eq!(stats.connections, 1);
-        assert_eq!(stats.final_epoch, 0);
+        let r = &stats.reply;
+        assert_eq!(r.requests_total(), 6);
+        assert_eq!(
+            r.count(OpClass::Localize),
+            2,
+            "the unknown-beacon Localize is an error"
+        );
+        assert_eq!(r.count(OpClass::Place), 1);
+        assert_eq!(r.count(OpClass::Info), 2);
+        assert_eq!(r.count(OpClass::Error), 1);
+        assert_eq!(stats.refused, 1);
+        assert_eq!(r.connections_total, 1);
+        assert_eq!(r.epoch, 0);
     }
 
     #[test]
@@ -1318,8 +1193,8 @@ mod tests {
 
         drop(conn);
         let stats = daemon.shutdown();
-        assert_eq!(stats.applies, 1);
-        assert_eq!(stats.final_epoch, 1);
+        assert_eq!(stats.reply.rebuilds_total, 1);
+        assert_eq!(stats.reply.epoch, 1);
     }
 
     #[test]
@@ -1344,7 +1219,8 @@ mod tests {
 
         drop(conn);
         let stats = daemon.shutdown();
-        assert_eq!(stats.errors, 2);
+        assert_eq!(stats.reply.count(OpClass::Error), 2);
+        assert_eq!(stats.refused, 2);
     }
 
     #[test]
@@ -1401,82 +1277,12 @@ mod tests {
 
         drop(conn);
         let snap = daemon.shutdown();
-        assert_eq!(snap.stats, 2);
-        assert_eq!(snap.opcodes[OpClass::Localize as usize].count, 3);
-        assert!(snap.opcodes[OpClass::Localize as usize].p50_ns > 0);
-        assert!(
-            snap.opcodes[OpClass::Localize as usize].p99_ns
-                >= snap.opcodes[OpClass::Localize as usize].p50_ns
-        );
-        assert!(!snap.summary_table().is_empty());
+        assert_eq!(snap.reply.count(OpClass::Stats), 2);
+        assert_eq!(snap.reply.count(OpClass::Localize), 3);
+        let loc = snap.reply.classes[OpClass::Localize as usize].histogram("serve_localize_ns");
+        assert!(loc.quantile_ns(0.50).unwrap() > 0);
+        assert!(loc.quantile_ns(0.99) >= loc.quantile_ns(0.50));
         assert!(snap.summary_table().contains("localize"));
-    }
-
-    /// The daemon keeps two request ledgers: `Stats` (the shutdown
-    /// counters) and `ServeMetrics` (the per-class counts behind the Stats
-    /// opcode and `/metrics`). Both count every request once; they differ
-    /// in where a request that fails after decoding lands: `Stats` counts
-    /// an unknown-beacon Localize as a localize *and* an error, the
-    /// per-class ledger only as an error.
-    #[test]
-    fn request_ledgers_agree_on_totals_and_split_errors_differently() {
-        let daemon = Daemon::start(&ServeConfig::tiny()).unwrap();
-        let mut conn = TcpStream::connect(daemon.local_addr()).unwrap();
-        let mut out = Vec::new();
-        let mut frame = Vec::new();
-
-        // 1. A good Localize (one roster id; the tiny field numbers its
-        //    beacons from 0).
-        wire::encode_localize_request(&mut out, &[0]);
-        roundtrip(&mut conn, &out, &mut frame);
-        assert_eq!(wire::decode_localize_response(&frame).unwrap().heard, 1);
-        // 2. A Localize naming an unknown beacon.
-        wire::encode_localize_request(&mut out, &[u64::MAX]);
-        roundtrip(&mut conn, &out, &mut frame);
-        assert_eq!(
-            wire::decode_localize_response(&frame),
-            Err(Status::UnknownBeacon)
-        );
-        // 3. A malformed frame: a Localize announcing 5 ids, carrying none.
-        let payload = [1u8, 5, 0, 0, 0];
-        let mut malformed = (payload.len() as u32).to_le_bytes().to_vec();
-        malformed.extend_from_slice(&payload);
-        roundtrip(&mut conn, &malformed, &mut frame);
-        assert_eq!(frame, vec![Status::BadFrame as u8]);
-        // 4. Info.
-        wire::encode_info_request(&mut out);
-        roundtrip(&mut conn, &out, &mut frame);
-        assert!(wire::decode_info_response(&frame).is_ok());
-        // 5. A dry-run Place.
-        wire::encode_place_request(&mut out, PlaceAlgo::Max, 0, false);
-        roundtrip(&mut conn, &out, &mut frame);
-        assert!(!wire::decode_place_response(&frame).unwrap().applied);
-        // 6. Stats.
-        wire::encode_stats_request(&mut out);
-        roundtrip(&mut conn, &out, &mut frame);
-        assert!(wire::decode_stats_response(&frame).is_ok());
-
-        drop(conn);
-        let snap = daemon.shutdown();
-        let count = |class: OpClass| snap.opcodes[class as usize].count;
-        assert_eq!(snap.requests, 6);
-        assert_eq!(
-            snap.opcodes.iter().map(|o| o.count).sum::<u64>(),
-            snap.requests,
-            "both ledgers count every request once"
-        );
-        assert_eq!(count(OpClass::Error), 2);
-        assert_eq!(snap.errors, count(OpClass::Error));
-        assert_eq!(snap.localize, 2, "Stats counts the unknown-beacon Localize");
-        assert_eq!(count(OpClass::Localize), 1, "the per-class ledger does not");
-        assert_eq!(
-            (
-                count(OpClass::Info),
-                count(OpClass::Place),
-                count(OpClass::Stats)
-            ),
-            (1, 1, 1)
-        );
     }
 
     /// Satellite regression: an unknown opcode's payload is consumed in
@@ -1512,9 +1318,9 @@ mod tests {
 
         drop(conn);
         let stats = daemon.shutdown();
-        assert_eq!(stats.requests, 2);
-        assert_eq!(stats.errors, 1);
-        assert_eq!(stats.localize, 1);
+        assert_eq!(stats.reply.requests_total(), 2);
+        assert_eq!(stats.reply.count(OpClass::Error), 1);
+        assert_eq!(stats.reply.count(OpClass::Localize), 1);
     }
 
     #[test]
@@ -1563,6 +1369,10 @@ mod tests {
         assert!(body.contains("serve_quarantines_total 0"));
         assert!(body.contains("serve_state_loads_total 0"));
         assert!(body.contains("serve_worker_respawns_total 0"));
+        assert!(body.contains("serve_protocol_errors_total 0"));
+        // Applies are rebuilds: one counter, `serve_rebuilds_total`.
+        assert!(body.contains("serve_rebuilds_total 0"));
+        assert!(!body.contains("serve_applies"));
 
         let missing = scrape("/nope");
         assert!(missing.starts_with("HTTP/1.0 404"), "{missing}");
@@ -1581,6 +1391,10 @@ mod tests {
         assert_eq!(frame, vec![Status::Oversize as u8]);
         // The server hangs up; the next read sees EOF.
         assert!(!wire::read_frame(&mut conn, &mut frame).unwrap());
-        daemon.shutdown();
+        let stats = daemon.shutdown();
+        // The Oversize answer is one refused frame and one error request.
+        assert_eq!(stats.reply.requests_total(), 1);
+        assert_eq!(stats.reply.count(OpClass::Error), 1);
+        assert_eq!(stats.refused, 1);
     }
 }

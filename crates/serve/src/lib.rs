@@ -20,12 +20,14 @@
 //!   [`engine::ServeScratch`] workspaces,
 //! * [`daemon`] — thread-per-core accept/worker loop with graceful
 //!   shutdown and per-connection allocation accounting,
-//! * [`metrics`] — the daemon's embedded live telemetry: per-opcode
-//!   request counters and latency histograms on ungated atomics, the
-//!   connection/rebuild gauges, and the never-blocks-a-worker
-//!   slowest-requests flight recorder (served over the **stats**
-//!   opcode and the optional `/metrics` HTTP exposition listener —
-//!   see `docs/OBSERVABILITY.md`),
+//! * [`metrics`] — the daemon's one ledger, counting every answered
+//!   frame once, in one opcode class: per-class counters and latency
+//!   histograms on ungated atomics, the daemon tallies, the gauges, and
+//!   the never-blocks-a-worker slowest-requests flight recorder (read
+//!   by the **stats** opcode, the optional `/metrics` listener and the
+//!   exit report — see `docs/OBSERVABILITY.md`). No instrument is
+//!   process-global; only the `serve_request` and `serve_rebuild` trace
+//!   spans reach `abp-trace`,
 //! * [`mod@bench`] — the `abp serve-bench` load harness: N client threads,
 //!   client-observed p50/p95/p99, server-side allocs/request, and
 //!   `/metrics` scrape latency under load,
@@ -46,7 +48,8 @@
 //! per-connection warm-up that sizes the reused buffers). Under
 //! `--features count-allocs` the daemon measures this per connection with
 //! thread-local allocator deltas and reports allocs/request in
-//! [`daemon::StatsSnapshot`]; the bench gate holds it at exactly 0.
+//! [`daemon::StatsSnapshot`], the exit report; the bench gate holds it
+//! at exactly 0.
 //! Control-plane work (applying a placement, re-surveying, publishing a
 //! new epoch) happens on the rebuilder thread and may allocate freely.
 //!
@@ -54,6 +57,7 @@
 //!
 //! ```
 //! use abp_serve::daemon::{Daemon, ServeConfig};
+//! use abp_serve::metrics::OpClass;
 //! use abp_serve::protocol as wire;
 //! use std::io::Write;
 //!
@@ -69,7 +73,8 @@
 //! assert!(!info.beacons.is_empty());
 //! drop(conn);
 //! let stats = daemon.shutdown();
-//! assert_eq!(stats.info, 1);
+//! assert_eq!(stats.reply.count(OpClass::Info), 1);
+//! assert_eq!(stats.reply.requests_total(), 1);
 //! ```
 
 #![deny(unsafe_code)]
@@ -84,23 +89,3 @@ pub mod protocol;
 pub mod signal;
 pub mod snapshot;
 pub mod state;
-
-use abp_trace::{Counter, DurationHistogram};
-
-/// Telemetry: requests served, all opcodes (one per decoded frame).
-pub static REQUESTS: Counter = Counter::new("serve_requests");
-/// Telemetry: localize requests served.
-pub static LOCALIZE_REQUESTS: Counter = Counter::new("serve_localize");
-/// Telemetry: place requests served.
-pub static PLACE_REQUESTS: Counter = Counter::new("serve_place");
-/// Telemetry: info requests served.
-pub static INFO_REQUESTS: Counter = Counter::new("serve_info");
-/// Telemetry: malformed frames answered with an error status.
-pub static PROTOCOL_ERRORS: Counter = Counter::new("serve_protocol_errors");
-/// Telemetry: placement proposals applied (enqueued to the rebuilder).
-pub static APPLIES: Counter = Counter::new("serve_applies");
-/// Telemetry: world snapshots published (epoch bumps past the initial).
-pub static EPOCHS_PUBLISHED: Counter = Counter::new("serve_epochs_published");
-/// Telemetry: request latency, decode through encode (excludes socket
-/// reads/writes), in log₂ nanosecond buckets with exact min/max.
-pub static REQUEST_NS: DurationHistogram = DurationHistogram::new("serve_request_ns");

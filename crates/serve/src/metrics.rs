@@ -1,14 +1,20 @@
-//! Per-daemon live telemetry: opcode-class counters and latency
-//! histograms, operational gauges, and a slow-request flight recorder.
+//! The daemon's one ledger: opcode-class counters and latency
+//! histograms, the daemon tallies, operational gauges, and a
+//! slow-request flight recorder.
 //!
-//! Unlike the crate-level [`abp_trace`] statics (which sit behind the
-//! global instrumentation gate and a process-wide registry), these
-//! instruments are owned by one [`Daemon`](crate::daemon::Daemon): every
-//! in-process daemon — tests and bench harnesses routinely run several —
-//! gets its own numbers, nothing depends on the global gate, and the
-//! record path is a handful of relaxed atomic stores with **zero heap
-//! allocations**, so it rides inside the serving invariant measured by
-//! `serve-bench --features count-allocs`.
+//! These instruments are owned by one [`Daemon`](crate::daemon::Daemon):
+//! every in-process daemon — tests and bench harnesses routinely run
+//! several — gets its own numbers, nothing touches the global
+//! [`abp_trace`] registry or its gate, and the record path is a handful
+//! of relaxed atomic stores with **zero heap allocations**, so it rides
+//! inside the serving invariant measured by `serve-bench --features
+//! count-allocs`.
+//!
+//! Every frame the daemon answers is recorded once, in one [`OpClass`]:
+//! a frame answered with an error status — malformed, oversize, naming
+//! an unknown beacon, shed, or past its deadline — is an `error`, never
+//! a `localize` or `place`. The request total is the sum of the five
+//! classes.
 //!
 //! The three consumers are:
 //!
@@ -16,8 +22,10 @@
 //!   — a compact binary snapshot `abp top` polls,
 //! * the **`/metrics` HTTP listener** — Prometheus text exposition built
 //!   from the same instruments via [`abp_trace::render_prometheus`],
-//! * the **shutdown summary** — per-opcode counts and quantiles in
-//!   [`StatsSnapshot`](crate::daemon::StatsSnapshot).
+//! * the **exit report** — [`Daemon::shutdown`](crate::daemon::Daemon::shutdown)
+//!   decodes one final Stats frame into
+//!   [`StatsSnapshot`](crate::daemon::StatsSnapshot) and adds the
+//!   tallies the wire does not carry.
 
 use abp_trace::{HistogramSnapshot, RawHistogram};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -226,21 +234,99 @@ impl ClassMetrics {
     }
 }
 
-/// The full per-daemon telemetry block: per-class counts and latency
-/// histograms, operational gauges, and the flight recorder.
+/// Number of daemon tallies (one per [`Tally`] variant).
+pub const TALLIES: usize = 13;
+
+/// The daemon's monotone counters beside the per-class request counts.
+/// Each bump is one relaxed atomic add — safe on the request path, no
+/// allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Tally {
+    /// Connections accepted (one shed at the accept gate is not).
+    Connections = 0,
+    /// Frames refused for their content: malformed (`BadFrame`,
+    /// `BadOpcode`, `BadAlgo`), announcing more than
+    /// [`MAX_FRAME`](crate::protocol::MAX_FRAME) bytes (`Oversize`), or
+    /// naming an unknown beacon (`UnknownBeacon`). Each is also one
+    /// [`OpClass::Error`] request.
+    Refused = 1,
+    /// Rebuilds completed: one per applied placement.
+    Rebuilds = 2,
+    /// Connections and requests shed by admission control with
+    /// [`Status::Overloaded`](crate::protocol::Status::Overloaded).
+    Shed = 3,
+    /// Requests answered
+    /// [`Status::DeadlineExceeded`](crate::protocol::Status::DeadlineExceeded).
+    DeadlineExceeded = 4,
+    /// Request-handler panics contained (the connection died, the
+    /// worker survived).
+    Panics = 5,
+    /// Connections quarantined for dribbling one frame slower than the
+    /// daemon's frame window (slow-loris defense).
+    Quarantines = 6,
+    /// World snapshots persisted to the `--state` file.
+    StateSaves = 7,
+    /// World snapshots restored from the `--state` file at boot.
+    StateLoads = 8,
+    /// Worker threads respawned after a panic escaped the per-request
+    /// `catch_unwind` (a backstop that should stay at zero).
+    WorkerRespawns = 9,
+    /// Requests inside the post-warmup allocation windows.
+    MeasuredRequests = 10,
+    /// Allocator calls observed inside those windows.
+    MeasuredAllocs = 11,
+    /// Bytes requested inside those windows.
+    MeasuredBytes = 12,
+}
+
+/// All tallies, in index order (`ALL_TALLIES[i] as usize == i`).
+pub const ALL_TALLIES: [Tally; TALLIES] = [
+    Tally::Connections,
+    Tally::Refused,
+    Tally::Rebuilds,
+    Tally::Shed,
+    Tally::DeadlineExceeded,
+    Tally::Panics,
+    Tally::Quarantines,
+    Tally::StateSaves,
+    Tally::StateLoads,
+    Tally::WorkerRespawns,
+    Tally::MeasuredRequests,
+    Tally::MeasuredAllocs,
+    Tally::MeasuredBytes,
+];
+
+impl Tally {
+    /// The `/metrics` counter name (exported `_total`-suffixed). `None`
+    /// for the allocation window, which only the exit report carries.
+    pub fn counter_name(self) -> Option<&'static str> {
+        Some(match self {
+            Tally::Connections => "serve_connections",
+            Tally::Refused => "serve_protocol_errors",
+            Tally::Rebuilds => "serve_rebuilds",
+            Tally::Shed => "serve_shed",
+            Tally::DeadlineExceeded => "serve_deadline_exceeded",
+            Tally::Panics => "serve_panics",
+            Tally::Quarantines => "serve_quarantines",
+            Tally::StateSaves => "serve_state_saves",
+            Tally::StateLoads => "serve_state_loads",
+            Tally::WorkerRespawns => "serve_worker_respawns",
+            Tally::MeasuredRequests | Tally::MeasuredAllocs | Tally::MeasuredBytes => return None,
+        })
+    }
+}
+
+/// The daemon's one ledger: per-class request counts and latency
+/// histograms, the [`Tally`] counters, operational gauges, and the
+/// flight recorder.
 pub struct ServeMetrics {
     started: Instant,
     classes: [ClassMetrics; OP_CLASSES],
+    tallies: [AtomicU64; TALLIES],
     connections_live: AtomicU64,
     rebuilds_pending: AtomicU64,
-    rebuilds_total: AtomicU64,
     last_rebuild_ns: AtomicU64,
-    shed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    panics: AtomicU64,
-    quarantines: AtomicU64,
-    state_saves: AtomicU64,
-    state_loads: AtomicU64,
     /// The slowest-request ring.
     pub flight: FlightRecorder,
 }
@@ -250,29 +336,17 @@ impl ServeMetrics {
     pub fn new() -> ServeMetrics {
         ServeMetrics {
             started: Instant::now(),
-            classes: [
-                ClassMetrics::new(),
-                ClassMetrics::new(),
-                ClassMetrics::new(),
-                ClassMetrics::new(),
-                ClassMetrics::new(),
-            ],
+            classes: std::array::from_fn(|_| ClassMetrics::new()),
+            tallies: std::array::from_fn(|_| AtomicU64::new(0)),
             connections_live: AtomicU64::new(0),
             rebuilds_pending: AtomicU64::new(0),
-            rebuilds_total: AtomicU64::new(0),
             last_rebuild_ns: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
-            state_saves: AtomicU64::new(0),
-            state_loads: AtomicU64::new(0),
             flight: FlightRecorder::new(),
         }
     }
 
-    /// Records one served request: bumps the class count and its latency
-    /// histogram. Six relaxed atomic ops, no allocation.
+    /// Records one answered request: bumps the class count and its
+    /// latency histogram. Six relaxed atomic ops, no allocation.
     #[inline]
     pub fn record(&self, class: OpClass, latency_ns: u64) {
         let c = &self.classes[class as usize];
@@ -280,7 +354,7 @@ impl ServeMetrics {
         c.latency.record_ns(latency_ns);
     }
 
-    /// Requests served in `class`.
+    /// Requests answered in `class`.
     pub fn class_count(&self, class: OpClass) -> u64 {
         self.classes[class as usize].count.load(Ordering::Relaxed)
     }
@@ -299,9 +373,26 @@ impl ServeMetrics {
             .snapshot(class.metric_name())
     }
 
-    /// Requests served across all classes.
+    /// Requests answered across all classes.
     pub fn requests_total(&self) -> u64 {
         ALL_CLASSES.iter().map(|&c| self.class_count(c)).sum()
+    }
+
+    /// Adds one to `tally`.
+    #[inline]
+    pub fn note(&self, tally: Tally) {
+        self.add(tally, 1);
+    }
+
+    /// Adds `n` to `tally`.
+    #[inline]
+    pub fn add(&self, tally: Tally, n: u64) {
+        self.tallies[tally as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The current value of `tally`.
+    pub fn tally(&self, tally: Tally) -> u64 {
+        self.tallies[tally as usize].load(Ordering::Relaxed)
     }
 
     /// Wall-clock time since the daemon started.
@@ -343,7 +434,7 @@ impl ServeMetrics {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
                 Some(v.saturating_sub(1))
             });
-        self.rebuilds_total.fetch_add(1, Ordering::Relaxed);
+        self.note(Tally::Rebuilds);
         let ns = u64::try_from(took.as_nanos()).unwrap_or(u64::MAX);
         self.last_rebuild_ns.store(ns, Ordering::Relaxed);
     }
@@ -353,90 +444,10 @@ impl ServeMetrics {
         self.rebuilds_pending.load(Ordering::Relaxed)
     }
 
-    /// Rebuilds completed since start.
-    pub fn rebuilds_total(&self) -> u64 {
-        self.rebuilds_total.load(Ordering::Relaxed)
-    }
-
     /// Duration of the most recent rebuild, in nanoseconds (0 before the
     /// first).
     pub fn last_rebuild_ns(&self) -> u64 {
         self.last_rebuild_ns.load(Ordering::Relaxed)
-    }
-
-    // -----------------------------------------------------------------
-    // Resilience counters. All bump paths are one relaxed atomic add —
-    // safe on the request path, no allocation.
-    // -----------------------------------------------------------------
-
-    /// Admission control shed a connection or request with
-    /// [`Status::Overloaded`](crate::protocol::Status::Overloaded).
-    #[inline]
-    pub fn note_shed(&self) {
-        self.shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections/requests shed by admission control.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
-
-    /// A request's handling blew the per-request deadline.
-    #[inline]
-    pub fn note_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests answered with
-    /// [`Status::DeadlineExceeded`](crate::protocol::Status::DeadlineExceeded).
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// A request handler panicked (the connection died, the worker
-    /// survived).
-    #[inline]
-    pub fn note_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Request-handler panics contained so far.
-    pub fn panics(&self) -> u64 {
-        self.panics.load(Ordering::Relaxed)
-    }
-
-    /// A connection was quarantined for dribbling one frame slower than
-    /// the daemon's frame window (slow-loris defense).
-    #[inline]
-    pub fn note_quarantine(&self) {
-        self.quarantines.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections quarantined by the dribble detector.
-    pub fn quarantines(&self) -> u64 {
-        self.quarantines.load(Ordering::Relaxed)
-    }
-
-    /// A world snapshot was persisted to the `--state` file.
-    #[inline]
-    pub fn note_state_save(&self) {
-        self.state_saves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// World snapshots persisted to the state file.
-    pub fn state_saves(&self) -> u64 {
-        self.state_saves.load(Ordering::Relaxed)
-    }
-
-    /// A world snapshot was restored from the `--state` file at boot.
-    #[inline]
-    pub fn note_state_load(&self) {
-        self.state_loads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// World snapshots restored from the state file.
-    pub fn state_loads(&self) -> u64 {
-        self.state_loads.load(Ordering::Relaxed)
     }
 }
 
@@ -493,30 +504,37 @@ mod tests {
         assert_eq!(m.rebuilds_pending(), 2);
         m.rebuild_finished(Duration::from_micros(125));
         assert_eq!(m.rebuilds_pending(), 1);
-        assert_eq!(m.rebuilds_total(), 1);
+        assert_eq!(m.tally(Tally::Rebuilds), 1);
         assert_eq!(m.last_rebuild_ns(), 125_000);
     }
 
     #[test]
-    fn resilience_counters_bump_independently() {
+    fn tallies_bump_independently() {
+        for (i, &t) in ALL_TALLIES.iter().enumerate() {
+            assert_eq!(t as usize, i);
+        }
         let m = ServeMetrics::new();
-        m.note_shed();
-        m.note_shed();
-        m.note_deadline_exceeded();
-        m.note_panic();
-        m.note_quarantine();
-        m.note_state_save();
-        m.note_state_save();
-        m.note_state_load();
-        assert_eq!(m.shed(), 2);
-        assert_eq!(m.deadline_exceeded(), 1);
-        assert_eq!(m.panics(), 1);
-        assert_eq!(m.quarantines(), 1);
-        assert_eq!(m.state_saves(), 2);
-        assert_eq!(m.state_loads(), 1);
-        // Defenses never fired: everything else stays untouched.
+        m.note(Tally::Shed);
+        m.note(Tally::Shed);
+        m.note(Tally::DeadlineExceeded);
+        m.add(Tally::MeasuredAllocs, 7);
+        assert_eq!(m.tally(Tally::Shed), 2);
+        assert_eq!(m.tally(Tally::DeadlineExceeded), 1);
+        assert_eq!(m.tally(Tally::MeasuredAllocs), 7);
+        assert_eq!(m.tally(Tally::Panics), 0);
+        // Tallies are not requests: the class ledger stays untouched.
         assert_eq!(m.requests_total(), 0);
         assert_eq!(m.connections_live(), 0);
+        // Every exported name is distinct and the allocation window is
+        // not exported.
+        let names: Vec<_> = ALL_TALLIES
+            .iter()
+            .filter_map(|t| t.counter_name())
+            .collect();
+        assert_eq!(names.len(), TALLIES - 3);
+        for (i, a) in names.iter().enumerate() {
+            assert!(!names[i + 1..].contains(a), "{a} exported twice");
+        }
     }
 
     #[test]

@@ -482,8 +482,9 @@ pub fn encode_info_response<I>(
 }
 
 /// Everything a stats response is encoded from, borrowed from the
-/// daemon: the live [`ServeMetrics`](crate::metrics::ServeMetrics)
-/// block plus the few fields only the daemon knows.
+/// daemon: its ledger (the live
+/// [`ServeMetrics`](crate::metrics::ServeMetrics) block), the epoch,
+/// and the flight entries copied out of the ledger.
 ///
 /// Encoding walks the instruments' atomics directly
 /// ([`abp_trace::RawHistogram::bucket`]), so building a response
@@ -492,8 +493,6 @@ pub fn encode_info_response<I>(
 pub struct StatsView<'a> {
     /// The currently published epoch.
     pub epoch: u64,
-    /// Connections accepted since start.
-    pub connections_total: u64,
     /// The daemon's telemetry block.
     pub metrics: &'a crate::metrics::ServeMetrics,
     /// Flight-recorder entries to ship, slowest first (from
@@ -503,24 +502,25 @@ pub struct StatsView<'a> {
 
 /// Encodes a successful stats response frame into `out`.
 pub fn encode_stats_response(out: &mut Vec<u8>, view: &StatsView<'_>) {
+    use crate::metrics::Tally;
     let m = view.metrics;
     begin_frame(out);
     out.push(Status::Ok as u8);
     put_u64(out, view.epoch);
     let uptime = u64::try_from(m.uptime().as_nanos()).unwrap_or(u64::MAX);
     put_u64(out, uptime);
-    put_u64(out, view.connections_total);
+    put_u64(out, m.tally(Tally::Connections));
     put_u64(out, m.connections_live());
     put_u64(out, m.rebuilds_pending());
-    put_u64(out, m.rebuilds_total());
+    put_u64(out, m.tally(Tally::Rebuilds));
     put_u64(out, m.last_rebuild_ns());
     put_u64(out, m.flight.dropped());
-    put_u64(out, m.shed());
-    put_u64(out, m.deadline_exceeded());
-    put_u64(out, m.panics());
-    put_u64(out, m.quarantines());
-    put_u64(out, m.state_saves());
-    put_u64(out, m.state_loads());
+    put_u64(out, m.tally(Tally::Shed));
+    put_u64(out, m.tally(Tally::DeadlineExceeded));
+    put_u64(out, m.tally(Tally::Panics));
+    put_u64(out, m.tally(Tally::Quarantines));
+    put_u64(out, m.tally(Tally::StateSaves));
+    put_u64(out, m.tally(Tally::StateLoads));
     out.push(crate::metrics::OP_CLASSES as u8);
     for &class in &crate::metrics::ALL_CLASSES {
         let hist = m.class_histogram(class);
@@ -728,9 +728,14 @@ pub struct StatsReply {
 }
 
 impl StatsReply {
-    /// Requests served across all classes.
+    /// Requests answered across all classes.
     pub fn requests_total(&self) -> u64 {
         self.classes.iter().map(|c| c.count).sum()
+    }
+
+    /// Requests answered in `class` (0 when the reply lacks it).
+    pub fn count(&self, class: crate::metrics::OpClass) -> u64 {
+        self.classes.get(class as usize).map_or(0, |c| c.count)
     }
 }
 
@@ -931,21 +936,22 @@ mod tests {
 
     #[test]
     fn stats_response_roundtrip() {
-        use crate::metrics::{FlightEntry, OpClass, ServeMetrics, ALL_CLASSES};
+        use crate::metrics::{FlightEntry, OpClass, ServeMetrics, Tally, ALL_CLASSES};
         let metrics = ServeMetrics::new();
         metrics.record(OpClass::Localize, 1_000);
         metrics.record(OpClass::Localize, 3_000);
         metrics.record(OpClass::Place, 10_000);
         metrics.record(OpClass::Error, 100);
         metrics.connection_opened();
+        metrics.add(Tally::Connections, 9);
         metrics.rebuild_enqueued();
-        metrics.note_shed();
-        metrics.note_shed();
-        metrics.note_deadline_exceeded();
-        metrics.note_panic();
-        metrics.note_quarantine();
-        metrics.note_state_save();
-        metrics.note_state_load();
+        metrics.note(Tally::Shed);
+        metrics.note(Tally::Shed);
+        metrics.note(Tally::DeadlineExceeded);
+        metrics.note(Tally::Panics);
+        metrics.note(Tally::Quarantines);
+        metrics.note(Tally::StateSaves);
+        metrics.note(Tally::StateLoads);
         let flight = [
             FlightEntry {
                 class: OpClass::Place as u8,
@@ -965,7 +971,6 @@ mod tests {
             &mut out,
             &StatsView {
                 epoch: 2,
-                connections_total: 9,
                 metrics: &metrics,
                 flight: &flight,
             },
@@ -1054,7 +1059,6 @@ mod tests {
             &mut out,
             &StatsView {
                 epoch: 0,
-                connections_total: 0,
                 metrics: &metrics,
                 flight: &[],
             },

@@ -60,7 +60,7 @@ proptest! {
         let mut out = Vec::new();
         wire::encode_stats_response(
             &mut out,
-            &wire::StatsView { epoch: 3, connections_total: 1, metrics: &metrics, flight: &[] },
+            &wire::StatsView { epoch: 3, metrics: &metrics, flight: &[] },
         );
         let payload = &out[4..];
         let cut = cut.min(payload.len().saturating_sub(1));

@@ -10,9 +10,9 @@
 //!   and every statistic downstream — are independent of the thread
 //!   count and of scheduling;
 //! * a worker whose attempt panicked runs the trial's next attempt itself,
-//!   after the policy's exponential backoff, until the policy's retries
-//!   are spent (the caller re-derives each attempt's seed from the
-//!   attempt number; attempt 0 uses the plain trial seed);
+//!   after the policy's exponential backoff (capped at 4 s), until the
+//!   policy's retries are spent (the caller re-derives each attempt's
+//!   seed from the attempt number; attempt 0 uses the plain trial seed);
 //! * the calling thread sleeps on one condvar and wakes only when the
 //!   point settles, when the watchdog's next deadline is due, or after
 //!   100 ms, to hand finished trials, retries and timeouts to its
@@ -76,7 +76,7 @@ pub struct RunPolicy {
     /// watchdog.
     pub trial_timeout: Option<Duration>,
     /// Base delay of the exponential backoff between attempts (the
-    /// `k`-th retry waits `backoff * 2^(k-1)`).
+    /// `k`-th retry waits `backoff * 2^(k-1)`, at most 4 s).
     pub backoff: Duration,
 }
 
@@ -90,34 +90,20 @@ impl Default for RunPolicy {
     }
 }
 
+/// The longest wait between two attempts of one trial, whatever the
+/// attempt number or base backoff: the reconnect ceiling `abp top` uses.
+const MAX_BACKOFF: Duration = Duration::from_secs(4);
+
 impl RunPolicy {
     /// Backoff before attempt `attempt` (attempt 0 starts immediately;
-    /// attempt `k >= 1` waits `backoff * 2^(k-1)`, saturating).
+    /// attempt `k >= 1` waits `backoff * 2^(k-1)`, capped at 4 s).
     pub fn backoff_before(&self, attempt: u32) -> Duration {
         if attempt == 0 {
             return Duration::ZERO;
         }
         self.backoff
             .saturating_mul(1u32.checked_shl(attempt - 1).unwrap_or(u32::MAX))
-    }
-}
-
-/// The retry deadline `now + backoff`, saturated to the farthest
-/// representable `Instant` instead of panicking.
-///
-/// [`RunPolicy::backoff_before`] saturates toward `backoff * u32::MAX`,
-/// which at pathological `--retry`/backoff combinations overflows
-/// `Instant` addition (`Instant::now() + backoff` panics). Halving the
-/// delay until the addition is representable keeps the deadline as far
-/// out as the clock can express — the retry still waits "effectively
-/// forever", it just no longer aborts the whole sweep.
-fn retry_deadline(now: Instant, backoff: Duration) -> Instant {
-    let mut delay = backoff;
-    loop {
-        if let Some(deadline) = now.checked_add(delay) {
-            return deadline;
-        }
-        delay /= 2;
+            .min(MAX_BACKOFF)
     }
 }
 
@@ -260,7 +246,7 @@ impl<T> State<T> {
                 fault,
                 backoff,
             });
-            Some(retry_deadline(Instant::now(), backoff))
+            Some(Instant::now() + backoff)
         } else {
             let attempts = attempt + 1;
             self.settle(
@@ -915,27 +901,28 @@ mod tests {
     }
 
     #[test]
-    fn retry_deadline_saturates_instead_of_panicking() {
-        // Pathological policies saturate `backoff_before` toward
-        // `backoff * u32::MAX`; the deadline must clamp, not panic
-        // (regression: `Instant::now() + backoff` overflowed).
+    fn backoff_doubles_to_a_four_second_cap() {
         let policy = RunPolicy {
+            retries: 12,
+            ..RunPolicy::default()
+        };
+        let schedule: Vec<Duration> = (1..=6).map(|a| policy.backoff_before(a)).collect();
+        let ms = Duration::from_millis;
+        assert_eq!(
+            schedule,
+            [ms(250), ms(500), ms(1000), ms(2000), ms(4000), ms(4000)]
+        );
+        assert_eq!(policy.backoff_before(12), MAX_BACKOFF);
+        // Pathological policies stay capped, so `Instant::now() + backoff`
+        // can never overflow.
+        let pathological = RunPolicy {
             retries: u32::MAX,
             trial_timeout: None,
             backoff: Duration::MAX,
         };
-        let now = Instant::now();
-        for attempt in [1, 2, 31, 32, 63, u32::MAX] {
-            let backoff = policy.backoff_before(attempt);
-            let deadline = retry_deadline(now, backoff);
-            assert!(deadline >= now, "deadline must not precede now");
+        for attempt in [1, 2, 31, 32, 33, 63, u32::MAX] {
+            assert!(pathological.backoff_before(attempt) <= MAX_BACKOFF);
         }
-        // The saturated deadline still orders after any sane deadline.
-        let sane = retry_deadline(now, Duration::from_secs(1));
-        let saturated = retry_deadline(now, Duration::MAX);
-        assert!(saturated >= sane);
-        // And ordinary backoffs are exact.
-        assert_eq!(sane, now + Duration::from_secs(1));
     }
 
     #[test]

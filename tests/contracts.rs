@@ -1,11 +1,14 @@
-//! Tier-1 reach for three contracts whose heavy tests live in their
+//! Tier-1 reach for four contracts whose heavy tests live in their
 //! crates: a checkpointed density sweep resumes bit for bit (with the
 //! serve daemon's state file round trip), the checkpoint files of the
 //! density, improvement and fault sweeps keep their bytes across
-//! versions, and no hostile payload makes a serve codec panic.
+//! versions, no hostile payload makes a serve codec panic, and the
+//! serve daemon's one ledger counts every answered frame once.
 
 use abp_geom::{Point, Terrain};
-use abp_serve::protocol::{self as wire, MAX_FRAME};
+use abp_serve::daemon::{Daemon, ServeConfig};
+use abp_serve::metrics::{OpClass, ALL_CLASSES};
+use abp_serve::protocol::{self as wire, PlaceAlgo, Status, MAX_FRAME};
 use abp_serve::state::{config_fingerprint, load_state, save_state, StateOpen};
 use abp_sim::experiments::density_error;
 use abp_sim::{
@@ -13,7 +16,9 @@ use abp_sim::{
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use std::io::Cursor;
+use std::collections::HashMap;
+use std::io::{Cursor, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
@@ -286,4 +291,112 @@ fn serve_decoders_survive_a_seeded_hostile_corpus() {
         assert!(ids.capacity() <= MAX_FRAME as usize);
         assert!(frame.capacity() <= MAX_FRAME as usize);
     }
+}
+
+/// Sends one request frame and reads the answer into `frame`.
+fn roundtrip(conn: &mut TcpStream, out: &[u8], frame: &mut Vec<u8>) {
+    conn.write_all(out).unwrap();
+    assert!(wire::read_frame(conn, frame).unwrap());
+}
+
+/// One `/metrics` scrape: every unlabelled sample, by name.
+fn scrape(addr: SocketAddr) -> HashMap<String, u64> {
+    let mut http = TcpStream::connect(addr).unwrap();
+    http.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+    let mut response = String::new();
+    http.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+    let body = response.split("\r\n\r\n").nth(1).unwrap();
+    body.lines()
+        .filter(|l| !l.starts_with('#') && !l.contains('{'))
+        .filter_map(|l| {
+            let (name, value) = l.rsplit_once(' ')?;
+            Some((name.to_string(), value.parse().ok()?))
+        })
+        .collect()
+}
+
+/// The daemon keeps one ledger, and every frame it answers lands there
+/// once, in one class: a Localize naming an unknown beacon, a malformed
+/// frame and an oversize length prefix are each one `error` request and
+/// one refused frame, never a `localize`. A `/metrics` scrape and the
+/// exit report read the same counts, and the request total is the sum
+/// of the five classes.
+#[test]
+fn serve_ledger_counts_every_answered_frame_once() {
+    let cfg = ServeConfig {
+        metrics_addr: Some("127.0.0.1:0".into()),
+        ..ServeConfig::tiny()
+    };
+    let daemon = Daemon::start(&cfg).unwrap();
+    let mut conn = TcpStream::connect(daemon.local_addr()).unwrap();
+    let mut out = Vec::new();
+    let mut frame = Vec::new();
+
+    // 1. A good Localize (one roster id; the tiny field numbers its
+    //    beacons from 0).
+    wire::encode_localize_request(&mut out, &[0]);
+    roundtrip(&mut conn, &out, &mut frame);
+    assert_eq!(wire::decode_localize_response(&frame).unwrap().heard, 1);
+    // 2. A Localize naming an unknown beacon.
+    wire::encode_localize_request(&mut out, &[u64::MAX]);
+    roundtrip(&mut conn, &out, &mut frame);
+    assert_eq!(
+        wire::decode_localize_response(&frame),
+        Err(Status::UnknownBeacon)
+    );
+    // 3. A malformed frame: a Localize announcing 5 ids, carrying none.
+    let payload = [1u8, 5, 0, 0, 0];
+    let mut malformed = (payload.len() as u32).to_le_bytes().to_vec();
+    malformed.extend_from_slice(&payload);
+    roundtrip(&mut conn, &malformed, &mut frame);
+    assert_eq!(frame, vec![Status::BadFrame as u8]);
+    // 4. Info.
+    wire::encode_info_request(&mut out);
+    roundtrip(&mut conn, &out, &mut frame);
+    assert!(wire::decode_info_response(&frame).is_ok());
+    // 5. A dry-run Place.
+    wire::encode_place_request(&mut out, PlaceAlgo::Max, 0, false);
+    roundtrip(&mut conn, &out, &mut frame);
+    assert!(!wire::decode_place_response(&frame).unwrap().applied);
+    // 6. Stats.
+    wire::encode_stats_request(&mut out);
+    roundtrip(&mut conn, &out, &mut frame);
+    assert!(wire::decode_stats_response(&frame).is_ok());
+    // 7. An oversize length prefix on a second connection: answered
+    //    Oversize, then hung up on.
+    let mut oversize = TcpStream::connect(daemon.local_addr()).unwrap();
+    roundtrip(&mut oversize, &(MAX_FRAME + 1).to_le_bytes(), &mut frame);
+    assert_eq!(frame, vec![Status::Oversize as u8]);
+    assert!(!wire::read_frame(&mut oversize, &mut frame).unwrap());
+    drop(conn);
+
+    let scraped = scrape(daemon.metrics_addr().unwrap());
+    let report = daemon.shutdown();
+    let reply = &report.reply;
+    let scraped = |name: &str| *scraped.get(name).unwrap_or_else(|| panic!("no {name}"));
+
+    assert_eq!(
+        reply.count(OpClass::Error),
+        3,
+        "unknown beacon, malformed, oversize"
+    );
+    assert_eq!(reply.count(OpClass::Localize), 1);
+    for (class, want) in [(OpClass::Place, 1), (OpClass::Info, 1), (OpClass::Stats, 1)] {
+        assert_eq!(reply.count(class), want, "{}", class.name());
+    }
+    assert_eq!(report.refused, 3);
+    assert_eq!(reply.connections_total, 2);
+    assert_eq!(reply.requests_total(), 7);
+
+    let mut class_sum = 0;
+    for &class in &ALL_CLASSES {
+        let name = format!("{}_total", class.counter_name());
+        assert_eq!(scraped(&name), reply.count(class), "{name}");
+        class_sum += scraped(&name);
+    }
+    assert_eq!(scraped("serve_requests_total"), class_sum);
+    assert_eq!(scraped("serve_requests_total"), reply.requests_total());
+    assert_eq!(scraped("serve_protocol_errors_total"), report.refused);
+    assert_eq!(scraped("serve_connections_total"), reply.connections_total);
 }
