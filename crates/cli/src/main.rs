@@ -24,10 +24,9 @@
 //!   localizers        estimator ablation: centroid vs weighted/locus/multilat
 //!   heatmap           ASCII before/after heatmap of one placement step
 //!   bench             time each hot kernel against its brute-force
-//!                     oracle (survey sweep, scratch-reused survey,
-//!                     noisy survey, incremental re-survey, greedy
-//!                     candidate scan), verify every sample is
-//!                     bit-identical, and with --out write
+//!                     oracle (survey sweep, noisy survey, incremental
+//!                     re-survey, Grid and Max candidate scans), verify
+//!                     every sample is bit-identical, and with --out write
 //!                     BENCH_sweep.json (median + 95% CI per kernel,
 //!                     plus steady-state allocs/trial when the binary
 //!                     was built with --features count-allocs; the
@@ -119,15 +118,19 @@
 //!                               determinism gate)
 //!   --out DIR                   also write <figure>.csv files into DIR
 //!   --progress                  live completed/total and ETA on stderr
-//!   --metrics-json PATH         write per-figure wall-clock/throughput JSON
+//!   --report PATH               write the run report (JSON): command, seed,
+//!                               config fingerprint, how the checkpoint
+//!                               opened, per-figure wall time, trials,
+//!                               failures, retries, timeouts and trial-time
+//!                               quantiles, and the hot-path counters
 //!   --checkpoint PATH           persist finished sweeps; resume from PATH
 //!                               (density, improvement and fault sweeps:
 //!                               fig4..fig9, ablation, noise-styles,
 //!                               faults, all)
-//!   --trace PATH                write a structured trace of the run
-//!   --trace-format jsonl|chrome trace file format [default: jsonl]; chrome
-//!                               loads in chrome://tracing and Perfetto
-//!   --counters                  print aggregated counters/histograms on exit
+//!   --trace PATH                write a structured trace of the run: Chrome
+//!                               Trace Event JSON (chrome://tracing,
+//!                               Perfetto) when PATH ends in .json, JSONL
+//!                               otherwise
 //! ```
 
 use abp_sim::experiments::density_error;
@@ -135,22 +138,12 @@ use abp_sim::experiments::net_sim;
 use abp_sim::experiments::overlap_bound::BoundConfig;
 use abp_sim::progress::{Ctx, Fanout, MetricsRecorder, Probe, ProgressProbe};
 use abp_sim::runner::{resolve_threads, RunPolicy};
-use abp_sim::{figures, AlgorithmKind, Figure, SimConfig, SweepCheckpoint, TraceProbe};
+use abp_sim::{figures, AlgorithmKind, Figure, SimConfig, SweepCheckpoint};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
 mod top;
-
-/// On-disk format of the `--trace` file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-enum TraceFormat {
-    /// One self-describing JSON object per line (`jq`-friendly).
-    #[default]
-    Jsonl,
-    /// Chrome Trace Event JSON for `chrome://tracing` / Perfetto.
-    Chrome,
-}
 
 #[derive(Debug, Clone)]
 struct Options {
@@ -170,11 +163,9 @@ struct Options {
     retry: u32,
     trial_timeout: Option<Duration>,
     progress: bool,
-    metrics_json: Option<PathBuf>,
+    report: Option<PathBuf>,
     checkpoint: Option<PathBuf>,
     trace: Option<PathBuf>,
-    trace_format: TraceFormat,
-    counters: bool,
     /// `--repeats` when given explicitly (bench).
     repeats: Option<usize>,
     /// `--port` for serve/serve-bench (0 = ephemeral) and top (the
@@ -213,8 +204,7 @@ fn usage() -> &'static str {
      [--metrics-port N] [--interval DUR] [--polls N] \
      [--max-conns N] [--deadline DUR] [--idle-timeout DUR] [--state PATH] \
      [--replay-check] \
-     [--progress] [--metrics-json PATH] [--checkpoint PATH] \
-     [--trace PATH] [--trace-format jsonl|chrome] [--counters]"
+     [--progress] [--report PATH] [--checkpoint PATH] [--trace PATH]"
 }
 
 /// Parses a human-friendly duration: a positive number with an `s`
@@ -254,11 +244,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut retry = 0u32;
     let mut trial_timeout = None;
     let mut progress = false;
-    let mut metrics_json = None;
+    let mut report = None;
     let mut checkpoint = None;
     let mut trace = None;
-    let mut trace_format = TraceFormat::default();
-    let mut counters = false;
     let mut repeats = None;
     let mut port = 0u16;
     let mut clients = None;
@@ -337,21 +325,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 )?)
             }
             "--progress" => progress = true,
-            "--metrics-json" => metrics_json = Some(PathBuf::from(value("--metrics-json")?)),
+            "--report" => report = Some(PathBuf::from(value("--report")?)),
             "--checkpoint" => checkpoint = Some(PathBuf::from(value("--checkpoint")?)),
             "--trace" => trace = Some(PathBuf::from(value("--trace")?)),
-            "--trace-format" => {
-                trace_format = match value("--trace-format")?.as_str() {
-                    "jsonl" => TraceFormat::Jsonl,
-                    "chrome" => TraceFormat::Chrome,
-                    other => {
-                        return Err(format!(
-                            "--trace-format must be jsonl or chrome, got {other}"
-                        ))
-                    }
-                }
-            }
-            "--counters" => counters = true,
             "--repeats" => {
                 let n = value("--repeats")?
                     .parse::<usize>()
@@ -480,11 +456,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         retry,
         trial_timeout,
         progress,
-        metrics_json,
+        report,
         checkpoint,
         trace,
-        trace_format,
-        counters,
         repeats,
         port,
         clients,
@@ -548,8 +522,8 @@ fn validate_output_path(flag: &str, path: &Path) -> Result<(), String> {
 
 /// Validates every output path the run will eventually write.
 fn validate_paths(opts: &Options) -> Result<(), String> {
-    if let Some(p) = &opts.metrics_json {
-        validate_output_path("--metrics-json", p)?;
+    if let Some(p) = &opts.report {
+        validate_output_path("--report", p)?;
     }
     if let Some(p) = &opts.checkpoint {
         validate_output_path("--checkpoint", p)?;
@@ -587,14 +561,11 @@ fn emit_pair(figs: (Figure, Figure), out: &Option<PathBuf>) -> Result<(), String
 }
 
 /// Builds the observability context from the options, runs the command,
-/// then writes the metrics JSON and trace exports (when requested).
+/// then writes the run report and the trace (when requested).
 fn run(opts: &Options) -> Result<(), String> {
     validate_paths(opts)?;
     let progress = opts.progress.then(ProgressProbe::new);
-    let metrics = opts
-        .metrics_json
-        .as_ref()
-        .map(|_| MetricsRecorder::new(resolve_threads(opts.cfg.threads)));
+    let recorder = MetricsRecorder::new(resolve_threads(opts.cfg.threads));
     let checkpoint = match &opts.checkpoint {
         Some(path) => Some(
             SweepCheckpoint::open(path, opts.cfg.fingerprint())
@@ -602,9 +573,11 @@ fn run(opts: &Options) -> Result<(), String> {
         ),
         None => None,
     };
-    let tracing = opts.trace.is_some() || opts.counters;
-    let bridge = tracing.then(|| {
-        // Start from clean instruments so the report covers this run only
+    // The report reads the counters and the trace records spans: either
+    // turns the gate on, and only the trace installs a sink.
+    let gated = opts.report.is_some() || opts.trace.is_some();
+    if gated {
+        // Start from clean counters so the outputs cover this run only
         // (repeated in-process runs share the global registry).
         abp_trace::reset_metrics();
         if opts.trace.is_some() {
@@ -612,18 +585,11 @@ fn run(opts: &Options) -> Result<(), String> {
             let _ = abp_trace::drain(); // discard any previous run's events
         }
         abp_trace::set_enabled(true);
-        TraceProbe::new()
-    });
-    let mut probes: Vec<&dyn Probe> = Vec::new();
-    if let Some(p) = &progress {
-        probes.push(p);
     }
-    if let Some(m) = &metrics {
-        probes.push(m);
-    }
-    if let Some(b) = &bridge {
-        probes.push(b);
-    }
+    let probes: Vec<&dyn Probe> = match &progress {
+        Some(p) => vec![p, &recorder],
+        None => vec![&recorder],
+    };
     let fanout = Fanout::new(probes);
     if let (Some(path), Some(c)) = (&opts.checkpoint, &checkpoint) {
         let open = c.opened();
@@ -644,41 +610,35 @@ fn run(opts: &Options) -> Result<(), String> {
         ctx = ctx.with_checkpoint(c);
     }
     let result = run_command(opts, ctx);
-    if tracing {
+    if gated {
         // Always turn the gate back off, even when the command failed, so
         // later runs in the same process start untraced.
         abp_trace::set_enabled(false);
         abp_trace::sink::uninstall();
     }
     result?;
-    if let (Some(path), Some(m)) = (&opts.metrics_json, &metrics) {
-        std::fs::write(path, m.to_json())
+    if let Some(path) = &opts.report {
+        std::fs::write(path, recorder.report(&opts.command, &opts.cfg))
             .map_err(|e| format!("writing {}: {e}", path.display()))?;
         eprintln!("wrote {}", path.display());
     }
-    if tracing {
-        let (counters, hists) = abp_trace::counters_snapshot();
-        if let Some(path) = &opts.trace {
-            let report = abp_trace::drain();
-            let body = match opts.trace_format {
-                TraceFormat::Jsonl => abp_trace::export::to_jsonl(&report, &counters, &hists),
-                TraceFormat::Chrome => {
-                    abp_trace::export::to_chrome_json(&report, &counters, &hists)
-                }
-            };
-            std::fs::write(path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
-            if report.dropped > 0 {
-                eprintln!(
-                    "wrote {} ({} events shed by the bounded sink)",
-                    path.display(),
-                    report.dropped
-                );
-            } else {
-                eprintln!("wrote {}", path.display());
-            }
-        }
-        if opts.counters {
-            eprint!("{}", abp_trace::render_table(&counters, &hists));
+    if let Some(path) = &opts.trace {
+        let counters = abp_trace::counters_snapshot();
+        let trace = abp_trace::drain();
+        let body = if path.extension().is_some_and(|ext| ext == "json") {
+            abp_trace::export::to_chrome_json(&trace, &counters)
+        } else {
+            abp_trace::export::to_jsonl(&trace, &counters)
+        };
+        std::fs::write(path, body).map_err(|e| format!("writing {}: {e}", path.display()))?;
+        if trace.dropped > 0 {
+            eprintln!(
+                "wrote {} ({} events shed by the bounded sink)",
+                path.display(),
+                trace.dropped
+            );
+        } else {
+            eprintln!("wrote {}", path.display());
         }
     }
     Ok(())
@@ -1701,49 +1661,48 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_is_written_and_valid() {
-        let path = std::env::temp_dir().join(format!("abp-metrics-{}.json", std::process::id()));
+    fn report_is_written_and_valid() {
+        let _g = TRACE_TEST_GATE.lock().unwrap_or_else(|e| e.into_inner());
+        let path = std::env::temp_dir().join(format!("abp-report-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut o = parse(&["fig4", "--preset", "tiny", "--trials", "2"]).unwrap();
+        let mut o = parse(&[
+            "fig4", "--preset", "tiny", "--trials", "2", "--report", "r.json",
+        ])
+        .unwrap();
+        assert_eq!(o.report.as_deref(), Some(Path::new("r.json")));
         o.cfg.beacon_counts = vec![30, 120];
-        o.metrics_json = Some(path.clone());
+        o.report = Some(path.clone());
         run(&o).unwrap();
+        assert!(!abp_trace::enabled(), "the gate is off again after the run");
         let json = std::fs::read_to_string(&path).unwrap();
         // Structural checks on the documented schema.
         assert!(json.trim_start().starts_with('{'));
         assert!(json.trim_end().ends_with('}'));
+        assert!(json.contains("\"command\": \"fig4\""));
+        assert!(json.contains(&format!(
+            "\"config_fingerprint\": \"{:#018x}\"",
+            o.cfg.fingerprint()
+        )));
+        assert!(json.contains("\"checkpoint\": null"));
         assert!(json.contains("\"threads\":"));
         assert!(json.contains("\"total_wall_seconds\":"));
         assert!(json.contains("\"figure\": \"fig4\""));
         assert!(json.contains("\"trials_per_sec\":"));
         assert!(json.contains("\"worker_utilization\":"));
+        assert!(json.contains("\"trial_p99_s\":"));
         // fig4 runs 2 densities × 2 trials = 4 observed trials.
         assert!(json.contains("\"trials\": 4"), "got: {json}");
+        // The report turned the counter gate on.
+        assert!(json.contains("\"links_tested\": "), "got: {json}");
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
-    fn trace_flags_parse() {
-        let o = parse(&[
-            "fig4",
-            "--trace",
-            "t.json",
-            "--trace-format",
-            "chrome",
-            "--counters",
-        ])
-        .unwrap();
+    fn trace_and_report_take_a_path() {
+        let o = parse(&["fig4", "--trace", "t.json"]).unwrap();
         assert_eq!(o.trace.as_deref(), Some(Path::new("t.json")));
-        assert_eq!(o.trace_format, TraceFormat::Chrome);
-        assert!(o.counters);
-        // Defaults: JSONL, counters off.
-        let o = parse(&["fig4", "--trace", "t.jsonl"]).unwrap();
-        assert_eq!(o.trace_format, TraceFormat::Jsonl);
-        assert!(!o.counters);
-        let err = parse(&["fig4", "--trace-format", "xml"]).unwrap_err();
-        assert!(err.contains("--trace-format"), "got: {err}");
-        assert!(err.contains("xml"), "echoes the bad value: {err}");
-        assert!(!err.contains('\n'), "must be a one-line error: {err:?}");
+        assert!(parse(&["fig4", "--trace"]).is_err(), "missing value");
+        assert!(parse(&["fig4", "--report"]).is_err(), "missing value");
     }
 
     /// Every output flag is validated before any computation starts: a
@@ -1754,7 +1713,7 @@ mod tests {
         let missing = PathBuf::from("/nonexistent-abp-dir/out.json");
         type SetPath = fn(&mut Options, PathBuf);
         let cases: [(&str, SetPath); 3] = [
-            ("--metrics-json", |o, p| o.metrics_json = Some(p)),
+            ("--report", |o, p| o.report = Some(p)),
             ("--checkpoint", |o, p| o.checkpoint = Some(p)),
             ("--trace", |o, p| o.trace = Some(p)),
         ];
@@ -1803,6 +1762,11 @@ mod tests {
             "radio span named"
         );
         assert!(body.contains("links_tested"), "counters exported");
+        // The recorder marks the lifecycle in the trace.
+        assert!(
+            body.contains("\"kind\":\"instant\",\"name\":\"figure_start fig4\""),
+            "figure instant recorded"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1814,8 +1778,6 @@ mod tests {
         let mut o = parse(&["fig5", "--preset", "tiny", "--trials", "2"]).unwrap();
         o.cfg.beacon_counts = vec![30];
         o.trace = Some(path.clone());
-        o.trace_format = TraceFormat::Chrome;
-        o.counters = true;
         run(&o).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.trim_start().starts_with('{'));
@@ -1828,8 +1790,11 @@ mod tests {
         assert!(body.contains("localize.derive_errors"));
         assert!(body.contains("placement.grid"));
         assert!(body.contains("trial.improvement"));
+        // The recorder's lifecycle marks are instants on the sweep track.
+        assert!(body.contains("\"ph\":\"i\""), "instants present");
+        assert!(body.contains("sweep_start improvement"), "got: {body}");
         // The hot-path counters observed real work during the run.
-        let (counters, _hists) = abp_trace::counters_snapshot();
+        let counters = abp_trace::counters_snapshot();
         let total = |name: &str| {
             counters
                 .iter()

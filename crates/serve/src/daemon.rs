@@ -43,7 +43,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,6 +51,12 @@ use std::time::{Duration, Instant};
 /// Requests a worker serves on a connection before it starts counting
 /// allocations: lets the reused buffers reach steady-state size.
 const ALLOC_WARMUP_REQUESTS: u64 = 32;
+
+/// Applied placements that may wait for the rebuilder. The queue's
+/// slots are allocated once at boot, so enqueueing an apply allocates
+/// nothing; a Place that finds the backlog full answers `applied = 0`
+/// and is counted as shed.
+const APPLY_BACKLOG: usize = 64;
 
 /// How long blocked reads and queue waits sleep between shutdown polls.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
@@ -315,7 +321,7 @@ struct Shared {
     metrics: ServeMetrics,
     queue: Mutex<VecDeque<TcpStream>>,
     queue_cv: Condvar,
-    apply_tx: Mutex<Sender<Point>>,
+    apply_tx: SyncSender<Point>,
     /// Connections accepted but not yet picked up by a worker. Kept as
     /// its own relaxed atomic so the accept gate and the request-shed
     /// check never take the queue lock.
@@ -331,9 +337,9 @@ struct Shared {
 }
 
 /// Locks a mutex, recovering the guard if a panicking worker poisoned
-/// it — the data under every daemon lock (queue, apply sender) stays
-/// valid across an unwound request handler, so poisoning must never
-/// cascade a single contained panic into a daemon-wide outage.
+/// it — the connection queue stays valid across an unwound request
+/// handler, so poisoning must never cascade a single contained panic
+/// into a daemon-wide outage.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -387,14 +393,14 @@ impl Daemon {
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let (apply_tx, apply_rx) = mpsc::channel::<Point>();
+        let (apply_tx, apply_rx) = mpsc::sync_channel::<Point>(APPLY_BACKLOG);
         let shared = Arc::new(Shared {
             cell: SnapshotCell::new(initial),
             shutdown: AtomicBool::new(false),
             metrics: ServeMetrics::new(),
             queue: Mutex::new(VecDeque::new()),
             queue_cv: Condvar::new(),
-            apply_tx: Mutex::new(apply_tx),
+            apply_tx,
             queued: AtomicU64::new(0),
             max_conns: cfg.max_conns,
             shed_watermark: cfg.shed_watermark,
@@ -1019,20 +1025,29 @@ fn handle_request(
         },
         Request::Place { algo, seed, apply } => {
             let position = engine::place(snap, algo, seed);
-            // Applying is control-plane: enqueue for the rebuilder and
-            // answer immediately from the current epoch. (The send
-            // allocates a channel node; applies are intentionally
-            // outside the zero-alloc steady-state invariant.)
             if shared.panic_seed == Some(seed) {
                 // Test-only seam: a designated seed simulates a bug deep
                 // in request handling so the chaos harness can prove the
                 // worker survives it.
                 panic!("injected panic for chaos seed {seed}");
             }
-            let applied = apply && lock_unpoisoned(&shared.apply_tx).send(position).is_ok();
-            if applied {
+            // Applying is control-plane: enqueue for the rebuilder and
+            // answer immediately from the current epoch. The backlog's
+            // slots were allocated at boot, so the send allocates
+            // nothing; a full backlog sheds the apply (`applied = 0`).
+            // The apply counts as pending before the rebuilder can see
+            // it, so the rebuilder's decrement never runs first.
+            let applied = apply && {
                 shared.metrics.rebuild_enqueued();
-            }
+                let sent = shared.apply_tx.try_send(position);
+                if let Err(e) = &sent {
+                    shared.metrics.rebuild_withdrawn();
+                    if matches!(e, TrySendError::Full(_)) {
+                        shared.metrics.note(Tally::Shed);
+                    }
+                }
+                sent.is_ok()
+            };
             protocol::encode_place_response(
                 &mut scratch.out_buf,
                 &protocol::PlaceReply {
@@ -1195,6 +1210,41 @@ mod tests {
         let stats = daemon.shutdown();
         assert_eq!(stats.reply.rebuilds_total, 1);
         assert_eq!(stats.reply.epoch, 1);
+    }
+
+    /// A pipelined burst of applies, four times the backlog, on one
+    /// connection: every frame is answered Ok, each `applied` reply is
+    /// one rebuild and one epoch, and each apply that found the backlog
+    /// full is answered `applied = 0` and counted as shed.
+    #[test]
+    fn apply_burst_past_the_backlog_is_shed_not_queued() {
+        let daemon = Daemon::start(&ServeConfig::tiny()).unwrap();
+        let mut conn = TcpStream::connect(daemon.local_addr()).unwrap();
+        let burst = 4 * APPLY_BACKLOG;
+        let mut out = Vec::new();
+        let mut all = Vec::new();
+        for seed in 0..burst as u64 {
+            wire::encode_place_request(&mut out, PlaceAlgo::Random, seed, true);
+            all.extend_from_slice(&out);
+        }
+        conn.write_all(&all).unwrap();
+        let mut frame = Vec::new();
+        let mut applied = 0u64;
+        for _ in 0..burst {
+            assert!(wire::read_frame(&mut conn, &mut frame).unwrap());
+            let place = wire::decode_place_response(&frame).expect("every apply answers Ok");
+            applied += u64::from(place.applied);
+        }
+        drop(conn);
+        // Shutdown drains the backlog before the rebuilder exits.
+        let stats = daemon.shutdown();
+        let r = &stats.reply;
+        assert!(applied >= 1, "the first apply always finds room");
+        assert_eq!(r.rebuilds_total, applied);
+        assert_eq!(r.epoch, applied);
+        assert_eq!(applied + r.shed, burst as u64);
+        assert_eq!(r.rebuilds_pending, 0, "every counted apply was rebuilt");
+        assert_eq!(r.count(OpClass::Place), burst as u64);
     }
 
     #[test]

@@ -254,7 +254,9 @@ pub enum Tally {
     /// Rebuilds completed: one per applied placement.
     Rebuilds = 2,
     /// Connections and requests shed by admission control with
-    /// [`Status::Overloaded`](crate::protocol::Status::Overloaded).
+    /// [`Status::Overloaded`](crate::protocol::Status::Overloaded), and
+    /// applies answered `applied = 0` because the rebuild backlog was
+    /// full.
     Shed = 3,
     /// Requests answered
     /// [`Status::DeadlineExceeded`](crate::protocol::Status::DeadlineExceeded).
@@ -425,6 +427,13 @@ impl ServeMetrics {
     #[inline]
     pub fn rebuild_enqueued(&self) {
         self.rebuilds_pending.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// An apply counted by [`Self::rebuild_enqueued`] never reached the
+    /// rebuilder: the backlog was full (or the rebuilder gone).
+    #[inline]
+    pub fn rebuild_withdrawn(&self) {
+        self.rebuilds_pending.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The rebuilder finished (and published) one rebuild.

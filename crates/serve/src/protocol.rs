@@ -437,7 +437,8 @@ pub struct PlaceReply {
     pub epoch: u64,
     /// The algorithm that produced the proposal.
     pub algo: PlaceAlgo,
-    /// Whether the proposal was enqueued for deployment.
+    /// Whether the proposal was enqueued for deployment: false for a
+    /// dry run, and for an apply that found the rebuild backlog full.
     pub applied: bool,
     /// The proposed beacon position.
     pub position: Point,
@@ -706,7 +707,9 @@ pub struct StatsReply {
     pub last_rebuild_ns: u64,
     /// Flight-recorder offers dropped to lock contention.
     pub flight_dropped: u64,
-    /// Connections/requests shed by admission control ([`Status::Overloaded`]).
+    /// Connections/requests shed by admission control
+    /// ([`Status::Overloaded`]), plus applies shed by a full rebuild
+    /// backlog (answered Ok with `applied = 0`).
     pub shed: u64,
     /// Requests whose handling blew the per-request deadline
     /// ([`Status::DeadlineExceeded`]).

@@ -868,7 +868,7 @@ mod tests {
         assert_eq!(metrics[0].trials, 18);
         assert_eq!(metrics[0].failures, 0);
         assert!(metrics[0].trials_per_sec > 0.0);
-        let json = recorder.to_json();
+        let json = recorder.report("fig4", &c);
         assert!(json.contains("\"figure\": \"fig4\""));
         assert!(json.contains("\"trials\": 18"));
     }

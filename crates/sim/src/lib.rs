@@ -18,7 +18,8 @@
 //!   thread, drops and reports failed trials, and checkpoints the
 //!   density, improvement and fault sweeps,
 //! * [`progress`] — the [`Probe`] observability hooks (progress lines,
-//!   run metrics) threaded through experiments and figures,
+//!   and the [`MetricsRecorder`] behind the run report) threaded through
+//!   experiments and figures,
 //! * [`checkpoint`] — crash-safe persistence of completed density sweeps
 //!   so interrupted runs resume bit-identically,
 //! * [`experiments`] — one module per experiment family:
@@ -60,7 +61,6 @@ pub mod report;
 pub mod runner;
 pub mod scratch;
 mod sweep;
-pub mod traceprobe;
 
 pub use checkpoint::{CheckpointOpen, SweepCheckpoint};
 pub use config::{AlgorithmKind, PaperConfig, SimConfig};
@@ -72,4 +72,3 @@ pub use progress::{
 pub use report::{Figure, Series, SeriesPoint};
 pub use runner::{RunPolicy, TrialFault};
 pub use scratch::{with_trial_scratch, TrialScratch};
-pub use traceprobe::TraceProbe;

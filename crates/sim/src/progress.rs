@@ -1,5 +1,5 @@
 //! Observability for long Monte-Carlo runs: probes, progress reporting,
-//! and run metrics.
+//! and the run report.
 //!
 //! The experiment drivers accept a [`Ctx`] carrying a [`Probe`] (and
 //! optionally a [`crate::checkpoint::SweepCheckpoint`]). Probes receive
@@ -10,13 +10,20 @@
 //! * [`NoopProbe`] — the default; zero overhead,
 //! * [`ProgressProbe`] — live `completed/total`, throughput, and ETA on
 //!   stderr (the CLI's `--progress`),
-//! * [`MetricsRecorder`] — per-figure wall-clock, trial throughput, and
-//!   worker utilization, rendered as JSON (the CLI's `--metrics-json`).
+//! * [`MetricsRecorder`] — the batch run's one recorder: per-figure
+//!   wall-clock, trial throughput and time quantiles, worker
+//!   utilization, failures, retries and timeouts, rendered with the
+//!   run's identity and counters as the run report (the CLI's
+//!   `--report`), and marked in the trace as lifecycle instants (the
+//!   CLI's `--trace`).
 
 use crate::checkpoint::{CheckpointOpen, SweepCheckpoint};
+use crate::config::SimConfig;
 use crate::runner::RunPolicy;
+use abp_trace::export::{json_f64, json_string};
+use abp_trace::RawHistogram;
 use std::fmt;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -535,13 +542,23 @@ pub struct FigureMetrics {
     /// Attempts aborted by the `--trial-timeout` watchdog (including
     /// aborts that were subsequently retried).
     pub timeouts: usize,
+    /// Median worker busy time of one trial, in seconds. Read off log₂
+    /// buckets ([`abp_trace::HistogramSnapshot::quantile_ns`]), so it is
+    /// a bucket bound within a factor of two of the true value; 0 when
+    /// no trial ran.
+    pub trial_p50_s: f64,
+    /// 90th-percentile trial busy time, in seconds (as `trial_p50_s`).
+    pub trial_p90_s: f64,
+    /// 99th-percentile trial busy time, in seconds (as `trial_p50_s`).
+    pub trial_p99_s: f64,
 }
 
 #[derive(Default)]
 struct OpenFigure {
     id: String,
-    trials: usize,
-    busy: Duration,
+    /// Worker busy time of every finished trial: its count is the
+    /// figure's trials, its sum the busy time, its buckets the quantiles.
+    busy: RawHistogram,
     failed_seeds: Vec<u64>,
     retries: usize,
     timeouts: usize,
@@ -550,11 +567,21 @@ struct OpenFigure {
 struct MetricsState {
     figures: Vec<FigureMetrics>,
     current: Option<OpenFigure>,
+    checkpoint: Option<(PathBuf, CheckpointOpen)>,
     run_started: Instant,
 }
 
-/// Accumulates per-figure runtime metrics; render with
-/// [`MetricsRecorder::to_json`].
+/// The batch run's recorder: per-figure wall-clock, trial throughput,
+/// worker utilization, trial-time quantiles, failures, retries and
+/// timeouts, plus how the checkpoint opened. Render the run report with
+/// [`MetricsRecorder::report`].
+///
+/// It also marks every lifecycle event in the trace as an `abp-trace`
+/// instant (category `probe`): figure and sweep start and done, trial
+/// failed, retried and timed out, and checkpoint opened. Those reach a
+/// trace file only while the gate is on and a sink is installed; they
+/// fire on the thread that runs the sweep, so in the Chrome export they
+/// share that thread's track.
 pub struct MetricsRecorder {
     threads: usize,
     state: Mutex<MetricsState>,
@@ -569,6 +596,7 @@ impl MetricsRecorder {
             state: Mutex::new(MetricsState {
                 figures: Vec::new(),
                 current: None,
+                checkpoint: None,
                 run_started: Instant::now(),
             }),
         }
@@ -579,14 +607,21 @@ impl MetricsRecorder {
         self.state.lock().expect("metrics state").figures.clone()
     }
 
-    /// Renders the run metrics as a JSON document.
+    /// Renders the run report of `command` run under `cfg`: one JSON
+    /// document that ties the run's identity to what it did.
     ///
-    /// Schema (all numbers finite):
+    /// Schema (all numbers finite; seeds and the fingerprint are hex
+    /// strings because JSON numbers cannot hold every `u64`):
     ///
     /// ```json
     /// {
+    ///   "command": "fig4",
+    ///   "seed": "0x00000000000000a5",
+    ///   "config_fingerprint": "0x1f0e4c8a9b7d6e53",
     ///   "threads": 8,
     ///   "total_wall_seconds": 12.5,
+    ///   "checkpoint": {"path": "fig4.ckpt", "opened": "resumed",
+    ///                  "entries": 12, "quarantined": 0},
     ///   "figures": [
     ///     {
     ///       "figure": "fig4",
@@ -597,23 +632,62 @@ impl MetricsRecorder {
     ///       "failures": 1,
     ///       "failed_seeds": ["0x00000000deadbeef"],
     ///       "retries": 2,
-    ///       "timeouts": 1
+    ///       "timeouts": 1,
+    ///       "trial_p50_s": 0.016777216,
+    ///       "trial_p90_s": 0.033554432,
+    ///       "trial_p99_s": 0.033554432
     ///     }
-    ///   ]
+    ///   ],
+    ///   "counters": {"candidates_scanned": 1200, "links_tested": 48000}
     /// }
     /// ```
     ///
-    /// `failed_seeds` lists the derived seed of every panicked trial (hex,
-    /// failure order), so partial-failure runs stay reproducible from the
-    /// metrics file alone.
-    pub fn to_json(&self) -> String {
+    /// * `config_fingerprint` is [`SimConfig::fingerprint`], the key a
+    ///   checkpoint file is matched against.
+    /// * `checkpoint` is `null` when the run had none; otherwise `opened`
+    ///   is `created`, `resumed`, `ignored_version`,
+    ///   `ignored_fingerprint` or `ignored_corrupt`, and `entries` and
+    ///   `quarantined` count what a resumed file held (0 otherwise).
+    /// * `failed_seeds` lists the derived seed of every failed trial
+    ///   (failure order), so partial-failure runs stay reproducible from
+    ///   the report alone.
+    /// * `counters` are the `abp-trace` registry totals
+    ///   ([`abp_trace::counters_snapshot`]), which move only while the
+    ///   gate is on; the CLI turns it on and zeroes them for a run that
+    ///   writes a report.
+    pub fn report(&self, command: &str, cfg: &SimConfig) -> String {
         let state = self.state.lock().expect("metrics state");
         let mut out = String::from("{\n");
+        out.push_str(&format!("  \"command\": {},\n", json_string(command)));
+        out.push_str(&format!("  \"seed\": \"{:#018x}\",\n", cfg.seed));
+        out.push_str(&format!(
+            "  \"config_fingerprint\": \"{:#018x}\",\n",
+            cfg.fingerprint()
+        ));
         out.push_str(&format!("  \"threads\": {},\n", self.threads));
         out.push_str(&format!(
             "  \"total_wall_seconds\": {},\n",
             json_f64(state.run_started.elapsed().as_secs_f64())
         ));
+        let checkpoint = match &state.checkpoint {
+            None => "null".to_string(),
+            Some((path, open)) => {
+                let (opened, entries) = match *open {
+                    CheckpointOpen::Created => ("created", 0),
+                    CheckpointOpen::Resumed { entries, .. } => ("resumed", entries),
+                    CheckpointOpen::IgnoredVersion { .. } => ("ignored_version", 0),
+                    CheckpointOpen::IgnoredFingerprint { .. } => ("ignored_fingerprint", 0),
+                    CheckpointOpen::IgnoredCorrupt => ("ignored_corrupt", 0),
+                };
+                format!(
+                    "{{\"path\": {}, \"opened\": \"{opened}\", \"entries\": {entries}, \
+                     \"quarantined\": {}}}",
+                    json_string(&path.to_string_lossy()),
+                    open.quarantined()
+                )
+            }
+        };
+        out.push_str(&format!("  \"checkpoint\": {checkpoint},\n"));
         out.push_str("  \"figures\": [");
         for (i, m) in state.figures.iter().enumerate() {
             if i > 0 {
@@ -628,7 +702,8 @@ impl MetricsRecorder {
             out.push_str(&format!(
                 "\n    {{\"figure\": {}, \"wall_seconds\": {}, \"trials\": {}, \
                  \"trials_per_sec\": {}, \"worker_utilization\": {}, \"failures\": {}, \
-                 \"failed_seeds\": [{seeds}], \"retries\": {}, \"timeouts\": {}}}",
+                 \"failed_seeds\": [{seeds}], \"retries\": {}, \"timeouts\": {}, \
+                 \"trial_p50_s\": {}, \"trial_p90_s\": {}, \"trial_p99_s\": {}}}",
                 json_string(&m.figure),
                 json_f64(m.wall_seconds),
                 m.trials,
@@ -637,18 +712,28 @@ impl MetricsRecorder {
                 m.failures,
                 m.retries,
                 m.timeouts,
+                json_f64(m.trial_p50_s),
+                json_f64(m.trial_p90_s),
+                json_f64(m.trial_p99_s),
             ));
         }
         if !state.figures.is_empty() {
             out.push_str("\n  ");
         }
-        out.push_str("]\n}\n");
+        out.push_str("],\n");
+        let counters = abp_trace::counters_snapshot()
+            .iter()
+            .map(|c| format!("{}: {}", json_string(c.name), c.total))
+            .collect::<Vec<_>>()
+            .join(", ");
+        out.push_str(&format!("  \"counters\": {{{counters}}}\n}}\n"));
         out
     }
 }
 
 impl Probe for MetricsRecorder {
     fn figure_start(&self, id: &str) {
+        instant(format_args!("figure_start {id}"));
         let mut s = self.state.lock().expect("metrics state");
         s.current = Some(OpenFigure {
             id: id.to_string(),
@@ -657,87 +742,110 @@ impl Probe for MetricsRecorder {
     }
 
     fn figure_done(&self, id: &str, wall: Duration) {
+        instant(format_args!(
+            "figure_done {id} ({:.2}s)",
+            wall.as_secs_f64()
+        ));
         let mut s = self.state.lock().expect("metrics state");
         let Some(open) = s.current.take() else {
             return;
         };
         debug_assert_eq!(open.id, id, "mismatched figure_done");
         let wall_seconds = wall.as_secs_f64();
+        let busy = open.busy.snapshot("trial_busy");
+        let trials = busy.count as usize;
+        let quantile_s = |q| Duration::from_nanos(busy.quantile_ns(q).unwrap_or(0)).as_secs_f64();
         s.figures.push(FigureMetrics {
             figure: open.id,
             wall_seconds,
-            trials: open.trials,
-            trials_per_sec: open.trials as f64 / wall_seconds.max(1e-9),
-            worker_utilization: (open.busy.as_secs_f64()
+            trials,
+            trials_per_sec: trials as f64 / wall_seconds.max(1e-9),
+            worker_utilization: (Duration::from_nanos(busy.sum_ns).as_secs_f64()
                 / (wall_seconds.max(1e-9) * self.threads as f64))
                 .clamp(0.0, 1.0),
             failures: open.failed_seeds.len(),
             failed_seeds: open.failed_seeds,
             retries: open.retries,
             timeouts: open.timeouts,
+            trial_p50_s: quantile_s(0.5),
+            trial_p90_s: quantile_s(0.9),
+            trial_p99_s: quantile_s(0.99),
         });
+    }
+
+    fn sweep_start(&self, experiment: &str, beacons: usize, trials: usize) {
+        instant(format_args!(
+            "sweep_start {experiment} @ {beacons} beacons ({trials} trials)"
+        ));
+    }
+
+    fn sweep_done(&self, experiment: &str, beacons: usize, wall: Duration, from_checkpoint: bool) {
+        let how = if from_checkpoint {
+            "checkpoint"
+        } else {
+            "computed"
+        };
+        instant(format_args!(
+            "sweep_done {experiment} @ {beacons} beacons ({:.2}s, {how})",
+            wall.as_secs_f64()
+        ));
     }
 
     fn trial_done(&self, busy: Duration) {
         let mut s = self.state.lock().expect("metrics state");
         if let Some(open) = s.current.as_mut() {
-            open.trials += 1;
-            open.busy += busy;
+            open.busy.record(busy);
         }
     }
 
     fn trial_failed(&self, failure: &TrialFailureReport) {
+        instant(format_args!(
+            "trial_failed {} trial {} seed {:#018x}",
+            failure.experiment, failure.trial, failure.seed
+        ));
         let mut s = self.state.lock().expect("metrics state");
         if let Some(open) = s.current.as_mut() {
             open.failed_seeds.push(failure.seed);
         }
     }
 
-    fn trial_retried(&self, _retry: &TrialRetryReport) {
+    fn trial_retried(&self, retry: &TrialRetryReport) {
+        instant(format_args!(
+            "trial_retried {} trial {} attempt {}",
+            retry.experiment, retry.trial, retry.failed_attempt
+        ));
         let mut s = self.state.lock().expect("metrics state");
         if let Some(open) = s.current.as_mut() {
             open.retries += 1;
         }
     }
 
-    fn trial_timed_out(&self, _timeout: &TrialTimeoutReport) {
+    fn trial_timed_out(&self, timeout: &TrialTimeoutReport) {
+        instant(format_args!(
+            "trial_timed_out {} trial {} attempt {} limit {:?}",
+            timeout.experiment, timeout.trial, timeout.attempt, timeout.limit
+        ));
         let mut s = self.state.lock().expect("metrics state");
         if let Some(open) = s.current.as_mut() {
             open.timeouts += 1;
         }
     }
-}
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Shortest round-trip representation; always a valid JSON number.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') || s.contains('E') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "0.0".to_string()
+    fn checkpoint_opened(&self, path: &Path, open: &CheckpointOpen) {
+        instant(format_args!(
+            "checkpoint_opened {}: {open:?}",
+            path.display()
+        ));
+        self.state.lock().expect("metrics state").checkpoint = Some((path.to_path_buf(), *open));
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Marks a lifecycle event in the trace. The name is formatted only
+/// when it will be kept: while the gate is on and a sink is installed.
+fn instant(name: fmt::Arguments<'_>) {
+    if abp_trace::enabled() && abp_trace::sink::installed() {
+        abp_trace::span::instant(name.to_string(), "probe");
     }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -802,10 +910,13 @@ mod tests {
         rec.figure_start("fig\"odd\\name");
         rec.trial_done(Duration::from_millis(5));
         rec.figure_done("fig\"odd\\name", Duration::from_millis(10));
-        let json = rec.to_json();
+        let json = rec.report("fig\"odd", &SimConfig::tiny());
         assert!(json.contains("\"fig\\\"odd\\\\name\""));
+        assert!(json.contains("\"command\": \"fig\\\"odd\""));
         assert!(json.contains("\"threads\": 2"));
         assert!(json.contains("\"figures\": ["));
+        assert!(json.contains("\"checkpoint\": null"));
+        assert!(json.contains("\"counters\": {"));
         // Balanced braces/brackets (cheap well-formedness check; the CLI
         // test does a full structural parse).
         assert_eq!(
@@ -817,11 +928,75 @@ mod tests {
     }
 
     #[test]
-    fn json_numbers_are_plain() {
-        assert_eq!(json_f64(1.5), "1.5");
-        assert_eq!(json_f64(3.0), "3.0");
-        assert_eq!(json_f64(f64::NAN), "0.0");
-        assert_eq!(json_f64(f64::INFINITY), "0.0");
+    fn report_names_the_run_and_its_checkpoint() {
+        let cfg = SimConfig::tiny();
+        let rec = MetricsRecorder::new(1);
+        let json = rec.report("fig4", &cfg);
+        assert!(
+            json.contains(&format!("\"seed\": \"{:#018x}\"", cfg.seed)),
+            "{json}"
+        );
+        assert!(
+            json.contains(&format!(
+                "\"config_fingerprint\": \"{:#018x}\"",
+                cfg.fingerprint()
+            )),
+            "{json}"
+        );
+        rec.checkpoint_opened(
+            Path::new("runs/fig4.ckpt"),
+            &CheckpointOpen::Resumed {
+                entries: 3,
+                quarantined: 1,
+            },
+        );
+        let json = rec.report("fig4", &cfg);
+        assert!(
+            json.contains(
+                "\"checkpoint\": {\"path\": \"runs/fig4.ckpt\", \"opened\": \"resumed\", \
+                 \"entries\": 3, \"quarantined\": 1}"
+            ),
+            "{json}"
+        );
+        rec.checkpoint_opened(
+            Path::new("x.ckpt"),
+            &CheckpointOpen::IgnoredFingerprint { found: 7 },
+        );
+        assert!(rec
+            .report("fig4", &cfg)
+            .contains("\"opened\": \"ignored_fingerprint\", \"entries\": 0"));
+    }
+
+    #[test]
+    fn trial_quantiles_come_from_log2_buckets() {
+        let rec = MetricsRecorder::new(1);
+        rec.figure_start("fig4");
+        rec.figure_done("fig4", Duration::from_millis(1));
+        rec.figure_start("fig5");
+        // 90 trials near 1 ms and 10 near 100 ms.
+        for _ in 0..90 {
+            rec.trial_done(Duration::from_micros(1_000));
+        }
+        for _ in 0..10 {
+            rec.trial_done(Duration::from_millis(100));
+        }
+        rec.figure_done("fig5", Duration::from_secs(2));
+        let figs = rec.figures();
+        let idle = &figs[0];
+        assert_eq!(idle.trials, 0);
+        assert_eq!(
+            (idle.trial_p50_s, idle.trial_p90_s, idle.trial_p99_s),
+            (0.0, 0.0, 0.0),
+            "no trial ran"
+        );
+        let m = &figs[1];
+        assert_eq!(m.trials, 100);
+        // Each estimate is its bucket's upper bound, within 2x above.
+        assert!((1e-3..2e-3).contains(&m.trial_p50_s), "{m:?}");
+        assert!((1e-3..2e-3).contains(&m.trial_p90_s), "{m:?}");
+        assert!((0.1..0.2).contains(&m.trial_p99_s), "{m:?}");
+        // busy 1.09 s over 2 s x 1 worker.
+        assert!((m.worker_utilization - 0.545).abs() < 1e-9, "{m:?}");
     }
 
     fn failure(seed: u64) -> TrialFailureReport {
@@ -959,7 +1134,7 @@ mod tests {
         let figs = rec.figures();
         assert_eq!(figs[0].failures, 2);
         assert_eq!(figs[0].failed_seeds, vec![0xDEAD_BEEF, 0x1234]);
-        let json = rec.to_json();
+        let json = rec.report("fig4", &SimConfig::tiny());
         assert!(
             json.contains("\"failed_seeds\": [\"0x00000000deadbeef\", \"0x0000000000001234\"]"),
             "{json}"
@@ -991,7 +1166,7 @@ mod tests {
         rec.figure_done("robustness-failure", Duration::from_millis(10));
         let m = &rec.figures()[0];
         assert_eq!((m.retries, m.timeouts, m.failures), (1, 1, 0));
-        let json = rec.to_json();
+        let json = rec.report("faults", &SimConfig::tiny());
         assert!(json.contains("\"retries\": 1"), "{json}");
         assert!(json.contains("\"timeouts\": 1"), "{json}");
     }

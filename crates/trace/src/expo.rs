@@ -4,9 +4,8 @@
 //! the Prometheus text exposition format (version 0.0.4): `# HELP` and
 //! `# TYPE` comments followed by sample lines, one metric family per
 //! instrument. It is data-driven — any snapshots work, whether they came
-//! from the global registry ([`crate::counters_snapshot`] /
-//! [`crate::gauges_snapshot`]) or were built directly, as the serving
-//! daemon does for its per-daemon instruments.
+//! from the global registry ([`crate::counters_snapshot`]) or were built
+//! directly, as the serving daemon does from its per-daemon ledger.
 //!
 //! # Unit and naming conventions
 //!
@@ -15,7 +14,7 @@
 //!   exporting a duration gauge should pre-convert to seconds and name
 //!   it `*_seconds`.
 //! * Duration histograms record nanoseconds internally (the
-//!   [`crate::DurationHistogram`] contract), but Prometheus convention
+//!   [`crate::RawHistogram`] contract), but Prometheus convention
 //!   is base-unit seconds: a histogram named `*_ns` renders as
 //!   `*_seconds`, with every `le` bound and the `_sum` scaled by 1e-9.
 //!   The log₂ bucket layout maps directly: bucket `b`'s upper bound
@@ -125,7 +124,7 @@ mod tests {
     #[test]
     fn seconds_name_strips_ns_suffix() {
         assert_eq!(seconds_name("serve_request_ns"), "serve_request_seconds");
-        assert_eq!(seconds_name("trial_wall"), "trial_wall_seconds");
+        assert_eq!(seconds_name("rebuild_wall"), "rebuild_wall_seconds");
     }
 
     #[test]

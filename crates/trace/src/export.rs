@@ -1,24 +1,28 @@
-//! Renders a drained run as JSONL or Chrome Trace Event JSON.
+//! Renders a drained run as JSONL or Chrome Trace Event JSON, and owns
+//! the JSON string and number formatting every hand-written JSON writer
+//! in the workspace uses.
 //!
-//! Both exporters hand-serialize (the crate is dependency-free); strings
-//! are escaped per RFC 8259 so the output always parses.
+//! The exporters hand-serialize (the crate is dependency-free):
+//! [`json_string`] escapes per RFC 8259 and [`json_f64`] writes only
+//! finite numbers, so the output always parses.
 //!
 //! * [`to_jsonl`] — one self-describing JSON object per line: a `meta`
 //!   header (drop count, thread table), every span/instant event, then
-//!   every counter and histogram snapshot. Good for `grep`/`jq` pipelines.
+//!   every counter snapshot. Good for `grep`/`jq` pipelines.
 //! * [`to_chrome_json`] — the [Trace Event Format] consumed by
 //!   `chrome://tracing` and Perfetto: `"M"` thread-name metadata rows,
 //!   `"X"` complete events (µs timestamps) for spans, `"i"` instants.
 //!
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 
-use crate::metrics::{CounterSnapshot, HistogramSnapshot};
+use crate::metrics::CounterSnapshot;
 use crate::sink::{Event, TraceReport};
 use std::fmt::Write as _;
 
-/// Escapes `s` for inclusion inside a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// `s` as a JSON string literal, quotes included, escaped per RFC 8259.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -32,24 +36,34 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
+    out.push('"');
     out
+}
+
+/// `v` as a JSON number: the shortest decimal that reads back to the
+/// same `f64` (Rust's `Display`, which never writes an exponent).
+///
+/// # Panics
+///
+/// On NaN or an infinity, which JSON cannot carry. Every number the
+/// workspace's reports write is finite by construction, so a panic here
+/// is a bug in the caller, not bad input.
+pub fn json_f64(v: f64) -> String {
+    assert!(v.is_finite(), "non-finite value in a JSON report: {v}");
+    format!("{v}")
 }
 
 /// Renders the run as JSONL: one JSON object per line, every line
 /// self-describing via a `"kind"` field (`meta`, `span`, `instant`,
-/// `counter`, `histogram`).
-pub fn to_jsonl(
-    report: &TraceReport,
-    counters: &[CounterSnapshot],
-    hists: &[HistogramSnapshot],
-) -> String {
+/// `counter`).
+pub fn to_jsonl(report: &TraceReport, counters: &[CounterSnapshot]) -> String {
     let mut out = String::new();
     let mut threads = String::new();
     for (i, (tid, name)) in report.threads.iter().enumerate() {
         if i > 0 {
             threads.push(',');
         }
-        let _ = write!(threads, "{{\"tid\":{tid},\"name\":\"{}\"}}", escape(name));
+        let _ = write!(threads, "{{\"tid\":{tid},\"name\":{}}}", json_string(name));
     }
     let _ = writeln!(
         out,
@@ -70,8 +84,8 @@ pub fn to_jsonl(
             } => {
                 let _ = writeln!(
                     out,
-                    "{{\"kind\":\"span\",\"name\":\"{}\",\"tid\":{tid},\"depth\":{depth},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns},\"allocs\":{allocs},\"alloc_bytes\":{alloc_bytes}}}",
-                    escape(name),
+                    "{{\"kind\":\"span\",\"name\":{},\"tid\":{tid},\"depth\":{depth},\"start_ns\":{start_ns},\"dur_ns\":{dur_ns},\"allocs\":{allocs},\"alloc_bytes\":{alloc_bytes}}}",
+                    json_string(name),
                 );
             }
             Event::Instant {
@@ -82,9 +96,9 @@ pub fn to_jsonl(
             } => {
                 let _ = writeln!(
                     out,
-                    "{{\"kind\":\"instant\",\"name\":\"{}\",\"cat\":\"{}\",\"tid\":{tid},\"ts_ns\":{ts_ns}}}",
-                    escape(name),
-                    escape(category),
+                    "{{\"kind\":\"instant\",\"name\":{},\"cat\":{},\"tid\":{tid},\"ts_ns\":{ts_ns}}}",
+                    json_string(name),
+                    json_string(category),
                 );
             }
         }
@@ -92,27 +106,9 @@ pub fn to_jsonl(
     for c in counters {
         let _ = writeln!(
             out,
-            "{{\"kind\":\"counter\",\"name\":\"{}\",\"total\":{}}}",
-            escape(c.name),
+            "{{\"kind\":\"counter\",\"name\":{},\"total\":{}}}",
+            json_string(c.name),
             c.total,
-        );
-    }
-    for h in hists {
-        let mut buckets = String::new();
-        for (i, b) in h.buckets.iter().enumerate() {
-            if i > 0 {
-                buckets.push(',');
-            }
-            let _ = write!(buckets, "{b}");
-        }
-        let _ = writeln!(
-            out,
-            "{{\"kind\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum_ns\":{},\"min_ns\":{},\"max_ns\":{},\"buckets\":[{buckets}]}}",
-            escape(h.name),
-            h.count,
-            h.sum_ns,
-            h.min_ns,
-            h.max_ns,
         );
     }
     out
@@ -128,11 +124,7 @@ fn us(ns: u64) -> String {
 /// loadable in `chrome://tracing` and Perfetto, one named track per
 /// worker thread, spans as `"X"` complete events, probe marks as `"i"`
 /// instants, counter totals in `otherData`.
-pub fn to_chrome_json(
-    report: &TraceReport,
-    counters: &[CounterSnapshot],
-    hists: &[HistogramSnapshot],
-) -> String {
+pub fn to_chrome_json(report: &TraceReport, counters: &[CounterSnapshot]) -> String {
     let mut events = String::new();
     let mut first = true;
     let mut push = |line: String, first: &mut bool| {
@@ -151,8 +143,8 @@ pub fn to_chrome_json(
     for (tid, name) in &report.threads {
         push(
             format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":\"{}\"}}}}",
-                escape(name),
+                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\"args\":{{\"name\":{}}}}}",
+                json_string(name),
             ),
             &mut first,
         );
@@ -170,8 +162,8 @@ pub fn to_chrome_json(
             } => {
                 push(
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{depth},\"allocs\":{allocs},\"alloc_bytes\":{alloc_bytes}}}}}",
-                        escape(name),
+                        "{{\"name\":{},\"cat\":\"span\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"depth\":{depth},\"allocs\":{allocs},\"alloc_bytes\":{alloc_bytes}}}}}",
+                        json_string(name),
                         us(*start_ns),
                         us(*dur_ns),
                     ),
@@ -186,9 +178,9 @@ pub fn to_chrome_json(
             } => {
                 push(
                     format!(
-                        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{}}}",
-                        escape(name),
-                        escape(category),
+                        "{{\"name\":{},\"cat\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{tid},\"ts\":{}}}",
+                        json_string(name),
+                        json_string(category),
                         us(*ts_ns),
                     ),
                     &mut first,
@@ -199,17 +191,7 @@ pub fn to_chrome_json(
     let mut other = String::new();
     let _ = write!(other, "\"dropped_events\":{}", report.dropped);
     for c in counters {
-        let _ = write!(other, ",\"{}\":{}", escape(c.name), c.total);
-    }
-    for h in hists {
-        let _ = write!(
-            other,
-            ",\"{}_count\":{},\"{}_sum_ns\":{}",
-            escape(h.name),
-            h.count,
-            escape(h.name),
-            h.sum_ns,
-        );
+        let _ = write!(other, ",{}:{}", json_string(c.name), c.total);
     }
     format!(
         "{{\n\"traceEvents\": [\n{events}\n],\n\"displayTimeUnit\": \"ms\",\n\"otherData\": {{{other}}}\n}}\n"
@@ -245,30 +227,19 @@ mod tests {
         }
     }
 
-    fn sample_metrics() -> (Vec<CounterSnapshot>, Vec<HistogramSnapshot>) {
-        (
-            vec![CounterSnapshot {
-                name: "links_tested",
-                total: 42,
-            }],
-            vec![HistogramSnapshot {
-                name: "trial_wall",
-                count: 4,
-                sum_ns: 4_000,
-                min_ns: 900,
-                max_ns: 1_100,
-                buckets: vec![0, 4],
-            }],
-        )
+    fn sample_counters() -> Vec<CounterSnapshot> {
+        vec![CounterSnapshot {
+            name: "links_tested",
+            total: 42,
+        }]
     }
 
     #[test]
     fn jsonl_lines_are_well_formed_and_complete() {
-        let (counters, hists) = sample_metrics();
-        let jsonl = to_jsonl(&sample_report(), &counters, &hists);
+        let jsonl = to_jsonl(&sample_report(), &sample_counters());
         let lines: Vec<&str> = jsonl.lines().collect();
-        // meta + 2 events + 1 counter + 1 histogram
-        assert_eq!(lines.len(), 5);
+        // meta + 2 events + 1 counter
+        assert_eq!(lines.len(), 4);
         for line in &lines {
             assert!(line.starts_with('{') && line.ends_with('}'), "line: {line}");
         }
@@ -284,13 +255,11 @@ mod tests {
             lines[2]
         );
         assert!(lines[3].contains("\"total\":42"));
-        assert!(lines[4].contains("\"buckets\":[0,4]"));
     }
 
     #[test]
     fn chrome_export_has_thread_tracks_and_complete_events() {
-        let (counters, hists) = sample_metrics();
-        let chrome = to_chrome_json(&sample_report(), &counters, &hists);
+        let chrome = to_chrome_json(&sample_report(), &sample_counters());
         assert!(chrome.contains("\"traceEvents\""));
         assert!(chrome.contains("\"ph\":\"M\""), "thread metadata present");
         assert!(chrome.contains("\"args\":{\"name\":\"worker-1\"}"));
@@ -307,9 +276,24 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape("x\ny"), "x\\ny");
-        assert_eq!(escape("\u{1}"), "\\u0001");
+    fn json_string_quotes_and_escapes_controls() {
+        assert_eq!(json_string("a\"b\\c"), "\"a\\\"b\\\\c\"");
+        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
+        assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+    }
+
+    #[test]
+    fn json_numbers_are_plain_and_round_trip() {
+        assert_eq!(json_f64(1.5), "1.5");
+        assert_eq!(json_f64(3.0), "3");
+        assert_eq!(json_f64(-0.25), "-0.25");
+        assert_eq!(json_f64(1e-7), "0.0000001");
+        assert_eq!(json_f64(0.1 + 0.2).parse::<f64>().unwrap(), 0.1 + 0.2);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn json_f64_refuses_nan() {
+        json_f64(f64::NAN);
     }
 }

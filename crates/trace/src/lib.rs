@@ -12,18 +12,19 @@
 //! * [`Counter`] — sharded monotonic counters (e.g. `links_tested`)
 //!   registered in a global registry and aggregated lock-free at drain
 //!   time,
-//! * [`DurationHistogram`] — log₂-bucketed duration histograms (e.g. per
-//!   trial wall time), built on the ungated embeddable [`RawHistogram`]
-//!   core, plus [`Gauge`] for last-value state,
+//! * [`RawHistogram`] — an ungated, embeddable log₂-bucketed duration
+//!   histogram (per-opcode serve latency, per-figure trial time), with
+//!   [`histogram_interval`] for the interval quantiles live dashboards
+//!   show,
 //! * [`expo`] — a Prometheus text-exposition renderer
-//!   ([`render_prometheus`]) and the snapshot-diff helpers
-//!   ([`counter_rates`], [`histogram_interval`]) live dashboards build
-//!   rates and interval quantiles from,
+//!   ([`render_prometheus`]),
 //! * [`sink`] — a bounded, never-blocking event sink with explicit drop
 //!   accounting,
 //! * [`export`] — renders a completed run as JSONL or as Chrome Trace
 //!   Event JSON loadable in `chrome://tracing` / [Perfetto], one track per
-//!   worker thread,
+//!   worker thread, and holds the JSON string and number formatting
+//!   ([`export::json_string`], [`export::json_f64`]) every hand-written
+//!   JSON report shares,
 //! * [`alloc`] — allocation accounting: a counting global allocator
 //!   (behind the `count-allocs` feature) with thread/process snapshots;
 //!   `abp bench` turns the deltas into allocs/trial, and live spans
@@ -43,18 +44,19 @@
 //! # Example
 //!
 //! ```
-//! use abp_trace::{Counter, DurationHistogram};
+//! use abp_trace::{Counter, RawHistogram};
 //!
 //! static CANDIDATES: Counter = Counter::new("candidates_scanned");
-//! static SCAN_WALL: DurationHistogram = DurationHistogram::new("scan_wall");
+//! let scan_wall = RawHistogram::new();
 //!
 //! abp_trace::set_enabled(true);
 //! {
 //!     let _span = abp_trace::span!("placement.scan"); // no sink: metadata only
 //!     CANDIDATES.add(400);
-//!     SCAN_WALL.record(std::time::Duration::from_micros(250));
+//!     scan_wall.record(std::time::Duration::from_micros(250));
 //! }
 //! assert!(CANDIDATES.total() >= 400);
+//! assert_eq!(scan_wall.count(), 1);
 //! abp_trace::set_enabled(false);
 //! ```
 
@@ -77,9 +79,9 @@ pub mod span;
 pub use crate::alloc::{counting, process_snapshot, thread_snapshot, AllocSnapshot};
 pub use expo::render_prometheus;
 pub use metrics::{
-    bucket_lower_ns, bucket_of, bucket_upper_ns, counter_rates, counters_snapshot, gauges_snapshot,
-    histogram_interval, render_table, reset_metrics, Counter, CounterRate, CounterSnapshot,
-    DurationHistogram, Gauge, GaugeSnapshot, HistogramSnapshot, RawHistogram, HIST_BUCKETS,
+    bucket_lower_ns, bucket_of, bucket_upper_ns, counters_snapshot, histogram_interval,
+    reset_metrics, Counter, CounterSnapshot, GaugeSnapshot, HistogramSnapshot, RawHistogram,
+    HIST_BUCKETS,
 };
 pub use sink::{drain, Event, TraceReport};
 pub use span::SpanGuard;
@@ -100,9 +102,9 @@ pub fn enabled() -> bool {
 
 /// Turns instrumentation on or off globally.
 ///
-/// Off (the default): spans and counters are no-ops. On: counters and
-/// histograms accumulate; spans additionally emit events when a sink is
-/// installed ([`sink::install`]).
+/// Off (the default): spans and counters are no-ops. On: counters
+/// accumulate; spans additionally emit events when a sink is installed
+/// ([`sink::install`]).
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
@@ -135,7 +137,7 @@ pub(crate) mod test_support {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::{Duration, Instant};
+    use std::time::Instant;
 
     #[test]
     fn gate_defaults_off_and_toggles() {
@@ -156,19 +158,17 @@ mod tests {
     fn disabled_path_stays_under_ns_budget() {
         let _g = test_support::lock();
         static C: Counter = Counter::new("budget_probe");
-        static H: DurationHistogram = DurationHistogram::new("budget_probe_hist");
         set_enabled(false);
         let iters: u32 = 2_000_000;
         let start = Instant::now();
-        for i in 0..iters {
+        for _ in 0..iters {
             let _span = span!("noop");
             C.add(1);
-            H.record(Duration::from_nanos(u64::from(i)));
         }
         let per_op = start.elapsed().as_nanos() as f64 / f64::from(iters);
-        // One span + one counter + one histogram op per iteration. The
-        // budget is deliberately generous (CI machines, debug builds);
-        // the real-world release cost is ~1 ns for all three.
+        // One span + one counter op per iteration. The budget is
+        // deliberately generous (CI machines, debug builds); the
+        // real-world release cost is ~1 ns for both.
         let budget = if cfg!(debug_assertions) {
             1500.0
         } else {
@@ -176,7 +176,7 @@ mod tests {
         };
         assert!(
             per_op < budget,
-            "disabled span+counter+histogram path costs {per_op:.1} ns/iter, budget {budget} ns"
+            "disabled span+counter path costs {per_op:.1} ns/iter, budget {budget} ns"
         );
         assert_eq!(C.total(), 0, "disabled counter must not count");
     }

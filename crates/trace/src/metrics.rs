@@ -1,12 +1,17 @@
-//! Counters and duration histograms with a global registry.
+//! Gated counters with a global registry, and ungated duration
+//! histograms.
 //!
-//! Both types are designed to live in `static`s ([`Counter::new`] and
-//! [`DurationHistogram::new`] are `const`). Updates are relaxed atomic
-//! adds on a shard picked by the calling thread's track id, so
-//! simultaneous workers do not contend on one cache line; reads
-//! ([`Counter::total`], [`counters_snapshot`]) sum the shards lock-free.
-//! Instruments register themselves in the global registry on first use,
-//! so the drain side discovers every counter the run actually touched.
+//! A [`Counter`] is designed to live in a `static` ([`Counter::new`] is
+//! `const`). Updates are relaxed atomic adds on a shard picked by the
+//! calling thread's track id, so simultaneous workers do not contend on
+//! one cache line; reads ([`Counter::total`], [`counters_snapshot`]) sum
+//! the shards lock-free. Counters register themselves in the global
+//! registry on first use, so the drain side discovers every counter the
+//! run actually touched.
+//!
+//! A [`RawHistogram`] lives inside whatever owns it (a serve ledger, a
+//! batch run's recorder): it records whether or not the gate is on and
+//! never touches the registry.
 
 use crate::span::track_id;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -117,7 +122,7 @@ impl Counter {
             return;
         }
         if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().counters.lock().expect("registry").push(self);
+            REGISTRY.lock().expect("registry").push(self);
         }
     }
 
@@ -131,12 +136,17 @@ impl Counter {
 /// The bare accumulation core of a duration histogram: log₂ buckets plus
 /// exact count/sum/min/max, updated with relaxed atomics only.
 ///
-/// Unlike [`DurationHistogram`] it is **ungated** (records regardless of
-/// the global instrumentation flag), **unnamed**, and **unregistered** —
-/// it can live inside any struct, not just a `static`. The serving
-/// daemon embeds one per opcode class so live telemetry works without
-/// flipping the process-wide trace gate and without touching the global
-/// registry's mutex on the request path.
+/// Unlike [`Counter`] it is **ungated** (records regardless of the global
+/// instrumentation flag), **unnamed**, and **unregistered** — it can
+/// live inside any struct, not just a `static`. The serving daemon
+/// embeds one per opcode class so live telemetry works without flipping
+/// the process-wide trace gate and without touching the global
+/// registry's mutex on the request path; a batch run's recorder keeps
+/// one per figure for its trial-time quantiles.
+///
+/// Bucket `b` covers `[2^(b-1), 2^b)` nanoseconds; quantile estimates
+/// report a bucket's upper bound, so they are accurate to a factor of
+/// two.
 pub struct RawHistogram {
     count: AtomicU64,
     sum_ns: AtomicU64,
@@ -251,150 +261,6 @@ impl Default for RawHistogram {
     }
 }
 
-/// A log₂-bucketed histogram of durations, plus exact count and sum.
-///
-/// Bucket `b` covers `[2^(b-1), 2^b)` nanoseconds; quantile estimates
-/// report a bucket's upper bound, so they are accurate to a factor of two
-/// — plenty for "where does trial time go" questions. A named, globally
-/// registered, gate-respecting wrapper around [`RawHistogram`].
-pub struct DurationHistogram {
-    name: &'static str,
-    registered: AtomicBool,
-    raw: RawHistogram,
-}
-
-impl DurationHistogram {
-    /// Creates a histogram. Intended for `static` items.
-    pub const fn new(name: &'static str) -> Self {
-        DurationHistogram {
-            name,
-            registered: AtomicBool::new(false),
-            raw: RawHistogram::new(),
-        }
-    }
-
-    /// The histogram's registry name.
-    #[inline]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Records one duration. A no-op (one relaxed load) while
-    /// instrumentation is disabled.
-    #[inline]
-    pub fn record(&'static self, d: Duration) {
-        if !crate::enabled() {
-            return;
-        }
-        self.register();
-        self.raw.record(d);
-    }
-
-    /// Number of recorded durations.
-    pub fn count(&self) -> u64 {
-        self.raw.count()
-    }
-
-    /// Takes a consistent-enough snapshot (relaxed reads; exact once
-    /// writers have quiesced, which is the drain-time contract).
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        self.raw.snapshot(self.name)
-    }
-
-    fn register(&'static self) {
-        if self.registered.load(Ordering::Relaxed) {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().histograms.lock().expect("registry").push(self);
-        }
-    }
-
-    fn reset(&self) {
-        self.raw.reset();
-    }
-}
-
-/// A last-value instrument for live state: connection counts, queue
-/// depths, the current epoch. Like [`Counter`] it is `const`-creatable
-/// for `static` items, self-registers on first write, and is a single
-/// relaxed load while instrumentation is disabled.
-pub struct Gauge {
-    name: &'static str,
-    registered: AtomicBool,
-    value: AtomicU64,
-}
-
-impl Gauge {
-    /// Creates a gauge. Intended for `static` items.
-    pub const fn new(name: &'static str) -> Self {
-        Gauge {
-            name,
-            registered: AtomicBool::new(false),
-            value: AtomicU64::new(0),
-        }
-    }
-
-    /// The gauge's registry name.
-    #[inline]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Sets the gauge. A no-op (one relaxed load) while instrumentation
-    /// is disabled.
-    #[inline]
-    pub fn set(&'static self, v: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.register();
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    /// Adds `n` (for up/down gauges like live connections).
-    #[inline]
-    pub fn add(&'static self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.register();
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n`, saturating at zero.
-    #[inline]
-    pub fn sub(&'static self, n: u64) {
-        if !crate::enabled() {
-            return;
-        }
-        self.register();
-        let _ = self
-            .value
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(n))
-            });
-    }
-
-    /// The current value.
-    pub fn value(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    fn register(&'static self) {
-        if self.registered.load(Ordering::Relaxed) {
-            return;
-        }
-        if !self.registered.swap(true, Ordering::Relaxed) {
-            registry().gauges.lock().expect("registry").push(self);
-        }
-    }
-
-    fn reset(&self) {
-        self.value.store(0, Ordering::Relaxed);
-    }
-}
-
 /// A counter's name and drained total.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CounterSnapshot {
@@ -407,7 +273,7 @@ pub struct CounterSnapshot {
 /// A histogram's drained state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Registry name (e.g. `trial_wall`).
+    /// Instrument name (e.g. `serve_localize_ns`).
     pub name: &'static str,
     /// Number of recorded durations.
     pub count: u64,
@@ -422,15 +288,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean recorded duration in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
     /// Quantile estimate, `None` when empty.
     ///
     /// The rank rule, pinned down because the serve latency report is
@@ -468,62 +325,16 @@ impl HistogramSnapshot {
     }
 }
 
-/// A gauge's name and value at snapshot time.
-///
-/// The value is `f64` (not the gauge's stored `u64`) so callers that
-/// build snapshots directly — e.g. the serving daemon exposing a rebuild
-/// duration in seconds — can carry non-integer readings into the
-/// exposition renderer.
+/// A last-value reading for the exposition renderer: connection counts,
+/// the current epoch, a rebuild duration in seconds. Callers build these
+/// directly from their own state (the serving daemon reads its ledger);
+/// the value is `f64` so non-integer readings render unscaled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaugeSnapshot {
-    /// Registry name (e.g. `serve_connections_live`).
+    /// Metric name (e.g. `serve_connections_live`).
     pub name: &'static str,
     /// Value at snapshot time.
     pub value: f64,
-}
-
-/// A counter's movement between two snapshots, as computed by
-/// [`counter_rates`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CounterRate {
-    /// Registry name.
-    pub name: &'static str,
-    /// `after − before` (0 for a counter absent from `before`; counters
-    /// are monotonic, so a negative movement clamps to 0).
-    pub delta: u64,
-    /// `delta / elapsed` in events per second (0 when `elapsed` is 0).
-    pub per_sec: f64,
-}
-
-/// Rate computation between two [`counters_snapshot`] calls: pairs
-/// `before` and `after` by name and reports each `after` counter's delta
-/// and per-second rate over `elapsed`.
-///
-/// Both inputs are expected sorted by name (the [`counters_snapshot`]
-/// contract); counters that appear only in `after` — registered between
-/// the two snapshots — count from zero. Counters that vanished (only
-/// possible across a [`reset_metrics`]) are dropped.
-pub fn counter_rates(
-    before: &[CounterSnapshot],
-    after: &[CounterSnapshot],
-    elapsed: Duration,
-) -> Vec<CounterRate> {
-    let secs = elapsed.as_secs_f64();
-    after
-        .iter()
-        .map(|a| {
-            let prev = before
-                .binary_search_by(|b| b.name.cmp(a.name))
-                .map(|i| before[i].total)
-                .unwrap_or(0);
-            let delta = a.total.saturating_sub(prev);
-            CounterRate {
-                name: a.name,
-                delta,
-                per_sec: if secs > 0.0 { delta as f64 / secs } else { 0.0 },
-            }
-        })
-        .collect()
 }
 
 /// The histogram of everything recorded *between* two snapshots of the
@@ -558,28 +369,13 @@ pub fn histogram_interval(
     }
 }
 
-struct Registry {
-    counters: Mutex<Vec<&'static Counter>>,
-    histograms: Mutex<Vec<&'static DurationHistogram>>,
-    gauges: Mutex<Vec<&'static Gauge>>,
-}
+/// Every counter touched so far. The lock guards only the *list*; the
+/// totals are read lock-free from the shards.
+static REGISTRY: Mutex<Vec<&'static Counter>> = Mutex::new(Vec::new());
 
-fn registry() -> &'static Registry {
-    static REGISTRY: Registry = Registry {
-        counters: Mutex::new(Vec::new()),
-        histograms: Mutex::new(Vec::new()),
-        gauges: Mutex::new(Vec::new()),
-    };
-    &REGISTRY
-}
-
-/// Snapshots every registered counter and histogram, sorted by name.
-///
-/// The registry lock guards only the *list* of instruments; the totals
-/// themselves are read lock-free from the shards.
-pub fn counters_snapshot() -> (Vec<CounterSnapshot>, Vec<HistogramSnapshot>) {
-    let mut counters: Vec<CounterSnapshot> = registry()
-        .counters
+/// Snapshots every registered counter, sorted by name.
+pub fn counters_snapshot() -> Vec<CounterSnapshot> {
+    let mut counters: Vec<CounterSnapshot> = REGISTRY
         .lock()
         .expect("registry")
         .iter()
@@ -589,99 +385,15 @@ pub fn counters_snapshot() -> (Vec<CounterSnapshot>, Vec<HistogramSnapshot>) {
         })
         .collect();
     counters.sort_by_key(|c| c.name);
-    let mut hists: Vec<HistogramSnapshot> = registry()
-        .histograms
-        .lock()
-        .expect("registry")
-        .iter()
-        .map(|h| h.snapshot())
-        .collect();
-    hists.sort_by_key(|h| h.name);
-    (counters, hists)
+    counters
 }
 
-/// Snapshots every registered gauge, sorted by name.
-pub fn gauges_snapshot() -> Vec<GaugeSnapshot> {
-    let mut gauges: Vec<GaugeSnapshot> = registry()
-        .gauges
-        .lock()
-        .expect("registry")
-        .iter()
-        .map(|g| GaugeSnapshot {
-            name: g.name,
-            value: g.value() as f64,
-        })
-        .collect();
-    gauges.sort_by_key(|g| g.name);
-    gauges
-}
-
-/// Zeroes every registered counter, histogram, and gauge (the
-/// instruments stay registered). Intended for tests and repeated
-/// in-process runs.
+/// Zeroes every registered counter (the counters stay registered).
+/// Intended for tests and repeated in-process runs.
 pub fn reset_metrics() {
-    for c in registry().counters.lock().expect("registry").iter() {
+    for c in REGISTRY.lock().expect("registry").iter() {
         c.reset();
     }
-    for h in registry().histograms.lock().expect("registry").iter() {
-        h.reset();
-    }
-    for g in registry().gauges.lock().expect("registry").iter() {
-        g.reset();
-    }
-}
-
-/// Formats nanoseconds human-readably (`812ns`, `4.1us`, `12.3ms`, `2.5s`).
-pub(crate) fn human_ns(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.0}ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.1}us", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.1}ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.2}s", ns / 1_000_000_000.0)
-    }
-}
-
-/// Renders the aggregated counter/histogram table the CLI prints for
-/// `--counters`.
-pub fn render_table(counters: &[CounterSnapshot], hists: &[HistogramSnapshot]) -> String {
-    let mut out = String::new();
-    if !counters.is_empty() {
-        out.push_str(&format!("{:<28} {:>16}\n", "counter", "total"));
-        for c in counters {
-            out.push_str(&format!("{:<28} {:>16}\n", c.name, c.total));
-        }
-    }
-    if !hists.is_empty() {
-        if !counters.is_empty() {
-            out.push('\n');
-        }
-        out.push_str(&format!(
-            "{:<28} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
-            "histogram", "count", "mean", "p50", "p90", "p99"
-        ));
-        for h in hists {
-            let q = |q: f64| {
-                h.quantile_ns(q)
-                    .map_or_else(|| "--".to_string(), |ns| human_ns(ns as f64))
-            };
-            out.push_str(&format!(
-                "{:<28} {:>10} {:>9} {:>9} {:>9} {:>9}\n",
-                h.name,
-                h.count,
-                human_ns(h.mean_ns()),
-                q(0.5),
-                q(0.9),
-                q(0.99),
-            ));
-        }
-    }
-    if out.is_empty() {
-        out.push_str("no counters or histograms were touched\n");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -724,43 +436,31 @@ mod tests {
     }
 
     #[test]
-    fn registered_instruments_appear_in_snapshot() {
+    fn registered_counters_appear_in_snapshot() {
         let _g = test_support::lock();
         static C: Counter = Counter::new("test_snapshot_counter");
-        static H: DurationHistogram = DurationHistogram::new("test_snapshot_hist");
         crate::set_enabled(true);
         C.add(3);
-        H.record(Duration::from_micros(10));
-        let (counters, hists) = counters_snapshot();
-        let c = counters
-            .iter()
+        let c = counters_snapshot()
+            .into_iter()
             .find(|c| c.name == "test_snapshot_counter")
             .expect("counter registered");
         assert!(c.total >= 3);
-        let h = hists
-            .iter()
-            .find(|h| h.name == "test_snapshot_hist")
-            .expect("histogram registered");
-        assert!(h.count >= 1);
         crate::set_enabled(false);
         C.reset();
-        H.reset();
     }
 
     #[test]
     fn histogram_buckets_and_quantiles() {
-        let _g = test_support::lock();
-        static H: DurationHistogram = DurationHistogram::new("test_hist_buckets");
-        crate::set_enabled(true);
-        H.reset();
+        let h = RawHistogram::new();
         // 90 fast ops (~1 us) and 10 slow ones (~1 ms).
         for _ in 0..90 {
-            H.record(Duration::from_micros(1));
+            h.record(Duration::from_micros(1));
         }
         for _ in 0..10 {
-            H.record(Duration::from_millis(1));
+            h.record(Duration::from_millis(1));
         }
-        let s = H.snapshot();
+        let s = h.snapshot("test_hist_buckets");
         assert_eq!(s.count, 100);
         let p50 = s.quantile_ns(0.5).unwrap();
         let p99 = s.quantile_ns(0.99).unwrap();
@@ -768,21 +468,14 @@ mod tests {
         // log2 buckets are accurate to a factor of two.
         assert!((1_000..4_000).contains(&p50), "p50 = {p50}");
         assert!((1_000_000..4_000_000).contains(&p99), "p99 = {p99}");
-        let mean = s.mean_ns();
-        assert!(mean > 90_000.0 && mean < 120_000.0, "mean = {mean}");
-        crate::set_enabled(false);
-        H.reset();
     }
 
     #[test]
     fn quantile_extremes_and_edge_counts() {
-        let _g = test_support::lock();
-        static H: DurationHistogram = DurationHistogram::new("test_hist_extremes");
-        crate::set_enabled(true);
-        H.reset();
+        let h = RawHistogram::new();
 
         // Empty histogram: every quantile is None.
-        let empty = H.snapshot();
+        let empty = h.snapshot("test_hist_extremes");
         assert_eq!(empty.count, 0);
         assert_eq!(empty.quantile_ns(0.0), None);
         assert_eq!(empty.quantile_ns(0.5), None);
@@ -790,8 +483,8 @@ mod tests {
 
         // Single sample: every quantile answers that sample (q = 0 and
         // q = 1 exactly; mid quantiles its bucket, clamped to it).
-        H.record(Duration::from_nanos(777));
-        let one = H.snapshot();
+        h.record(Duration::from_nanos(777));
+        let one = h.snapshot("test_hist_extremes");
         assert_eq!(one.count, 1);
         assert_eq!(one.quantile_ns(0.0), Some(777));
         assert_eq!(one.quantile_ns(0.5), Some(777));
@@ -800,8 +493,8 @@ mod tests {
         // Two distinct samples: q = 0 is the exact recorded minimum, not
         // the minimum's bucket upper bound (regression: the old rank rule
         // mapped q = 0 to rank 1's bucket).
-        H.record(Duration::from_micros(500));
-        let two = H.snapshot();
+        h.record(Duration::from_micros(500));
+        let two = h.snapshot("test_hist_extremes");
         assert_eq!(two.quantile_ns(0.0), Some(777), "p0 must be the min");
         assert_eq!(two.quantile_ns(1.0), Some(500_000), "p100 must be the max");
         assert_eq!(two.min_ns, 777);
@@ -813,10 +506,9 @@ mod tests {
         let p50 = two.quantile_ns(0.5).unwrap();
         assert!((777..=500_000).contains(&p50), "p50 = {p50}");
 
-        crate::set_enabled(false);
-        H.reset();
+        h.reset();
         // Reset restores the empty-histogram extremes.
-        let after = H.snapshot();
+        let after = h.snapshot("test_hist_extremes");
         assert_eq!(after.min_ns, 0);
         assert_eq!(after.max_ns, 0);
     }
@@ -866,83 +558,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_sets_adds_and_saturates() {
-        let _g = test_support::lock();
-        static G: Gauge = Gauge::new("test_gauge");
-        crate::set_enabled(false);
-        G.set(9);
-        assert_eq!(G.value(), 0, "disabled gauge must not move");
-        crate::set_enabled(true);
-        G.set(5);
-        G.add(3);
-        G.sub(2);
-        assert_eq!(G.value(), 6);
-        G.sub(100);
-        assert_eq!(G.value(), 0, "sub saturates at zero");
-        G.set(7);
-        let snap = gauges_snapshot();
-        let g = snap
-            .iter()
-            .find(|g| g.name == "test_gauge")
-            .expect("gauge registered");
-        assert_eq!(g.value, 7.0);
-        crate::set_enabled(false);
-        G.reset();
-    }
-
-    #[test]
-    fn counter_rates_pairs_by_name_and_divides_by_elapsed() {
-        let before = vec![
-            CounterSnapshot {
-                name: "a",
-                total: 10,
-            },
-            CounterSnapshot {
-                name: "c",
-                total: 5,
-            },
-        ];
-        let after = vec![
-            CounterSnapshot {
-                name: "a",
-                total: 30,
-            },
-            CounterSnapshot {
-                name: "b",
-                total: 4,
-            },
-            CounterSnapshot {
-                name: "c",
-                total: 5,
-            },
-        ];
-        let rates = counter_rates(&before, &after, Duration::from_secs(2));
-        assert_eq!(rates.len(), 3);
-        assert_eq!(
-            rates[0],
-            CounterRate {
-                name: "a",
-                delta: 20,
-                per_sec: 10.0
-            }
-        );
-        assert_eq!(
-            rates[1],
-            CounterRate {
-                name: "b",
-                delta: 4,
-                per_sec: 2.0
-            },
-            "a counter born between snapshots counts from zero"
-        );
-        assert_eq!(rates[2].delta, 0);
-        // Zero elapsed: deltas survive, rates report 0 instead of inf.
-        let instant = counter_rates(&before, &after, Duration::ZERO);
-        assert_eq!(instant[0].delta, 20);
-        assert_eq!(instant[0].per_sec, 0.0);
-    }
-
-    #[test]
     fn histogram_interval_diffs_buckets_and_bounds_extremes() {
         let raw = RawHistogram::new();
         raw.record_ns(1_000);
@@ -967,40 +582,5 @@ mod tests {
         assert_eq!(none.min_ns, 0);
         assert_eq!(none.max_ns, 0);
         assert!(none.quantile_ns(0.5).is_none());
-    }
-
-    #[test]
-    fn table_renders_counters_and_histograms() {
-        let counters = vec![CounterSnapshot {
-            name: "links_tested",
-            total: 123_456,
-        }];
-        let hists = vec![HistogramSnapshot {
-            name: "trial_wall",
-            count: 240,
-            sum_ns: 240 * 8_000_000,
-            min_ns: 8_000_000,
-            max_ns: 16_000_000,
-            buckets: {
-                let mut b = vec![0u64; HIST_BUCKETS];
-                b[24] = 240; // ~8-16 ms
-                b
-            },
-        }];
-        let table = render_table(&counters, &hists);
-        assert!(table.contains("links_tested"));
-        assert!(table.contains("123456"));
-        assert!(table.contains("trial_wall"));
-        assert!(table.contains("240"));
-        assert!(table.contains("8.0ms"));
-        assert!(render_table(&[], &[]).contains("no counters"));
-    }
-
-    #[test]
-    fn human_ns_picks_sane_units() {
-        assert_eq!(human_ns(812.0), "812ns");
-        assert_eq!(human_ns(4_100.0), "4.1us");
-        assert_eq!(human_ns(12_300_000.0), "12.3ms");
-        assert_eq!(human_ns(2_500_000_000.0), "2.50s");
     }
 }

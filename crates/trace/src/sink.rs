@@ -58,8 +58,9 @@ struct Sink {
 static SINK: OnceLock<Sink> = OnceLock::new();
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-/// Is a sink installed? Checked (relaxed) on every span entry so that
-/// `--counters` without `--trace` pays no span cost beyond the gate.
+/// Is a sink installed? Checked (relaxed) on every span entry so that a
+/// run with the gate on but no trace file (`abp --report`) pays no span
+/// cost beyond the gate.
 #[inline]
 pub fn installed() -> bool {
     INSTALLED.load(Ordering::Relaxed)

@@ -1,9 +1,10 @@
-//! Tier-1 reach for four contracts whose heavy tests live in their
+//! Tier-1 reach for five contracts whose heavy tests live in their
 //! crates: a checkpointed density sweep resumes bit for bit (with the
 //! serve daemon's state file round trip), the checkpoint files of the
 //! density, improvement and fault sweeps keep their bytes across
-//! versions, no hostile payload makes a serve codec panic, and the
-//! serve daemon's one ledger counts every answered frame once.
+//! versions, a batch run's report counts what the run did and what it
+//! resumed, no hostile payload makes a serve codec panic, and the serve
+//! daemon's one ledger counts every answered frame once.
 
 use abp_geom::{Point, Terrain};
 use abp_serve::daemon::{Daemon, ServeConfig};
@@ -12,7 +13,8 @@ use abp_serve::protocol::{self as wire, PlaceAlgo, Status, MAX_FRAME};
 use abp_serve::state::{config_fingerprint, load_state, save_state, StateOpen};
 use abp_sim::experiments::density_error;
 use abp_sim::{
-    figures, AlgorithmKind, CheckpointOpen, Ctx, Figure, Probe, SimConfig, SweepCheckpoint,
+    figures, AlgorithmKind, CheckpointOpen, Ctx, Figure, MetricsRecorder, Probe, SimConfig,
+    SweepCheckpoint,
 };
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -21,7 +23,12 @@ use std::io::{Cursor, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Serializes the tests in this binary that flip the process-global
+/// `abp-trace` gate, so none turns it off under another.
+static TRACE_GATE: Mutex<()> = Mutex::new(());
 
 /// A density sweep interrupted after its first density resumes to the
 /// uninterrupted result bit for bit, and a finished checkpoint replays
@@ -261,6 +268,95 @@ fn replay(cfg: &SimConfig, lock: &Locked, path: &Path, entries: usize) {
         "{} replay must restore every sweep and run no trial",
         lock.name
     );
+}
+
+/// Every `"key": value` in a hand-written JSON document, in order, each
+/// value as written (a string keeps its quotes).
+fn json_values<'a>(json: &'a str, key: &str) -> Vec<&'a str> {
+    let needle = format!("\"{key}\": ");
+    json.match_indices(&needle)
+        .map(|(at, _)| {
+            let rest = &json[at + needle.len()..];
+            let end = rest.find([',', '}', '\n']).unwrap_or(rest.len());
+            rest[..end].trim()
+        })
+        .collect()
+}
+
+/// The run report of a checkpointed batch run counts every trial each
+/// figure ran, the hot-path counters, the trial-time quantiles in
+/// order, and the configuration's checkpoint key. Rerun from the
+/// finished checkpoint, the same report runs no trial, keeps the key,
+/// and says the file resumed.
+#[test]
+fn run_report_counts_a_checkpointed_run_and_its_resume() {
+    let _gate = TRACE_GATE.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = SimConfig {
+        trials: 2,
+        ..SimConfig::tiny()
+    };
+    let dir = std::env::temp_dir().join(format!("abp-report-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("figs.ckpt");
+    let _ = std::fs::remove_file(&path);
+    let run = || {
+        let checkpoint = SweepCheckpoint::open(&path, cfg.fingerprint()).unwrap();
+        let recorder = MetricsRecorder::new(cfg.threads);
+        recorder.checkpoint_opened(&path, &checkpoint.opened());
+        abp_trace::reset_metrics();
+        abp_trace::set_enabled(true);
+        let ctx = Ctx::new(&recorder).with_checkpoint(&checkpoint);
+        figures::fig4_with(&cfg, ctx);
+        figures::fig5_with(&cfg, ctx);
+        abp_trace::set_enabled(false);
+        recorder.report("fig4+fig5", &cfg)
+    };
+    let fingerprint = format!("\"{:#018x}\"", cfg.fingerprint());
+
+    let first = run();
+    assert_eq!(json_values(&first, "figure"), ["\"fig4\"", "\"fig5\""]);
+    let per_figure = (cfg.beacon_counts.len() * cfg.trials).to_string();
+    assert_eq!(
+        json_values(&first, "trials"),
+        [&per_figure, &per_figure],
+        "{first}"
+    );
+    assert_eq!(json_values(&first, "config_fingerprint"), [&fingerprint]);
+    assert_eq!(json_values(&first, "opened"), ["\"created\""], "{first}");
+    for counter in ["links_tested", "candidates_scanned"] {
+        let total: Vec<u64> = json_values(&first, counter)
+            .iter()
+            .map(|v| v.parse().unwrap())
+            .collect();
+        assert!(matches!(total[..], [n] if n > 0), "{counter}: {first}");
+    }
+    let seconds = |key| -> Vec<f64> {
+        json_values(&first, key)
+            .iter()
+            .map(|v| v.parse().unwrap())
+            .collect()
+    };
+    let (p50, p90, p99) = (
+        seconds("trial_p50_s"),
+        seconds("trial_p90_s"),
+        seconds("trial_p99_s"),
+    );
+    for f in 0..2 {
+        assert!(
+            0.0 < p50[f] && p50[f] <= p90[f] && p90[f] <= p99[f],
+            "figure {f}: {first}"
+        );
+    }
+
+    let resumed = run();
+    assert_eq!(json_values(&resumed, "trials"), ["0", "0"], "{resumed}");
+    assert_eq!(json_values(&resumed, "config_fingerprint"), [&fingerprint]);
+    assert_eq!(
+        json_values(&resumed, "opened"),
+        ["\"resumed\""],
+        "{resumed}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Every request and response decoder, and the frame reader, takes a
