@@ -1,8 +1,8 @@
 //! The tracked bench baseline behind `abp bench`.
 //!
 //! Times the hot kernels — the survey connectivity sweep, the
-//! incremental re-survey and the greedy candidate scan — in both their
-//! brute-force and production ("indexed" in the report) forms, on the
+//! incremental re-survey and the greedy Grid candidate scan — in both
+//! their brute-force and production ("indexed" in the report) forms, on the
 //! same field, and verifies on every sample that the production outputs
 //! are **bit-identical** to the brute ones before reporting any timing.
 //! A bench that reports a speedup for a kernel that changed the answer
@@ -22,20 +22,19 @@
 //! a full [`ErrorMap::survey`] of the grown field against
 //! [`ErrorMap::add_beacon`] on a copy of the base map (the copy is made
 //! outside the timed region); both are checked against the point-major
-//! oracle of the grown field. The candidate-scan kernels
-//! mirror the greedy deployment loops round for round but time **only
-//! the scan/score phase** (brute: `propose_ranked`; incremental: scorer
-//! construction + `ranked` + `apply_delta`): the per-round deployment
-//! work — adding the beacon and incrementally re-surveying — is
-//! executed identically on both sides and excluded, so the reported
-//! ratio is the speedup of the kernel itself, not of the shared
-//! plumbing around it. Each kernel first runs the *real* `greedy_batch`
-//! (with the production algorithm) and `greedy_batch_incremental` entry
-//! points and verifies the mirrored loops place bit-identically to them.
-//! The Grid kernel's brute side is a per-rectangle oracle private to
-//! this module, `RectGridOracle`: the paper's direct `O(NG · PG)` sum
-//! and a full sort, which is what the committed baselines timed before
-//! production Grid scoring moved to a row-subtotal table.
+//! oracle of the grown field. The `candidate_scan_grid` kernel mirrors
+//! the greedy deployment loop round for round but times **only the scan
+//! phase** (`propose_ranked`): the per-round deployment work — adding
+//! the beacon and incrementally re-surveying — is executed identically
+//! on both sides and excluded, so the reported ratio is the speedup of
+//! the scan itself, not of the shared plumbing around it. Its production
+//! side is [`GridPlacement`], which rebuilds its row-subtotal table every
+//! round, exactly as `greedy_batch` runs it for `abp batch`; its brute
+//! side is a per-rectangle oracle private to this module,
+//! `RectGridOracle`: the paper's direct `O(NG · PG)` sum and a full sort.
+//! The kernel first runs the *real* [`greedy_batch`] over
+//! [`GridPlacement`] and verifies both mirrored loops place
+//! bit-identically to it.
 //!
 //! When the binary is built with `--features count-allocs` the report
 //! also carries the reused scratch's steady-state allocator traffic —
@@ -54,10 +53,7 @@
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::UnheardPolicy;
-use abp_placement::{
-    greedy_batch, greedy_batch_incremental, pick_unoccupied, GridPlacement, IncrementalGrid,
-    IncrementalMax, IncrementalScorer, MaxPlacement, PlacementAlgorithm, SurveyView,
-};
+use abp_placement::{greedy_batch, pick_unoccupied, GridPlacement, PlacementAlgorithm, SurveyView};
 use abp_radio::{IdealDisk, PerBeaconNoise, Propagation};
 use abp_stats::Summary;
 use abp_survey::{ErrorMap, SurveyScratch};
@@ -106,7 +102,10 @@ use std::time::Instant;
 /// with and without scratch reuse: `survey_sweep`'s production side now
 /// threads the reused scratch, and the `alloc` block sums the
 /// `survey_sweep` and `survey_sweep_noisy` samples.
-pub const SCHEMA: &str = "abp-bench-sweep/10";
+/// `/11` removes the Max candidate-scan kernel, and
+/// `candidate_scan_grid`'s production side becomes `GridPlacement`, the
+/// scan `greedy_batch` runs.
+pub const SCHEMA: &str = "abp-bench-sweep/11";
 
 /// Scenario and sampling configuration for one bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,10 +122,9 @@ pub struct BenchConfig {
     pub nominal_range: f64,
     /// Timed samples per kernel variant.
     pub repeats: usize,
-    /// Beacons placed per greedy candidate-scan sample. Larger values
-    /// amortize the incremental scorer's one-time construction (which
-    /// is counted in its timing) over more rounds, matching how the
-    /// experiment engine holds a scorer across a deployment sequence.
+    /// Beacons placed per `candidate_scan_grid` sample: the sample times
+    /// one Grid scan per placed beacon, as `greedy_batch` runs one per
+    /// round.
     pub greedy_k: usize,
     /// Seed for the random beacon field.
     pub seed: u64,
@@ -576,29 +574,43 @@ pub fn run_bench(cfg: &BenchConfig) -> BenchReport {
         ));
     }
 
-    // Kernels 4–5: the greedy candidate scan, full re-score vs
-    // incremental delta re-score, for Grid and Max.
-    let grid_algo = GridPlacement::paper(terrain, cfg.nominal_range);
-    kernels.push(candidate_scan_kernel(
-        "candidate_scan_grid",
-        &grid_algo,
-        &RectGridOracle(grid_algo),
-        |m| IncrementalGrid::new(grid_algo, m),
-        &field,
-        &base_map,
-        &model,
-        cfg,
-    ));
-    kernels.push(candidate_scan_kernel(
-        "candidate_scan_max",
-        &MaxPlacement::new(),
-        &MaxPlacement::new(),
-        IncrementalMax::new,
-        &field,
-        &base_map,
-        &model,
-        cfg,
-    ));
+    // Kernel 4: the greedy Grid candidate scan, the per-rectangle oracle
+    // vs the production row-subtotal table, each timed over its scan
+    // phase only. The real `greedy_batch` over production Grid runs
+    // first, untimed: it is the reference both mirrors must reproduce
+    // and the warmup for the timed samples.
+    {
+        let grid = GridPlacement::paper(terrain, cfg.nominal_range);
+        let (mut ref_field, mut ref_map) = (field.clone(), base_map.clone());
+        let reference = greedy_batch(
+            &grid,
+            &mut ref_map,
+            &mut ref_field,
+            &model,
+            cfg.greedy_k,
+            &mut StdRng::seed_from_u64(0),
+        );
+        let oracle = RectGridOracle(grid);
+        let mut brute_s = Vec::with_capacity(cfg.repeats);
+        let mut indexed_s = Vec::with_capacity(cfg.repeats);
+        let mut identical = true;
+        for _ in 0..cfg.repeats {
+            let brute = greedy_scan_run(&oracle, &field, &base_map, &model, cfg.greedy_k);
+            let indexed = greedy_scan_run(&grid, &field, &base_map, &model, cfg.greedy_k);
+            for run in [&brute, &indexed] {
+                identical &=
+                    run.positions == reference.positions && maps_bit_identical(&run.map, &ref_map);
+            }
+            brute_s.push(brute.scan_s);
+            indexed_s.push(indexed.scan_s);
+        }
+        kernels.push(kernel_result(
+            "candidate_scan_grid",
+            identical,
+            &brute_s,
+            &indexed_s,
+        ));
+    }
 
     // The online daemon under concurrent TCP load (reported as
     // `serve_qps`, not a brute/indexed pair): the serving layer's
@@ -711,12 +723,11 @@ struct ScanRun {
 
 /// Mirrors [`greedy_batch`] round for round (same proposals, same
 /// occupied-candidate rule via [`pick_unoccupied`]), accumulating
-/// wall-clock only around `propose_ranked` — the brute candidate scan.
-/// The deployment work both variants share (`field.add_beacon`, the
-/// incremental re-survey) is excluded from the timing; it is identical
-/// on the brute and incremental sides by construction, so including it
-/// would only dilute the kernel being measured.
-fn brute_scan_run(
+/// wall-clock only around `propose_ranked` — the candidate scan. The
+/// deployment work (`field.add_beacon`, the incremental re-survey) is
+/// the same whichever algorithm scans, so it is excluded from the
+/// timing; including it would only dilute the kernel being measured.
+fn greedy_scan_run(
     algorithm: &dyn PlacementAlgorithm,
     base_field: &BeaconField,
     base_map: &ErrorMap,
@@ -750,51 +761,12 @@ fn brute_scan_run(
     }
 }
 
-/// Mirrors [`greedy_batch_incremental`] round for round, accumulating
-/// wall-clock around the scorer's scan-side work only: construction
-/// (the one-time full score build the incremental side pays instead of
-/// re-scanning every round), `ranked`, and `apply_delta`. The shared
-/// deployment work is excluded, as in [`brute_scan_run`].
-fn incremental_scan_run<S: IncrementalScorer>(
-    make_scorer: impl FnOnce(&ErrorMap) -> S,
-    base_field: &BeaconField,
-    base_map: &ErrorMap,
-    model: &dyn Propagation,
-    k: usize,
-) -> ScanRun {
-    let mut field = base_field.clone();
-    let mut map = base_map.clone();
-    let mut positions = Vec::with_capacity(k);
-    let t = Instant::now();
-    let mut scorer = make_scorer(&map);
-    let mut scan_s = t.elapsed().as_secs_f64();
-    for _ in 0..k {
-        let t = Instant::now();
-        let candidates = scorer.ranked(&map, field.len() + 1);
-        scan_s += t.elapsed().as_secs_f64();
-        let (pos, _forced) = pick_unoccupied(&candidates, &field);
-        let id = field.add_beacon(pos);
-        let beacon = *field.get(id).expect("beacon just added");
-        let delta = map.add_beacon(&beacon, model);
-        let t = Instant::now();
-        scorer.apply_delta(&map, delta);
-        scan_s += t.elapsed().as_secs_f64();
-        positions.push(pos);
-    }
-    ScanRun {
-        positions,
-        map,
-        scan_s,
-    }
-}
-
 /// The per-rectangle Grid oracle the `candidate_scan_grid` kernel times
 /// as its brute side: every grid's `S(i, j)` summed directly over its
 /// rectangle by [`GridPlacement::cumulative_errors_direct`] (the paper's
-/// `O(NG · PG)`), then every grid sorted by (−score, index). This is the
-/// computation the committed `BENCH_tiny.json` baseline timed, so its
-/// ratio stays comparable; [`GridPlacement`] computes the same scores
-/// from a row-subtotal table and must place identically.
+/// `O(NG · PG)`), then every grid sorted by (−score, index).
+/// [`GridPlacement`] computes the same scores from a row-subtotal table
+/// and must place identically.
 struct RectGridOracle(GridPlacement);
 
 impl PlacementAlgorithm for RectGridOracle {
@@ -822,58 +794,6 @@ impl PlacementAlgorithm for RectGridOracle {
             .map(|&flat| grid.center(flat % n, flat / n))
             .collect()
     }
-}
-
-/// Runs one candidate-scan kernel: reference outcomes from the *real*
-/// greedy loops over the production algorithm first (proving the
-/// mirrored timing loops, and the brute algorithm, place identically),
-/// then `repeats` interleaved timed samples of the brute-scan mirror
-/// over `brute` and the incremental-scan mirror.
-#[allow(clippy::too_many_arguments)]
-fn candidate_scan_kernel<S: IncrementalScorer>(
-    name: &'static str,
-    production: &dyn PlacementAlgorithm,
-    brute: &dyn PlacementAlgorithm,
-    make_scorer: impl Fn(&ErrorMap) -> S,
-    field: &BeaconField,
-    base_map: &ErrorMap,
-    model: &dyn Propagation,
-    cfg: &BenchConfig,
-) -> KernelResult {
-    // Reference: the actual production entry points, untimed. These also
-    // serve as warmup for the timed mirrors below.
-    let (ref_positions, ref_map) = {
-        let (mut f, mut m) = (field.clone(), base_map.clone());
-        let out = greedy_batch(
-            production,
-            &mut m,
-            &mut f,
-            model,
-            cfg.greedy_k,
-            &mut StdRng::seed_from_u64(0),
-        );
-        (out.positions, m)
-    };
-    let mut identical = {
-        let (mut f, mut m) = (field.clone(), base_map.clone());
-        let mut scorer = make_scorer(&m);
-        let out = greedy_batch_incremental(&mut scorer, &mut m, &mut f, model, cfg.greedy_k);
-        out.positions == ref_positions && maps_bit_identical(&m, &ref_map)
-    };
-
-    let mut brute_s = Vec::with_capacity(cfg.repeats);
-    let mut indexed_s = Vec::with_capacity(cfg.repeats);
-    for _ in 0..cfg.repeats {
-        let b = brute_scan_run(brute, field, base_map, model, cfg.greedy_k);
-        let i = incremental_scan_run(&make_scorer, field, base_map, model, cfg.greedy_k);
-        identical &= b.positions == ref_positions
-            && i.positions == ref_positions
-            && maps_bit_identical(&b.map, &ref_map)
-            && maps_bit_identical(&i.map, &ref_map);
-        brute_s.push(b.scan_s);
-        indexed_s.push(i.scan_s);
-    }
-    kernel_result(name, identical, &brute_s, &indexed_s)
 }
 
 fn kernel_result(
@@ -908,7 +828,7 @@ mod tests {
         let mut cfg = BenchConfig::tiny();
         cfg.repeats = 2;
         let report = run_bench(&cfg);
-        assert_eq!(report.kernels.len(), 5);
+        assert_eq!(report.kernels.len(), 4);
         assert!(report.all_identical(), "indexed kernels changed outputs");
         for k in &report.kernels {
             assert!(k.brute.median_s > 0.0, "{}: zero brute median", k.name);
@@ -919,6 +839,7 @@ mod tests {
         assert_eq!(report.kernels[0].name, "survey_sweep");
         assert_eq!(report.kernels[1].name, "survey_sweep_noisy");
         assert_eq!(report.kernels[2].name, "resurvey_incremental");
+        assert_eq!(report.kernels[3].name, "candidate_scan_grid");
         assert!(report.host.nproc >= 1);
         assert!(!report.host.cpu.is_empty() && !report.host.rustc.is_empty());
         assert_eq!(report.serve.clients, cfg.serve_clients);
@@ -1039,7 +960,7 @@ mod tests {
             },
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/10\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/11\""));
         assert!(json.contains("\"preset\": \"tiny\""));
         assert!(json.contains(
             "\"host\": {\"nproc\": 2, \"cpu\": \"Test _CPU_ @ 2.0GHz\", \"rustc\": \"rustc 1.80.0\"}"

@@ -18,14 +18,16 @@
 //!   faults            error and placement ranking under injected faults:
 //!                     beacon death, burst loss, GPS outages (sec. 6)
 //!   solspace          solution-space density sweep (sec. 1, contribution 3)
-//!   multilat          the algorithms recast for multilateration (sec. 6)
+//!   multilat          the algorithms recast for multilateration (sec. 6);
+//!                     surveys at 4 m or coarser unless --step is given
 //!   batch             k beacons at once: greedy vs one-shot top-k (sec. 6)
 //!   duel              paired Grid-vs-Max comparison with significance verdicts
-//!   localizers        estimator ablation: centroid vs weighted/locus/multilat
+//!   localizers        estimator ablation: centroid vs weighted/locus/multilat;
+//!                     surveys at 4 m or coarser unless --step is given
 //!   heatmap           ASCII before/after heatmap of one placement step
 //!   bench             time each hot kernel against its brute-force
 //!                     oracle (survey sweep, noisy survey, incremental
-//!                     re-survey, Grid and Max candidate scans), verify
+//!                     re-survey, greedy Grid candidate scan), verify
 //!                     every sample is bit-identical, and with --out write
 //!                     BENCH_sweep.json (median + 95% CI per kernel,
 //!                     plus steady-state allocs/trial when the binary
@@ -68,7 +70,9 @@
 //!                               (bench: paper = 100-beacon 1 m paper scale,
 //!                               quick/tiny = seconds-scale smoke)
 //!   --trials N                  override trials per density
-//!   --step METERS               override survey lattice step
+//!   --step METERS               override survey lattice step (without it,
+//!                               localizers and multilat raise the preset's
+//!                               step to 4 m)
 //!   --threads N                 worker threads (0 = all cores): trial
 //!                               workers for figures, request workers for
 //!                               serve/serve-bench; bench ignores it
@@ -426,6 +430,11 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             ));
         }
         cfg.step = s;
+    } else if matches!(command.as_str(), "localizers" | "multilat") {
+        // Both run a localizer at every lattice point (Gauss-Newton for
+        // multilateration), so without an explicit step they survey at
+        // 4 m or coarser.
+        cfg.step = cfg.step.max(4.0);
     }
     if let Some(t) = threads {
         cfg.threads = t;
@@ -757,12 +766,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
         }
         "localizers" => {
             announce("localizers");
-            // Point-major surveys: force a coarse step.
-            let mut coarse = cfg.clone();
-            if coarse.step < 4.0 {
-                coarse.step = 4.0;
-            }
-            emit(&figures::localizers_with(&coarse, 0.05, ctx), &opts.out)?;
+            emit(&figures::localizers_with(cfg, 0.05, ctx), &opts.out)?;
         }
         "duel" => {
             announce("duel (paired Grid vs Max)");
@@ -806,16 +810,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
         }
         "multilat" => {
             announce("multilat");
-            // Gauss-Newton at every lattice point: force a coarse step
-            // unless the user explicitly chose one below the default.
-            let mut coarse = cfg.clone();
-            if coarse.step < 4.0 {
-                coarse.step = 4.0;
-            }
-            emit(
-                &figures::multilateration_with(&coarse, 0.05, ctx),
-                &opts.out,
-            )?;
+            emit(&figures::multilateration_with(cfg, 0.05, ctx), &opts.out)?;
         }
         "bench" => {
             let mut bcfg = match opts.preset.as_str() {
@@ -1203,6 +1198,25 @@ mod tests {
         assert_eq!(o.cfg.seed, 0xBEEF);
     }
 
+    /// `localizers` and `multilat` survey at 4 m or coarser unless
+    /// `--step` is given, and the parsed config is the one that runs.
+    #[test]
+    fn localizers_and_multilat_floor_the_default_step_only() {
+        for cmd in ["localizers", "multilat"] {
+            let step = |words: &[&str]| parse(&[&[cmd], words].concat()).unwrap().cfg.step;
+            assert_eq!(step(&["--preset", "quick"]), 4.0, "{cmd} quick");
+            assert_eq!(step(&["--preset", "paper"]), 4.0, "{cmd} paper");
+            assert_eq!(
+                step(&["--preset", "quick", "--step", "2"]),
+                2.0,
+                "{cmd} --step 2"
+            );
+            assert_eq!(step(&["--preset", "tiny"]), 5.0, "{cmd} tiny");
+        }
+        // Other commands keep the preset's step.
+        assert_eq!(parse(&["fig4"]).unwrap().cfg.step, SimConfig::quick().step);
+    }
+
     #[test]
     fn rejects_unknown_option_and_preset() {
         assert!(parse(&["fig4", "--bogus"]).is_err());
@@ -1332,13 +1346,12 @@ mod tests {
         o.out = Some(dir.clone());
         run(&o).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/10\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/11\""));
         assert!(json.contains("\"seed\": 7"), "--seed reaches bench: {json}");
         assert!(json.contains("\"name\": \"survey_sweep\""));
         assert!(json.contains("\"name\": \"survey_sweep_noisy\""));
         assert!(json.contains("\"name\": \"resurvey_incremental\""));
         assert!(json.contains("\"name\": \"candidate_scan_grid\""));
-        assert!(json.contains("\"name\": \"candidate_scan_max\""));
         assert!(json.contains("\"identical\": true"));
         assert!(!json.contains("\"identical\": false"));
         assert!(json.contains("\"alloc\": {\"counting\": "));

@@ -8,6 +8,9 @@
 //! seed, the beacon id, and the point's coordinate bits. The same inputs
 //! always hash to the same value, which gives a time-static noise field
 //! with zero storage, valid at *any* query point (not just lattice points).
+//!
+//! The module also holds the IEEE CRC-32 ([`crc32`]) that guards the
+//! sweep checkpoint's entries and the serve daemon's state file.
 
 use crate::point::Point;
 use serde::{Deserialize, Serialize};
@@ -23,6 +26,46 @@ pub fn splitmix64(x: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The IEEE CRC-32 table (reflected polynomial `0xEDB8_8320`).
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        table[i] = c;
+        i += 1;
+    }
+    table
+};
+
+/// The IEEE CRC-32 (zlib, PNG, Ethernet) of `bytes`, continued from
+/// `crc`, the CRC-32 of the bytes before them (0 to start): so
+/// `crc32(crc32(0, a), b)` is the CRC-32 of `a` followed by `b`.
+///
+/// # Example
+///
+/// ```
+/// use abp_geom::crc32;
+/// assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+/// assert_eq!(crc32(crc32(0, b"1234"), b"56789"), 0xCBF4_3926);
+/// ```
+pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
+    let mut c = !crc;
+    for &b in bytes {
+        c = CRC32_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    !c
 }
 
 /// A [`DeterministicField`] hash part-way through its words: the left
@@ -166,6 +209,18 @@ mod tests {
         // Lock in concrete outputs so cross-platform drift is caught.
         assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
         assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
+    }
+
+    /// The standard CRC-32 check value, which both the checkpoint and
+    /// the state-file formats depend on, and chaining across a split.
+    #[test]
+    fn crc32_matches_the_ieee_check_value() {
+        assert_eq!(crc32(0, b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(0, b""), 0);
+        for split in 0..=9 {
+            let (a, b) = b"123456789".split_at(split);
+            assert_eq!(crc32(crc32(0, a), b), 0xCBF4_3926, "split at {split}");
+        }
     }
 
     #[test]

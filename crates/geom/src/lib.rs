@@ -13,7 +13,8 @@
 //!   locus-based localizer),
 //! * [`polygon`] — polygon area/centroid for locus regions,
 //! * [`hash`] — deterministic, splittable hashing used to realize the
-//!   paper's *static* propagation-noise field without storing it.
+//!   paper's *static* propagation-noise field without storing it, and the
+//!   CRC-32 that guards the checkpoint and serve state files.
 //!
 //! Everything here is `f64`-based, allocation-free where possible, and
 //! deterministic: the same inputs always produce bit-identical outputs, a
@@ -47,7 +48,7 @@ pub mod segment;
 
 pub use circle::{circle_circle_intersections, lens_area, Circle};
 pub use disk::Disk;
-pub use hash::{splitmix64, DeterministicField, HashState};
+pub use hash::{crc32, splitmix64, DeterministicField, HashState};
 pub use lattice::{DiskRow, Lattice, LatticeIndex};
 pub use point::{centroid, Point, Vec2};
 pub use polygon::Polygon;

@@ -12,7 +12,7 @@
 //!   placement, incrementally re-survey and re-run the algorithm; costs k
 //!   incremental updates but each beacon reacts to the previous ones.
 //!
-//! The `multi_beacon` bench compares the two.
+//! `abp batch` (the `multi-beacon` figure) compares the two.
 
 use crate::{PlacementAlgorithm, SurveyView};
 use abp_field::{BeaconField, BeaconId};
@@ -47,10 +47,10 @@ pub(crate) const DUPLICATE_EPS: f64 = 1e-9;
 /// explicitly, as a last resort — the top candidate when every proposal
 /// is occupied. Returns `(position, forced_duplicate)`.
 ///
-/// This is the deployment step [`greedy_batch`] and
-/// [`greedy_batch_incremental`](crate::greedy_batch_incremental) share;
-/// it is public so harnesses (the candidate-scan bench) can mirror the
-/// greedy loop exactly while timing only the scan phase.
+/// This is [`greedy_batch`]'s deployment step. It is public so a harness
+/// can mirror the greedy loop exactly: the candidate-scan bench does, to
+/// time only the scan phase, and so does the test that checks greedy
+/// placement against the paper's direct sums.
 ///
 /// # Panics
 ///

@@ -192,7 +192,9 @@ impl GridPlacement {
     /// (−score, row-major index): the top `k` selected (a linear scan
     /// for `k = 1`) and then sorted. That equals the first `k` of a full
     /// sort, because the order is total. `scores` is row-major, one per
-    /// grid; `1 <= k <= NG`.
+    /// grid; `1 <= k <= NG`. [`GridPlacement::propose_top_k`] and
+    /// [`WeightedGridPlacement`](crate::WeightedGridPlacement) both pick
+    /// through it.
     pub(crate) fn best_centers(&self, scores: &[f64], k: usize) -> Vec<Point> {
         let before = |a: &usize, b: &usize| {
             scores[*b]
@@ -218,18 +220,14 @@ impl GridPlacement {
 /// score adds its rows' entries bottom to top onto `0.0`
 /// ([`RowTable::score`]). That is the association
 /// [`ErrorMap::cumulative_error_in`] documents, so every score keeps its
-/// bits. [`GridPlacement::cumulative_errors`] builds one per call, and
-/// [`IncrementalGrid`](crate::IncrementalGrid) keeps one and refills
-/// only the rows a survey delta changed.
+/// bits. [`GridPlacement::cumulative_errors`] builds one per call.
 #[derive(Debug, Clone)]
-pub(crate) struct RowTable {
+struct RowTable {
     /// Lattice rows.
     rows: usize,
-    /// Per grid-column band `i`: the inclusive lattice-column span its
-    /// rectangles cover, or `None` when the band misses the lattice
-    /// (its grids all score 0).
-    col_spans: Vec<Option<(u32, u32)>>,
-    /// Per grid row `j`: the inclusive lattice-row span.
+    /// Per grid row `j`: the inclusive lattice-row span its rectangles
+    /// cover, or `None` when the row misses the lattice (its grids all
+    /// score 0).
     row_spans: Vec<Option<(u32, u32)>>,
     /// `sums[i * rows + j]`: the subtotal of lattice row `j` over band
     /// `i` (0 where the band misses the lattice).
@@ -238,59 +236,36 @@ pub(crate) struct RowTable {
 
 impl RowTable {
     /// Builds the whole table for `algo`'s grids over `map`.
-    pub(crate) fn new(algo: &GridPlacement, map: &ErrorMap) -> Self {
+    fn new(algo: &GridPlacement, map: &ErrorMap) -> Self {
         let n = algo.per_side;
         let lattice = map.lattice();
         let rows = lattice.per_side() as usize;
-        let col_spans = (0..n)
-            .map(|i| {
-                let r = algo.grid_rect(i, 0);
-                lattice.index_span(r.min().x, r.max().x)
-            })
-            .collect();
         let row_spans = (0..n)
             .map(|j| {
                 let r = algo.grid_rect(0, j);
                 lattice.index_span(r.min().y, r.max().y)
             })
             .collect();
-        let mut table = RowTable {
-            rows,
-            col_spans,
-            row_spans,
-            sums: vec![0.0; n as usize * rows],
-        };
-        table.refill(map, (0, u32::MAX), (0, rows as u32 - 1));
-        table
-    }
-
-    /// Recomputes the entries of lattice rows `rows.0..=rows.1` in every
-    /// band whose column span meets lattice columns `cols.0..=cols.1`.
-    pub(crate) fn refill(&mut self, map: &ErrorMap, cols: (u32, u32), rows: (u32, u32)) {
-        for (i, span) in self.col_spans.iter().enumerate() {
-            let Some((i_lo, i_hi)) = span.filter(|&span| overlaps(span, cols)) else {
+        let mut sums = vec![0.0; n as usize * rows];
+        for (i, band) in (0..n).zip(sums.chunks_exact_mut(rows)) {
+            let r = algo.grid_rect(i, 0);
+            let Some((i_lo, i_hi)) = lattice.index_span(r.min().x, r.max().x) else {
                 continue;
             };
-            let band = &mut self.sums[i * self.rows..(i + 1) * self.rows];
-            for j in rows.0..=rows.1 {
-                band[j as usize] = map.row_error_sum(j, i_lo, i_hi);
+            for (j, entry) in band.iter_mut().enumerate() {
+                *entry = map.row_error_sum(j as u32, i_lo, i_hi);
             }
         }
-    }
-
-    /// Whether band `i` covers any of lattice columns `cols.0..=cols.1`.
-    pub(crate) fn band_meets(&self, i: usize, cols: (u32, u32)) -> bool {
-        self.col_spans[i].is_some_and(|span| overlaps(span, cols))
-    }
-
-    /// Whether grid row `j` covers any of lattice rows `rows.0..=rows.1`.
-    pub(crate) fn row_meets(&self, j: usize, rows: (u32, u32)) -> bool {
-        self.row_spans[j].is_some_and(|span| overlaps(span, rows))
+        RowTable {
+            rows,
+            row_spans,
+            sums,
+        }
     }
 
     /// Grid `(i, j)`'s score: its rows' entries added bottom to top onto
     /// `0.0`.
-    pub(crate) fn score(&self, i: usize, j: usize) -> f64 {
+    fn score(&self, i: usize, j: usize) -> f64 {
         let Some((j_lo, j_hi)) = self.row_spans[j] else {
             return 0.0;
         };
@@ -301,17 +276,12 @@ impl RowTable {
     }
 
     /// Every grid's score, row-major (`flat = j * √NG + i`).
-    pub(crate) fn scores(&self) -> Vec<f64> {
-        let n = self.col_spans.len();
+    fn scores(&self) -> Vec<f64> {
+        let n = self.row_spans.len();
         (0..n * n)
             .map(|flat| self.score(flat % n, flat / n))
             .collect()
     }
-}
-
-/// Whether the inclusive ranges `a` and `b` share an index.
-fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 <= b.1 && b.0 <= a.1
 }
 
 impl PlacementAlgorithm for GridPlacement {

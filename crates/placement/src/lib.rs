@@ -68,64 +68,15 @@
 //! A non-empty `forced_duplicates` means the algorithm ran out of
 //! distinct proposals (typical for score-based algorithms whose argmax
 //! region is dominated by unreachable points) — the fallback is always
-//! explicit in the outcome, never silent.
-//!
-//! [`greedy_batch_incremental`] is the same loop with the per-round full
-//! re-scan replaced by an [`IncrementalScorer`] that refreshes cached
-//! scores from the survey delta; both variants share [`pick_unoccupied`],
-//! so their placements are bit-identical. The mirror below spells the
-//! incremental loop out round for round (this is also exactly how the
-//! candidate-scan bench times the scan phase in isolation):
-//!
-//! ```
-//! use abp_field::BeaconField;
-//! use abp_geom::{Lattice, Point, Terrain};
-//! use abp_localize::UnheardPolicy;
-//! use abp_placement::{
-//!     greedy_batch, pick_unoccupied, IncrementalMax, IncrementalScorer, MaxPlacement,
-//! };
-//! use abp_radio::IdealDisk;
-//! use abp_survey::ErrorMap;
-//! use rand::{rngs::StdRng, SeedableRng};
-//!
-//! let terrain = Terrain::square(100.0);
-//! let lattice = Lattice::new(terrain, 5.0);
-//! let model = IdealDisk::new(15.0);
-//! let base_field = BeaconField::from_positions(terrain, [Point::new(10.0, 10.0)]);
-//! let base_map = ErrorMap::survey(&lattice, &base_field, &model, UnheardPolicy::TerrainCenter);
-//!
-//! // Reference: the brute-force greedy loop.
-//! let (mut field, mut map) = (base_field.clone(), base_map.clone());
-//! let reference = greedy_batch(
-//!     &MaxPlacement::new(), &mut map, &mut field, &model, 3,
-//!     &mut StdRng::seed_from_u64(0),
-//! );
-//!
-//! // The incremental mirror: same rounds, same occupied-candidate rule,
-//! // scores refreshed from survey deltas instead of re-scanned.
-//! let (mut field, mut map) = (base_field, base_map);
-//! let mut scorer = IncrementalMax::new(&map);
-//! let mut positions = Vec::new();
-//! for _ in 0..3 {
-//!     let candidates = scorer.ranked(&map, field.len() + 1);
-//!     let (pos, forced) = pick_unoccupied(&candidates, &field);
-//!     assert!(!forced, "healthy run: no forced duplicates");
-//!     let id = field.add_beacon(pos);
-//!     let beacon = *field.get(id).expect("beacon just added");
-//!     let delta = map.add_beacon(&beacon, &model);
-//!     scorer.apply_delta(&map, delta);
-//!     positions.push(pos);
-//! }
-//! assert_eq!(positions, reference.positions);
-//! assert!(reference.forced_duplicates.is_empty());
-//! ```
+//! explicit in the outcome, never silent. Each round scores the updated
+//! map from scratch: Grid rebuilds its row-subtotal table, Max rescans
+//! every lattice point.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod grid;
-pub mod incremental;
 pub mod locusbreak;
 pub mod max;
 pub mod random;
@@ -137,18 +88,14 @@ pub mod weighted;
 /// cells for Grid/Weighted).
 pub static CANDIDATES_SCANNED: abp_trace::Counter = abp_trace::Counter::new("candidates_scanned");
 
-/// Telemetry: candidate positions an [`incremental`] scorer served from
-/// its cache instead of re-scoring, because the survey delta did not
-/// touch their supporting region. Together with [`CANDIDATES_SCANNED`]
-/// this proves (and quantifies) the incremental pruning: per update,
-/// `scanned + pruned` equals the full brute-force candidate count.
+/// Telemetry counter that nothing increments: no placement path serves
+/// candidates from a cache, so every scored candidate counts in
+/// [`CANDIDATES_SCANNED`]. Kept only because the whole-run benchmark
+/// (`perfbench`) reads it by name.
 pub static CELLS_PRUNED: abp_trace::Counter = abp_trace::Counter::new("cells_pruned");
 
 pub use batch::{greedy_batch, pick_unoccupied, GreedyBatchOutcome};
 pub use grid::GridPlacement;
-pub use incremental::{
-    greedy_batch_incremental, IncrementalGrid, IncrementalMax, IncrementalScorer,
-};
 pub use locusbreak::LocusBreakPlacement;
 pub use max::MaxPlacement;
 pub use random::RandomPlacement;

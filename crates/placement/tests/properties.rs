@@ -4,8 +4,8 @@ use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::UnheardPolicy;
 use abp_placement::{
-    greedy_batch, GridPlacement, IncrementalGrid, IncrementalScorer, LocusBreakPlacement,
-    MaxPlacement, PlacementAlgorithm, RandomPlacement, SurveyView, WeightedGridPlacement,
+    greedy_batch, GridPlacement, LocusBreakPlacement, MaxPlacement, PlacementAlgorithm,
+    RandomPlacement, SurveyView, WeightedGridPlacement,
 };
 use abp_radio::{IdealDisk, PerBeaconNoise};
 use abp_survey::ErrorMap;
@@ -153,36 +153,26 @@ proptest! {
         prop_assert_eq!(picked.to_bits(), best.to_bits());
     }
 
-    /// The row-subtotal table behind `cumulative_errors`, and the copy
-    /// `IncrementalGrid` keeps across random add and remove deltas, give
-    /// every grid the exact bits of the per-rectangle oracle.
+    /// The row-subtotal table behind `cumulative_errors` gives every grid
+    /// the exact bits of the per-rectangle oracle, on the surveyed map and
+    /// after each beacon `ErrorMap::add_beacon` grows it by.
     #[test]
     fn grid_table_scores_equal_the_per_rectangle_oracle(
         step in 0usize..5, grids in 0usize..5, exclude in any::<bool>(),
         noisy in any::<bool>(), n in 0usize..81, seed in any::<u64>(),
-        updates in prop::collection::vec((0.0..SIDE, 0.0..SIDE, any::<bool>()), 1..5)
+        updates in prop::collection::vec((0.0..SIDE, 0.0..SIDE), 1..5)
     ) {
         let (mut field, model, mut map, g) = grid_case(step, grids, exclude, noisy, n, seed);
         prop_assert_eq!(bits(&g.cumulative_errors(&map)), oracle_bits(&g, &map));
-        let mut scorer = IncrementalGrid::new(g, &map);
-        for (x, y, remove) in updates {
-            let delta = if remove && !field.is_empty() {
-                let id = field.beacons()[seed as usize % field.len()].id();
-                let beacon = field.remove(id).unwrap();
-                map.remove_beacon(&beacon, &model)
-            } else {
-                let id = field.add_beacon(Point::new(x, y));
-                map.add_beacon(field.get(id).unwrap(), &model)
-            };
-            scorer.apply_delta(&map, delta);
-            prop_assert_eq!(bits(scorer.scores()), oracle_bits(&g, &map));
+        for (x, y) in updates {
+            let id = field.add_beacon(Point::new(x, y));
+            map.add_beacon(field.get(id).unwrap(), &model);
+            prop_assert_eq!(bits(&g.cumulative_errors(&map)), oracle_bits(&g, &map));
         }
-        prop_assert_eq!(bits(&g.cumulative_errors(&map)), oracle_bits(&g, &map));
     }
 
-    /// `propose_top_k` and `IncrementalGrid::ranked` return the first `k`
-    /// of a full sort by (−score, index), for the argmax, small `k`, and
-    /// every grid.
+    /// `propose_top_k` returns the first `k` of a full sort by
+    /// (−score, index), for the argmax, small `k`, and every grid.
     #[test]
     fn grid_picks_equal_a_full_sort(
         step in 0usize..5, grids in 0usize..5, exclude in any::<bool>(),
@@ -190,14 +180,12 @@ proptest! {
     ) {
         let (_, _, map, g) = grid_case(step, grids, exclude, noisy, n, seed);
         let scores = g.cumulative_errors(&map);
-        let scorer = IncrementalGrid::new(g, &map);
         for k in [1, 2, 7, g.num_grids()] {
             if k > g.num_grids() {
                 continue;
             }
             let want = full_sort_centers(&g, &scores, k);
             prop_assert_eq!(&g.propose_top_k(&map, k), &want, "propose_top_k({})", k);
-            prop_assert_eq!(&scorer.ranked(&map, k), &want, "ranked({})", k);
         }
     }
 
@@ -291,7 +279,6 @@ fn all_tied_grids_rank_in_row_major_order() {
         let g = GridPlacement::new(terrain(), 15.0, grids);
         assert!(g.cumulative_errors(&map).iter().all(|s| s.to_bits() == 0));
         let row_major: Vec<Point> = g.centers().collect();
-        let scorer = IncrementalGrid::new(g, &map);
         for k in [1, 2, 7, grids] {
             let k = k.min(grids);
             assert_eq!(
@@ -299,7 +286,6 @@ fn all_tied_grids_rank_in_row_major_order() {
                 row_major[..k],
                 "NG {grids}, k {k}"
             );
-            assert_eq!(scorer.ranked(&map, k), row_major[..k], "NG {grids}, k {k}");
         }
     }
 }

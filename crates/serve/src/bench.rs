@@ -23,6 +23,7 @@
 use crate::daemon::{Daemon, ServeConfig};
 use crate::engine;
 use crate::protocol::{self as wire, PlaceAlgo};
+use abp_geom::splitmix64;
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -282,13 +283,13 @@ pub fn run_overload(cfg: &ServeConfig, load: &LoadConfig) -> io::Result<Overload
     })
 }
 
-/// splitmix64: the clients' cheap deterministic request mixer.
+/// The clients' cheap deterministic request mixer: the SplitMix64
+/// generator, [`splitmix64`] of the state, which then advances by the
+/// golden-ratio increment.
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    let out = splitmix64(*state);
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    out
 }
 
 /// Exact quantile over sorted samples: rank `ceil(q·n)` clamped to

@@ -20,7 +20,7 @@
 //! epoch's map with another's field.
 
 use abp_field::BeaconField;
-use abp_geom::{Lattice, Point, Terrain};
+use abp_geom::{splitmix64, Lattice, Point, Terrain};
 use abp_localize::{CentroidLocalizer, ConnectivityOracle, UnheardPolicy};
 use abp_placement::{GridPlacement, MaxPlacement, PlacementAlgorithm, SurveyView};
 use abp_radio::Propagation;
@@ -209,15 +209,6 @@ impl std::fmt::Debug for WorldSnapshot {
     }
 }
 
-/// splitmix64's finalizer: a cheap, well-mixed 64-bit fold step. Shared
-/// with the state-file config fingerprint (see [`crate::state`]).
-pub(crate) fn mix(mut h: u64) -> u64 {
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
-
 fn fold_fingerprint(
     epoch: u64,
     field: &BeaconField,
@@ -225,18 +216,18 @@ fn fold_fingerprint(
     max_point: Point,
     grid_point: Point,
 ) -> u64 {
-    let mut h = mix(epoch);
-    h = mix(h ^ field.len() as u64);
+    let mut h = splitmix64(epoch);
+    h = splitmix64(h ^ field.len() as u64);
     for b in field {
-        h = mix(h ^ b.id().0);
-        h = mix(h ^ b.pos().x.to_bits());
-        h = mix(h ^ b.pos().y.to_bits());
+        h = splitmix64(h ^ b.id().0);
+        h = splitmix64(h ^ b.pos().x.to_bits());
+        h = splitmix64(h ^ b.pos().y.to_bits());
     }
-    h = mix(h ^ map.len() as u64);
-    h = mix(h ^ map.valid_count() as u64);
-    h = mix(h ^ map.mean_error().to_bits());
-    h = mix(h ^ max_point.x.to_bits() ^ max_point.y.to_bits());
-    h = mix(h ^ grid_point.x.to_bits() ^ grid_point.y.to_bits());
+    h = splitmix64(h ^ map.len() as u64);
+    h = splitmix64(h ^ map.valid_count() as u64);
+    h = splitmix64(h ^ map.mean_error().to_bits());
+    h = splitmix64(h ^ max_point.x.to_bits() ^ max_point.y.to_bits());
+    h = splitmix64(h ^ grid_point.x.to_bits() ^ grid_point.y.to_bits());
     h
 }
 

@@ -33,8 +33,7 @@
 //! it is reported ([`StateOpen::IgnoredFingerprint`]) and the daemon
 //! boots fresh rather than serving a silently inconsistent map.
 
-use crate::snapshot::mix;
-use abp_geom::{Point, Terrain};
+use abp_geom::{crc32, splitmix64, Point, Terrain};
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -99,43 +98,11 @@ impl StateOpen {
 /// fingerprint. Two configs with equal fingerprints rebuild a saved
 /// roster into bit-identical snapshots.
 pub fn config_fingerprint(side: f64, step: f64, nominal_range: f64) -> u64 {
-    let mut h = mix(0x5345_5256_4531u64); // "SERVE1"
-    h = mix(h ^ side.to_bits());
-    h = mix(h ^ step.to_bits());
-    h = mix(h ^ nominal_range.to_bits());
+    let mut h = splitmix64(0x5345_5256_4531u64); // "SERVE1"
+    h = splitmix64(h ^ side.to_bits());
+    h = splitmix64(h ^ step.to_bits());
+    h = splitmix64(h ^ nominal_range.to_bits());
     h
-}
-
-// ---------------------------------------------------------------------
-// CRC32 (IEEE, reflected) — same table discipline as SweepCheckpoint v2.
-// ---------------------------------------------------------------------
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    crc ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------
@@ -154,7 +121,7 @@ fn encode_state(fingerprint: u64, epoch: u64, positions: &[Point]) -> Vec<u8> {
         out.extend_from_slice(&p.x.to_bits().to_le_bytes());
         out.extend_from_slice(&p.y.to_bits().to_le_bytes());
     }
-    let crc = crc32(&out);
+    let crc = crc32(0, &out);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -223,7 +190,7 @@ fn decode_state(bytes: &[u8], expected_fingerprint: u64, terrain: Terrain) -> St
     }
     let (body, trailer) = bytes.split_at(bytes.len() - 4);
     let recorded = u32::from_le_bytes(trailer.try_into().unwrap());
-    let actual = crc32(body);
+    let actual = crc32(0, body);
     if recorded != actual {
         return StateOpen::IgnoredCorrupt(format!(
             "CRC mismatch (recorded {recorded:#010x}, computed {actual:#010x})"
@@ -372,7 +339,7 @@ mod tests {
         let mut future = encode_state(fingerprint(), 3, &roster());
         future.truncate(future.len() - 4);
         future[4..6].copy_from_slice(&(STATE_VERSION + 1).to_le_bytes());
-        let crc = crc32(&future);
+        let crc = crc32(0, &future);
         future.extend_from_slice(&crc.to_le_bytes());
         fs::write(&path, &future).unwrap();
         assert_eq!(

@@ -27,6 +27,7 @@
 //!   `Probe::checkpoint_opened` event, so an operator can always tell a
 //!   resumed run from one that silently started fresh.
 
+use abp_geom::crc32;
 use bytes::{Buf, BufMut, BytesMut};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,38 +41,9 @@ const MAGIC: u32 = 0x4142_5043;
 /// [`CheckpointOpen::IgnoredVersion`] and regenerated.
 const VERSION: u16 = 2;
 
-/// IEEE CRC-32 (reflected polynomial 0xEDB88320), table-driven.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-};
-
-fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
-    for &b in bytes {
-        crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    crc
-}
-
 /// CRC32 over an entry's key and value together.
 fn entry_crc(key: &str, value: &[u8]) -> u32 {
-    let crc = crc32_update(0xFFFF_FFFF, key.as_bytes());
-    crc32_update(crc, value) ^ 0xFFFF_FFFF
+    crc32(crc32(0, key.as_bytes()), value)
 }
 
 /// What [`SweepCheckpoint::open`] found at the path.

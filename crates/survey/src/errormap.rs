@@ -9,43 +9,6 @@ use abp_stats::Summary;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The lattice region an incremental survey update touched.
-///
-/// Returned by [`ErrorMap::add_beacon`] / [`ErrorMap::kill_beacon`] so
-/// downstream caches (incremental placement scoring in `abp-placement`)
-/// can re-derive only the affected region instead of rescanning the map.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct SurveyDelta {
-    /// Inclusive `(min, max)` corners of the changed lattice-index
-    /// bounding box, or `None` when the update changed no point (the
-    /// beacon reached nothing).
-    pub changed: Option<(LatticeIndex, LatticeIndex)>,
-    /// Number of lattice points whose accumulators changed.
-    pub touched: usize,
-}
-
-impl SurveyDelta {
-    /// A delta that changed nothing.
-    pub const EMPTY: SurveyDelta = SurveyDelta {
-        changed: None,
-        touched: 0,
-    };
-
-    /// Whether any lattice point changed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.changed.is_none()
-    }
-
-    /// Whether `ix` lies inside the changed bounding box.
-    pub fn contains(&self, ix: LatticeIndex) -> bool {
-        match self.changed {
-            Some((lo, hi)) => lo.i <= ix.i && ix.i <= hi.i && lo.j <= ix.j && ix.j <= hi.j,
-            None => false,
-        }
-    }
-}
-
 /// Explicit per-point accounting of a survey's measurement quality.
 ///
 /// A healthy, fault-free survey puts every point in `measured` (plus
@@ -323,62 +286,25 @@ impl ErrorMap {
 
     /// Incrementally re-surveys after `beacon` was added to the field:
     /// only lattice points inside the beacon's maximum range are visited,
-    /// by the same row walk the full sweep runs.
+    /// by the same row walk the full sweep runs, updating the map's own
+    /// grids in place. Errors are derived as each point is updated, which
+    /// is exact because one beacon reaches each point at most once.
     ///
     /// The result is exactly what a full [`ErrorMap::survey`] of the
     /// extended field would produce (deterministic propagation makes the
     /// replay exact, and the new beacon is the last one every point
-    /// adds); tests assert this equivalence. The returned
-    /// [`SurveyDelta`] bounds the changed region so cached scores can
-    /// update incrementally.
-    pub fn add_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
+    /// adds); tests assert this equivalence.
+    pub fn add_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) {
         let _span = abp_trace::span!("radio.incremental_update");
-        self.update_beacon(beacon, model, true)
-    }
-
-    /// Incrementally removes a beacon's contribution (the inverse of
-    /// [`ErrorMap::add_beacon`]) — used by the self-scheduling extension
-    /// when a beacon turns passive and by fault experiments when one dies.
-    /// Returns the changed region, like [`ErrorMap::add_beacon`].
-    pub fn remove_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
-        self.update_beacon(beacon, model, false)
-    }
-
-    /// [`ErrorMap::remove_beacon`] under its fault-experiment name: the
-    /// beacon died, take its contribution out of the map.
-    pub fn kill_beacon(&mut self, beacon: &Beacon, model: &dyn Propagation) -> SurveyDelta {
-        self.remove_beacon(beacon, model)
-    }
-
-    /// The single-beacon update behind the incremental methods: one
-    /// [`walk_beacon`] over the beacon's reach disk, updating the map's
-    /// own grids in place. Errors are derived as each point is updated,
-    /// which is exact because one beacon reaches each point at most once.
-    /// Only additions count toward `links_tested`.
-    fn update_beacon(
-        &mut self,
-        beacon: &Beacon,
-        model: &dyn Propagation,
-        add: bool,
-    ) -> SurveyDelta {
         let (lattice, policy) = (self.lattice, self.policy);
         let (bx, by) = (beacon.pos().x, beacon.pos().y);
         let per_side = lattice.per_side() as usize;
-        let mut changed: Option<(LatticeIndex, LatticeIndex)> = None;
-        let mut touched = 0usize;
         let tested = walk_beacon(&lattice, beacon, model, |j, lo, hi| {
             for i in lo..hi {
                 let flat = j as usize * per_side + i as usize;
-                if add {
-                    self.sum_x[flat] += bx;
-                    self.sum_y[flat] += by;
-                    self.count[flat] += 1;
-                } else {
-                    debug_assert!(self.count[flat] > 0, "removing unaccounted beacon");
-                    self.sum_x[flat] -= bx;
-                    self.sum_y[flat] -= by;
-                    self.count[flat] -= 1;
-                }
+                self.sum_x[flat] += bx;
+                self.sum_y[flat] += by;
+                self.count[flat] += 1;
                 self.errors[flat] = derive_error_at(
                     &lattice,
                     policy,
@@ -388,24 +314,8 @@ impl ErrorMap {
                     self.count[flat],
                 );
             }
-            touched += (hi - lo) as usize;
-            Self::grow_bounds(&mut changed, LatticeIndex::new(lo, j));
-            Self::grow_bounds(&mut changed, LatticeIndex::new(hi - 1, j));
         });
-        if add {
-            abp_radio::metrics::LINKS_TESTED.add(tested);
-        }
-        SurveyDelta { changed, touched }
-    }
-
-    fn grow_bounds(bounds: &mut Option<(LatticeIndex, LatticeIndex)>, ix: LatticeIndex) {
-        *bounds = Some(match *bounds {
-            None => (ix, ix),
-            Some((lo, hi)) => (
-                LatticeIndex::new(lo.i.min(ix.i), lo.j.min(ix.j)),
-                LatticeIndex::new(hi.i.max(ix.i), hi.j.max(ix.j)),
-            ),
-        });
+        abp_radio::metrics::LINKS_TESTED.add(tested);
     }
 
     /// Derives every point's error from its accumulators, row by row, so
@@ -956,34 +866,8 @@ mod tests {
         }
     }
 
-    /// The exact map [`ErrorMap::remove_beacon`] must leave after the
-    /// beacon was added: the extended field's oracle minus the beacon at
-    /// every point that hears it (where the two oracles' counts differ),
-    /// with errors derived from the result.
-    fn oracle_minus(extended: &ErrorMap, original: &ErrorMap, beacon: &Beacon) -> ErrorMap {
-        let (ex, ey, ec, _) = extended.parts();
-        let (mut sum_x, mut sum_y, mut count) = (ex.to_vec(), ey.to_vec(), ec.to_vec());
-        for flat in 0..extended.len() {
-            if count[flat] != original.parts().2[flat] {
-                sum_x[flat] -= beacon.pos().x;
-                sum_y[flat] -= beacon.pos().y;
-                count[flat] -= 1;
-            }
-        }
-        let (lattice, policy) = (*extended.lattice(), extended.policy());
-        let errors = (0..extended.len())
-            .map(|f| {
-                let p = lattice.point(lattice.unflat(f));
-                derive_error_at(&lattice, policy, p, sum_x[f], sum_y[f], count[f])
-            })
-            .collect();
-        ErrorMap::from_parts(lattice, policy, sum_x, sum_y, count, errors)
-    }
-
     /// `add_beacon` lands exactly on the point-major oracle of the
-    /// extended field; `remove_beacon` then takes exactly the beacon's
-    /// own coordinates back out of every point that hears it, restoring
-    /// the original field's heard counts, and reports the add's delta.
+    /// extended field.
     #[test]
     fn incremental_updates_match_point_major_oracle() {
         let lat = lattice(2.0);
@@ -992,23 +876,17 @@ mod tests {
             let mut field = BeaconField::random_uniform(25, terrain(), &mut rng);
             let model = PerBeaconNoise::new(15.0, noise, 8);
             let policy = UnheardPolicy::TerrainCenter;
-            let original = ErrorMap::survey_point_major(&lat, &field, &model, policy);
-            let mut map = original.clone();
+            let mut map = ErrorMap::survey_point_major(&lat, &field, &model, policy);
             let id = field.add_beacon(Point::new(41.0, 59.0));
             let beacon = *field.get(id).unwrap();
-            let added = map.add_beacon(&beacon, &model);
+            map.add_beacon(&beacon, &model);
             let extended = ErrorMap::survey_point_major(&lat, &field, &model, policy);
             assert_bit_identical(&extended, &map, &format!("add (noise {noise})"));
-            let removed = map.remove_beacon(&beacon, &model);
-            assert_eq!(added, removed, "remove delta (noise {noise})");
-            let expected = oracle_minus(&extended, &original, &beacon);
-            assert_bit_identical(&expected, &map, &format!("remove (noise {noise})"));
-            assert_eq!(map.parts().2, original.parts().2, "heard counts restored");
         }
     }
 
-    /// A beacon whose disk misses the lattice entirely: the update must
-    /// report an empty delta and change nothing, either way.
+    /// A beacon whose disk misses the lattice entirely: adding it must
+    /// change nothing.
     #[test]
     fn incremental_empty_reach_is_a_noop() {
         let lat = lattice(10.0);
@@ -1020,60 +898,8 @@ mod tests {
         // lattice rows, so the walk takes the empty-span exit.
         let probe = Beacon::new(abp_field::BeaconId(999), Point::new(5.0, -50.0));
         let mut map = before.clone();
-        for delta in [
-            map.add_beacon(&probe, &model),
-            map.remove_beacon(&probe, &model),
-        ] {
-            assert!(delta.is_empty());
-            assert_eq!(delta.touched, 0);
-        }
-        assert_bit_identical(&before, &map, "out-of-reach add and remove");
-    }
-
-    #[test]
-    fn add_beacon_delta_bounds_changed_region() {
-        let lat = lattice(2.0);
-        let mut rng = StdRng::seed_from_u64(23);
-        let mut field = BeaconField::random_uniform(20, terrain(), &mut rng);
-        let model = IdealDisk::new(15.0);
-        let before = ErrorMap::survey(&lat, &field, &model, UnheardPolicy::TerrainCenter);
-        let id = field.add_beacon(Point::new(40.0, 60.0));
-        let beacon = *field.get(id).unwrap();
-        let mut map = before.clone();
-        let delta = map.add_beacon(&beacon, &model);
-        assert!(!delta.is_empty());
-        assert!(delta.touched > 0);
-        // Every point whose error changed lies inside the delta's box.
-        for ix in lat.indices() {
-            let changed = map.error_at(ix) != before.error_at(ix);
-            if changed {
-                assert!(delta.contains(ix), "changed point {ix} outside delta");
-            }
-        }
-        // And the box is tight to the beacon's reach.
-        let (lo, hi) = delta.changed.unwrap();
-        let r = model.max_range(beacon.tx(), beacon.pos());
-        assert!(lat.point(lo).distance(beacon.pos()) <= r * 2.0_f64.sqrt() + 1e-9);
-        assert!(lat.point(hi).distance(beacon.pos()) <= r * 2.0_f64.sqrt() + 1e-9);
-    }
-
-    #[test]
-    fn kill_beacon_inverts_add_and_reports_same_region() {
-        let lat = lattice(4.0);
-        let mut rng = StdRng::seed_from_u64(29);
-        let mut field = BeaconField::random_uniform(15, terrain(), &mut rng);
-        let model = IdealDisk::new(15.0);
-        let before = ErrorMap::survey(&lat, &field, &model, UnheardPolicy::TerrainCenter);
-        let id = field.add_beacon(Point::new(70.0, 30.0));
-        let beacon = *field.get(id).unwrap();
-        let mut map = before.clone();
-        let added = map.add_beacon(&beacon, &model);
-        let killed = map.kill_beacon(&beacon, &model);
-        assert_eq!(added.changed, killed.changed);
-        assert_eq!(added.touched, killed.touched);
-        for ix in lat.indices() {
-            assert_eq!(map.heard_at(ix), before.heard_at(ix));
-        }
+        map.add_beacon(&probe, &model);
+        assert_bit_identical(&before, &map, "out-of-reach add");
     }
 
     #[test]
@@ -1114,25 +940,6 @@ mod tests {
                 let (a, b) = (map.error_at(ix).unwrap(), full.error_at(ix).unwrap());
                 assert!((a - b).abs() < 1e-9, "{ix}: {a} vs {b}");
             }
-        }
-    }
-
-    #[test]
-    fn incremental_remove_inverts_add() {
-        let lat = lattice(4.0);
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut field = BeaconField::random_uniform(20, terrain(), &mut rng);
-        let model = IdealDisk::new(15.0);
-        let before = ErrorMap::survey(&lat, &field, &model, UnheardPolicy::TerrainCenter);
-        let id = field.add_beacon(Point::new(20.0, 80.0));
-        let beacon = *field.get(id).unwrap();
-        let mut map = before.clone();
-        map.add_beacon(&beacon, &model);
-        map.remove_beacon(&beacon, &model);
-        for ix in lat.indices() {
-            assert_eq!(map.heard_at(ix), before.heard_at(ix));
-            let (a, b) = (map.error_at(ix).unwrap(), before.error_at(ix).unwrap());
-            assert!((a - b).abs() < 1e-9);
         }
     }
 

@@ -47,7 +47,7 @@ pub mod sampling;
 pub mod scratch;
 pub mod snapshot;
 
-pub use errormap::{ErrorMap, SurveyAccounting, SurveyDelta};
+pub use errormap::{ErrorMap, SurveyAccounting};
 pub use plan::SurveyPlan;
 pub use robot::{Robot, RobotReport};
 pub use sampling::SubsampleStrategy;

@@ -62,24 +62,6 @@ proptest! {
     }
 
     #[test]
-    fn add_then_remove_is_identity(
-        n in 0usize..30, seed in any::<u64>(), bx in 0.0..SIDE, by in 0.0..SIDE
-    ) {
-        let (lattice, mut field, model) = setup(n, seed, 0.3, 5.0);
-        let baseline = ErrorMap::survey(&lattice, &field, &model, UnheardPolicy::TerrainCenter);
-        let id = field.add_beacon(Point::new(bx, by));
-        let beacon = *field.get(id).unwrap();
-        let mut map = baseline.clone();
-        map.add_beacon(&beacon, &model);
-        map.remove_beacon(&beacon, &model);
-        for ix in lattice.indices() {
-            prop_assert_eq!(map.heard_at(ix), baseline.heard_at(ix));
-            let (a, b) = (map.error_at(ix).unwrap(), baseline.error_at(ix).unwrap());
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn error_bounds_under_ideal_model(n in 1usize..50, seed in any::<u64>()) {
         let (lattice, field, _) = setup(n, seed, 0.0, 3.0);
         let model = IdealDisk::new(12.0);

@@ -3,15 +3,15 @@
 //! beacon's guaranteed core) against the point-major oracle, the
 //! connectivity oracle behind the localizers against brute force, the
 //! Grid scorer's row-subtotal table against the per-rectangle sum, and
-//! the incremental candidate scorers against full re-scoring.
+//! greedy placement against the paper's direct sums.
 
 use abp_fault::{BurstPlan, FaultPlan, MortalityPlan};
 use abp_field::BeaconField;
 use abp_geom::{Lattice, Point, Terrain};
 use abp_localize::{CentroidLocalizer, ConnectivityOracle, Localizer, UnheardPolicy};
 use abp_placement::{
-    greedy_batch, greedy_batch_incremental, GridPlacement, IncrementalGrid, IncrementalMax,
-    IncrementalScorer, MaxPlacement,
+    greedy_batch, pick_unoccupied, GreedyBatchOutcome, GridPlacement, MaxPlacement,
+    PlacementAlgorithm,
 };
 use abp_radio::{IdealDisk, NoiseStyle, PerBeaconNoise, Propagation, TxId};
 use abp_survey::{ErrorMap, SurveyScratch};
@@ -153,10 +153,7 @@ fn scratch_reused_survey_is_bit_identical_to_fresh_at_scale() {
 
 /// Incremental re-surveys at paper scale, under every survey model: an
 /// added beacon lands exactly where the oracle survey of the grown field
-/// puts it, and removing it again restores the original field's heard
-/// counts, reports the add's delta, and leaves every error within
-/// rounding of the original field's oracle (taking a coordinate back out
-/// of a floating-point sum need not restore its last bit).
+/// puts it.
 #[test]
 fn incremental_updates_are_bit_identical_at_scale() {
     let field = dense_field(100, 21);
@@ -166,36 +163,18 @@ fn incremental_updates_are_bit_identical_at_scale() {
     let id = grown.add_beacon(Point::new(SIDE / 3.0, SIDE / 2.0));
     let beacon = *grown.get(id).expect("beacon just added");
     for (what, model) in &survey_models() {
-        let original = ErrorMap::survey_point_major(&lattice, &field, model, policy);
         let mut map = ErrorMap::survey(&lattice, &field, model, policy);
-
-        let added = map.add_beacon(&beacon, model);
+        map.add_beacon(&beacon, model);
         let oracle = ErrorMap::survey_point_major(&lattice, &grown, model, policy);
         assert_maps_bit_identical(&oracle, &map, &format!("{what}: add vs oracle"));
-
-        let removed = map.remove_beacon(&beacon, model);
-        assert_eq!(added, removed, "{what}: remove delta differs from add");
-        for ix in lattice.indices() {
-            assert_eq!(
-                map.heard_at(ix),
-                original.heard_at(ix),
-                "{what}: heard at {ix:?}"
-            );
-            let (got, want) = (map.error_at(ix).unwrap(), original.error_at(ix).unwrap());
-            assert!(
-                (got - want).abs() < 1e-9,
-                "{what}: error at {ix:?}: {got} vs {want}"
-            );
-        }
     }
 }
 
 /// Production Grid scores at paper geometry (NG 400 on the 1 m lattice)
 /// equal the per-rectangle oracle `GridPlacement::cumulative_errors_direct`
-/// bit for bit — fresh, and cached by the incremental scorer across an
-/// add and a remove — under both unheard policies and with noise. The
-/// greedy check below compares the table with itself, so this is the
-/// test that ties it to the paper's direct sum.
+/// bit for bit — on the surveyed map and after each of two beacons
+/// `ErrorMap::add_beacon` grows it by — under both unheard policies and
+/// with noise.
 #[test]
 fn grid_scores_match_per_rectangle_oracle_at_paper_scale() {
     let terrain = Terrain::square(SIDE);
@@ -212,24 +191,15 @@ fn grid_scores_match_per_rectangle_oracle_at_paper_scale() {
             oracle(&map),
             "{policy:?}"
         );
-        let mut scorer = IncrementalGrid::new(algo, &map);
-        let id = field.add_beacon(Point::new(62.5, 18.0));
-        let beacon = *field.get(id).expect("beacon just added");
-        let delta = map.add_beacon(&beacon, &model);
-        scorer.apply_delta(&map, delta);
-        assert_eq!(bits(scorer.scores()), oracle(&map), "{policy:?}: after add");
-        let delta = map.remove_beacon(&beacon, &model);
-        scorer.apply_delta(&map, delta);
-        assert_eq!(
-            bits(scorer.scores()),
-            oracle(&map),
-            "{policy:?}: after remove"
-        );
-        assert_eq!(
-            bits(&algo.cumulative_errors(&map)),
-            oracle(&map),
-            "{policy:?}"
-        );
+        for at in [Point::new(62.5, 18.0), Point::new(20.0, 71.5)] {
+            let id = field.add_beacon(at);
+            map.add_beacon(field.get(id).expect("beacon just added"), &model);
+            assert_eq!(
+                bits(&algo.cumulative_errors(&map)),
+                oracle(&map),
+                "{policy:?}: after adding {at}"
+            );
+        }
     }
 }
 
@@ -257,60 +227,89 @@ fn indexed_oracle_localizes_identically() {
     }
 }
 
-/// The incremental scorers drive greedy deployment to exactly the
-/// positions (and the exact error-map bits) of the brute re-scoring
-/// loop, for both paper algorithms, over a non-trivial batch.
+/// Production greedy placement (`greedy_batch`, which ranks from the
+/// Grid row-subtotal table or Max's scan over a map grown by
+/// `ErrorMap::add_beacon`) places exactly as a loop built from the
+/// paper's direct sums: every round it surveys the grown field point-major
+/// and ranks Grid's candidates by `GridPlacement::cumulative_errors_direct`
+/// under a full sort on (−score, index), or takes Max's
+/// `max_error_point`, then deploys through `pick_unoccupied`. Positions,
+/// duplicate fallbacks and mean-error trajectories agree bit for bit, and
+/// the production map ends equal to the point-major survey of the grown
+/// field.
 #[test]
 fn incremental_greedy_matches_brute_at_scale() {
     let field = dense_field(100, 42);
     let lattice = Lattice::new(Terrain::square(SIDE), 2.0);
     let model = IdealDisk::new(RANGE);
     let policy = UnheardPolicy::TerrainCenter;
-    let base_map = ErrorMap::survey(&lattice, &field, &model, policy);
     let k = 8;
-
-    let grid_algo = GridPlacement::paper(Terrain::square(SIDE), RANGE);
-    // (name, brute outcome+map, incremental outcome+map)
-    let mut cases = Vec::new();
-    {
+    let grid = GridPlacement::paper(Terrain::square(SIDE), RANGE);
+    let n = grid.grids_per_side() as usize;
+    let grid_direct = |map: &ErrorMap, want: usize| -> Vec<Point> {
+        let scores = grid.cumulative_errors_direct(map);
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].partial_cmp(&scores[a]).unwrap().then(a.cmp(&b)));
+        order[..want.min(order.len())]
+            .iter()
+            .map(|&flat| grid.center((flat % n) as u32, (flat / n) as u32))
+            .collect()
+    };
+    let max_direct = |map: &ErrorMap, _: usize| -> Vec<Point> {
+        let (ix, _) = map.max_error_point().expect("every point is measured");
+        vec![map.lattice().point(ix)]
+    };
+    // The reference loop: rank from the point-major survey of the field
+    // grown so far, deploy, survey again.
+    let direct = |rank: &dyn Fn(&ErrorMap, usize) -> Vec<Point>| {
+        let mut f = field.clone();
+        let mut map = ErrorMap::survey_point_major(&lattice, &f, &model, policy);
+        let mut out = GreedyBatchOutcome {
+            placed: Vec::new(),
+            positions: Vec::new(),
+            mean_after_each: Vec::new(),
+            forced_duplicates: Vec::new(),
+        };
+        for round in 0..k {
+            let (pos, forced) = pick_unoccupied(&rank(&map, f.len() + 1), &f);
+            if forced {
+                out.forced_duplicates.push(round);
+            }
+            out.placed.push(f.add_beacon(pos));
+            map = ErrorMap::survey_point_major(&lattice, &f, &model, policy);
+            out.positions.push(pos);
+            out.mean_after_each.push(map.mean_error());
+        }
+        out
+    };
+    let base_map = ErrorMap::survey(&lattice, &field, &model, policy);
+    let production = |algo: &dyn PlacementAlgorithm| {
         let (mut f, mut m) = (field.clone(), base_map.clone());
-        let brute = greedy_batch(&grid_algo, &mut m, &mut f, &model, k, &mut seeded());
-        let (mut inf, mut inm) = (field.clone(), base_map.clone());
-        let mut scorer = IncrementalGrid::new(grid_algo, &inm);
-        let inc = greedy_batch_incremental(&mut scorer, &mut inm, &mut inf, &model, k);
-        cases.push(("grid", brute, m, inc, inm));
-    }
-    {
-        let (mut f, mut m) = (field.clone(), base_map.clone());
-        let brute = greedy_batch(
-            &MaxPlacement::new(),
-            &mut m,
-            &mut f,
-            &model,
-            k,
-            &mut seeded(),
-        );
-        let (mut inf, mut inm) = (field.clone(), base_map.clone());
-        let mut scorer = IncrementalMax::new(&inm);
-        let inc = greedy_batch_incremental(&mut scorer, &mut inm, &mut inf, &model, k);
-        cases.push(("max", brute, m, inc, inm));
-    }
-
-    for (name, brute, brute_map, inc, inc_map) in &cases {
-        assert_eq!(brute.positions, inc.positions, "{name}: positions differ");
+        let out = greedy_batch(algo, &mut m, &mut f, &model, k, &mut seeded());
+        let grown = ErrorMap::survey_point_major(&lattice, &f, &model, policy);
+        assert_maps_bit_identical(&grown, &m, &format!("{}: final map", algo.name()));
+        out
+    };
+    for (name, got, want) in [
+        ("grid", production(&grid), direct(&grid_direct)),
+        ("max", production(&MaxPlacement::new()), direct(&max_direct)),
+    ] {
+        assert_eq!(got.positions, want.positions, "{name}: positions differ");
+        assert_eq!(got.placed, want.placed, "{name}: ids differ");
         assert_eq!(
-            brute.forced_duplicates, inc.forced_duplicates,
+            got.forced_duplicates, want.forced_duplicates,
             "{name}: duplicate fallback differs"
         );
-        let brute_bits: Vec<u64> = brute.mean_after_each.iter().map(|m| m.to_bits()).collect();
-        let inc_bits: Vec<u64> = inc.mean_after_each.iter().map(|m| m.to_bits()).collect();
+        let bits = |o: &GreedyBatchOutcome| -> Vec<u64> {
+            o.mean_after_each.iter().map(|m| m.to_bits()).collect()
+        };
         assert_eq!(
-            brute_bits, inc_bits,
+            bits(&got),
+            bits(&want),
             "{name}: mean-error trajectory differs"
         );
-        assert_maps_bit_identical(brute_map, inc_map, name);
         // The run is long enough that beacons actually spread out.
-        let distinct: std::collections::HashSet<_> = brute
+        let distinct: std::collections::HashSet<_> = got
             .positions
             .iter()
             .map(|p| (p.x.to_bits(), p.y.to_bits()))
