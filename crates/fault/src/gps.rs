@@ -64,9 +64,15 @@ impl GpsOutage {
         GpsOutage { seed, plan }
     }
 
+    /// The length of an outage window in waypoints: every waypoint of
+    /// one window, from a multiple of this length, shares its fault.
+    pub fn window(&self) -> usize {
+        self.plan.window.max(1)
+    }
+
     /// The fault affecting waypoint index `waypoint`, if any.
     pub fn fault_at(&self, waypoint: usize) -> Option<GpsFault> {
-        let block = (waypoint / self.plan.window.max(1)) as u64;
+        let block = (waypoint / self.window()) as u64;
         let h = mix(self.seed, mix(0x0675_0004, block));
         if unit(h) >= self.plan.outage_fraction {
             return None;
@@ -133,6 +139,7 @@ mod tests {
     #[test]
     fn windows_are_contiguous_blocks() {
         let o = GpsOutage::new(31, drop_plan());
+        assert_eq!(o.window(), 8);
         // All waypoints inside one window share its fate.
         for block in 0..40 {
             let first = o.fault_at(block * 8);

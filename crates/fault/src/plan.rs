@@ -144,14 +144,15 @@ impl FaultSchedule {
     /// loss) over `base`, producing a [`Propagation`] model for `epoch`.
     ///
     /// With neither family planned the wrapper is transparent: it
-    /// forwards every query to `base` unchanged. A burst chain that can
-    /// never lose a message is left out of the wrapper, so its links are
-    /// neither hashed nor simulated.
+    /// forwards every query to `base` unchanged. A burst that can cut no
+    /// link — a chain that never loses a message, or a threshold no
+    /// delivery is needed for — is left out of the wrapper, so its links
+    /// are neither hashed nor simulated.
     pub fn wrap<M: Propagation>(&self, base: M, epoch: u64) -> FaultyRadio<M> {
         FaultyRadio {
             base,
             mortality: self.mortality,
-            burst: self.burst.filter(|b| !b.chain().is_transparent()),
+            burst: self.burst.filter(BurstSchedule::cuts),
             link_field: self.link_field,
             epoch,
         }
@@ -168,15 +169,15 @@ impl FaultSchedule {
 ///
 /// Burst loss only ever *removes* connectivity, so the base model's
 /// `max_range` remains a valid upper bound. Where no fault can cut a
-/// link — a live beacon under no burst, or a burst chain that never
-/// loses a message — the wrapper forwards the base model's
-/// `core_range`, and surveys hear that core without asking the model.
+/// link — a live beacon under no burst, or a burst that cuts no link —
+/// the wrapper forwards the base model's `core_range`, and surveys hear
+/// that core without asking the model.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultyRadio<M> {
     base: M,
     mortality: Option<MortalitySchedule>,
-    /// `None` when no burst is planned or the planned chain is
-    /// transparent: either way no link is cut.
+    /// `None` when no burst is planned or the planned one cuts no link
+    /// ([`BurstSchedule::cuts`]).
     burst: Option<BurstSchedule>,
     link_field: DeterministicField,
     epoch: u64,
@@ -223,7 +224,7 @@ impl<M: Propagation> Propagation for FaultyRadio<M> {
     }
 
     /// The base model's core for a transmitter no fault can cut at this
-    /// epoch: alive, and under no burst that can lose a message. A dead
+    /// epoch: alive, and under no burst that can cut a link. A dead
     /// or sleeping beacon reaches nobody and a lossy burst can cut any
     /// link, so both get `None`.
     fn core_range(&self, tx: TxId, tx_pos: Point) -> Option<f64> {
@@ -237,7 +238,8 @@ impl<M: Propagation> Propagation for FaultyRadio<M> {
     /// nobody, so its masks are all zero without asking the base model; a
     /// transmitter no fault can cut takes the base model's masks as they
     /// are; under a lossy burst each bit the base model sets survives
-    /// only if its link escapes the burst, and bits the base model
+    /// only if its link escapes the burst, decided several links at a
+    /// time by [`BurstSchedule::retain_up`], and bits the base model
     /// leaves clear are never simulated.
     fn connected_runs(&self, tx: TxId, tx_pos: Point, step: f64, runs: &[Run], masks: &mut [u64]) {
         assert_eq!(runs.len(), masks.len(), "one mask per run");
@@ -250,18 +252,10 @@ impl<M: Propagation> Propagation for FaultyRadio<M> {
             return;
         };
         let keyed = self.link_field.keyed(tx.0);
-        for (run, mask) in runs.iter().zip(masks) {
-            let mut heard = *mask;
-            while heard != 0 {
-                let k = heard.trailing_zeros();
-                heard &= heard - 1;
-                let rx = run.receiver(k, step);
-                let link = keyed.absorb(rx.x.to_bits()).absorb(rx.y.to_bits());
-                if !burst.link_up(link.finish(), self.epoch) {
-                    *mask &= !(1 << k);
-                }
-            }
-        }
+        burst.retain_up(self.epoch, masks, |i, k| {
+            let rx = runs[i].receiver(k, step);
+            keyed.absorb(rx.x.to_bits()).absorb(rx.y.to_bits()).finish()
+        });
     }
 }
 

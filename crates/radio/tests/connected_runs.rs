@@ -171,10 +171,30 @@ fn faulty_radio_under_every_schedule() {
         burst: Some(BurstPlan::paper(x)),
         ..FaultPlan::none()
     };
+    let chain = FaultPlan {
+        burst: Some(BurstPlan {
+            intensity: 0.3,
+            burst_len: 4.0,
+            loss_good: 0.05,
+            loss_bad: 0.9,
+            window: 32,
+            threshold: 0.85,
+        }),
+        ..FaultPlan::none()
+    };
     let plans = [
         ("dead", mortality(0.5, 0.0)),
         ("flapping", mortality(0.0, 0.8)),
         ("lossy burst", burst(0.4)),
+        ("light burst", burst(0.2)),
+        ("leaky 32-message chain", chain),
+        (
+            "flapping under a lossy burst",
+            FaultPlan {
+                mortality: mortality(0.2, 0.5).mortality,
+                ..burst(0.4)
+            },
+        ),
         ("transparent burst", burst(0.0)),
     ];
     let noisy = PerBeaconNoise::new(R, 0.3, 9);
@@ -187,6 +207,16 @@ fn faulty_radio_under_every_schedule() {
                 "{name} epoch {epoch}: {set} set, {clear} clear"
             );
         }
+    }
+    // At intensity 0.8 the paper's chain cuts every link, almost all
+    // within a few messages.
+    for epoch in 0..3 {
+        let world = burst(0.8).compile(11).wrap(noisy, epoch);
+        let (set, clear) = check(&world, &format!("heavy burst epoch {epoch}"), 10 + epoch);
+        assert!(
+            set == 0 && clear > 100,
+            "heavy burst epoch {epoch}: {set} set, {clear} clear"
+        );
     }
     // A dead beacon's masks are zero whatever the base model hears.
     let dead = mortality(1.0, 0.0).compile(11).wrap(IdealDisk::new(R), 0);

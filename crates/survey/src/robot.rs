@@ -212,6 +212,11 @@ impl Robot {
         let mut dropped = 0usize;
         let mut travelled = 0.0;
         let mut prev: Option<Point> = None;
+        // Every waypoint of an outage window shares its fault, so it is
+        // looked up once, at the window's first waypoint; `left` counts
+        // the window's waypoints still to walk.
+        let window = outage.map_or(usize::MAX, GpsOutage::window);
+        let (mut fault, mut left) = (None, 0);
         for (waypoint, ix) in plan.waypoints().enumerate() {
             let at = lattice.point(ix);
             if let Some(prev) = prev {
@@ -219,7 +224,12 @@ impl Robot {
             }
             prev = Some(at);
             let flat = lattice.flat(ix);
-            let believed = match outage.and_then(|o| o.fault_at(waypoint)) {
+            if left == 0 {
+                fault = outage.and_then(|o| o.fault_at(waypoint));
+                left = window;
+            }
+            left -= 1;
+            let believed = match fault {
                 Some(GpsFault::Drop) => {
                     // The robot passed through blind: the sample is lost.
                     dropped += 1;

@@ -49,10 +49,13 @@ impl<M: Propagation> Propagation for NoCore<M> {
 /// The survey models every identity check runs: the all-core ideal
 /// disk, each noise style at 0.4 (core plus annulus; the coherent style
 /// is all core), a wrapper that claims no core, so every point in reach
-/// asks `connected`, and three fault worlds over speckled noise: flapping
+/// asks `connected`, and five fault worlds over speckled noise: flapping
 /// mortality (the base core for live beacons, none for dead or sleeping
-/// ones), a transparent burst (the base core), and a cutting burst (no
-/// core at all).
+/// ones), a transparent burst (the base core), and three cutting bursts
+/// (no core at all): the paper's chain at intensity 0.4, at 0.2, where
+/// about half the links survive and each survivor walks 18 or more
+/// messages, and at 0.8, where almost every link settles down within a
+/// few messages.
 fn survey_models() -> Vec<(String, Box<dyn Propagation>)> {
     let noise = || PerBeaconNoise::new(RANGE, 0.4, 11);
     let mut models: Vec<(String, Box<dyn Propagation>)> =
@@ -84,6 +87,8 @@ fn survey_models() -> Vec<(String, Box<dyn Propagation>)> {
         ("flapping mortality", mortality, 1),
         ("transparent burst", burst(0.0), 0),
         ("cutting burst", burst(0.4), 0),
+        ("light burst", burst(0.2), 1),
+        ("heavy burst", burst(0.8), 1),
     ] {
         let world = plan.compile(3).wrap(noise(), epoch);
         models.push((what.into(), Box::new(world)));
