@@ -2,9 +2,7 @@
 
 use crate::oracle::ConnectivityOracle;
 use crate::{Fix, Localizer};
-use abp_field::BeaconField;
 use abp_geom::Point;
-use abp_radio::Propagation;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -100,10 +98,6 @@ impl CentroidLocalizer {
 }
 
 impl Localizer for CentroidLocalizer {
-    fn localize(&self, field: &BeaconField, model: &dyn Propagation, at: Point) -> Fix {
-        self.localize_via(&ConnectivityOracle::new(field, model), at)
-    }
-
     fn localize_via(&self, oracle: &ConnectivityOracle<'_>, at: Point) -> Fix {
         crate::LOCALIZER_EVALS.add(1);
         let mut sum_x = 0.0;
@@ -136,6 +130,7 @@ impl fmt::Display for CentroidLocalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abp_field::BeaconField;
     use abp_geom::Terrain;
     use abp_radio::IdealDisk;
 

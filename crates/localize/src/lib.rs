@@ -141,20 +141,17 @@ impl Localization {
 ///
 /// Object-safe so experiments can swap localizers at run time.
 pub trait Localizer {
-    /// Produces a fix for a client located at `at`.
-    fn localize(&self, field: &BeaconField, model: &dyn Propagation, at: Point) -> Fix;
+    /// Produces a fix for a client located at `at`, gathering neighbors
+    /// through a caller-provided [`ConnectivityOracle`] — the entry point
+    /// that lets neighbor gathering go through a candidate table
+    /// ([`ConnectivityOracle::with_index`]). Indexed and brute-force fixes
+    /// are identical by the oracle's ordering guarantee.
+    fn localize_via(&self, oracle: &ConnectivityOracle<'_>, at: Point) -> Fix;
 
-    /// Produces a fix using a caller-provided [`ConnectivityOracle`] —
-    /// the entry point that lets neighbor gathering go through a
-    /// candidate table ([`ConnectivityOracle::with_index`]).
-    ///
-    /// The default delegates to [`Localizer::localize`] with the oracle's
-    /// field and model (ignoring any attached index), so third-party
-    /// localizers stay correct; every localizer in this crate overrides
-    /// it to gather neighbors through the oracle, making indexed and
-    /// brute-force fixes identical by the oracle's ordering guarantee.
-    fn localize_via(&self, oracle: &ConnectivityOracle<'_>, at: Point) -> Fix {
-        self.localize(oracle.field(), oracle.model(), at)
+    /// Produces a fix for a client located at `at`: [`Localizer::localize_via`]
+    /// through an unindexed oracle over `field` and `model`.
+    fn localize(&self, field: &BeaconField, model: &dyn Propagation, at: Point) -> Fix {
+        self.localize_via(&ConnectivityOracle::new(field, model), at)
     }
 
     /// The [`UnheardPolicy`] this localizer applies when no beacon is
@@ -174,32 +171,26 @@ pub trait Localizer {
         1
     }
 
-    /// Localizes with typed degradation instead of a silent fallback.
-    ///
-    /// Never panics on poor connectivity: when fewer than
-    /// [`Localizer::min_beacons`] beacons are heard the result is
-    /// [`Localization::Degraded`] carrying whatever graceful estimate
-    /// [`Localizer::localize`] produced for the same inputs.
+    /// Localizes with typed degradation instead of a silent fallback:
+    /// [`Localizer::try_localize_via`] through an unindexed oracle over
+    /// `field` and `model`.
     fn try_localize(
         &self,
         field: &BeaconField,
         model: &dyn Propagation,
         at: Point,
     ) -> Localization {
-        let fix = self.localize(field, model, at);
-        if fix.heard < self.min_beacons() {
-            Localization::Degraded {
-                heard: fix.heard,
-                fallback: fix,
-            }
-        } else {
-            Localization::Full(fix)
-        }
+        self.try_localize_via(&ConnectivityOracle::new(field, model), at)
     }
 
-    /// [`Localizer::try_localize`] through a caller-provided oracle, so
-    /// the neighbor gathering of the degradation check shares the
-    /// oracle's spatial index.
+    /// Localizes through a caller-provided oracle with typed degradation
+    /// instead of a silent fallback, so the neighbor gathering of the
+    /// degradation check shares the oracle's spatial index.
+    ///
+    /// Never panics on poor connectivity: when fewer than
+    /// [`Localizer::min_beacons`] beacons are heard the result is
+    /// [`Localization::Degraded`] carrying whatever graceful estimate
+    /// [`Localizer::localize_via`] produced for the same inputs.
     fn try_localize_via(&self, oracle: &ConnectivityOracle<'_>, at: Point) -> Localization {
         let fix = self.localize_via(oracle, at);
         if fix.heard < self.min_beacons() {

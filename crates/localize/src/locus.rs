@@ -113,10 +113,6 @@ impl LocusLocalizer {
 }
 
 impl Localizer for LocusLocalizer {
-    fn localize(&self, field: &BeaconField, model: &dyn Propagation, at: Point) -> Fix {
-        self.localize_via(&ConnectivityOracle::new(field, model), at)
-    }
-
     fn localize_via(&self, oracle: &ConnectivityOracle<'_>, at: Point) -> Fix {
         crate::LOCALIZER_EVALS.add(1);
         let heard = oracle.heard(at);

@@ -12,9 +12,8 @@
 
 use crate::oracle::ConnectivityOracle;
 use crate::{CentroidLocalizer, Fix, Localizer, UnheardPolicy};
-use abp_field::{Beacon, BeaconField};
+use abp_field::Beacon;
 use abp_geom::{DeterministicField, Point, Vec2};
-use abp_radio::Propagation;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -138,10 +137,6 @@ impl MultilaterationLocalizer {
 }
 
 impl Localizer for MultilaterationLocalizer {
-    fn localize(&self, field: &BeaconField, model: &dyn Propagation, at: Point) -> Fix {
-        self.localize_via(&ConnectivityOracle::new(field, model), at)
-    }
-
     fn localize_via(&self, oracle: &ConnectivityOracle<'_>, at: Point) -> Fix {
         crate::LOCALIZER_EVALS.add(1);
         let heard = oracle.heard(at);
@@ -196,6 +191,7 @@ impl fmt::Display for MultilaterationLocalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use abp_field::BeaconField;
     use abp_geom::Terrain;
     use abp_radio::IdealDisk;
 

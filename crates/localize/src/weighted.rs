@@ -13,9 +13,7 @@
 
 use crate::oracle::ConnectivityOracle;
 use crate::{Fix, Localizer, UnheardPolicy};
-use abp_field::BeaconField;
 use abp_geom::{DeterministicField, Point};
-use abp_radio::Propagation;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -104,10 +102,6 @@ impl WeightedCentroidLocalizer {
 }
 
 impl Localizer for WeightedCentroidLocalizer {
-    fn localize(&self, field: &BeaconField, model: &dyn Propagation, at: Point) -> Fix {
-        self.localize_via(&ConnectivityOracle::new(field, model), at)
-    }
-
     fn localize_via(&self, oracle: &ConnectivityOracle<'_>, at: Point) -> Fix {
         crate::LOCALIZER_EVALS.add(1);
         let nominal = oracle.model().nominal_range();
@@ -150,6 +144,7 @@ impl fmt::Display for WeightedCentroidLocalizer {
 mod tests {
     use super::*;
     use crate::CentroidLocalizer;
+    use abp_field::BeaconField;
     use abp_geom::Terrain;
     use abp_radio::IdealDisk;
     use rand::rngs::StdRng;

@@ -1,7 +1,7 @@
 //! Probe: Grid improvability at moderate density under the noise styles.
 use abp_radio::NoiseStyle;
 use abp_sim::experiments::improvement;
-use abp_sim::{AlgorithmKind, SimConfig};
+use abp_sim::{AlgorithmKind, Ctx, SimConfig};
 
 fn main() {
     let mut cfg = SimConfig::paper();
@@ -15,7 +15,8 @@ fn main() {
         ("lossy 0.5", NoiseStyle::Lossy, 0.5),
     ] {
         cfg.noise_style = style;
-        let curves = improvement::run(&cfg, noise, &[AlgorithmKind::Grid, AlgorithmKind::Max]);
+        let algorithms = [AlgorithmKind::Grid, AlgorithmKind::Max];
+        let curves = improvement::run_sweep(&cfg, noise, &algorithms, Ctx::noop()).curves;
         print!("{label:>14}:");
         for (ai, name) in ["grid", "max"].iter().enumerate() {
             for p in &curves[ai].points {

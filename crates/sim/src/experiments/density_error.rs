@@ -94,26 +94,15 @@ pub struct SweepOutcome {
     pub failures: Vec<TrialFailureReport>,
 }
 
-/// Runs the full density sweep at one noise level.
-///
-/// Deterministic in `cfg.seed`; parallel over trials. A panicking trial
-/// aborts the whole run (the legacy contract); use [`run_sweep`] to
-/// survive trial faults instead.
-pub fn run(cfg: &SimConfig, noise: f64) -> Vec<DensityErrorPoint> {
-    let outcome = run_sweep(cfg, noise, Ctx::noop());
-    if let Some(first) = outcome.failures.first() {
-        panic!("{first}");
-    }
-    outcome.points
-}
-
 /// Runs the full density sweep at one noise level, reporting progress to
 /// `ctx.probe`, persisting each completed density to `ctx.checkpoint`
 /// (when present), and surviving panicking trials.
 ///
-/// Deterministic in `cfg.seed` and thread-count invariant. With a
-/// checkpoint, densities completed by an earlier interrupted run are
-/// restored bit for bit instead of recomputed.
+/// Deterministic in `cfg.seed`, parallel over trials and thread-count
+/// invariant. A failed trial reaches `ctx.probe` and is listed in
+/// [`SweepOutcome::failures`]; callers that cannot tolerate one check
+/// that list. With a checkpoint, densities completed by an earlier
+/// interrupted run are restored bit for bit instead of recomputed.
 pub fn run_sweep(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>) -> SweepOutcome {
     run_sweep_with(cfg, noise, ctx, run_trial)
 }
@@ -257,9 +246,16 @@ mod tests {
         }
     }
 
+    /// The sweep's points; any failed trial fails the test.
+    fn density_points(cfg: &SimConfig, noise: f64) -> Vec<DensityErrorPoint> {
+        let outcome = run_sweep(cfg, noise, Ctx::noop());
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        outcome.points
+    }
+
     #[test]
     fn error_decreases_with_density() {
-        let points = run(&cfg(), 0.0);
+        let points = density_points(&cfg(), 0.0);
         assert_eq!(points.len(), 3);
         assert!(
             points[0].mean_error.estimate > points[1].mean_error.estimate,
@@ -277,7 +273,7 @@ mod tests {
     fn saturates_near_paper_value() {
         // With the paper's geometry, error at 240 beacons is a small
         // fraction of R even on a coarse lattice.
-        let points = run(&cfg(), 0.0);
+        let points = density_points(&cfg(), 0.0);
         let last = points.last().unwrap();
         assert!(
             last.mean_error.estimate < 0.5 * 15.0,
@@ -290,8 +286,8 @@ mod tests {
     fn noise_raises_error() {
         let mut c = cfg();
         c.beacon_counts = vec![100];
-        let ideal = run(&c, 0.0)[0].mean_error.estimate;
-        let noisy = run(&c, 0.5)[0].mean_error.estimate;
+        let ideal = density_points(&c, 0.0)[0].mean_error.estimate;
+        let noisy = density_points(&c, 0.5)[0].mean_error.estimate;
         assert!(
             noisy > ideal,
             "noise 0.5 must raise mean error ({ideal} -> {noisy})"
@@ -303,12 +299,12 @@ mod tests {
         let mut c = cfg();
         c.beacon_counts = vec![60];
         c.trials = 10;
-        let a = run(&c, 0.3);
-        let b = run(&c, 0.3);
+        let a = density_points(&c, 0.3);
+        let b = density_points(&c, 0.3);
         assert_eq!(a, b);
         let mut c1 = c.clone();
         c1.threads = 1;
-        let seq = run(&c1, 0.3);
+        let seq = density_points(&c1, 0.3);
         assert_eq!(a, seq, "results must not depend on thread count");
     }
 
@@ -319,8 +315,8 @@ mod tests {
         few.trials = 6;
         let mut many = few.clone();
         many.trials = 48;
-        let a = run(&few, 0.0)[0].mean_error.half_width;
-        let b = run(&many, 0.0)[0].mean_error.half_width;
+        let a = density_points(&few, 0.0)[0].mean_error.half_width;
+        let b = density_points(&many, 0.0)[0].mean_error.half_width;
         assert!(b < a, "CI must shrink: {a} -> {b}");
     }
 
@@ -530,7 +526,7 @@ mod tests {
         let mut c = cfg();
         c.policy = abp_localize::UnheardPolicy::Exclude;
         c.beacon_counts = vec![100];
-        let points = run(&c, 0.0);
+        let points = density_points(&c, 0.0);
         // Excluding unheard points yields bounded errors (≈ within R
         // plus multi-beacon centroid effects).
         assert!(points[0].mean_error.estimate < 15.0);

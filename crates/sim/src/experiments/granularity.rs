@@ -33,14 +33,9 @@ pub struct GranularityRow {
 pub const EXPERIMENT: &str = "granularity";
 
 /// Runs the sweep for uniform `k × k` grids, `k ∈ per_sides`, under the
-/// ideal radio model of `cfg`.
-pub fn run(cfg: &SimConfig, per_sides: &[usize]) -> Vec<GranularityRow> {
-    run_with(cfg, per_sides, Ctx::noop())
-}
-
-/// [`run`], reporting each grid survey to `ctx.probe`. The experiment is
-/// deterministic (one survey per grid, no trials), so there is nothing to
-/// checkpoint.
+/// ideal radio model of `cfg`, reporting each grid survey to `ctx.probe`.
+/// The experiment is deterministic (one survey per grid, no trials), so
+/// there is nothing to checkpoint.
 pub fn run_with(cfg: &SimConfig, per_sides: &[usize], ctx: Ctx<'_>) -> Vec<GranularityRow> {
     let lattice = cfg.lattice();
     let terrain = cfg.terrain();
@@ -75,7 +70,7 @@ mod tests {
     #[test]
     fn denser_grids_refine_regions_and_error() {
         let cfg = SimConfig::tiny();
-        let rows = run(&cfg, &[2, 3, 5, 8]);
+        let rows = run_with(&cfg, &[2, 3, 5, 8], Ctx::noop());
         assert_eq!(rows.len(), 4);
         for w in rows.windows(2) {
             assert!(
@@ -101,7 +96,7 @@ mod tests {
     #[test]
     fn single_beacon_baseline() {
         let cfg = SimConfig::tiny();
-        let rows = run(&cfg, &[1]);
+        let rows = run_with(&cfg, &[1], Ctx::noop());
         assert_eq!(rows[0].beacons, 1);
         // In-range vs out-of-range: exactly two regions.
         assert_eq!(rows[0].regions, 2);

@@ -136,20 +136,12 @@ pub struct SweepOutcome {
 }
 
 /// Runs the full density sweep at one noise level for a set of
-/// algorithms. Deterministic in `cfg.seed`; parallel over trials. A
-/// panicking trial aborts the whole run (the legacy contract); use
-/// [`run_sweep`] to survive trial faults instead.
-pub fn run(cfg: &SimConfig, noise: f64, algorithms: &[AlgorithmKind]) -> Vec<AlgorithmImprovement> {
-    let outcome = run_sweep(cfg, noise, algorithms, Ctx::noop());
-    if let Some(first) = outcome.failures.first() {
-        panic!("{first}");
-    }
-    outcome.curves
-}
-
-/// Runs the full density sweep at one noise level, reporting progress to
-/// `ctx.probe`, persisting each completed density to `ctx.checkpoint`
-/// (when present), and surviving panicking trials.
+/// algorithms, reporting progress to `ctx.probe`, persisting each
+/// completed density to `ctx.checkpoint` (when present), and surviving
+/// panicking trials.
+///
+/// Deterministic in `cfg.seed`; parallel over trials. A failed trial
+/// reaches `ctx.probe` and is listed in [`SweepOutcome::failures`].
 pub fn run_sweep(
     cfg: &SimConfig,
     noise: f64,
@@ -365,9 +357,20 @@ mod tests {
         }
     }
 
+    /// The sweep's curves; any failed trial fails the test.
+    fn improvement_curves(
+        cfg: &SimConfig,
+        noise: f64,
+        algorithms: &[AlgorithmKind],
+    ) -> Vec<AlgorithmImprovement> {
+        let outcome = run_sweep(cfg, noise, algorithms, Ctx::noop());
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        outcome.curves
+    }
+
     #[test]
     fn grid_beats_random_at_low_density() {
-        let curves = run(&cfg(), 0.0, &AlgorithmKind::PAPER);
+        let curves = improvement_curves(&cfg(), 0.0, &AlgorithmKind::PAPER);
         let random = &curves[0].points[0];
         let grid = &curves[2].points[0];
         assert!(
@@ -380,7 +383,7 @@ mod tests {
 
     #[test]
     fn improvements_vanish_at_saturation() {
-        let curves = run(&cfg(), 0.0, &[AlgorithmKind::Grid]);
+        let curves = improvement_curves(&cfg(), 0.0, &[AlgorithmKind::Grid]);
         let low = curves[0].points[0].mean_improvement.estimate;
         let high = curves[0].points[2].mean_improvement.estimate;
         assert!(
@@ -394,8 +397,8 @@ mod tests {
         // Running algorithms together or separately yields identical
         // curves (same trial seeds, independent RNG streams).
         let c = cfg();
-        let together = run(&c, 0.0, &AlgorithmKind::PAPER);
-        let grid_alone = run(&c, 0.0, &[AlgorithmKind::Grid]);
+        let together = improvement_curves(&c, 0.0, &AlgorithmKind::PAPER);
+        let grid_alone = improvement_curves(&c, 0.0, &[AlgorithmKind::Grid]);
         // Grid's stream index differs (ai=2 vs ai=0); deterministic
         // algorithms ignore the rng, so the curves must match exactly.
         assert_eq!(together[2].points, grid_alone[0].points);
@@ -406,10 +409,10 @@ mod tests {
         let mut c = cfg();
         c.beacon_counts = vec![60];
         c.trials = 8;
-        let a = run(&c, 0.3, &AlgorithmKind::PAPER);
+        let a = improvement_curves(&c, 0.3, &AlgorithmKind::PAPER);
         let mut c1 = c.clone();
         c1.threads = 1;
-        let b = run(&c1, 0.3, &AlgorithmKind::PAPER);
+        let b = improvement_curves(&c1, 0.3, &AlgorithmKind::PAPER);
         assert_eq!(a, b);
     }
 
@@ -418,7 +421,7 @@ mod tests {
         // Paper: "the improvements in median localization error are
         // relatively more modest... the algorithms are effective in fixing
         // a few hot spots".
-        let curves = run(&cfg(), 0.0, &[AlgorithmKind::Grid]);
+        let curves = improvement_curves(&cfg(), 0.0, &[AlgorithmKind::Grid]);
         let p = &curves[0].points[0];
         assert!(
             p.median_improvement.estimate <= p.mean_improvement.estimate,
@@ -490,7 +493,7 @@ mod tests {
             AlgorithmKind::WeightedGrid,
             AlgorithmKind::LocusBreak,
         ];
-        let curves = run(&c, 0.3, &all);
+        let curves = improvement_curves(&c, 0.3, &all);
         assert_eq!(curves.len(), 5);
         for curve in &curves {
             assert_eq!(curve.points.len(), 1);

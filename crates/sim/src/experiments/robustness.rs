@@ -85,17 +85,8 @@ fn run_sweep(
 }
 
 /// Sweeps the exploration fraction: the Grid algorithm sees only a random
-/// `fraction` of the lattice measurements.
-pub fn exploration_sweep(
-    cfg: &SimConfig,
-    beacons: usize,
-    fractions: &[f64],
-) -> Vec<RobustnessPoint> {
-    exploration_sweep_with(cfg, beacons, fractions, Ctx::noop())
-}
-
-/// [`exploration_sweep`], reporting sweep and trial events to `ctx.probe`
-/// and honouring `ctx.policy`.
+/// `fraction` of the lattice measurements. Sweep and trial events go to
+/// `ctx.probe`, and trials run under `ctx.policy`.
 pub fn exploration_sweep_with(
     cfg: &SimConfig,
     beacons: usize,
@@ -123,13 +114,8 @@ pub fn exploration_sweep_with(
 }
 
 /// Sweeps the GPS error: the Grid algorithm sees measurements taken by a
-/// robot whose GPS has standard deviation `sigma` meters.
-pub fn gps_noise_sweep(cfg: &SimConfig, beacons: usize, sigmas: &[f64]) -> Vec<RobustnessPoint> {
-    gps_noise_sweep_with(cfg, beacons, sigmas, Ctx::noop())
-}
-
-/// [`gps_noise_sweep`], reporting sweep and trial events to `ctx.probe`
-/// and honouring `ctx.policy`.
+/// robot whose GPS has standard deviation `sigma` meters. Sweep and trial
+/// events go to `ctx.probe`, and trials run under `ctx.policy`.
 pub fn gps_noise_sweep_with(
     cfg: &SimConfig,
     beacons: usize,
@@ -164,14 +150,14 @@ mod tests {
     #[test]
     fn full_exploration_matches_baseline_improvement() {
         let c = cfg();
-        let points = exploration_sweep(&c, 40, &[1.0]);
+        let points = exploration_sweep_with(&c, 40, &[1.0], Ctx::noop());
         assert!(points[0].mean_improvement.estimate > 0.0);
     }
 
     #[test]
     fn grid_degrades_gracefully_with_sparse_exploration() {
         let c = cfg();
-        let points = exploration_sweep(&c, 40, &[0.05, 0.25, 1.0]);
+        let points = exploration_sweep_with(&c, 40, &[0.05, 0.25, 1.0], Ctx::noop());
         let sparse = points[0].mean_improvement.estimate;
         let full = points[2].mean_improvement.estimate;
         // Even 5% exploration retains a substantial share of the gain:
@@ -187,7 +173,7 @@ mod tests {
     #[test]
     fn gps_noise_degrades_gracefully() {
         let c = cfg();
-        let points = gps_noise_sweep(&c, 40, &[0.0, 2.0]);
+        let points = gps_noise_sweep_with(&c, 40, &[0.0, 2.0], Ctx::noop());
         let clean = points[0].mean_improvement.estimate;
         let noisy = points[1].mean_improvement.estimate;
         assert!(clean > 0.0);
@@ -200,8 +186,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let c = cfg();
-        let a = exploration_sweep(&c, 30, &[0.5]);
-        let b = exploration_sweep(&c, 30, &[0.5]);
+        let a = exploration_sweep_with(&c, 30, &[0.5], Ctx::noop());
+        let b = exploration_sweep_with(&c, 30, &[0.5], Ctx::noop());
         assert_eq!(a, b);
     }
 }

@@ -1,12 +1,18 @@
 //! Named regenerators: one entry point per table/figure of the paper.
 //!
-//! Each function runs the corresponding experiment at the given
-//! [`SimConfig`] and returns render-ready [`Figure`]s (long-format CSV via
-//! [`Figure::to_csv`], aligned text via [`Figure::render`]). The mapping
-//! to the paper is recorded in DESIGN.md; paper-vs-measured outcomes live
-//! in EXPERIMENTS.md.
+//! Each figure has exactly one entry point, and it takes a [`Ctx`]
+//! ([`Ctx::noop`] observes nothing): it runs the corresponding experiment
+//! at the given [`SimConfig`], reports figure, sweep and trial events to
+//! `ctx.probe`, runs trials under `ctx.policy`, checkpoints the density,
+//! improvement and fault sweeps to `ctx.checkpoint`, and returns
+//! render-ready [`Figure`]s (long-format CSV via [`Figure::to_csv`],
+//! aligned text via [`Figure::render`]). A failed trial reaches
+//! `ctx.probe`, and the figure aggregates the surviving trials. The
+//! mapping to the paper is recorded in DESIGN.md; paper-vs-measured
+//! outcomes live in EXPERIMENTS.md.
 
 use crate::config::{AlgorithmKind, PaperConfig, SimConfig};
+use crate::experiments::improvement::{AlgorithmImprovement, ImprovementPoint};
 use crate::experiments::{
     density_error, fault_robustness, granularity, improvement, localizer_compare, multi_beacon,
     multilat_placement, net_sim, overlap_bound, robustness, solution_space,
@@ -34,54 +40,47 @@ pub fn table1() -> String {
 ///
 /// Quantified as a sweep of uniform `k × k` beacon grids: region count,
 /// mean region size, and mean error per grid.
-pub fn fig1(cfg: &SimConfig, per_sides: &[usize]) -> Figure {
-    fig1_with(cfg, per_sides, Ctx::noop())
-}
-
-/// [`fig1`] with observability: figure/sweep events go to `ctx.probe`.
 pub fn fig1_with(cfg: &SimConfig, per_sides: &[usize], ctx: Ctx<'_>) -> Figure {
-    timed(ctx, "fig1", || fig1_inner(cfg, per_sides, ctx))
-}
-
-fn fig1_inner(cfg: &SimConfig, per_sides: &[usize], ctx: Ctx<'_>) -> Figure {
-    let rows = granularity::run_with(cfg, per_sides, ctx);
-    let exact = |v: f64| ConfidenceInterval {
-        estimate: v,
-        half_width: 0.0,
-    };
-    Figure::new(
-        "fig1",
-        "Beacon density vs granularity of localization regions (uniform k x k grids, ideal radio)",
-        "beacons",
-        "regions / points-per-region / mean LE (m)",
-    )
-    .with_series(Series::new(
-        "regions",
-        rows.iter()
-            .map(|r| SeriesPoint {
-                x: r.beacons as f64,
-                y: exact(r.regions as f64),
-            })
-            .collect(),
-    ))
-    .with_series(Series::new(
-        "mean-region-size",
-        rows.iter()
-            .map(|r| SeriesPoint {
-                x: r.beacons as f64,
-                y: exact(r.mean_region_size),
-            })
-            .collect(),
-    ))
-    .with_series(Series::new(
-        "mean-error",
-        rows.iter()
-            .map(|r| SeriesPoint {
-                x: r.beacons as f64,
-                y: exact(r.mean_error),
-            })
-            .collect(),
-    ))
+    timed(ctx, "fig1", || {
+        let rows = granularity::run_with(cfg, per_sides, ctx);
+        let exact = |v: f64| ConfidenceInterval {
+            estimate: v,
+            half_width: 0.0,
+        };
+        Figure::new(
+            "fig1",
+            "Beacon density vs granularity of localization regions (uniform k x k grids, ideal radio)",
+            "beacons",
+            "regions / points-per-region / mean LE (m)",
+        )
+        .with_series(Series::new(
+            "regions",
+            rows.iter()
+                .map(|r| SeriesPoint {
+                    x: r.beacons as f64,
+                    y: exact(r.regions as f64),
+                })
+                .collect(),
+        ))
+        .with_series(Series::new(
+            "mean-region-size",
+            rows.iter()
+                .map(|r| SeriesPoint {
+                    x: r.beacons as f64,
+                    y: exact(r.mean_region_size),
+                })
+                .collect(),
+        ))
+        .with_series(Series::new(
+            "mean-error",
+            rows.iter()
+                .map(|r| SeriesPoint {
+                    x: r.beacons as f64,
+                    y: exact(r.mean_error),
+                })
+                .collect(),
+        ))
+    })
 }
 
 fn density_series(cfg: &SimConfig, noise: f64, name: &str, ctx: Ctx<'_>) -> Series {
@@ -100,13 +99,35 @@ fn density_series(cfg: &SimConfig, noise: f64, name: &str, ctx: Ctx<'_>) -> Seri
     )
 }
 
-/// Figure 4 — mean localization error vs beacon density under ideal
-/// propagation.
-pub fn fig4(cfg: &SimConfig) -> Figure {
-    fig4_with(cfg, Ctx::noop())
+/// A noise level's series name: `Ideal` at 0, else `Noise={noise}`.
+fn noise_series_name(noise: f64) -> String {
+    if noise == 0.0 {
+        "Ideal".to_string()
+    } else {
+        format!("Noise={noise}")
+    }
 }
 
-/// [`fig4`] with observability and checkpointing via `ctx`.
+/// An improvement curve as its mean and median series, both named `name`.
+fn improvement_series(name: String, curve: &AlgorithmImprovement) -> [Series; 2] {
+    let points = |y: fn(&ImprovementPoint) -> ConfidenceInterval| {
+        curve
+            .points
+            .iter()
+            .map(|p| SeriesPoint {
+                x: p.density,
+                y: y(p),
+            })
+            .collect()
+    };
+    [
+        Series::new(name.clone(), points(|p| p.mean_improvement)),
+        Series::new(name, points(|p| p.median_improvement)),
+    ]
+}
+
+/// Figure 4 — mean localization error vs beacon density under ideal
+/// propagation.
 pub fn fig4_with(cfg: &SimConfig, ctx: Ctx<'_>) -> Figure {
     timed(ctx, "fig4", || {
         Figure::new(
@@ -121,11 +142,6 @@ pub fn fig4_with(cfg: &SimConfig, ctx: Ctx<'_>) -> Figure {
 
 /// Figure 6 — mean localization error vs beacon density across the
 /// paper's noise levels (0, 0.1, 0.3, 0.5).
-pub fn fig6(cfg: &SimConfig) -> Figure {
-    fig6_with(cfg, Ctx::noop())
-}
-
-/// [`fig6`] with observability and checkpointing via `ctx`.
 pub fn fig6_with(cfg: &SimConfig, ctx: Ctx<'_>) -> Figure {
     timed(ctx, "fig6", || {
         let mut fig = Figure::new(
@@ -135,12 +151,8 @@ pub fn fig6_with(cfg: &SimConfig, ctx: Ctx<'_>) -> Figure {
             "mean localization error (m)",
         );
         for &noise in &PaperConfig::NOISE_LEVELS {
-            let name = if noise == 0.0 {
-                "Ideal".to_string()
-            } else {
-                format!("Noise={noise}")
-            };
-            fig.series.push(density_series(cfg, noise, &name, ctx));
+            fig.series
+                .push(density_series(cfg, noise, &noise_series_name(noise), ctx));
         }
         fig
     })
@@ -149,65 +161,33 @@ pub fn fig6_with(cfg: &SimConfig, ctx: Ctx<'_>) -> Figure {
 /// Figure 5 — improvement in mean and median localization error vs beacon
 /// density for Random, Max and Grid under ideal propagation. Returns the
 /// (mean, median) figure pair.
-pub fn fig5(cfg: &SimConfig) -> (Figure, Figure) {
-    fig5_with(cfg, Ctx::noop())
-}
-
-/// [`fig5`] with observability and checkpointing via `ctx`.
 pub fn fig5_with(cfg: &SimConfig, ctx: Ctx<'_>) -> (Figure, Figure) {
-    timed(ctx, "fig5", || fig5_inner(cfg, ctx))
-}
-
-fn fig5_inner(cfg: &SimConfig, ctx: Ctx<'_>) -> (Figure, Figure) {
-    let curves = improvement::run_sweep(cfg, 0.0, &AlgorithmKind::PAPER, ctx).curves;
-    let mut mean_fig = Figure::new(
-        "fig5-mean",
-        "Improvement in mean error vs beacon density (Ideal)",
-        "density (/m^2)",
-        "improvement in mean error (m)",
-    );
-    let mut median_fig = Figure::new(
-        "fig5-median",
-        "Improvement in median error vs beacon density (Ideal)",
-        "density (/m^2)",
-        "improvement in median error (m)",
-    );
-    for curve in &curves {
-        let cap = capitalized(curve.algorithm.name());
-        mean_fig.series.push(Series::new(
-            cap.clone(),
-            curve
-                .points
-                .iter()
-                .map(|p| SeriesPoint {
-                    x: p.density,
-                    y: p.mean_improvement,
-                })
-                .collect(),
-        ));
-        median_fig.series.push(Series::new(
-            cap,
-            curve
-                .points
-                .iter()
-                .map(|p| SeriesPoint {
-                    x: p.density,
-                    y: p.median_improvement,
-                })
-                .collect(),
-        ));
-    }
-    (mean_fig, median_fig)
+    timed(ctx, "fig5", || {
+        let curves = improvement::run_sweep(cfg, 0.0, &AlgorithmKind::PAPER, ctx).curves;
+        let mut mean_fig = Figure::new(
+            "fig5-mean",
+            "Improvement in mean error vs beacon density (Ideal)",
+            "density (/m^2)",
+            "improvement in mean error (m)",
+        );
+        let mut median_fig = Figure::new(
+            "fig5-median",
+            "Improvement in median error vs beacon density (Ideal)",
+            "density (/m^2)",
+            "improvement in median error (m)",
+        );
+        for curve in &curves {
+            let [mean, median] = improvement_series(capitalized(curve.algorithm.name()), curve);
+            mean_fig.series.push(mean);
+            median_fig.series.push(median);
+        }
+        (mean_fig, median_fig)
+    })
 }
 
 /// Figures 7, 8, 9 — one algorithm's improvement in mean and median error
-/// across the paper's noise levels. `fig_id` is 7 (Random), 8 (Max) or
-/// 9 (Grid); other algorithms are accepted for ablations.
-pub fn fig_noise(cfg: &SimConfig, algorithm: AlgorithmKind) -> (Figure, Figure) {
-    fig_noise_with(cfg, algorithm, Ctx::noop())
-}
-
-/// [`fig_noise`] with observability and checkpointing via `ctx`.
+/// across the paper's noise levels: Figure 7 is Random, 8 Max and 9 Grid;
+/// other algorithms are accepted for ablations (`figx-*`).
 pub fn fig_noise_with(cfg: &SimConfig, algorithm: AlgorithmKind, ctx: Ctx<'_>) -> (Figure, Figure) {
     let fig_id = match algorithm {
         AlgorithmKind::Random => "fig7",
@@ -216,162 +196,98 @@ pub fn fig_noise_with(cfg: &SimConfig, algorithm: AlgorithmKind, ctx: Ctx<'_>) -
         AlgorithmKind::WeightedGrid => "figx-weighted-grid",
         AlgorithmKind::LocusBreak => "figx-locus-break",
     };
-    timed(ctx, fig_id, || fig_noise_inner(cfg, algorithm, fig_id, ctx))
-}
-
-fn fig_noise_inner(
-    cfg: &SimConfig,
-    algorithm: AlgorithmKind,
-    fig_id: &str,
-    ctx: Ctx<'_>,
-) -> (Figure, Figure) {
-    let cap = capitalized(algorithm.name());
-    let mut mean_fig = Figure::new(
-        format!("{fig_id}-mean"),
-        format!("Performance of the {cap} algorithm with Noise (mean error)"),
-        "density (/m^2)",
-        "improvement in mean error (m)",
-    );
-    let mut median_fig = Figure::new(
-        format!("{fig_id}-median"),
-        format!("Performance of the {cap} algorithm with Noise (median error)"),
-        "density (/m^2)",
-        "improvement in median error (m)",
-    );
-    for &noise in &PaperConfig::NOISE_LEVELS {
-        let name = if noise == 0.0 {
-            "Ideal".to_string()
-        } else {
-            format!("Noise={noise}")
-        };
-        let curves = improvement::run_sweep(cfg, noise, &[algorithm], ctx).curves;
-        let curve = &curves[0];
-        mean_fig.series.push(Series::new(
-            name.clone(),
-            curve
-                .points
-                .iter()
-                .map(|p| SeriesPoint {
-                    x: p.density,
-                    y: p.mean_improvement,
-                })
-                .collect(),
-        ));
-        median_fig.series.push(Series::new(
-            name,
-            curve
-                .points
-                .iter()
-                .map(|p| SeriesPoint {
-                    x: p.density,
-                    y: p.median_improvement,
-                })
-                .collect(),
-        ));
-    }
-    (mean_fig, median_fig)
+    timed(ctx, fig_id, || {
+        let cap = capitalized(algorithm.name());
+        let mut mean_fig = Figure::new(
+            format!("{fig_id}-mean"),
+            format!("Performance of the {cap} algorithm with Noise (mean error)"),
+            "density (/m^2)",
+            "improvement in mean error (m)",
+        );
+        let mut median_fig = Figure::new(
+            format!("{fig_id}-median"),
+            format!("Performance of the {cap} algorithm with Noise (median error)"),
+            "density (/m^2)",
+            "improvement in median error (m)",
+        );
+        for &noise in &PaperConfig::NOISE_LEVELS {
+            let curves = improvement::run_sweep(cfg, noise, &[algorithm], ctx).curves;
+            let [mean, median] = improvement_series(noise_series_name(noise), &curves[0]);
+            mean_fig.series.push(mean);
+            median_fig.series.push(median);
+        }
+        (mean_fig, median_fig)
+    })
 }
 
 /// The §2.2 error-bound analysis: max and mean centroid error (as a
 /// fraction of the beacon separation `d`) vs range-overlap ratio `R/d`.
-pub fn bound(cfg: &overlap_bound::BoundConfig) -> Figure {
-    bound_with(cfg, Ctx::noop())
-}
-
-/// [`bound`] with figure timing via `ctx`.
 pub fn bound_with(cfg: &overlap_bound::BoundConfig, ctx: Ctx<'_>) -> Figure {
-    timed(ctx, "bound", || bound_inner(cfg))
-}
-
-fn bound_inner(cfg: &overlap_bound::BoundConfig) -> Figure {
-    let points = overlap_bound::run(cfg);
-    let exact = |v: f64| ConfidenceInterval {
-        estimate: v,
-        half_width: 0.0,
-    };
-    Figure::new(
-        "bound",
-        "Centroid error vs range-overlap ratio R/d (uniform grid, interior)",
-        "R/d",
-        "error / d",
-    )
-    .with_series(Series::new(
-        "max-error/d",
-        points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.ratio,
-                y: exact(p.max_error_over_d),
-            })
-            .collect(),
-    ))
-    .with_series(Series::new(
-        "mean-error/d",
-        points
-            .iter()
-            .map(|p| SeriesPoint {
-                x: p.ratio,
-                y: exact(p.mean_error_over_d),
-            })
-            .collect(),
-    ))
+    timed(ctx, "bound", || {
+        let points = overlap_bound::run(cfg);
+        let exact = |v: f64| ConfidenceInterval {
+            estimate: v,
+            half_width: 0.0,
+        };
+        Figure::new(
+            "bound",
+            "Centroid error vs range-overlap ratio R/d (uniform grid, interior)",
+            "R/d",
+            "error / d",
+        )
+        .with_series(Series::new(
+            "max-error/d",
+            points
+                .iter()
+                .map(|p| SeriesPoint {
+                    x: p.ratio,
+                    y: exact(p.max_error_over_d),
+                })
+                .collect(),
+        ))
+        .with_series(Series::new(
+            "mean-error/d",
+            points
+                .iter()
+                .map(|p| SeriesPoint {
+                    x: p.ratio,
+                    y: exact(p.mean_error_over_d),
+                })
+                .collect(),
+        ))
+    })
 }
 
 /// Ablation: the paper's three algorithms plus the workspace extensions
 /// (weighted grid, locus-break), compared on mean-error improvement at one
 /// noise level.
-pub fn ablation_algorithms(cfg: &SimConfig, noise: f64) -> Figure {
-    ablation_algorithms_with(cfg, noise, Ctx::noop())
-}
-
-/// [`ablation_algorithms`] with observability and checkpointing via `ctx`.
 pub fn ablation_algorithms_with(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>) -> Figure {
     timed(ctx, "ablation-algorithms", || {
-        ablation_algorithms_inner(cfg, noise, ctx)
+        let all = [
+            AlgorithmKind::Random,
+            AlgorithmKind::Max,
+            AlgorithmKind::Grid,
+            AlgorithmKind::WeightedGrid,
+            AlgorithmKind::LocusBreak,
+        ];
+        let mut fig = Figure::new(
+            "ablation-algorithms",
+            format!("All placement algorithms, improvement in mean error (noise {noise})"),
+            "density (/m^2)",
+            "improvement in mean error (m)",
+        );
+        for curve in &improvement::run_sweep(cfg, noise, &all, ctx).curves {
+            let [mean, _] = improvement_series(capitalized(curve.algorithm.name()), curve);
+            fig.series.push(mean);
+        }
+        fig
     })
-}
-
-fn ablation_algorithms_inner(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>) -> Figure {
-    let all = [
-        AlgorithmKind::Random,
-        AlgorithmKind::Max,
-        AlgorithmKind::Grid,
-        AlgorithmKind::WeightedGrid,
-        AlgorithmKind::LocusBreak,
-    ];
-    let curves = improvement::run_sweep(cfg, noise, &all, ctx).curves;
-    let mut fig = Figure::new(
-        "ablation-algorithms",
-        format!("All placement algorithms, improvement in mean error (noise {noise})"),
-        "density (/m^2)",
-        "improvement in mean error (m)",
-    );
-    for curve in &curves {
-        fig.series.push(Series::new(
-            capitalized(curve.algorithm.name()),
-            curve
-                .points
-                .iter()
-                .map(|p| SeriesPoint {
-                    x: p.density,
-                    y: p.mean_improvement,
-                })
-                .collect(),
-        ));
-    }
-    fig
 }
 
 /// Ablation: the three readings of the noise model's `u` draw
 /// ([`abp_radio::NoiseStyle`]), compared on mean error vs density at one
 /// noise level, with the ideal curve for reference. Documents the
 /// noise-model interpretation question discussed in EXPERIMENTS.md.
-pub fn ablation_noise_styles(cfg: &SimConfig, noise: f64) -> Figure {
-    ablation_noise_styles_with(cfg, noise, Ctx::noop())
-}
-
-/// [`ablation_noise_styles`] with observability and checkpointing via
-/// `ctx`.
 pub fn ablation_noise_styles_with(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>) -> Figure {
     use abp_radio::NoiseStyle;
     timed(ctx, "ablation-noise-styles", || {
@@ -398,11 +314,6 @@ pub fn ablation_noise_styles_with(cfg: &SimConfig, noise: f64, ctx: Ctx<'_>) -> 
 
 /// §3.1 generalization: Grid's improvement when it sees only a fraction
 /// of the survey, and when measurements pass through a noisy GPS.
-pub fn robustness(cfg: &SimConfig, beacons: usize) -> (Figure, Figure) {
-    robustness_with(cfg, beacons, Ctx::noop())
-}
-
-/// [`robustness()`] with observability via `ctx`.
 pub fn robustness_with(cfg: &SimConfig, beacons: usize, ctx: Ctx<'_>) -> (Figure, Figure) {
     let fractions = [0.02, 0.05, 0.1, 0.25, 0.5, 1.0];
     let sigmas = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0];
@@ -449,12 +360,6 @@ pub fn robustness_with(cfg: &SimConfig, beacons: usize, ctx: Ctx<'_>) -> (Figure
 /// under injected faults — permanent beacon death (first figure) and
 /// Gilbert–Elliott burst loss (second figure), each layered with a light
 /// survey-GPS outage.
-pub fn faults(cfg: &SimConfig, beacons: usize) -> (Figure, Figure) {
-    faults_with(cfg, beacons, Ctx::noop())
-}
-
-/// [`faults()`] with observability, checkpointing, and retry policy via
-/// `ctx`.
 pub fn faults_with(cfg: &SimConfig, beacons: usize, ctx: Ctx<'_>) -> (Figure, Figure) {
     let failure = fault_figure(
         cfg,
@@ -516,11 +421,6 @@ fn fault_figure(
 
 /// §1 contribution 3: the solution-space density sweep. `threshold` is
 /// the relative error reduction that counts as "satisfying".
-pub fn solution_space(cfg: &SimConfig, noise: f64, candidates: usize, threshold: f64) -> Figure {
-    solution_space_with(cfg, noise, candidates, threshold, Ctx::noop())
-}
-
-/// [`solution_space()`] with observability and retry policy via `ctx`.
 pub fn solution_space_with(
     cfg: &SimConfig,
     noise: f64,
@@ -576,11 +476,6 @@ pub fn solution_space_with(
 
 /// §6 future work: gains from adding `k` beacons at once — greedy with
 /// re-measurement vs one-shot top-k (Grid algorithm).
-pub fn multi_beacon(cfg: &SimConfig, noise: f64, beacons: usize, ks: &[usize]) -> Figure {
-    multi_beacon_with(cfg, noise, beacons, ks, Ctx::noop())
-}
-
-/// [`multi_beacon()`] with observability and retry policy via `ctx`.
 pub fn multi_beacon_with(
     cfg: &SimConfig,
     noise: f64,
@@ -623,11 +518,6 @@ pub fn multi_beacon_with(
 /// Estimator ablation: mean error vs density for the paper's centroid,
 /// the weighted centroid, the locus centroid, and multilateration, on
 /// identical fields. Point-major surveys — keep the step coarse.
-pub fn localizers(cfg: &SimConfig, range_sigma: f64) -> Figure {
-    localizers_with(cfg, range_sigma, Ctx::noop())
-}
-
-/// [`localizers`] with observability and retry policy via `ctx`.
 pub fn localizers_with(cfg: &SimConfig, range_sigma: f64, ctx: Ctx<'_>) -> Figure {
     timed(ctx, "localizers", || {
         let points = localizer_compare::run(cfg, range_sigma, ctx);
@@ -656,11 +546,6 @@ pub fn localizers_with(cfg: &SimConfig, range_sigma: f64, ctx: Ctx<'_>) -> Figur
 /// §6 future work: the paper's algorithms recast for multilateration
 /// localization (mean-error improvement only; the median figure mirrors
 /// it).
-pub fn multilateration(cfg: &SimConfig, range_sigma: f64) -> Figure {
-    multilateration_with(cfg, range_sigma, Ctx::noop())
-}
-
-/// [`multilateration`] with observability and retry policy via `ctx`.
 pub fn multilateration_with(cfg: &SimConfig, range_sigma: f64, ctx: Ctx<'_>) -> Figure {
     timed(ctx, "multilateration", || {
         let curves = multilat_placement::run(cfg, range_sigma, &AlgorithmKind::PAPER, ctx);
@@ -671,17 +556,8 @@ pub fn multilateration_with(cfg: &SimConfig, range_sigma: f64, ctx: Ctx<'_>) -> 
             "improvement in mean error (m)",
         );
         for curve in &curves {
-            fig.series.push(Series::new(
-                capitalized(curve.algorithm.name()),
-                curve
-                    .points
-                    .iter()
-                    .map(|p| SeriesPoint {
-                        x: p.density,
-                        y: p.mean_improvement,
-                    })
-                    .collect(),
-            ));
+            let [mean, _] = improvement_series(capitalized(curve.algorithm.name()), curve);
+            fig.series.push(mean);
         }
         fig
     })
@@ -718,11 +594,6 @@ fn net_series(outcome: &net_sim::NetSweepOutcome, primary: &str, secondary: &str
 /// Time-domain axis 1 — localization error vs beacon interval `T`
 /// (`abp-net` schedule surveyed through the §2.2 message-counting
 /// oracle).
-pub fn net_interval(cfg: &SimConfig, axes: &net_sim::NetAxes) -> Figure {
-    net_interval_with(cfg, axes, Ctx::noop())
-}
-
-/// [`net_interval`] with observability via `ctx`.
 pub fn net_interval_with(cfg: &SimConfig, axes: &net_sim::NetAxes, ctx: Ctx<'_>) -> Figure {
     timed(ctx, net_sim::NET_INTERVAL, || {
         let outcome = net_sim::interval_sweep(cfg, axes, ctx);
@@ -743,11 +614,6 @@ pub fn net_interval_with(cfg: &SimConfig, axes: &net_sim::NetAxes, ctx: Ctx<'_>)
 
 /// Time-domain axis 2 — collision rate vs beacon density on a contended
 /// CSMA channel.
-pub fn net_collisions(cfg: &SimConfig, axes: &net_sim::NetAxes) -> Figure {
-    net_collisions_with(cfg, axes, Ctx::noop())
-}
-
-/// [`net_collisions`] with observability via `ctx`.
 pub fn net_collisions_with(cfg: &SimConfig, axes: &net_sim::NetAxes, ctx: Ctx<'_>) -> Figure {
     timed(ctx, net_sim::NET_COLLISIONS, || {
         let outcome = net_sim::collision_sweep(cfg, axes, ctx);
@@ -769,11 +635,6 @@ pub fn net_collisions_with(cfg: &SimConfig, axes: &net_sim::NetAxes, ctx: Ctx<'_
 
 /// Time-domain axis 3 — network lifetime vs receiver duty cycle on a
 /// finite battery.
-pub fn net_lifetime(cfg: &SimConfig, axes: &net_sim::NetAxes) -> Figure {
-    net_lifetime_with(cfg, axes, Ctx::noop())
-}
-
-/// [`net_lifetime`] with observability via `ctx`.
 pub fn net_lifetime_with(cfg: &SimConfig, axes: &net_sim::NetAxes, ctx: Ctx<'_>) -> Figure {
     timed(ctx, net_sim::NET_LIFETIME, || {
         let outcome = net_sim::lifetime_sweep(cfg, axes, ctx);
@@ -821,7 +682,7 @@ mod tests {
 
     #[test]
     fn fig1_has_three_series() {
-        let fig = fig1(&cfg(), &[2, 3]);
+        let fig = fig1_with(&cfg(), &[2, 3], Ctx::noop());
         assert_eq!(fig.series.len(), 3);
         assert_eq!(fig.series[0].points.len(), 2);
         assert!(fig.to_csv().contains("fig1,regions,4,"));
@@ -829,7 +690,7 @@ mod tests {
 
     #[test]
     fn fig4_shape() {
-        let fig = fig4(&cfg());
+        let fig = fig4_with(&cfg(), Ctx::noop());
         assert_eq!(fig.series.len(), 1);
         let pts = &fig.series[0].points;
         assert_eq!(pts.len(), 3);
@@ -838,7 +699,7 @@ mod tests {
 
     #[test]
     fn fig5_pair_has_paper_algorithms() {
-        let (mean_fig, median_fig) = fig5(&cfg());
+        let (mean_fig, median_fig) = fig5_with(&cfg(), Ctx::noop());
         let names: Vec<&str> = mean_fig.series.iter().map(|s| s.name.as_str()).collect();
         assert_eq!(names, ["Random", "Max", "Grid"]);
         assert_eq!(median_fig.series.len(), 3);
@@ -849,7 +710,7 @@ mod tests {
         let mut c = cfg();
         c.beacon_counts = vec![60];
         c.trials = 3;
-        let (mean_fig, median_fig) = fig_noise(&c, AlgorithmKind::Random);
+        let (mean_fig, median_fig) = fig_noise_with(&c, AlgorithmKind::Random, Ctx::noop());
         assert_eq!(mean_fig.id, "fig7-mean");
         assert_eq!(median_fig.id, "fig7-median");
         assert_eq!(mean_fig.series.len(), 4); // 4 noise levels
@@ -885,14 +746,14 @@ mod tests {
         axes.lifetime.battery = 0.012;
         axes.periods = vec![0.5, 2.0];
         axes.duty_cycles = vec![0.5, 1.0];
-        let fig_i = net_interval(&c, &axes);
+        let fig_i = net_interval_with(&c, &axes, Ctx::noop());
         assert_eq!(fig_i.id, "net-interval");
         assert_eq!(fig_i.series.len(), 2);
         assert_eq!(fig_i.series[0].points.len(), 2);
-        let fig_c = net_collisions(&c, &axes);
+        let fig_c = net_collisions_with(&c, &axes, Ctx::noop());
         assert_eq!(fig_c.id, "net-collisions");
         assert_eq!(fig_c.series.len(), 2);
-        let fig_l = net_lifetime(&c, &axes);
+        let fig_l = net_lifetime_with(&c, &axes, Ctx::noop());
         assert_eq!(fig_l.id, "net-lifetime");
         assert!(fig_l.to_csv().contains("net-lifetime,first-death (s),"));
     }
@@ -904,7 +765,7 @@ mod tests {
             ratios: vec![1.0, 4.0],
             ..Default::default()
         };
-        let fig = bound(&bc);
+        let fig = bound_with(&bc, Ctx::noop());
         assert_eq!(fig.series.len(), 2);
         assert_eq!(fig.series[0].points.len(), 2);
     }

@@ -27,8 +27,10 @@
 //!   [`experiments::improvement`] (Figures 5, 7, 8, 9),
 //!   [`experiments::granularity`] (Figure 1),
 //!   [`experiments::overlap_bound`] (the §2.2 error-bound analysis),
-//! * [`figures`] — named entry points `fig1`, `fig4` … `fig9`, `bound`,
-//!   `table1` that return render-ready [`report::Figure`]s,
+//! * [`figures`] — one entry point per figure (`fig1_with`, `fig4_with`
+//!   … `fig_noise_with` for Figures 7–9, `bound_with`, and the
+//!   extensions), each taking a [`Ctx`], plus `table1`; they return
+//!   render-ready [`report::Figure`]s,
 //! * [`report`] — series/figure containers with CSV and aligned-text
 //!   rendering.
 //!
@@ -38,11 +40,13 @@
 //! # Example
 //!
 //! ```
-//! use abp_sim::{experiments::density_error, SimConfig};
+//! use abp_sim::{experiments::density_error, Ctx, SimConfig};
 //!
 //! let mut cfg = SimConfig::tiny(); // test-sized: coarse lattice, few trials
 //! cfg.beacon_counts = vec![20, 100, 240];
-//! let points = density_error::run(&cfg, 0.0);
+//! let outcome = density_error::run_sweep(&cfg, 0.0, Ctx::noop());
+//! assert!(outcome.failures.is_empty());
+//! let points = outcome.points;
 //! assert_eq!(points.len(), 3);
 //! // Error falls with density (Figure 4's headline shape).
 //! assert!(points[2].mean_error.estimate < points[0].mean_error.estimate);

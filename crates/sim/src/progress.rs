@@ -197,8 +197,8 @@ static NOOP: NoopProbe = NoopProbe;
 
 /// The observability context threaded through experiments and figures.
 ///
-/// Cheap to copy; [`Ctx::noop`] is the zero-overhead default used by the
-/// plain `run(...)` entry points.
+/// Cheap to copy; [`Ctx::noop`] is the zero-overhead context for a caller
+/// that wants no events, checkpoint or retries.
 #[derive(Clone, Copy)]
 pub struct Ctx<'a> {
     /// Receives lifecycle events.

@@ -10,8 +10,7 @@
 //! * [`Welford`] — numerically stable streaming mean/variance with `merge`
 //!   for parallel reduction,
 //! * [`ci`] — normal and Student-*t* 95 % confidence intervals,
-//! * [`quantile()`](quantile::quantile) — interpolated quantiles (R-7, the default of R/NumPy),
-//! * [`Histogram`] — fixed-width binning for error distributions.
+//! * [`quantile()`](quantile::quantile) — interpolated quantiles (R-7, the default of R/NumPy).
 //!
 //! # Example
 //!
@@ -28,13 +27,11 @@
 #![warn(missing_docs)]
 
 pub mod ci;
-pub mod histogram;
 pub mod quantile;
 pub mod summary;
 pub mod welford;
 
 pub use ci::{ci95_half_width, paired_diff_ci, student_t_975, ConfidenceInterval};
-pub use histogram::Histogram;
 pub use quantile::{median, quantile};
 pub use summary::Summary;
 pub use welford::Welford;

@@ -1,6 +1,6 @@
 //! Property-based tests for the statistics substrate.
 
-use abp_stats::{ci95_half_width, median, quantile, Histogram, Summary, Welford};
+use abp_stats::{ci95_half_width, median, quantile, Summary, Welford};
 use proptest::prelude::*;
 
 fn sample() -> impl Strategy<Value = Vec<f64>> {
@@ -73,24 +73,5 @@ proptest! {
         let wb = ci95_half_width(b, s);
         prop_assert!(wa >= 0.0 && wb >= 0.0);
         prop_assert!(wb <= wa + 1e-12, "more samples must not widen the CI");
-    }
-
-    #[test]
-    fn histogram_conserves_observations(xs in sample(), bins in 1usize..32) {
-        let mut h = Histogram::new(-1e6, 1e6, bins);
-        h.extend(xs.iter().copied());
-        prop_assert_eq!(h.total(), xs.len() as u64);
-    }
-
-    #[test]
-    fn histogram_merge_equals_concat(xs in sample(), ys in sample(), bins in 1usize..16) {
-        let mut a = Histogram::new(-1e6, 1e6, bins);
-        a.extend(xs.iter().copied());
-        let mut b = Histogram::new(-1e6, 1e6, bins);
-        b.extend(ys.iter().copied());
-        a.merge(&b);
-        let mut c = Histogram::new(-1e6, 1e6, bins);
-        c.extend(xs.iter().copied().chain(ys.iter().copied()));
-        prop_assert_eq!(a, c);
     }
 }

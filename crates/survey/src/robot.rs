@@ -206,7 +206,7 @@ impl Robot {
         );
         let policy = truth.policy();
         let (sum_x, sum_y, count, mut errors) = truth.into_parts();
-        let _span = abp_trace::span!("localize.derive_errors");
+        let _span = abp_trace::span!("survey.robot_walk");
         errors.fill(f64::NAN);
         let mut unheard = 0usize;
         let mut dropped = 0usize;

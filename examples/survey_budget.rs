@@ -21,7 +21,7 @@ fn main() {
 
     println!("exploration budget vs Grid's improvement ({beacons} beacons, ideal radio):\n");
     let fractions = [0.01, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0];
-    let points = robustness::exploration_sweep(&cfg, beacons, &fractions);
+    let points = robustness::exploration_sweep_with(&cfg, beacons, &fractions, Ctx::noop());
     let full = points.last().unwrap().mean_improvement.estimate;
     println!(
         "{:>10} {:>16} {:>12}",

@@ -6,9 +6,11 @@
 //! that shifts every fault figure by one ulp would still pass there. This
 //! file pins the bits across versions: a refactor of the fault trial
 //! (fewer sweeps, incremental re-surveys, a different robot walk) must
-//! reproduce these digests exactly, at any thread count.
+//! reproduce these digests exactly, at any thread count. The tiny test
+//! also pins each figure's metadata (id, title, axis labels and series
+//! names), which only `Figure::render` prints.
 
-use abp_sim::{figures, Ctx, SimConfig};
+use abp_sim::{figures, Ctx, Figure, SimConfig};
 
 /// Digests of `(robustness-failure, robustness-burst)` CSVs at the tiny
 /// preset, 3 trials.
@@ -19,6 +21,10 @@ const BURST_DIGEST: u64 = 0xdcfe_a404_805f_8720;
 const PAPER_FAILURE_DIGEST: u64 = 0x8c50_078e_96f3_c538;
 const PAPER_BURST_DIGEST: u64 = 0x4c15_72d3_c763_09fc;
 
+/// Digests of the two figures' metadata, as in `tests/figure_lock.rs`.
+const FAILURE_META_DIGEST: u64 = 0xbc7d_cb8a_daf3_96a4;
+const BURST_META_DIGEST: u64 = 0x970a_a6c8_5b4f_daa4;
+
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -26,17 +32,22 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
-fn fault_digests(cfg: &SimConfig) -> (u64, u64) {
-    let (failure, burst) = figures::faults_with(cfg, 40, Ctx::noop());
-    (
-        fnv1a(failure.to_csv().as_bytes()),
-        fnv1a(burst.to_csv().as_bytes()),
-    )
+/// Digest of a figure's id, title, axis labels and series names.
+fn meta_digest(fig: &Figure) -> u64 {
+    let meta: Vec<&str> = [&fig.id, &fig.title, &fig.x_label, &fig.y_label]
+        .into_iter()
+        .chain(fig.series.iter().map(|s| &s.name))
+        .map(String::as_str)
+        .collect();
+    fnv1a(meta.join("\n").as_bytes())
 }
 
-fn assert_digests(cfg: &SimConfig, preset: &str, want: (u64, u64)) {
+/// Runs both fault figures, checks their CSV digests and returns them.
+fn assert_digests(cfg: &SimConfig, preset: &str, want: (u64, u64)) -> (Figure, Figure) {
     let threads = cfg.threads;
-    let (failure, burst) = fault_digests(cfg);
+    let figs = figures::faults_with(cfg, 40, Ctx::noop());
+    let failure = fnv1a(figs.0.to_csv().as_bytes());
+    let burst = fnv1a(figs.1.to_csv().as_bytes());
     assert_eq!(
         failure, want.0,
         "{preset} robustness-failure CSV changed at {threads} thread(s): {failure:#018x}"
@@ -45,6 +56,7 @@ fn assert_digests(cfg: &SimConfig, preset: &str, want: (u64, u64)) {
         burst, want.1,
         "{preset} robustness-burst CSV changed at {threads} thread(s): {burst:#018x}"
     );
+    figs
 }
 
 #[test]
@@ -55,7 +67,11 @@ fn fault_figures_match_committed_digests() {
             threads,
             ..SimConfig::tiny()
         };
-        assert_digests(&cfg, "tiny", (FAILURE_DIGEST, BURST_DIGEST));
+        let (failure, burst) = assert_digests(&cfg, "tiny", (FAILURE_DIGEST, BURST_DIGEST));
+        for (fig, want) in [(failure, FAILURE_META_DIGEST), (burst, BURST_META_DIGEST)] {
+            let got = meta_digest(&fig);
+            assert_eq!(got, want, "{} metadata changed: {got:#018x}", fig.id);
+        }
     }
 }
 

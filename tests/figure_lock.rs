@@ -27,6 +27,11 @@
 //! surveys every localizer through the indexed connectivity oracle).
 //! The fourth covers the three time-domain figures of `abp net`, on the
 //! axes that command derives from the config.
+//!
+//! A CSV row carries the figure id and series names but not the title or
+//! the axis labels, which only [`Figure::render`] prints. So each group
+//! also pins every figure's metadata: its id, title, axis labels and
+//! series names, in order.
 
 use abp_sim::experiments::net_sim::NetAxes;
 use abp_sim::experiments::overlap_bound::BoundConfig;
@@ -80,6 +85,43 @@ const NET_DIGESTS: [(&str, u64); 3] = [
     ("net-lifetime", 0xacf9_c0ed_b4fe_9e71),
 ];
 
+/// `(label, digest of the figure's metadata)` per group, in the order
+/// of the CSV digests above (the heatmap demo is text, not a figure).
+const META_DIGESTS: [(&str, u64); 11] = [
+    ("fig4", 0xc7fa_ecc3_1a4e_82b6),
+    ("fig6", 0xb689_9869_9d89_69dd),
+    ("fig5-mean", 0xa855_066a_d55a_d017),
+    ("fig5-median", 0x2a38_28da_7590_1594),
+    ("ablation-noise-styles", 0x9d50_c7cb_ff79_71ce),
+    ("fig7-mean", 0x725d_e38d_250b_37ba),
+    ("fig7-median", 0x43d0_bbc9_3baf_b213),
+    ("fig8-mean", 0xb5b4_e9b2_838e_9a1a),
+    ("fig8-median", 0xa6c8_dbd7_423b_6315),
+    ("fig9-mean", 0x207d_b6fa_b23d_15dd),
+    ("fig9-median", 0xa6b7_5eb4_bdaa_2218),
+];
+const GRID_META_DIGESTS: [(&str, u64); 8] = [
+    ("ablation-algorithms@0", 0xece7_5829_ca3f_4a33),
+    ("ablation-algorithms@0.5", 0x7a76_2bd7_ee96_d576),
+    ("robustness-exploration", 0xfd02_2304_2911_58ec),
+    ("robustness-gps", 0x66f0_1b5b_24e9_9cb6),
+    ("multi-beacon", 0x06cd_06aa_af3f_ce24),
+    ("multilateration", 0xbbb5_aa56_94da_b6d5),
+    ("figx-weighted-grid-mean", 0xb1e5_53c3_e18c_d1a7),
+    ("figx-weighted-grid-median", 0x253d_cbf9_99ae_01f0),
+];
+const OTHER_META_DIGESTS: [(&str, u64); 4] = [
+    ("fig1", 0x0876_f936_37f2_c0cb),
+    ("bound", 0xdf7c_fdee_73d8_f54d),
+    ("solution-space", 0xeb1f_9f01_4dbb_ba99),
+    ("localizers", 0xf05a_f549_92a2_a232),
+];
+const NET_META_DIGESTS: [(&str, u64); 3] = [
+    ("net-interval", 0x0619_054d_b070_744e),
+    ("net-collisions", 0x5b6b_34b4_4172_ed3c),
+    ("net-lifetime", 0x6ef7_ed52_9798_351c),
+];
+
 /// FNV-1a, 64-bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -95,11 +137,41 @@ fn tiny(threads: usize) -> SimConfig {
     }
 }
 
-fn csv_digest(fig: &Figure) -> u64 {
-    fnv1a(fig.to_csv().as_bytes())
+/// Digest of a figure's id, title, axis labels and series names.
+fn meta_digest(fig: &Figure) -> u64 {
+    let meta: Vec<&str> = [&fig.id, &fig.title, &fig.x_label, &fig.y_label]
+        .into_iter()
+        .chain(fig.series.iter().map(|s| &s.name))
+        .map(String::as_str)
+        .collect();
+    fnv1a(meta.join("\n").as_bytes())
 }
 
-fn figure_digests(threads: usize) -> Vec<(String, u64)> {
+/// One group's locked outputs: `(label, CSV digest)` per output and
+/// `(label, metadata digest)` per figure.
+#[derive(Default)]
+struct Locked {
+    csv: Vec<(String, u64)>,
+    meta: Vec<(String, u64)>,
+}
+
+impl Locked {
+    fn push(&mut self, label: String, fig: &Figure) {
+        self.csv
+            .push((label.clone(), fnv1a(fig.to_csv().as_bytes())));
+        self.meta.push((label, meta_digest(fig)));
+    }
+
+    fn of(figs: &[Figure]) -> Locked {
+        let mut out = Locked::default();
+        for fig in figs {
+            out.push(fig.id.clone(), fig);
+        }
+        out
+    }
+}
+
+fn figure_digests(threads: usize) -> Locked {
     let cfg = tiny(threads);
     let ctx = Ctx::noop();
     let (fig5_mean, fig5_median) = figures::fig5_with(&cfg, ctx);
@@ -119,16 +191,16 @@ fn figure_digests(threads: usize) -> Vec<(String, u64)> {
         fig9_mean,
         fig9_median,
     ];
-    figs.iter().map(|f| (f.id.clone(), csv_digest(f))).collect()
+    Locked::of(&figs)
 }
 
-fn grid_digests(threads: usize) -> Vec<(String, u64)> {
+fn grid_digests(threads: usize) -> Locked {
     let cfg = tiny(threads);
     let ctx = Ctx::noop();
-    let mut out = Vec::new();
+    let mut out = Locked::default();
     for (noise, label) in [(0.0, "@0"), (0.5, "@0.5")] {
         let fig = figures::ablation_algorithms_with(&cfg, noise, ctx);
-        out.push((format!("{}{label}", fig.id), csv_digest(&fig)));
+        out.push(format!("{}{label}", fig.id), &fig);
     }
     let (exploration, gps) = figures::robustness_with(&cfg, 40, ctx);
     let (weighted_mean, weighted_median) =
@@ -141,78 +213,92 @@ fn grid_digests(threads: usize) -> Vec<(String, u64)> {
         weighted_mean,
         weighted_median,
     ] {
-        out.push((fig.id.clone(), csv_digest(&fig)));
+        out.push(fig.id.clone(), &fig);
     }
-    out.push((
+    out.csv.push((
         "heatmap_demo".to_owned(),
         fnv1a(heatmap_demo(&cfg).as_bytes()),
     ));
     out
 }
 
-fn other_digests(threads: usize) -> Vec<(String, u64)> {
+fn other_digests(threads: usize) -> Locked {
     let cfg = tiny(threads);
     let ctx = Ctx::noop();
-    [
+    Locked::of(&[
         figures::fig1_with(&cfg, &[1, 2, 3, 4, 6, 8, 10], ctx),
         figures::bound_with(&BoundConfig::default(), ctx),
         figures::solution_space_with(&cfg, 0.0, 100, 0.02, ctx),
         figures::localizers_with(&cfg, 0.05, ctx),
-    ]
-    .iter()
-    .map(|f| (f.id.clone(), csv_digest(f)))
-    .collect()
+    ])
 }
 
-fn net_digests(threads: usize) -> Vec<(String, u64)> {
+fn net_digests(threads: usize) -> Locked {
     let cfg = tiny(threads);
     let ctx = Ctx::noop();
     let axes = NetAxes::for_config(&cfg);
-    [
+    Locked::of(&[
         figures::net_interval_with(&cfg, &axes, ctx),
         figures::net_collisions_with(&cfg, &axes, ctx),
         figures::net_lifetime_with(&cfg, &axes, ctx),
-    ]
-    .iter()
-    .map(|f| (f.id.clone(), csv_digest(f)))
-    .collect()
+    ])
 }
 
-fn assert_digests(got: &[(String, u64)], want: &[(&str, u64)], threads: usize) {
+fn assert_digests(got: &[(String, u64)], want: &[(&str, u64)], what: &str, threads: usize) {
     assert_eq!(got.len(), want.len(), "figure count changed");
     for ((id, digest), (want_id, want)) in got.iter().zip(want) {
         assert_eq!(id, want_id, "figure order changed");
         assert_eq!(
             digest, want,
-            "{id} output changed at {threads} thread(s): {digest:#018x}"
+            "{id} {what} changed at {threads} thread(s): {digest:#018x}"
         );
     }
+}
+
+fn assert_locked(got: &Locked, csv: &[(&str, u64)], meta: &[(&str, u64)], threads: usize) {
+    assert_digests(&got.csv, csv, "output", threads);
+    assert_digests(&got.meta, meta, "metadata", threads);
 }
 
 #[test]
 fn density_and_improvement_figures_match_committed_digests() {
     for threads in [1, 2] {
-        assert_digests(&figure_digests(threads), &DIGESTS, threads);
+        assert_locked(&figure_digests(threads), &DIGESTS, &META_DIGESTS, threads);
     }
 }
 
 #[test]
 fn grid_consuming_figures_match_committed_digests() {
     for threads in [1, 2] {
-        assert_digests(&grid_digests(threads), &GRID_DIGESTS, threads);
+        assert_locked(
+            &grid_digests(threads),
+            &GRID_DIGESTS,
+            &GRID_META_DIGESTS,
+            threads,
+        );
     }
 }
 
 #[test]
 fn figures_without_placement_match_committed_digests() {
     for threads in [1, 2] {
-        assert_digests(&other_digests(threads), &OTHER_DIGESTS, threads);
+        assert_locked(
+            &other_digests(threads),
+            &OTHER_DIGESTS,
+            &OTHER_META_DIGESTS,
+            threads,
+        );
     }
 }
 
 #[test]
 fn net_figures_match_committed_digests() {
     for threads in [1, 2] {
-        assert_digests(&net_digests(threads), &NET_DIGESTS, threads);
+        assert_locked(
+            &net_digests(threads),
+            &NET_DIGESTS,
+            &NET_META_DIGESTS,
+            threads,
+        );
     }
 }

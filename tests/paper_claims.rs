@@ -6,7 +6,7 @@
 //! findings so a regression in any substrate breaks CI.
 
 use abp_sim::experiments::{density_error, improvement, overlap_bound};
-use abp_sim::{AlgorithmKind, SimConfig};
+use abp_sim::{AlgorithmKind, Ctx, SimConfig, TrialFailureReport};
 
 /// Shared test configuration: paper geometry, coarse lattice, enough
 /// trials for stable orderings.
@@ -20,11 +20,18 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// Fails the test if any trial of a sweep failed; returns `result`.
+fn clean<T>(result: T, failures: &[TrialFailureReport]) -> T {
+    assert!(failures.is_empty(), "failed trials: {failures:?}");
+    result
+}
+
 /// §4.2: "the mean localization error falls sharply with increasing
 /// beacon density ... and saturates".
 #[test]
 fn error_falls_sharply_then_saturates() {
-    let points = density_error::run(&cfg(), 0.0);
+    let sweep = density_error::run_sweep(&cfg(), 0.0, Ctx::noop());
+    let points = clean(sweep.points, &sweep.failures);
     let e: Vec<f64> = points.iter().map(|p| p.mean_error.estimate).collect();
     assert!(e[0] > 2.0 * e[1], "no sharp initial fall: {e:?}");
     let tail_drop = e[2] - e[3];
@@ -42,14 +49,16 @@ fn grid_dominates_at_low_density() {
     // The grid-vs-max margin at one density is the noisiest statistic in
     // this file; 40 trials leaves it within sampling error of the 1.5x
     // threshold, so this test alone runs more trials.
-    let curves = improvement::run(
+    let sweep = improvement::run_sweep(
         &SimConfig {
             trials: 120,
             ..cfg()
         },
         0.0,
         &AlgorithmKind::PAPER,
+        Ctx::noop(),
     );
+    let curves = clean(sweep.curves, &sweep.failures);
     let low = 0; // 30 beacons = 0.003 / m^2
     let random = &curves[0].points[low];
     let max = &curves[1].points[low];
@@ -69,7 +78,8 @@ fn grid_dominates_at_low_density() {
 /// same" — all gains collapse toward zero.
 #[test]
 fn algorithms_converge_at_saturation() {
-    let curves = improvement::run(&cfg(), 0.0, &AlgorithmKind::PAPER);
+    let sweep = improvement::run_sweep(&cfg(), 0.0, &AlgorithmKind::PAPER, Ctx::noop());
+    let curves = clean(sweep.curves, &sweep.failures);
     for curve in &curves {
         let at_saturation = curve.points.last().unwrap();
         assert!(
@@ -88,8 +98,10 @@ fn algorithms_converge_at_saturation() {
 fn noise_raises_error_and_saturation_density() {
     let mut c = cfg();
     c.beacon_counts = vec![30, 70, 120, 170, 240];
-    let ideal = density_error::run(&c, 0.0);
-    let noisy = density_error::run(&c, 0.5);
+    let ideal = density_error::run_sweep(&c, 0.0, Ctx::noop());
+    let noisy = density_error::run_sweep(&c, 0.5, Ctx::noop());
+    let ideal = clean(ideal.points, &ideal.failures);
+    let noisy = clean(noisy.points, &noisy.failures);
     // Mean error rises at every density.
     for (i, n) in ideal.iter().zip(&noisy) {
         assert!(
@@ -125,8 +137,10 @@ fn random_is_insensitive_to_noise() {
     let mut c = cfg();
     c.beacon_counts = vec![70];
     c.trials = 80;
-    let ideal = improvement::run(&c, 0.0, &[AlgorithmKind::Random]);
-    let noisy = improvement::run(&c, 0.5, &[AlgorithmKind::Random]);
+    let ideal = improvement::run_sweep(&c, 0.0, &[AlgorithmKind::Random], Ctx::noop());
+    let noisy = improvement::run_sweep(&c, 0.5, &[AlgorithmKind::Random], Ctx::noop());
+    let ideal = clean(ideal.curves, &ideal.failures);
+    let noisy = clean(noisy.curves, &noisy.failures);
     let a = ideal[0].points[0].mean_improvement;
     let b = noisy[0].points[0].mean_improvement;
     // The confidence intervals overlap generously.
@@ -152,8 +166,10 @@ fn noise_makes_moderate_density_more_improvable_for_grid() {
     c.beacon_counts = vec![70, 100]; // 0.007-0.01 / m^2: the moderate band
     c.trials = 120;
     c.noise_style = abp_radio::NoiseStyle::Lossy;
-    let ideal = improvement::run(&c, 0.0, &[AlgorithmKind::Grid]);
-    let noisy = improvement::run(&c, 0.5, &[AlgorithmKind::Grid]);
+    let ideal = improvement::run_sweep(&c, 0.0, &[AlgorithmKind::Grid], Ctx::noop());
+    let noisy = improvement::run_sweep(&c, 0.5, &[AlgorithmKind::Grid], Ctx::noop());
+    let ideal = clean(ideal.curves, &ideal.failures);
+    let noisy = clean(noisy.curves, &noisy.failures);
     let gain_sum = |curves: &[abp_sim::experiments::improvement::AlgorithmImprovement]| {
         curves[0]
             .points
