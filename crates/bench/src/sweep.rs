@@ -36,12 +36,11 @@
 //! [`GridPlacement`] and verifies both mirrored loops place
 //! bit-identically to it.
 //!
-//! When the binary is built with `--features count-allocs` the report
-//! also carries the reused scratch's steady-state allocator traffic —
-//! the `alloc` block's `allocs_per_trial` / `bytes_per_trial`, measured
-//! with [`abp_trace::thread_snapshot`] deltas around the post-warmup
-//! production samples of both survey kernels only — and the CLI fails
-//! the run if it is nonzero.
+//! The report also carries the reused scratch's steady-state allocator
+//! traffic — the `alloc` block's `allocs_per_trial` / `bytes_per_trial`,
+//! measured with [`abp_trace::thread_snapshot`] deltas around the
+//! post-warmup production samples of both survey kernels only — and the
+//! CLI fails the run if it is nonzero.
 //!
 //! Timings are reported as the median over `repeats` interleaved
 //! samples with a distribution-free 95% confidence interval on the
@@ -68,7 +67,7 @@ use std::time::Instant;
 /// `/3` added the `serve_qps` block: the `abp-serve` daemon driven by
 /// the in-process load harness — client-observed p50/p95/p99 latency,
 /// throughput, the served-vs-batch bit-identity gate, and the serving
-/// path's allocs/request (pinned at 0 under `count-allocs`).
+/// path's allocs/request (pinned at 0).
 /// `/4` extends `serve_qps` with the telemetry-overhead figures: the
 /// main run now serves with per-opcode telemetry on and a live
 /// `/metrics` HTTP listener scraped concurrently (`scrapes`,
@@ -105,7 +104,9 @@ use std::time::Instant;
 /// `/11` removes the Max candidate-scan kernel, and
 /// `candidate_scan_grid`'s production side becomes `GridPlacement`, the
 /// scan `greedy_batch` runs.
-pub const SCHEMA: &str = "abp-bench-sweep/11";
+/// `/12` drops the three `alloc` blocks' `counting` flags: every build
+/// counts allocations, so the rates are always measured.
+pub const SCHEMA: &str = "abp-bench-sweep/12";
 
 /// Scenario and sampling configuration for one bench run.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,16 +246,11 @@ impl KernelResult {
 
 /// Steady-state allocator traffic of the scratch-reused survey path,
 /// measured over the post-warmup production samples of the
-/// `survey_sweep` and `survey_sweep_noisy` kernels. Meaningful
-/// only when [`AllocStats::counting`] is `true`
-/// (the binary was built with `--features count-allocs`); otherwise
-/// both rates are reported as 0 because nothing was counted.
+/// `survey_sweep` and `survey_sweep_noisy` kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AllocStats {
-    /// Whether the counting global allocator was compiled in.
-    pub counting: bool,
     /// Mean allocator calls per reused-scratch survey (the zero-alloc
-    /// gate asserts this is exactly 0 when `counting`).
+    /// gate asserts this is exactly 0).
     pub allocs_per_trial: f64,
     /// Mean bytes requested per reused-scratch survey.
     pub bytes_per_trial: f64,
@@ -357,8 +353,7 @@ impl BenchReport {
             text(&self.host.rustc)
         ));
         out.push_str(&format!(
-            "  \"alloc\": {{\"counting\": {}, \"allocs_per_trial\": {}, \"bytes_per_trial\": {}}},\n",
-            self.alloc.counting,
+            "  \"alloc\": {{\"allocs_per_trial\": {}, \"bytes_per_trial\": {}}},\n",
             json_f64(self.alloc.allocs_per_trial),
             json_f64(self.alloc.bytes_per_trial)
         ));
@@ -373,8 +368,7 @@ impl BenchReport {
         out.push_str(&format!("    \"min_s\": {},\n", json_f64(s.min_s)));
         out.push_str(&format!("    \"max_s\": {},\n", json_f64(s.max_s)));
         out.push_str(&format!(
-            "    \"alloc\": {{\"counting\": {}, \"allocs_per_request\": {}, \"bytes_per_request\": {}}},\n",
-            s.alloc_counting,
+            "    \"alloc\": {{\"allocs_per_request\": {}, \"bytes_per_request\": {}}},\n",
             json_f64(s.allocs_per_request),
             json_f64(s.bytes_per_request)
         ));
@@ -411,8 +405,7 @@ impl BenchReport {
         ));
         out.push_str(&format!("    \"bounded\": {},\n", o.bounded));
         out.push_str(&format!(
-            "    \"alloc\": {{\"counting\": {}, \"allocs_per_request\": {}}}\n",
-            o.alloc_counting,
+            "    \"alloc\": {{\"allocs_per_request\": {}}}\n",
             json_f64(o.allocs_per_request)
         ));
         out.push_str("  },\n");
@@ -706,7 +699,6 @@ impl AllocCount {
     fn stats(&self) -> AllocStats {
         let n = self.trials.max(1) as f64;
         AllocStats {
-            counting: abp_trace::counting(),
             allocs_per_trial: self.allocs as f64 / n,
             bytes_per_trial: self.bytes as f64 / n,
         }
@@ -853,19 +845,11 @@ mod tests {
             report.serve.scrapes > 0,
             "the /metrics listener must be scraped during the instrumented run"
         );
-        assert_eq!(report.alloc.counting, abp_trace::counting());
-        if report.alloc.counting {
-            assert_eq!(
-                report.alloc.allocs_per_trial, 0.0,
-                "reused-scratch surveys must not allocate in steady state"
-            );
-            assert_eq!(report.alloc.bytes_per_trial, 0.0);
-        } else {
-            // Nothing counted: the rates must be reported as zero, not
-            // garbage.
-            assert_eq!(report.alloc.allocs_per_trial, 0.0);
-            assert_eq!(report.alloc.bytes_per_trial, 0.0);
-        }
+        assert_eq!(
+            report.alloc.allocs_per_trial, 0.0,
+            "reused-scratch surveys must not allocate in steady state"
+        );
+        assert_eq!(report.alloc.bytes_per_trial, 0.0);
     }
 
     /// The bench's per-rectangle Grid oracle ranks exactly like the
@@ -921,7 +905,6 @@ mod tests {
                 indexed: Timing::from_samples(&[0.2]),
             }],
             alloc: AllocStats {
-                counting: true,
                 allocs_per_trial: 0.0,
                 bytes_per_trial: 0.0,
             },
@@ -938,7 +921,6 @@ mod tests {
                 measured_requests: 220,
                 allocs_per_request: 0.0,
                 bytes_per_request: 0.0,
-                alloc_counting: true,
                 identical: true,
                 final_epoch: 0,
                 scrapes: 40,
@@ -956,24 +938,19 @@ mod tests {
                 bounded: true,
                 measured_requests: 500,
                 allocs_per_request: 0.0,
-                alloc_counting: true,
             },
         };
         let json = report.to_json();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/11\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/12\""));
         assert!(json.contains("\"preset\": \"tiny\""));
         assert!(json.contains(
             "\"host\": {\"nproc\": 2, \"cpu\": \"Test _CPU_ @ 2.0GHz\", \"rustc\": \"rustc 1.80.0\"}"
         ));
-        assert!(json.contains(
-            "\"alloc\": {\"counting\": true, \"allocs_per_trial\": 0, \"bytes_per_trial\": 0}"
-        ));
+        assert!(json.contains("\"alloc\": {\"allocs_per_trial\": 0, \"bytes_per_trial\": 0}"));
         assert!(json.contains("\"serve_qps\": {"));
         assert!(json.contains("\"qps\": 600"));
         assert!(json.contains("\"p99_s\": 0.003"));
-        assert!(json.contains(
-            "\"alloc\": {\"counting\": true, \"allocs_per_request\": 0, \"bytes_per_request\": 0}"
-        ));
+        assert!(json.contains("\"alloc\": {\"allocs_per_request\": 0, \"bytes_per_request\": 0}"));
         assert!(json.contains("\"final_epoch\": 0"));
         assert!(json.contains("\"scrapes\": 40"));
         assert!(json.contains("\"scrape_p50_s\": 0.0002"));
@@ -984,6 +961,7 @@ mod tests {
             "skip_brute",
             "qps_metrics_off",
             "telemetry_overhead",
+            "counting",
         ] {
             assert!(!json.contains(&format!("\"{gone}\"")), "{gone}");
         }
@@ -993,7 +971,7 @@ mod tests {
         assert!(json.contains("\"shed_connections\": 17"));
         assert!(json.contains("\"p99_bound_s\": 0.25"));
         assert!(json.contains("\"bounded\": true"));
-        assert!(json.contains("\"alloc\": {\"counting\": true, \"allocs_per_request\": 0}"));
+        assert!(json.contains("\"alloc\": {\"allocs_per_request\": 0}"));
         assert!(json.contains("\"name\": \"survey_sweep\""));
         assert!(json.contains("\"identical\": true"));
         assert!(json.contains("\"median_s\": 0.5"));

@@ -30,8 +30,7 @@
 //!                     re-survey, greedy Grid candidate scan), verify
 //!                     every sample is bit-identical, and with --out write
 //!                     BENCH_sweep.json (median + 95% CI per kernel,
-//!                     plus steady-state allocs/trial when the binary
-//!                     was built with --features count-allocs; the
+//!                     plus steady-state allocs/trial, gated at 0; the
 //!                     serve_qps block drives the daemon under load
 //!                     with /metrics scraped concurrently)
 //!   serve             run the online localization daemon until
@@ -43,7 +42,7 @@
 //!                     threads over real sockets, exact p50/p95/p99
 //!                     round-trip quantiles, the served-vs-batch
 //!                     bit-identity gate, and allocs/request (gated at
-//!                     0 when built with --features count-allocs)
+//!                     0)
 //!   top               live dashboard over a running daemon's stats
 //!                     opcode: per-opcode qps and interval p50/p95/p99,
 //!                     epoch, connections, rebuild activity, and the
@@ -861,17 +860,10 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                     );
                 }
             }
-            if report.alloc.counting {
-                println!(
-                    "steady-state scratch survey: {:.2} allocs/trial, {:.0} bytes/trial",
-                    report.alloc.allocs_per_trial, report.alloc.bytes_per_trial
-                );
-            } else {
-                println!(
-                    "alloc counting off (build with --features count-allocs to measure \
-                     allocs/trial)"
-                );
-            }
+            println!(
+                "steady-state scratch survey: {:.2} allocs/trial, {:.0} bytes/trial",
+                report.alloc.allocs_per_trial, report.alloc.bytes_per_trial
+            );
             println!(
                 "serve_qps: {:.0} req/s (p99 {:.1} us); {} scrapes under load (p50 {:.1} us)",
                 report.serve.qps,
@@ -907,7 +899,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                     "bench: an indexed kernel produced output that differs from brute force".into(),
                 );
             }
-            if report.alloc.counting && report.alloc.allocs_per_trial > 0.0 {
+            if report.alloc.allocs_per_trial > 0.0 {
                 return Err(format!(
                     "bench: the reused-scratch survey path allocated in steady state \
                      ({} allocs/trial, expected 0)",
@@ -922,7 +914,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                     abp_serve::bench::OVERLOAD_P99_BOUND_S
                 ));
             }
-            if report.overload.alloc_counting && report.overload.allocs_per_request > 0.0 {
+            if report.overload.allocs_per_request > 0.0 {
                 return Err(format!(
                     "bench: the serving path allocated under overload \
                      ({} allocs/request, expected 0)",
@@ -1006,18 +998,11 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                 report.min_s * 1e6,
                 report.max_s * 1e6
             );
-            if report.alloc_counting {
-                println!(
-                    "serving path: {:.2} allocs/request, {:.0} bytes/request over {} \
-                     measured requests",
-                    report.allocs_per_request, report.bytes_per_request, report.measured_requests
-                );
-            } else {
-                println!(
-                    "alloc counting off (build with --features count-allocs to measure \
-                     allocs/request)"
-                );
-            }
+            println!(
+                "serving path: {:.2} allocs/request, {:.0} bytes/request over {} \
+                 measured requests",
+                report.allocs_per_request, report.bytes_per_request, report.measured_requests
+            );
             if report.scrapes > 0 {
                 println!(
                     "metrics scrapes under load: {} (p50 {:.1} us, max {:.1} us)",
@@ -1032,7 +1017,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                     "serve-bench: served localization diverged from the batch pipeline".into(),
                 );
             }
-            if report.alloc_counting && report.allocs_per_request > 0.0 {
+            if report.allocs_per_request > 0.0 {
                 return Err(format!(
                     "serve-bench: the serving path allocated in steady state \
                      ({} allocs/request, expected 0)",
@@ -1340,13 +1325,14 @@ mod tests {
 
     #[test]
     fn bench_runs_and_writes_schema_valid_json() {
+        let _g = TRACE_TEST_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let dir = std::env::temp_dir().join(format!("abp-bench-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut o = parse(&["bench", "--preset", "tiny", "--seed", "7"]).unwrap();
         o.out = Some(dir.clone());
         run(&o).unwrap();
         let json = std::fs::read_to_string(dir.join("BENCH_sweep.json")).unwrap();
-        assert!(json.contains("\"schema\": \"abp-bench-sweep/11\""));
+        assert!(json.contains("\"schema\": \"abp-bench-sweep/12\""));
         assert!(json.contains("\"seed\": 7"), "--seed reaches bench: {json}");
         assert!(json.contains("\"name\": \"survey_sweep\""));
         assert!(json.contains("\"name\": \"survey_sweep_noisy\""));
@@ -1354,9 +1340,7 @@ mod tests {
         assert!(json.contains("\"name\": \"candidate_scan_grid\""));
         assert!(json.contains("\"identical\": true"));
         assert!(!json.contains("\"identical\": false"));
-        assert!(json.contains("\"alloc\": {\"counting\": "));
-        assert!(json.contains("\"allocs_per_trial\": "));
-        assert!(json.contains("\"bytes_per_trial\": "));
+        assert!(json.contains("\"alloc\": {\"allocs_per_trial\": 0, \"bytes_per_trial\": 0}"));
         assert!(json.contains("\"serve_qps\": {"));
         assert!(json.contains("\"qps\": "));
         assert!(json.contains("\"p99_s\": "));
@@ -1368,6 +1352,7 @@ mod tests {
             "qps_metrics_off",
             "telemetry_overhead",
             "survey_sweep_scratch",
+            "counting",
         ] {
             assert!(!json.contains(gone), "{gone} must stay absent");
         }
@@ -1548,6 +1533,7 @@ mod tests {
 
     #[test]
     fn serve_bench_runs_tiny_load() {
+        let _g = TRACE_TEST_GATE.lock().unwrap_or_else(|e| e.into_inner());
         let o = parse(&[
             "serve-bench",
             "--preset",
@@ -1746,7 +1732,11 @@ mod tests {
     }
 
     /// Traced runs flip the process-global gate and share one sink;
-    /// serialize them so they cannot drain each other's events.
+    /// serialize them so they cannot drain each other's events. The
+    /// runs whose zero-alloc gates are armed hold it too: with the gate
+    /// on, a thread's first live span or counter add allocates (its
+    /// track name, the counter's registry slot), and inside a measured
+    /// window that fails the gate by chance.
     static TRACE_TEST_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]

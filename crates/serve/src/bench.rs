@@ -10,8 +10,7 @@
 //!   rule `HistogramSnapshot::quantile_ns` documents),
 //! * **throughput** — total requests over the driving wall time,
 //! * **allocs/request** — the daemon's post-warmup thread-local
-//!   allocator deltas (exact under `--features count-allocs`, vacuous
-//!   zeros otherwise),
+//!   allocator deltas,
 //! * **bit-identity** — [`engine::served_matches_batch`] over the full
 //!   served lattice, so the report can only claim a healthy daemon if
 //!   served localizations equal the batch pipeline's bit for bit.
@@ -97,8 +96,6 @@ pub struct LoadReport {
     pub allocs_per_request: f64,
     /// Server-side allocated bytes per measured request.
     pub bytes_per_request: f64,
-    /// Whether the counting allocator was compiled in.
-    pub alloc_counting: bool,
     /// Whether served localization matched the batch path bit-for-bit
     /// over the full lattice.
     pub identical: bool,
@@ -152,8 +149,6 @@ pub struct OverloadReport {
     /// Server-side allocator calls per measured request (the zero-alloc
     /// invariant must hold under overload too).
     pub allocs_per_request: f64,
-    /// Whether the counting allocator was compiled in.
-    pub alloc_counting: bool,
 }
 
 /// One overload client: bursts of localize requests on short-lived
@@ -279,7 +274,6 @@ pub fn run_overload(cfg: &ServeConfig, load: &LoadConfig) -> io::Result<Overload
         bounded: p99_s <= OVERLOAD_P99_BOUND_S,
         measured_requests: stats.measured_requests,
         allocs_per_request: stats.allocs_per_request(),
-        alloc_counting: stats.alloc_counting,
     })
 }
 
@@ -463,7 +457,6 @@ pub fn run_load(cfg: &ServeConfig, load: &LoadConfig) -> io::Result<LoadReport> 
         } else {
             stats.measured_bytes as f64 / stats.measured_requests as f64
         },
-        alloc_counting: stats.alloc_counting,
         identical,
         final_epoch: stats.reply.epoch,
         scrapes: scrape_ns.len() as u64,
@@ -501,12 +494,10 @@ mod tests {
         assert!(report.identical, "served must match batch bit-for-bit");
         assert_eq!(report.final_epoch, 0, "no applies under plain load");
         assert!(report.measured_requests > 0);
-        if report.alloc_counting {
-            assert_eq!(
-                report.allocs_per_request, 0.0,
-                "zero-alloc serving invariant"
-            );
-        }
+        assert_eq!(
+            report.allocs_per_request, 0.0,
+            "zero-alloc serving invariant"
+        );
         assert_eq!(report.scrapes, 0, "no metrics listener, no scrapes");
     }
 
@@ -534,16 +525,14 @@ mod tests {
             "accepted p99 {}s blew the {}s overload bound",
             report.p99_s, OVERLOAD_P99_BOUND_S
         );
-        if report.alloc_counting {
-            assert!(
-                report.measured_requests > 0,
-                "bursts must outlive alloc warm-up"
-            );
-            assert_eq!(
-                report.allocs_per_request, 0.0,
-                "zero-alloc invariant must hold under overload"
-            );
-        }
+        assert!(
+            report.measured_requests > 0,
+            "bursts must outlive alloc warm-up"
+        );
+        assert_eq!(
+            report.allocs_per_request, 0.0,
+            "zero-alloc invariant must hold under overload"
+        );
     }
 
     #[test]
@@ -556,11 +545,9 @@ mod tests {
         assert!(report.scrapes > 0, "the scraper must land during load");
         assert!(report.scrape_p50_s > 0.0);
         assert!(report.scrape_p50_s <= report.scrape_max_s);
-        if report.alloc_counting {
-            assert_eq!(
-                report.allocs_per_request, 0.0,
-                "scraping must not break the zero-alloc request path"
-            );
-        }
+        assert_eq!(
+            report.allocs_per_request, 0.0,
+            "scraping must not break the zero-alloc request path"
+        );
     }
 }

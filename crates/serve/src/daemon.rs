@@ -19,8 +19,9 @@
 //! [`Daemon::shutdown`] therefore completes promptly even with idle
 //! keep-alive clients attached.
 //!
-//! Under `--features count-allocs`, each worker brackets the post-warmup
-//! portion of every connection with thread-local allocator snapshots;
+//! Each worker brackets the post-warmup portion of every connection
+//! with thread-local allocator snapshots (a request whose handler
+//! panics closes the window where it began);
 //! [`StatsSnapshot::allocs_per_request`] is the aggregate — the value
 //! the bench gate pins at exactly zero.
 
@@ -204,10 +205,6 @@ pub struct StatsSnapshot {
     pub measured_allocs: u64,
     /// Bytes requested inside those windows.
     pub measured_bytes: u64,
-    /// Whether the counting allocator was compiled in
-    /// (`--features count-allocs`); without it the measured fields read
-    /// zero vacuously.
-    pub alloc_counting: bool,
 }
 
 impl StatsSnapshot {
@@ -227,7 +224,7 @@ impl StatsSnapshot {
         format!(
             "served {} requests ({} localize, {} place, {} info, {} stats, {} errors) \
              over {} connections; {} applies, final epoch {}; \
-             allocs/request {:.3}{}",
+             allocs/request {:.3}",
             r.requests_total(),
             r.count(OpClass::Localize),
             r.count(OpClass::Place),
@@ -238,11 +235,6 @@ impl StatsSnapshot {
             r.rebuilds_total,
             r.epoch,
             self.allocs_per_request(),
-            if self.alloc_counting {
-                ""
-            } else {
-                " (counting off)"
-            },
         )
     }
 
@@ -544,7 +536,6 @@ impl Daemon {
             measured_requests: m.tally(Tally::MeasuredRequests),
             measured_allocs: m.tally(Tally::MeasuredAllocs),
             measured_bytes: m.tally(Tally::MeasuredBytes),
-            alloc_counting: abp_trace::counting(),
         }
     }
 }
@@ -846,6 +837,8 @@ fn serve_connection(
     shared.metrics.connection_opened();
     let mut served = 0u64;
     let mut alloc_base: Option<AllocSnapshot> = None;
+    // Set when the window must close before the connection does.
+    let mut alloc_end: Option<AllocSnapshot> = None;
     let mut header = [0u8; 4];
     loop {
         // Header read: the idle clock runs until the first byte, then
@@ -902,6 +895,7 @@ fn serve_connection(
         if served == ALLOC_WARMUP_REQUESTS {
             alloc_base = Some(abp_trace::thread_snapshot());
         }
+        let request_alloc = abp_trace::thread_snapshot();
         let started = Instant::now();
         let _span = abp_trace::span!("serve_request");
         // Work-budget shed: under queue pressure, answer cheap classes
@@ -919,6 +913,10 @@ fn serve_connection(
             match catch_unwind(AssertUnwindSafe(|| handle_request(shared, reader, scratch))) {
                 Ok(pair) => pair,
                 Err(_) => {
+                    // The unwind and the fresh scratch below allocate:
+                    // close the window where this request began, so
+                    // neither is booked against the measured requests.
+                    alloc_end = Some(request_alloc);
                     shared.metrics.note(Tally::Panics);
                     record_request(shared, OpClass::Error, 0, started.elapsed());
                     // The handler may have unwound mid-encode; discard
@@ -951,7 +949,8 @@ fn serve_connection(
     }
     shared.metrics.connection_closed();
     if let Some(base) = alloc_base {
-        let delta = abp_trace::thread_snapshot().delta_since(base);
+        let end = alloc_end.unwrap_or_else(abp_trace::thread_snapshot);
+        let delta = end.delta_since(base);
         let m = &shared.metrics;
         m.add(Tally::MeasuredRequests, served - ALLOC_WARMUP_REQUESTS);
         m.add(Tally::MeasuredAllocs, delta.allocs);

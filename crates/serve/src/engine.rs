@@ -292,8 +292,6 @@ mod tests {
             place(&snap, PlaceAlgo::Grid, seed);
         }
         let delta = abp_trace::thread_snapshot().delta_since(before);
-        if abp_trace::counting() {
-            assert_eq!(delta.allocs, 0, "request compute must not allocate");
-        }
+        assert_eq!(delta.allocs, 0, "request compute must not allocate");
     }
 }

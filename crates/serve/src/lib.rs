@@ -45,11 +45,10 @@
 //!
 //! The request path — decode, snapshot lookup, localize/place, encode —
 //! performs **zero heap allocations** in steady state (after a short
-//! per-connection warm-up that sizes the reused buffers). Under
-//! `--features count-allocs` the daemon measures this per connection with
-//! thread-local allocator deltas and reports allocs/request in
-//! [`daemon::StatsSnapshot`], the exit report; the bench gate holds it
-//! at exactly 0.
+//! per-connection warm-up that sizes the reused buffers). The daemon
+//! measures this per connection with thread-local allocator deltas and
+//! reports allocs/request in [`daemon::StatsSnapshot`], the exit report;
+//! the bench gate holds it at exactly 0.
 //! Control-plane work (applying a placement, re-surveying, publishing a
 //! new epoch) happens on the rebuilder thread and may allocate freely.
 //!

@@ -7,8 +7,7 @@
 //! several — gets its own numbers, nothing touches the global
 //! [`abp_trace`] registry or its gate, and the record path is a handful
 //! of relaxed atomic stores with **zero heap allocations**, so it rides
-//! inside the serving invariant measured by `serve-bench --features
-//! count-allocs`.
+//! inside the serving invariant `serve-bench` measures.
 //!
 //! Every frame the daemon answers is recorded once, in one [`OpClass`]:
 //! a frame answered with an error status — malformed, oversize, naming

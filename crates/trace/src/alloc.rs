@@ -1,14 +1,11 @@
-//! Allocation accounting: a counting global allocator behind the
-//! `count-allocs` feature, plus an always-present snapshot API.
+//! Allocation accounting: the counting global allocator every binary
+//! that links this crate runs on, and the per-thread snapshot API.
 //!
-//! With the feature **off** (the default) this module compiles to inert
-//! stubs: [`counting`] is `false`, snapshots are all zeros, and the
-//! process keeps the system allocator untouched — zero overhead, no
-//! `unsafe`. With `--features count-allocs` the crate installs a
-//! [`std::alloc::GlobalAlloc`] wrapper around the system allocator that
-//! counts every allocation (and the bytes requested) into both a global
-//! total and a per-thread total. `abp bench` uses the per-thread deltas
-//! to report allocs/trial and bytes/trial, and the span layer attaches
+//! The crate installs a [`std::alloc::GlobalAlloc`] wrapper around the
+//! system allocator that counts every allocation (and the bytes
+//! requested) into the calling thread's totals. `abp bench` uses the
+//! per-thread deltas to report allocs/trial and bytes/trial, the serve
+//! daemon to report allocs/request, and the span layer attaches
 //! per-span deltas to every emitted [`Event::Span`](crate::Event::Span).
 //!
 //! Deallocations are deliberately *not* subtracted: the counters measure
@@ -17,15 +14,8 @@
 //! never called `malloc`" — the property the zero-allocation gate
 //! asserts.
 
-/// Whether this build counts allocations (`count-allocs` feature).
-///
-/// When `false`, [`thread_snapshot`]/[`process_snapshot`] always return
-/// zeros and deltas are meaningless — callers (the bench harness) must
-/// check this before gating on allocation counts.
-#[inline]
-pub const fn counting() -> bool {
-    cfg!(feature = "count-allocs")
-}
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 
 /// A point-in-time reading of allocation counters (monotonic totals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -47,107 +37,61 @@ impl AllocSnapshot {
     }
 }
 
-/// The calling thread's allocation totals since it started (zeros when
-/// [`counting`] is `false`). Two snapshots bracket a region:
-/// `after.delta_since(before)` is that region's allocator traffic.
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The calling thread's allocation totals since it started. Two
+/// snapshots bracket a region: `after.delta_since(before)` is that
+/// region's allocator traffic.
 #[inline]
 pub fn thread_snapshot() -> AllocSnapshot {
-    #[cfg(feature = "count-allocs")]
-    {
-        imp::thread_snapshot()
-    }
-    #[cfg(not(feature = "count-allocs"))]
-    {
-        AllocSnapshot::default()
+    AllocSnapshot {
+        allocs: THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0),
+        bytes: THREAD_BYTES.try_with(Cell::get).unwrap_or(0),
     }
 }
 
-/// Process-wide allocation totals (zeros when [`counting`] is `false`).
+/// Counts one allocator call of `size` bytes. The counters go through
+/// `try_with`: during thread teardown the TLS slots may already be
+/// destroyed, and an allocation then must not panic.
 #[inline]
-pub fn process_snapshot() -> AllocSnapshot {
-    #[cfg(feature = "count-allocs")]
-    {
-        imp::process_snapshot()
+fn count(size: usize) {
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
+    let _ = THREAD_BYTES.try_with(|c| c.set(c.get().wrapping_add(size as u64)));
+}
+
+/// [`System`] plus per-thread counting. `dealloc` is pass-through: the
+/// counters measure allocator traffic, not live bytes.
+struct CountingAlloc;
+
+// SAFETY: every method delegates verbatim to `System`, which upholds
+// the `GlobalAlloc` contract; the counting side effects touch only
+// const-initialized TLS cells and never allocate.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc(layout) }
     }
-    #[cfg(not(feature = "count-allocs"))]
-    {
-        AllocSnapshot::default()
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
     }
 }
 
-#[cfg(feature = "count-allocs")]
-mod imp {
-    #![allow(unsafe_code)]
-
-    use super::AllocSnapshot;
-    use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    static TOTAL_ALLOCS: AtomicU64 = AtomicU64::new(0);
-    static TOTAL_BYTES: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
-        static THREAD_BYTES: Cell<u64> = const { Cell::new(0) };
-    }
-
-    /// Counts one allocator call of `size` bytes. Thread-local counters
-    /// go through `try_with`: during thread teardown the TLS slots may
-    /// already be destroyed, and an allocation then must not panic.
-    #[inline]
-    fn count(size: usize) {
-        TOTAL_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        TOTAL_BYTES.fetch_add(size as u64, Ordering::Relaxed);
-        let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get().wrapping_add(1)));
-        let _ = THREAD_BYTES.try_with(|c| c.set(c.get().wrapping_add(size as u64)));
-    }
-
-    pub(super) fn thread_snapshot() -> AllocSnapshot {
-        AllocSnapshot {
-            allocs: THREAD_ALLOCS.try_with(Cell::get).unwrap_or(0),
-            bytes: THREAD_BYTES.try_with(Cell::get).unwrap_or(0),
-        }
-    }
-
-    pub(super) fn process_snapshot() -> AllocSnapshot {
-        AllocSnapshot {
-            allocs: TOTAL_ALLOCS.load(Ordering::Relaxed),
-            bytes: TOTAL_BYTES.load(Ordering::Relaxed),
-        }
-    }
-
-    /// [`System`] plus relaxed counting. `dealloc` is pass-through: the
-    /// counters measure allocator traffic, not live bytes.
-    struct CountingAlloc;
-
-    // SAFETY: every method delegates verbatim to `System`, which upholds
-    // the `GlobalAlloc` contract; the counting side effects touch only
-    // atomics and TLS cells and never allocate.
-    unsafe impl GlobalAlloc for CountingAlloc {
-        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            count(layout.size());
-            unsafe { System.alloc(layout) }
-        }
-
-        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            count(layout.size());
-            unsafe { System.alloc_zeroed(layout) }
-        }
-
-        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            count(new_size);
-            unsafe { System.realloc(ptr, layout, new_size) }
-        }
-
-        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-            unsafe { System.dealloc(ptr, layout) }
-        }
-    }
-
-    #[global_allocator]
-    static GLOBAL: CountingAlloc = CountingAlloc;
-}
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[cfg(test)]
 mod tests {
@@ -160,20 +104,8 @@ mod tests {
         let v: Vec<u64> = Vec::with_capacity(4096);
         std::hint::black_box(&v);
         let delta = thread_snapshot().delta_since(before);
-        if counting() {
-            assert!(delta.allocs >= 1, "counting build must see the Vec");
-            assert!(delta.bytes >= 4096 * 8);
-        } else {
-            assert_eq!(delta, AllocSnapshot::default(), "stub build stays at zero");
-        }
-    }
-
-    #[test]
-    fn process_counts_dominate_thread_counts() {
-        let t = thread_snapshot();
-        let p = process_snapshot();
-        assert!(p.allocs >= t.allocs);
-        assert!(p.bytes >= t.bytes);
+        assert!(delta.allocs >= 1, "the counting allocator must see the Vec");
+        assert!(delta.bytes >= 4096 * 8);
     }
 
     #[test]

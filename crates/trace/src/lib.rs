@@ -25,10 +25,10 @@
 //!   worker thread, and holds the JSON string and number formatting
 //!   ([`export::json_string`], [`export::json_f64`]) every hand-written
 //!   JSON report shares,
-//! * [`alloc`] — allocation accounting: a counting global allocator
-//!   (behind the `count-allocs` feature) with thread/process snapshots;
-//!   `abp bench` turns the deltas into allocs/trial, and live spans
-//!   record their own alloc/bytes deltas.
+//! * [`alloc`] — allocation accounting: the counting global allocator
+//!   every binary linking this crate runs on, with per-thread
+//!   snapshots; `abp bench` turns the deltas into allocs/trial, and
+//!   live spans record their own alloc/bytes deltas.
 //!
 //! [Perfetto]: https://ui.perfetto.dev
 //!
@@ -60,15 +60,13 @@
 //! abp_trace::set_enabled(false);
 //! ```
 
-// The counting global allocator (feature `count-allocs`, see [`alloc`])
-// is the one place the workspace needs `unsafe`: a `GlobalAlloc` impl
-// cannot be written without it. Default builds still *forbid* unsafe
-// code; counting builds downgrade to `deny` and the allocator module
-// opts out explicitly.
-#![cfg_attr(not(feature = "count-allocs"), forbid(unsafe_code))]
+// The counting global allocator (see [`alloc`]) is the one place this
+// crate needs `unsafe`: a `GlobalAlloc` impl cannot be written without
+// it. The crate denies unsafe code and the allocator module opts out.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[allow(unsafe_code)]
 pub mod alloc;
 pub mod expo;
 pub mod export;
@@ -76,7 +74,7 @@ pub mod metrics;
 pub mod sink;
 pub mod span;
 
-pub use crate::alloc::{counting, process_snapshot, thread_snapshot, AllocSnapshot};
+pub use crate::alloc::{thread_snapshot, AllocSnapshot};
 pub use expo::render_prometheus;
 pub use metrics::{
     bucket_lower_ns, bucket_of, bucket_upper_ns, counters_snapshot, histogram_interval,

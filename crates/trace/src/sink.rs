@@ -30,10 +30,9 @@ pub enum Event {
         start_ns: u64,
         /// Duration in ns.
         dur_ns: u64,
-        /// Allocator calls on this thread while the span was open
-        /// (0 unless built with the `count-allocs` feature).
+        /// Allocator calls on this thread while the span was open.
         allocs: u64,
-        /// Bytes requested by those calls (0 unless counting).
+        /// Bytes requested by those calls.
         alloc_bytes: u64,
     },
     /// A zero-duration mark (probe lifecycle events: figure/sweep/trial).

@@ -92,8 +92,7 @@ impl SpanGuard {
             tid,
             depth,
             active: true,
-            // Free in default builds (const zeros); one TLS read per
-            // live span under `count-allocs`.
+            // One TLS read per live span.
             start_alloc: crate::thread_snapshot(),
         }
     }

@@ -132,27 +132,51 @@ fn indexed_survey_is_bit_identical_to_brute_at_scale() {
 /// exactly as the Monte-Carlo engine's thread-local scratch does —
 /// returns the exact bits of the oracle on every trial, at scale, under
 /// every survey model, across shrinking and growing fields and lattices.
+/// Once the scratch has seen a field and lattice, surveying them again
+/// makes no allocator call; growing it on the first pass makes some,
+/// so the zero is counted, not assumed.
 #[test]
 fn scratch_reused_survey_is_bit_identical_to_fresh_at_scale() {
     let policy = UnheardPolicy::TerrainCenter;
+    // Vary field size, seed, and lattice step so reuse has to cope with
+    // buffers growing and shrinking between trials.
+    let worlds: Vec<(BeaconField, Lattice)> =
+        [(100, 7, 2.0), (30, 8, 4.0), (120, 9, 2.0), (60, 10, 1.0)]
+            .into_iter()
+            .map(|(beacons, seed, step)| {
+                let lattice = Lattice::new(Terrain::square(SIDE), step);
+                (dense_field(beacons, seed), lattice)
+            })
+            .collect();
     for (what, model) in &survey_models() {
         let mut scratch = SurveyScratch::new();
-        // Vary field size, seed, and lattice step so reuse has to cope
-        // with buffers growing and shrinking between trials.
-        for (beacons, seed, step) in [(100, 7, 2.0), (30, 8, 4.0), (120, 9, 2.0), (60, 10, 1.0)] {
-            let field = dense_field(beacons, seed);
-            let lattice = Lattice::new(Terrain::square(SIDE), step);
-            let oracle = ErrorMap::survey_point_major(&lattice, &field, model, policy);
-            let reused =
-                ErrorMap::survey_indexed_with(&lattice, &field, model, policy, &mut scratch);
-            assert_maps_bit_identical(&oracle, &reused, &format!("{what} n={beacons}"));
+        let mut growth = 0;
+        for (field, lattice) in &worlds {
+            let what = format!("{what} n={}", field.len());
+            let oracle = ErrorMap::survey_point_major(lattice, field, model, policy);
+            let before = abp_trace::thread_snapshot();
+            let reused = ErrorMap::survey_indexed_with(lattice, field, model, policy, &mut scratch);
+            growth += abp_trace::thread_snapshot().delta_since(before).allocs;
+            assert_maps_bit_identical(&oracle, &reused, &what);
             assert_eq!(
                 oracle.median_error().to_bits(),
                 scratch.median_error(&reused).to_bits(),
-                "{what} n={beacons}: median workspace diverged"
+                "{what}: median workspace diverged"
             );
             scratch.recycle(reused);
         }
+        assert!(
+            growth > 0,
+            "{what}: a fresh scratch grew without an allocator call"
+        );
+        let before = abp_trace::thread_snapshot();
+        for (field, lattice) in &worlds {
+            let reused = ErrorMap::survey_indexed_with(lattice, field, model, policy, &mut scratch);
+            std::hint::black_box(scratch.median_error(&reused));
+            scratch.recycle(reused);
+        }
+        let delta = abp_trace::thread_snapshot().delta_since(before);
+        assert_eq!(delta.allocs, 0, "{what}: a warmed scratch survey allocated");
     }
 }
 

@@ -2,15 +2,20 @@
 //! publishes grows its predecessor's map by one `ErrorMap::add_beacon`;
 //! that must equal a full `WorldSnapshot::build` of the same field bit
 //! for bit, and the final epoch must serve exactly what the batch
-//! localizer computes.
+//! localizer computes. A live daemon answers requests past a
+//! connection's warm-up without an allocator call.
 
 use abp_field::BeaconField;
 use abp_geom::{Point, Terrain};
 use abp_radio::{IdealDisk, PerBeaconNoise, Propagation};
+use abp_serve::daemon::{Daemon, ServeConfig};
 use abp_serve::engine;
+use abp_serve::protocol::{self as wire, PlaceAlgo, Status};
 use abp_serve::snapshot::WorldSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 
 const SIDE: f64 = 100.0;
@@ -92,4 +97,42 @@ fn incremental_epochs_equal_fresh_builds_at_paper_scale() {
             "{what}: served diverged from batch"
         );
     }
+}
+
+/// Requests past each connection's 32-request warm-up make no allocator
+/// call, and a handler panic books neither its unwind nor the worker's
+/// fresh scratch against them: one connection localizes 40 times and
+/// closes, a second localizes 40 times and then sends a Place that
+/// panics inside the handler.
+#[test]
+fn served_requests_past_warm_up_allocate_nothing_even_after_a_panic() {
+    const PANIC_SEED: u64 = 0x0BAD_5EED;
+    let cfg = ServeConfig {
+        panic_seed: Some(PANIC_SEED),
+        ..ServeConfig::tiny()
+    };
+    let daemon = Daemon::start(&cfg).unwrap();
+    let (mut localize, mut poisoned, mut frame) = (Vec::new(), Vec::new(), Vec::new());
+    wire::encode_localize_request(&mut localize, &[0, 1, 2]);
+    wire::encode_place_request(&mut poisoned, PlaceAlgo::Max, PANIC_SEED, false);
+    for panics in [false, true] {
+        let mut conn = TcpStream::connect(daemon.local_addr()).unwrap();
+        for _ in 0..40 {
+            conn.write_all(&localize).unwrap();
+            assert!(wire::read_frame(&mut conn, &mut frame).unwrap());
+            assert_eq!(frame[0], Status::Ok as u8);
+        }
+        if panics {
+            conn.write_all(&poisoned).unwrap();
+            // The daemon drops the connection without an answer.
+            assert!(!matches!(wire::read_frame(&mut conn, &mut frame), Ok(true)));
+        }
+    }
+    let stats = daemon.shutdown();
+    assert_eq!(stats.reply.panics, 1);
+    assert!(
+        stats.measured_requests > 0,
+        "no request outlived the warm-up"
+    );
+    assert_eq!(stats.allocs_per_request(), 0.0, "{stats:?}");
 }
