@@ -72,9 +72,9 @@
 //!   --step METERS               override survey lattice step (without it,
 //!                               localizers and multilat raise the preset's
 //!                               step to 4 m)
-//!   --threads N                 worker threads (0 = all cores): trial
-//!                               workers for figures, request workers for
-//!                               serve/serve-bench; bench ignores it
+//!   --threads N                 trial worker threads for figures (0 = all
+//!                               cores); bench, serve and serve-bench
+//!                               ignore it
 //!   --seed HEX                  master seed
 //!   --noise X                   noise level for ablation/duel/batch [default: 0]
 //!   --beacons N                 field size for robustness/faults/batch [default: 40]
@@ -103,10 +103,11 @@
 //!   --interval DUR              top: delay between polls [default: 1s]
 //!   --polls N                   top: render N updates then exit
 //!                               (default: run until SIGTERM/SIGINT)
-//!   --max-conns N               serve: admission cap — when this many
-//!                               connections are live or queued, new ones
-//!                               are answered Overloaded and closed
-//!                               [default: unlimited]
+//!   --max-conns N               serve/serve-bench: connection cap — each
+//!                               admitted connection gets its own thread;
+//!                               while this many are live, new ones are
+//!                               answered Overloaded and closed
+//!                               [default: 256]
 //!   --deadline DUR              serve: per-request handling deadline;
 //!                               overruns answer DeadlineExceeded
 //!                               [default: none]
@@ -184,7 +185,7 @@ struct Options {
     interval: Duration,
     /// `--polls`: `top` renders this many updates then exits.
     polls: Option<u64>,
-    /// `--max-conns`: the serve admission cap (None = unlimited).
+    /// `--max-conns` when given explicitly: the serve connection cap.
     max_conns: Option<usize>,
     /// `--deadline`: per-request handling budget (None = no deadline).
     deadline: Option<Duration>,
@@ -387,9 +388,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     .parse::<usize>()
                     .map_err(|e| format!("--max-conns: {e}"))?;
                 if n == 0 {
-                    return Err(
-                        "--max-conns must be at least 1 (omit the flag for unlimited)".into(),
-                    );
+                    return Err("--max-conns must be at least 1".into());
                 }
                 max_conns = Some(n);
             }
@@ -929,9 +928,10 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
                 abp_serve::daemon::Daemon::start(&scfg).map_err(|e| format!("serve: {e}"))?;
             let snap = daemon.snapshot();
             eprintln!(
-                "abp-serve listening on {} ({} beacons, {} m terrain at {} m survey step, \
-                 R = {} m, epoch {})",
+                "abp-serve listening on {} (max-conns {}, {} beacons, {} m terrain at {} m \
+                 survey step, R = {} m, epoch {})",
                 daemon.local_addr(),
+                scfg.max_conns,
                 snap.field().len(),
                 scfg.side,
                 scfg.step,
@@ -944,17 +944,8 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
             if scfg.state_path.is_some() {
                 eprintln!("state: {}", daemon.state_open().describe());
             }
-            if scfg.max_conns > 0 || scfg.deadline.is_some() {
-                eprintln!(
-                    "defenses: max-conns {}, deadline {}",
-                    if scfg.max_conns == 0 {
-                        "unlimited".to_string()
-                    } else {
-                        scfg.max_conns.to_string()
-                    },
-                    scfg.deadline
-                        .map_or("none".to_string(), |d| format!("{d:?}")),
-                );
+            if let Some(deadline) = scfg.deadline {
+                eprintln!("defenses: deadline {deadline:?}");
             }
             eprintln!("serving until SIGTERM/SIGINT");
             while !abp_serve::signal::triggered() {
@@ -979,6 +970,13 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
             }
             if let Some(r) = opts.requests {
                 load.requests_per_client = r;
+            }
+            if load.clients > scfg.max_conns {
+                return Err(format!(
+                    "serve-bench: --clients {} is above the daemon's connection cap {} \
+                     (raise --max-conns)",
+                    load.clients, scfg.max_conns
+                ));
             }
             eprintln!(
                 "running serve-bench ({} clients x {} requests, {} beacons, step {} m)",
@@ -1097,7 +1095,7 @@ fn run_command(opts: &Options, ctx: Ctx<'_>) -> Result<(), String> {
 
 /// Builds the daemon configuration `serve` and `serve-bench` share:
 /// the preset scale plus the generic overrides (`--beacons`, `--step`,
-/// `--seed`, `--threads` as worker count, `--port` as bind port).
+/// `--seed`, `--max-conns`, `--port` as bind port).
 fn serve_config(opts: &Options) -> Result<abp_serve::daemon::ServeConfig, String> {
     let mut scfg = match opts.preset.as_str() {
         "paper" => abp_serve::daemon::ServeConfig::paper_scale(),
@@ -1105,7 +1103,6 @@ fn serve_config(opts: &Options) -> Result<abp_serve::daemon::ServeConfig, String
         other => return Err(format!("{}: unknown preset {other}", opts.command)),
     };
     scfg.addr = format!("127.0.0.1:{}", opts.port);
-    scfg.workers = opts.cfg.threads;
     scfg.metrics_addr = opts.metrics_port.map(|p| format!("127.0.0.1:{p}"));
     if let Some(n) = opts.beacons {
         if n == 0 {
@@ -1455,10 +1452,10 @@ mod tests {
         assert_eq!(scfg.idle_timeout, Duration::from_secs(30));
         assert_eq!(scfg.state_path.as_deref(), Some(Path::new("world.state")));
 
-        // Defaults: every defense off/neutral.
+        // Defaults: a 256-connection cap, every other defense off/neutral.
         let o = parse(&["serve", "--preset", "tiny"]).unwrap();
         let scfg = serve_config(&o).unwrap();
-        assert_eq!(scfg.max_conns, 0);
+        assert_eq!(scfg.max_conns, 256);
         assert_eq!(scfg.deadline, None);
         assert_eq!(scfg.idle_timeout, Duration::from_secs(300));
         assert_eq!(scfg.state_path, None);
@@ -1470,6 +1467,9 @@ mod tests {
         assert!(parse(&["serve", "--idle-timeout", "-3s"]).is_err());
         let o = parse(&["serve", "--state", "/no/such/dir/world.state"]).unwrap();
         assert!(run_fails_with(&o, "--state"));
+        // serve-bench refuses more clients than the cap admits.
+        let o = parse(&["serve-bench", "--clients", "3", "--max-conns", "2"]).unwrap();
+        assert!(run_fails_with(&o, "--clients 3"));
     }
 
     fn run_fails_with(o: &Options, needle: &str) -> bool {
@@ -1503,8 +1503,6 @@ mod tests {
             "5",
             "--seed",
             "0xA",
-            "--threads",
-            "3",
         ])
         .unwrap();
         let scfg = serve_config(&o).unwrap();
@@ -1512,7 +1510,6 @@ mod tests {
         assert_eq!(scfg.beacons, 9);
         assert_eq!(scfg.step, 5.0);
         assert_eq!(scfg.seed, 0xA);
-        assert_eq!(scfg.workers, 3);
         let err = {
             let mut bad = parse(&["serve", "--beacons", "1"]).unwrap();
             bad.beacons = Some(0);

@@ -16,7 +16,7 @@
 //!   served localizations equal the batch pipeline's bit for bit.
 //!
 //! Client threads allocate freely (latency logs live on their side);
-//! allocator accounting is per *worker* thread, so in-process clients
+//! allocator accounting is per *connection* thread, so in-process clients
 //! do not pollute the server-side measurement.
 
 use crate::daemon::{Daemon, ServeConfig};
@@ -136,8 +136,7 @@ pub struct OverloadReport {
     pub shed_connections: u64,
     /// Shed connections over all connection attempts the daemon saw.
     pub shed_rate: f64,
-    /// Median accepted-request round trip, seconds (includes admission
-    /// queue wait — that is the point).
+    /// Median accepted-request round trip, seconds.
     pub p50_s: f64,
     /// 99th-percentile accepted-request round trip, seconds.
     pub p99_s: f64,

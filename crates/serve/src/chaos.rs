@@ -1,8 +1,9 @@
 //! The `abp serve-chaos` resilience battery.
 //!
-//! Every defense the daemon carries — admission control, request
-//! shedding, the dribble detector, per-request panic isolation,
-//! deadlines, warm restart — is exercised here against a *live* daemon
+//! Every defense the daemon carries — admission control, the dribble
+//! detector, per-request panic isolation, deadlines, warm restart — and
+//! its promise to serve every client it admits are exercised here
+//! against a *live* daemon
 //! over real TCP sockets, the same way a hostile or broken client
 //! would hit it in the field:
 //!
@@ -13,12 +14,13 @@
 //!   (rejected by the codec before any allocation),
 //! * **floods** — more concurrent connections than `max_conns`, shed
 //!   at accept with one [`Status::Overloaded`] frame,
-//! * **work-budget shedding** — queued connections past the watermark
-//!   turn Place answers into `Overloaded` while Localize still serves,
+//! * **idle keep-alive peers** — connections that idle between frames
+//!   hold only their own threads, so an active client beside them is
+//!   served within its deadline,
 //! * **slowloris** — a client dribbling one frame slower than the
 //!   frame window is quarantined without a response,
 //! * **an injected handler panic** — via [`ServeConfig::panic_seed`]:
-//!   the connection dies, the worker (and daemon) survive,
+//!   the connection dies, the daemon and its other connections survive,
 //! * **deadlines** — a handler outliving [`ServeConfig::deadline`] is
 //!   answered [`Status::DeadlineExceeded`],
 //! * **warm restart** — a second daemon booted from the first one's
@@ -42,7 +44,7 @@ use crate::protocol::{self as wire, PlaceAlgo, Status};
 use crate::state::StateOpen;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Client-side socket timeout: generous against CI jitter, tight
 /// enough that a hung daemon fails the battery instead of wedging it.
@@ -242,12 +244,12 @@ fn hostile_inputs(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     }
 
     let stats = daemon.shutdown();
-    if stats.reply.panics != 0 || stats.worker_respawns != 0 {
+    if stats.reply.panics != 0 {
         return Err(fail(
             "clean_after_chaos",
             format!(
-                "hostile inputs must not panic workers (panics {}, respawns {})",
-                stats.reply.panics, stats.worker_respawns
+                "hostile inputs must not panic the daemon ({} panics)",
+                stats.reply.panics
             ),
         ));
     }
@@ -289,7 +291,6 @@ fn hostile_inputs(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
 /// earlier ones keep serving.
 fn accept_flood(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     let cfg = ServeConfig {
-        workers: 1,
         max_conns: 2,
         ..ServeConfig::tiny()
     };
@@ -306,10 +307,9 @@ fn accept_flood(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
             ))
         }
     }
+    // The accept thread counts the second connection live before it
+    // accepts the third, so the gate sees both.
     let second = connect(addr)?;
-    // Give the accept loop a beat to register the second connection so
-    // the gate's live+queued arithmetic sees both.
-    std::thread::sleep(Duration::from_millis(100));
     let mut third = connect(addr)?;
     let mut frame = Vec::new();
     match wire::read_frame(&mut third, &mut frame) {
@@ -360,71 +360,89 @@ fn accept_flood(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     Ok(())
 }
 
-/// Work-budget shedding: one worker, three connections queued behind
-/// it, watermark 2 — a Place request on the live connection is
-/// answered `Overloaded` (queued 3 ≥ 2) while Localize still serves
-/// (3 < 2×2).
-fn request_shed(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
+/// Idle keep-alive peers: eight connections each send one Info and then
+/// sit idle, holding their connections open, while a ninth client sends
+/// 200 Localize requests under a deadline. Every one is answered Ok,
+/// the client-observed p99 stays under the deadline, no request is
+/// answered `DeadlineExceeded`, and the active connection allocates
+/// nothing past its warm-up.
+fn idle_keepalive(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
+    const IDLE: usize = 8;
+    const REQUESTS: usize = 200;
+    let deadline = Duration::from_millis(250);
     let cfg = ServeConfig {
-        workers: 1,
-        shed_watermark: 2,
+        deadline: Some(deadline),
         ..ServeConfig::tiny()
     };
     let daemon = Daemon::start(&cfg)?;
     let addr = daemon.local_addr();
 
-    let mut live = connect(addr)?;
-    match round_trip(&mut live, &info_request())? {
-        Some(0) => {}
-        other => {
-            return Err(fail(
-                "request_shed",
-                format!("live conn info got {other:?}"),
-            ))
-        }
-    }
-    // These three sit in the accept queue: the only worker is parked
-    // on `live`.
-    let parked: Vec<TcpStream> = (0..3).map(|_| connect(addr)).collect::<io::Result<_>>()?;
-
-    let mut place = Vec::new();
-    wire::encode_place_request(&mut place, PlaceAlgo::Max, 1, false);
-    // Poll until the accept loop has registered the queue depth; the
-    // place answer flips to Overloaded the moment it has.
-    let mut shed_seen = false;
-    for _ in 0..40 {
-        match round_trip(&mut live, &place)? {
-            Some(s) if s == Status::Overloaded as u8 => {
-                shed_seen = true;
-                break;
+    let mut idle = Vec::with_capacity(IDLE);
+    for i in 0..IDLE {
+        let mut conn = connect(addr)?;
+        match round_trip(&mut conn, &info_request())? {
+            Some(0) => idle.push(conn),
+            other => {
+                return Err(fail(
+                    "idle_keepalive",
+                    format!("idle peer {i} info got {other:?}"),
+                ))
             }
-            Some(0) => std::thread::sleep(Duration::from_millis(25)),
-            other => return Err(fail("request_shed", format!("place got {other:?}"))),
         }
     }
-    if !shed_seen {
+
+    let mut active = connect(addr)?;
+    let localize = any_localize();
+    let mut latencies = Vec::with_capacity(REQUESTS);
+    for _ in 0..REQUESTS {
+        let started = Instant::now();
+        match round_trip(&mut active, &localize)? {
+            Some(0) => latencies.push(started.elapsed()),
+            other => {
+                return Err(fail(
+                    "idle_keepalive",
+                    format!("localize beside {IDLE} idle peers got {other:?}"),
+                ))
+            }
+        }
+    }
+    latencies.sort_unstable();
+    let p99 = latencies[REQUESTS * 99 / 100 - 1];
+    drop(active);
+    drop(idle);
+
+    let stats = daemon.shutdown();
+    if p99 >= deadline {
         return Err(fail(
-            "request_shed",
-            "place was never shed past the watermark",
+            "idle_keepalive",
+            format!("client-observed p99 {p99:?} is not under the {deadline:?} deadline"),
         ));
     }
-    // Localize holds out to twice the watermark — still served.
-    match round_trip(&mut live, &any_localize())? {
-        Some(s) if s == Status::Ok as u8 || s == Status::UnknownBeacon as u8 => {}
-        other => return Err(fail("request_shed", format!("localize got {other:?}"))),
+    if stats.reply.deadline_exceeded != 0 {
+        return Err(fail(
+            "idle_keepalive",
+            format!(
+                "{} requests answered DeadlineExceeded",
+                stats.reply.deadline_exceeded
+            ),
+        ));
     }
-    drop(parked);
-    drop(live);
-
-    let stats = daemon.shutdown().reply;
-    if stats.shed == 0 {
-        return Err(fail("request_shed", "shed counter never moved"));
+    if stats.measured_requests == 0 || stats.allocs_per_request() != 0.0 {
+        return Err(fail(
+            "idle_keepalive",
+            format!(
+                "want 0 allocs/request over measured requests, got {} over {}",
+                stats.allocs_per_request(),
+                stats.measured_requests
+            ),
+        ));
     }
     outcomes.push(ScenarioOutcome {
-        name: "request_shed",
+        name: "idle_keepalive",
         detail: format!(
-            "Place shed Overloaded past the watermark, Localize still served ({} shed)",
-            stats.shed
+            "{REQUESTS} localizes beside {IDLE} idle keep-alive peers all Ok, \
+             p99 {:.1} us under the {deadline:?} deadline, allocs/request 0",
+            p99.as_secs_f64() * 1e6
         ),
     });
     Ok(())
@@ -457,8 +475,8 @@ fn slowloris(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
 }
 
 /// Panic isolation: a Place request carrying the armed seed panics
-/// inside the handler. The connection dies; the worker, the daemon,
-/// and every other client live.
+/// inside the handler. The connection dies; the daemon and every other
+/// client live.
 fn handler_panic(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
     let cfg = ServeConfig {
         panic_seed: Some(CHAOS_PANIC_SEED),
@@ -499,19 +517,9 @@ fn handler_panic(outcomes: &mut Vec<ScenarioOutcome>) -> io::Result<()> {
             format!("want 1 contained panic, got {}", stats.reply.panics),
         ));
     }
-    if stats.worker_respawns != 0 {
-        return Err(fail(
-            "handler_panic",
-            format!(
-                "panic must be contained per-request, not by respawn ({} respawns)",
-                stats.worker_respawns
-            ),
-        ));
-    }
     outcomes.push(ScenarioOutcome {
         name: "handler_panic",
-        detail: "injected handler panic killed only its connection (1 contained, 0 respawns)"
-            .into(),
+        detail: "injected handler panic killed only its connection (1 contained)".into(),
     });
     Ok(())
 }
@@ -654,7 +662,7 @@ pub fn run_chaos() -> io::Result<ChaosReport> {
     let mut outcomes = Vec::new();
     hostile_inputs(&mut outcomes)?;
     accept_flood(&mut outcomes)?;
-    request_shed(&mut outcomes)?;
+    idle_keepalive(&mut outcomes)?;
     slowloris(&mut outcomes)?;
     handler_panic(&mut outcomes)?;
     deadline_expiry(&mut outcomes)?;
@@ -680,7 +688,7 @@ mod tests {
                 "mid_frame_disconnect",
                 "clean_after_chaos",
                 "accept_flood",
-                "request_shed",
+                "idle_keepalive",
                 "slowloris",
                 "handler_panic",
                 "deadline_expiry",

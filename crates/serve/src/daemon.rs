@@ -1,27 +1,33 @@
-//! The daemon: accept loop, worker pool, rebuilder thread.
+//! The daemon: accept loop, one thread per admitted connection,
+//! rebuilder thread.
 //!
 //! Thread layout:
 //!
-//! * **accept** — one thread on a non-blocking listener; hands accepted
-//!   connections to the worker queue and polls the shutdown flag,
-//! * **workers** — thread-per-core by default; each owns a
-//!   [`ServeScratch`] and a [`SnapshotReader`](crate::snapshot::SnapshotReader),
-//!   so the request path touches no shared mutable state beyond the
-//!   epoch hint,
+//! * **accept** — one thread on a non-blocking listener. It checks the
+//!   admission cap ([`ServeConfig::max_conns`]), counts the connection
+//!   as live, and starts its connection thread inside a
+//!   [`std::thread::scope`], so the accept thread returns only after
+//!   every connection thread has ended,
+//! * **connections** — one thread per admitted connection; each owns a
+//!   [`ServeScratch`] and a [`SnapshotReader`](crate::snapshot::SnapshotReader)
+//!   until its connection closes, so the request path touches no shared
+//!   mutable state beyond the epoch hint, and an idle keep-alive client
+//!   holds only its own thread,
 //! * **rebuilder** — the control plane: receives applied placement
 //!   points, grows the published [`WorldSnapshot`] by one incrementally
 //!   surveyed beacon, publishes the next epoch. All allocation-heavy work
 //!   lives here.
 //!
-//! Connections are persistent: a worker serves frames until clean EOF,
-//! a socket error, or shutdown. Reads run under a short timeout so every
-//! blocked worker notices shutdown within tens of milliseconds; a
-//! [`Daemon::shutdown`] therefore completes promptly even with idle
-//! keep-alive clients attached.
+//! Connections are persistent: a connection thread serves frames until
+//! clean EOF, a socket error, or shutdown. Reads run under a short
+//! timeout so every blocked thread notices shutdown within tens of
+//! milliseconds; [`Daemon::shutdown`] (or dropping the [`Daemon`])
+//! therefore completes promptly even with idle keep-alive clients
+//! attached.
 //!
-//! Each worker brackets the post-warmup portion of every connection
-//! with thread-local allocator snapshots (a request whose handler
-//! panics closes the window where it began);
+//! Each connection thread brackets the post-warmup portion of its
+//! connection with thread-local allocator snapshots (a request whose
+//! handler panics closes the window where it began);
 //! [`StatsSnapshot::allocs_per_request`] is the aggregate — the value
 //! the bench gate pins at exactly zero.
 
@@ -29,7 +35,7 @@ use crate::engine::{self, ServeScratch};
 use crate::metrics::{
     FlightEntry, OpClass, ServeMetrics, Tally, ALL_CLASSES, ALL_TALLIES, FLIGHT_SLOTS,
 };
-use crate::protocol::{self, Opcode, Request, StatsReply, StatsView, Status, MAX_FRAME};
+use crate::protocol::{self, Request, StatsReply, StatsView, Status, MAX_FRAME};
 use crate::snapshot::{SnapshotCell, WorldSnapshot};
 use crate::state::{self, StateOpen};
 use abp_field::BeaconField;
@@ -38,20 +44,26 @@ use abp_radio::IdealDisk;
 use abp_trace::AllocSnapshot;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
+use std::sync::Arc;
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
-/// Requests a worker serves on a connection before it starts counting
+/// Requests a connection serves before its thread starts counting
 /// allocations: lets the reused buffers reach steady-state size.
 const ALLOC_WARMUP_REQUESTS: u64 = 32;
+
+/// The presets' [`ServeConfig::max_conns`]. Each admitted connection
+/// holds one thread, blocked in 25 ms reads while its client idles. On
+/// a shared 2-vCPU Intel Xeon host such threads cost 0.2% of one core
+/// at 8 threads, 1.6% at 64 and 5.8% at 256, and 256 of them add
+/// 2.6 MiB of RSS (about 10 KiB each).
+const DEFAULT_MAX_CONNS: usize = 256;
 
 /// Applied placements that may wait for the rebuilder. The queue's
 /// slots are allocated once at boot, so enqueueing an apply allocates
@@ -59,12 +71,13 @@ const ALLOC_WARMUP_REQUESTS: u64 = 32;
 /// and is counted as shed.
 const APPLY_BACKLOG: usize = 64;
 
-/// How long blocked reads and queue waits sleep between shutdown polls.
+/// How long blocked reads sleep between shutdown polls.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
-/// Read timeout for one `/metrics` scrape head, derived from
-/// [`POLL_INTERVAL`] (20 polls) so all daemon timing hangs off a single
-/// knob instead of scattered magic numbers.
+/// How long after accept a `/metrics` scrape's whole request head may
+/// take to arrive, derived from [`POLL_INTERVAL`] (20 polls) so all
+/// daemon timing hangs off a single knob instead of scattered magic
+/// numbers.
 const SCRAPE_TIMEOUT: Duration = POLL_INTERVAL.saturating_mul(20);
 
 /// The complete [`Status::Overloaded`] error frame (length prefix `1`,
@@ -77,8 +90,6 @@ const OVERLOADED_FRAME: [u8; 5] = [1, 0, 0, 0, Status::Overloaded as u8];
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads; 0 means one per available core.
-    pub workers: usize,
     /// Beacons in the initial uniform-random field.
     pub beacons: usize,
     /// Square terrain side (meters).
@@ -92,15 +103,12 @@ pub struct ServeConfig {
     /// Bind address for the side HTTP/1.0 `GET /metrics` listener
     /// (Prometheus text exposition); `None` disables it.
     pub metrics_addr: Option<String>,
-    /// Admission cap: when `connections live + queued` reaches this, new
-    /// connections are answered with one [`Status::Overloaded`] frame
-    /// and closed instead of queueing unboundedly. `0` = unlimited.
+    /// Admission cap, and so the connection-thread cap: at most this
+    /// many connections are served at once, each on its own thread. A
+    /// connection arriving while this many are live is answered one
+    /// [`Status::Overloaded`] frame and closed. At least 1
+    /// ([`Daemon::start`] rejects 0); both presets use 256.
     pub max_conns: usize,
-    /// Per-worker work-budget watermark: when the accept queue holds at
-    /// least this many connections, Place/Info/Stats requests are
-    /// answered [`Status::Overloaded`] (Localize holds out until 2×).
-    /// `0` disables request shedding.
-    pub shed_watermark: usize,
     /// Per-request handling deadline: a request whose handler runs
     /// longer has its result discarded and is answered
     /// [`Status::DeadlineExceeded`]. `None` disables the deadline.
@@ -134,15 +142,13 @@ impl ServeConfig {
     pub fn paper_scale() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 0,
             beacons: 100,
             side: 100.0,
             step: 1.0,
             nominal_range: 15.0,
             seed: 42,
             metrics_addr: None,
-            max_conns: 0,
-            shed_watermark: 0,
+            max_conns: DEFAULT_MAX_CONNS,
             deadline: None,
             frame_window: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(300),
@@ -156,15 +162,13 @@ impl ServeConfig {
     pub fn tiny() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 2,
             beacons: 25,
             side: 100.0,
             step: 4.0,
             nominal_range: 15.0,
             seed: 42,
             metrics_addr: None,
-            max_conns: 0,
-            shed_watermark: 0,
+            max_conns: DEFAULT_MAX_CONNS,
             deadline: None,
             frame_window: Duration::from_secs(10),
             idle_timeout: Duration::from_secs(300),
@@ -172,15 +176,6 @@ impl ServeConfig {
             panic_seed: None,
             survey_threads: 1,
         }
-    }
-
-    fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
     }
 }
 
@@ -196,9 +191,6 @@ pub struct StatsSnapshot {
     /// Frames refused for their content ([`Tally::Refused`]); each is
     /// also one `error`-class request in `reply`.
     pub refused: u64,
-    /// Worker threads respawned after an escaped panic (backstop; the
-    /// per-request `catch_unwind` should keep this at zero).
-    pub worker_respawns: u64,
     /// Requests inside the post-warmup allocation measurement windows.
     pub measured_requests: u64,
     /// Allocator calls observed inside those windows.
@@ -268,24 +260,13 @@ impl StatsSnapshot {
             "  rebuilds {} done, {} pending; flight drops {}",
             r.rebuilds_total, r.rebuilds_pending, r.flight_dropped
         ));
-        let defenses = r.shed
-            + r.deadline_exceeded
-            + r.panics
-            + r.quarantines
-            + r.state_saves
-            + r.state_loads
-            + self.worker_respawns;
+        let defenses =
+            r.shed + r.deadline_exceeded + r.panics + r.quarantines + r.state_saves + r.state_loads;
         if defenses > 0 {
             out.push_str(&format!(
                 "\n  shed {}, deadline-exceeded {}, panics {}, quarantines {}; \
-                 state saves {} / loads {}; worker respawns {}",
-                r.shed,
-                r.deadline_exceeded,
-                r.panics,
-                r.quarantines,
-                r.state_saves,
-                r.state_loads,
-                self.worker_respawns,
+                 state saves {} / loads {}",
+                r.shed, r.deadline_exceeded, r.panics, r.quarantines, r.state_saves, r.state_loads,
             ));
         }
         out
@@ -311,15 +292,8 @@ struct Shared {
     cell: SnapshotCell,
     shutdown: AtomicBool,
     metrics: ServeMetrics,
-    queue: Mutex<VecDeque<TcpStream>>,
-    queue_cv: Condvar,
     apply_tx: SyncSender<Point>,
-    /// Connections accepted but not yet picked up by a worker. Kept as
-    /// its own relaxed atomic so the accept gate and the request-shed
-    /// check never take the queue lock.
-    queued: AtomicU64,
     max_conns: usize,
-    shed_watermark: usize,
     deadline: Option<Duration>,
     frame_window: Duration,
     idle_timeout: Duration,
@@ -328,23 +302,13 @@ struct Shared {
     panic_seed: Option<u64>,
 }
 
-/// Locks a mutex, recovering the guard if a panicking worker poisoned
-/// it — the connection queue stays valid across an unwound request
-/// handler, so poisoning must never cascade a single contained panic
-/// into a daemon-wide outage.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// A running daemon. Dropping without [`Daemon::shutdown`] aborts the
-/// threads detached; call `shutdown` for an orderly stop and the final
-/// stats.
+/// A running daemon. [`Daemon::shutdown`] stops it and returns the final
+/// stats; dropping it stops it the same way and discards them.
 pub struct Daemon {
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     shared: Arc<Shared>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     rebuilder: Option<JoinHandle<()>>,
     metrics_listener: Option<JoinHandle<()>>,
     state_open: StateOpen,
@@ -352,12 +316,19 @@ pub struct Daemon {
 
 impl Daemon {
     /// Builds the initial world snapshot (epoch 0), binds the listener,
-    /// and spawns the accept/worker/rebuilder threads.
+    /// and spawns the accept and rebuilder threads.
     ///
     /// # Errors
     ///
-    /// Propagates socket errors (bind, local address).
+    /// [`io::ErrorKind::InvalidInput`] when [`ServeConfig::max_conns`]
+    /// is 0; otherwise propagates socket errors (bind, local address).
     pub fn start(cfg: &ServeConfig) -> io::Result<Daemon> {
+        if cfg.max_conns == 0 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "max_conns must be at least 1",
+            ));
+        }
         let terrain = Terrain::square(cfg.side);
         let model = Arc::new(IdealDisk::new(cfg.nominal_range));
         let state_fingerprint = state::config_fingerprint(cfg.side, cfg.step, cfg.nominal_range);
@@ -390,12 +361,8 @@ impl Daemon {
             cell: SnapshotCell::new(initial),
             shutdown: AtomicBool::new(false),
             metrics: ServeMetrics::new(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
             apply_tx,
-            queued: AtomicU64::new(0),
             max_conns: cfg.max_conns,
-            shed_watermark: cfg.shed_watermark,
             deadline: cfg.deadline,
             frame_window: cfg.frame_window,
             idle_timeout: cfg.idle_timeout,
@@ -419,26 +386,6 @@ impl Daemon {
                 .expect("spawn rebuilder")
         };
 
-        let workers = (0..cfg.resolved_workers())
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("abp-serve-worker-{w}"))
-                    // Respawn backstop: the per-request catch_unwind in
-                    // serve_connection should contain every panic, but
-                    // if one ever escapes the loop body, restart the
-                    // loop (counted) instead of silently shrinking the
-                    // worker pool.
-                    .spawn(move || loop {
-                        match catch_unwind(AssertUnwindSafe(|| worker_loop(&shared))) {
-                            Ok(()) => return,
-                            Err(_) => shared.metrics.note(Tally::WorkerRespawns),
-                        }
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -447,31 +394,30 @@ impl Daemon {
                 .expect("spawn accept")
         };
 
-        let (metrics_addr, metrics_listener) = match &cfg.metrics_addr {
-            Some(bind) => {
-                let listener = TcpListener::bind(bind)?;
-                let metrics_addr = listener.local_addr()?;
-                listener.set_nonblocking(true)?;
-                let shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name("abp-serve-metrics".into())
-                    .spawn(move || metrics_loop(&shared, listener))
-                    .expect("spawn metrics listener");
-                (Some(metrics_addr), Some(handle))
-            }
-            None => (None, None),
-        };
-
-        Ok(Daemon {
+        let mut daemon = Daemon {
             addr,
-            metrics_addr,
+            metrics_addr: None,
             shared,
             accept: Some(accept),
-            workers,
             rebuilder: Some(rebuilder),
-            metrics_listener,
+            metrics_listener: None,
             state_open,
-        })
+        };
+        // A failed `/metrics` bind returns early and drops `daemon`,
+        // which stops the threads already started.
+        if let Some(bind) = &cfg.metrics_addr {
+            let listener = TcpListener::bind(bind)?;
+            daemon.metrics_addr = Some(listener.local_addr()?);
+            listener.set_nonblocking(true)?;
+            let shared = Arc::clone(&daemon.shared);
+            daemon.metrics_listener = Some(
+                std::thread::Builder::new()
+                    .name("abp-serve-metrics".into())
+                    .spawn(move || metrics_loop(&shared, listener))
+                    .expect("spawn metrics listener"),
+            );
+        }
+        Ok(daemon)
     }
 
     /// How the warm-restart state file was resolved at boot
@@ -503,25 +449,13 @@ impl Daemon {
         self.shared.cell.load()
     }
 
-    /// Orderly shutdown: stop accepting, let every worker finish its
-    /// current frame and notice the flag, join the rebuilder, and read
-    /// the ledger the way a client does — one final Stats frame,
-    /// encoded and decoded — plus the tallies the wire does not carry.
+    /// Orderly shutdown: stop accepting, let every connection thread
+    /// finish its current frame and notice the flag, join every thread,
+    /// and read the ledger the way a client does — one final Stats
+    /// frame, encoded and decoded — plus the tallies the wire does not
+    /// carry.
     pub fn shutdown(mut self) -> StatsSnapshot {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.queue_cv.notify_all();
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        if let Some(h) = self.rebuilder.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.metrics_listener.take() {
-            let _ = h.join();
-        }
+        self.stop();
         let shared = &self.shared;
         let mut frame = Vec::new();
         encode_stats(shared, shared.cell.epoch_hint(), &mut frame);
@@ -532,11 +466,35 @@ impl Daemon {
         StatsSnapshot {
             reply,
             refused: m.tally(Tally::Refused),
-            worker_respawns: m.tally(Tally::WorkerRespawns),
             measured_requests: m.tally(Tally::MeasuredRequests),
             measured_allocs: m.tally(Tally::MeasuredAllocs),
             measured_bytes: m.tally(Tally::MeasuredBytes),
         }
+    }
+
+    /// Raises the shutdown flag and joins the accept thread — whose
+    /// scope joins every connection thread once each finishes its
+    /// current frame and notices the flag — then the rebuilder, which
+    /// drains the applies those connections enqueued, and the `/metrics`
+    /// listener. A second call finds nothing left to join.
+    fn stop(&mut self) {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        for handle in [
+            self.accept.take(),
+            self.rebuilder.take(),
+            self.metrics_listener.take(),
+        ]
+        .into_iter()
+        .flatten()
+        {
+            let _ = handle.join();
+        }
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 
@@ -555,36 +513,73 @@ fn persist_state(shared: &Shared) {
     }
 }
 
+/// Accepts until shutdown, starting one scoped thread per admitted
+/// connection; returns once every connection thread has ended.
 fn accept_loop(shared: &Shared, listener: TcpListener) {
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                // Admission gate: live + queued against the cap. A shed
-                // connection gets one typed Overloaded frame (a stack
-                // constant — no allocation) and is closed; it is not
-                // counted as accepted.
-                if shared.max_conns > 0 {
-                    let load =
-                        shared.metrics.connections_live() + shared.queued.load(Ordering::Relaxed);
-                    if load >= shared.max_conns as u64 {
-                        shared.metrics.note(Tally::Shed);
-                        let _ = stream.set_nonblocking(false);
-                        let _ = stream.write_all(&OVERLOADED_FRAME);
-                        continue;
-                    }
-                }
-                shared.metrics.note(Tally::Connections);
-                shared.queued.fetch_add(1, Ordering::Relaxed);
-                let mut q = lock_unpoisoned(&shared.queue);
-                q.push_back(stream);
-                drop(q);
-                shared.queue_cv.notify_one();
+    std::thread::scope(|scope| {
+        while !shared.shutdown.load(Ordering::Relaxed) {
+            match listener.accept() {
+                Ok((stream, _peer)) => admit(shared, scope, stream),
+                // WouldBlock (nothing to accept) or a transient error.
+                Err(_) => std::thread::sleep(Duration::from_millis(2)),
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
+    });
+}
+
+/// The admission gate: live connections against the cap. An admitted
+/// connection is counted live here, on the accept thread, so the next
+/// gate check sees it, and gets its own thread. A shed one is not
+/// counted as accepted.
+fn admit<'scope>(shared: &'scope Shared, scope: &'scope Scope<'scope, '_>, mut stream: TcpStream) {
+    if shared.metrics.connections_live() >= shared.max_conns as u64 {
+        shed(shared, &mut stream);
+        return;
+    }
+    shared.metrics.connection_opened();
+    let mut admitted = Admitted {
+        shared,
+        stream: Some(stream),
+    };
+    // A failed spawn drops the closure, and with it `admitted` with the
+    // socket still inside: the client is answered Overloaded.
+    let _ = std::thread::Builder::new()
+        .name("abp-serve-conn".into())
+        .spawn_scoped(scope, move || {
+            let stream = admitted.stream.take().expect("admitted with its socket");
+            // The per-request catch in `serve_connection` contains
+            // handler panics; one from anywhere else ends only this
+            // connection and is counted once, here.
+            if catch_unwind(AssertUnwindSafe(|| serve_connection(shared, stream))).is_err() {
+                shared.metrics.note(Tally::Panics);
+            }
+        });
+}
+
+/// Answers a connection the daemon will not serve with one typed
+/// Overloaded frame (a stack constant — no allocation), counts it as
+/// shed, and closes it.
+fn shed(shared: &Shared, stream: &mut TcpStream) {
+    shared.metrics.note(Tally::Shed);
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.write_all(&OVERLOADED_FRAME);
+}
+
+/// One admitted connection's hold on its admission slot (the
+/// `serve_connections_live` gauge), released when its thread drops it
+/// on any exit path. If the thread never started, the failed spawn drops
+/// it with the socket still inside, which is then shed.
+struct Admitted<'a> {
+    shared: &'a Shared,
+    stream: Option<TcpStream>,
+}
+
+impl Drop for Admitted<'_> {
+    fn drop(&mut self) {
+        if let Some(mut stream) = self.stream.take() {
+            shed(self.shared, &mut stream);
+        }
+        self.shared.metrics.connection_closed();
     }
 }
 
@@ -615,7 +610,8 @@ fn rebuild_loop(shared: &Shared, apply_rx: mpsc::Receiver<Point>) {
 /// The side `/metrics` listener: a deliberately tiny HTTP/1.0 responder
 /// (read one request head, answer, close) — enough for Prometheus, curl,
 /// and the CI smoke job without an HTTP dependency. It runs entirely on
-/// the control plane: scrapes allocate freely and never touch a worker.
+/// the control plane: scrapes allocate freely and never touch a
+/// connection thread.
 fn metrics_loop(shared: &Shared, listener: TcpListener) {
     while !shared.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -629,21 +625,24 @@ fn metrics_loop(shared: &Shared, listener: TcpListener) {
 }
 
 fn serve_metrics_scrape(shared: &Shared, stream: &mut TcpStream) {
-    let _ = stream.set_read_timeout(Some(SCRAPE_TIMEOUT));
-    // Read the request head (scrapers send a short GET; stop at the
-    // blank line or a full buffer).
+    // Read the request head (scrapers send a short GET) up to the blank
+    // line, EOF or a full buffer, all before one deadline: each read
+    // waits only for the time left, so a client dribbling bytes cannot
+    // hold this one listener thread past it. A head still unfinished at
+    // the deadline is closed without a response, the frame window's rule.
+    let deadline = Instant::now() + SCRAPE_TIMEOUT;
     let mut buf = [0u8; 1024];
     let mut got = 0;
-    while got < buf.len() {
+    while got < buf.len() && !buf[..got].windows(4).any(|w| w == b"\r\n\r\n") {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            return;
+        }
         match stream.read(&mut buf[got..]) {
             Ok(0) => break,
-            Ok(n) => {
-                got += n;
-                if buf[..got].windows(4).any(|w| w == b"\r\n\r\n") {
-                    break;
-                }
-            }
-            Err(_) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return,
         }
     }
     let head = &buf[..got];
@@ -714,38 +713,6 @@ fn render_exposition(shared: &Shared) -> String {
     ];
     let hists: Vec<_> = ALL_CLASSES.iter().map(|&c| m.class_snapshot(c)).collect();
     abp_trace::render_prometheus(&counters, &gauges, &hists)
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut scratch = ServeScratch::new();
-    let mut reader = shared.cell.reader();
-    loop {
-        let stream = {
-            let mut q = lock_unpoisoned(&shared.queue);
-            loop {
-                if let Some(s) = q.pop_front() {
-                    break s;
-                }
-                if shared.shutdown.load(Ordering::Relaxed) {
-                    return;
-                }
-                let (guard, _timeout) = shared
-                    .queue_cv
-                    .wait_timeout(q, POLL_INTERVAL)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        let _ = shared
-            .queued
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-                Some(v.saturating_sub(1))
-            });
-        serve_connection(shared, &mut reader, stream, &mut scratch);
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-    }
 }
 
 enum ReadOutcome {
@@ -825,16 +792,16 @@ fn read_full(
     (ReadOutcome::Frame, frame_deadline)
 }
 
-fn serve_connection(
-    shared: &Shared,
-    reader: &mut crate::snapshot::SnapshotReader<'_>,
-    mut stream: TcpStream,
-    scratch: &mut ServeScratch,
-) {
+/// Serves one connection on its own thread, with its own scratch and
+/// snapshot reader, until clean EOF, a socket error, a contained panic
+/// or shutdown.
+fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(shared.frame_window));
-    shared.metrics.connection_opened();
+    shared.metrics.note(Tally::Connections);
+    let mut scratch = ServeScratch::new();
+    let mut reader = shared.cell.reader();
     let mut served = 0u64;
     let mut alloc_base: Option<AllocSnapshot> = None;
     // Set when the window must close before the connection does.
@@ -898,37 +865,20 @@ fn serve_connection(
         let request_alloc = abp_trace::thread_snapshot();
         let started = Instant::now();
         let _span = abp_trace::span!("serve_request");
-        // Work-budget shed: under queue pressure, answer cheap classes
-        // Overloaded instead of doing the work. Place/Info/Stats go
-        // first; Localize — the service's reason to exist — holds out
-        // to twice the watermark.
-        let (class, heard) = if should_shed_request(shared, &scratch.in_buf) {
-            shared.metrics.note(Tally::Shed);
-            protocol::encode_error_response(&mut scratch.out_buf, Status::Overloaded);
-            (OpClass::Error, 0)
-        } else {
-            // Panic isolation: a poisoned request unwinds to here, kills
-            // only this connection (counted, flight-recorded below), and
-            // the worker carries on with fresh scratch.
-            match catch_unwind(AssertUnwindSafe(|| handle_request(shared, reader, scratch))) {
-                Ok(pair) => pair,
-                Err(_) => {
-                    // The unwind and the fresh scratch below allocate:
-                    // close the window where this request began, so
-                    // neither is booked against the measured requests.
-                    alloc_end = Some(request_alloc);
-                    shared.metrics.note(Tally::Panics);
-                    record_request(shared, OpClass::Error, 0, started.elapsed());
-                    // The handler may have unwound mid-encode; discard
-                    // the torn scratch (allocates — panics are far off
-                    // the steady-state path).
-                    *scratch = ServeScratch::new();
-                    break;
-                }
-            }
+        // Panic isolation: a poisoned request unwinds to here and kills
+        // only this connection (counted, flight-recorded below); its
+        // torn scratch goes with the thread.
+        let handled = catch_unwind(AssertUnwindSafe(|| {
+            handle_request(shared, &mut reader, &mut scratch)
+        }));
+        let Ok((mut class, mut heard)) = handled else {
+            // The unwind allocates: close the window where this request
+            // began, so it is not booked against the measured requests.
+            alloc_end = Some(request_alloc);
+            shared.metrics.note(Tally::Panics);
+            record_request(shared, OpClass::Error, 0, started.elapsed());
+            break;
         };
-        let mut class = class;
-        let mut heard = heard;
         let elapsed = started.elapsed();
         // Deadline: the work is done but took too long to be useful —
         // discard the response and tell the client so.
@@ -947,7 +897,6 @@ fn serve_connection(
             break;
         }
     }
-    shared.metrics.connection_closed();
     if let Some(base) = alloc_base {
         let end = alloc_end.unwrap_or_else(abp_trace::thread_snapshot);
         let delta = end.delta_since(base);
@@ -969,27 +918,6 @@ fn record_request(shared: &Shared, class: OpClass, heard: u32, elapsed: Duration
         latency_ns,
         epoch: shared.cell.epoch_hint(),
     });
-}
-
-/// Work-budget admission: decide from the opcode byte alone — before
-/// any decode work — whether this request should be answered
-/// [`Status::Overloaded`] instead of served. Cheap/ancillary classes
-/// (place, info, stats) shed at the watermark; localize, the service's
-/// core duty, holds out to twice the watermark. A watermark of zero
-/// disables shedding. Unknown opcodes are never shed: they must reach
-/// the decoder to be counted as protocol errors.
-fn should_shed_request(shared: &Shared, in_buf: &[u8]) -> bool {
-    if shared.shed_watermark == 0 {
-        return false;
-    }
-    let queued = shared.queued.load(Ordering::Relaxed);
-    match in_buf.first().copied().and_then(Opcode::from_wire) {
-        Some(Opcode::Localize) => queued >= 2 * shared.shed_watermark as u64,
-        Some(Opcode::Place) | Some(Opcode::Info) | Some(Opcode::Stats) => {
-            queued >= shared.shed_watermark as u64
-        }
-        None => false,
-    }
 }
 
 /// Decodes `scratch.in_buf`, dispatches, and leaves the complete
@@ -1027,7 +955,7 @@ fn handle_request(
             if shared.panic_seed == Some(seed) {
                 // Test-only seam: a designated seed simulates a bug deep
                 // in request handling so the chaos harness can prove the
-                // worker survives it.
+                // daemon survives it.
                 panic!("injected panic for chaos seed {seed}");
             }
             // Applying is control-plane: enqueue for the rebuilder and
@@ -1417,7 +1345,6 @@ mod tests {
         assert!(body.contains("serve_panics_total 0"));
         assert!(body.contains("serve_quarantines_total 0"));
         assert!(body.contains("serve_state_loads_total 0"));
-        assert!(body.contains("serve_worker_respawns_total 0"));
         assert!(body.contains("serve_protocol_errors_total 0"));
         // Applies are rebuilds: one counter, `serve_rebuilds_total`.
         assert!(body.contains("serve_rebuilds_total 0"));
@@ -1428,6 +1355,93 @@ mod tests {
 
         drop(conn);
         daemon.shutdown();
+    }
+
+    /// A client dribbling its request head one byte every 0.4 s holds
+    /// the one `/metrics` listener thread only until the scrape
+    /// deadline, so a scrape that arrives behind it is answered within
+    /// a second.
+    #[test]
+    fn a_dribbling_client_cannot_starve_metrics_scrapes() {
+        let cfg = ServeConfig {
+            metrics_addr: Some("127.0.0.1:0".into()),
+            ..ServeConfig::tiny()
+        };
+        let daemon = Daemon::start(&cfg).unwrap();
+        let metrics_addr = daemon.metrics_addr().expect("metrics listener bound");
+        let mut dribbler = TcpStream::connect(metrics_addr).unwrap();
+        let dribble = std::thread::spawn(move || {
+            // A head that never ends, until the daemon hangs up.
+            for _ in 0..10 {
+                if dribbler.write_all(b"G").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(400));
+            }
+        });
+        // The listener polls accept every 5 ms: let it take the dribbler
+        // first.
+        std::thread::sleep(Duration::from_millis(100));
+        let started = Instant::now();
+        let mut http = TcpStream::connect(metrics_addr).unwrap();
+        http.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        http.write_all(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap();
+        let mut response = String::new();
+        http.read_to_string(&mut response).unwrap();
+        let waited = started.elapsed();
+        assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+        assert!(
+            waited < Duration::from_secs(1),
+            "scrape answered after {waited:?}"
+        );
+        dribble.join().unwrap();
+        daemon.shutdown();
+    }
+
+    /// Dropping a daemon stops it as `shutdown` does, idle client and
+    /// all: its listener is closed, so a new connection is refused.
+    #[test]
+    fn dropping_the_daemon_stops_it() {
+        let daemon = Daemon::start(&ServeConfig::tiny()).unwrap();
+        let addr = daemon.local_addr();
+        let idle = TcpStream::connect(addr).unwrap();
+        drop(daemon);
+        let refused = TcpStream::connect(addr).expect_err("a dropped daemon accepts nothing");
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+        drop(idle);
+    }
+
+    /// A start that fails after the serving threads are up — here the
+    /// `/metrics` port is taken — stops them: the serving port refuses.
+    #[test]
+    fn a_failed_start_leaves_nothing_running() {
+        let taken = TcpListener::bind("127.0.0.1:0").unwrap();
+        let free = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let cfg = ServeConfig {
+            addr: free.to_string(),
+            metrics_addr: Some(taken.local_addr().unwrap().to_string()),
+            ..ServeConfig::tiny()
+        };
+        let err = Daemon::start(&cfg)
+            .err()
+            .expect("the metrics port is taken");
+        assert_eq!(err.kind(), io::ErrorKind::AddrInUse);
+        let refused = TcpStream::connect(free).expect_err("a failed start accepts nothing");
+        assert_eq!(refused.kind(), io::ErrorKind::ConnectionRefused);
+    }
+
+    #[test]
+    fn start_rejects_a_zero_connection_cap() {
+        let cfg = ServeConfig {
+            max_conns: 0,
+            ..ServeConfig::tiny()
+        };
+        let err = Daemon::start(&cfg).err().expect("max_conns 0 is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]

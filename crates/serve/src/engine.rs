@@ -36,7 +36,7 @@ use rand::SeedableRng;
 /// matches `Localizer::min_beacons` for the centroid localizer.
 pub const MIN_BEACONS: usize = 1;
 
-/// Reused per-worker buffers: request/response bytes plus the id and
+/// Reused per-connection buffers: request/response bytes plus the id and
 /// slot workspaces of [`localize`]. Pre-sized so the steady state of a
 /// well-behaved connection allocates nothing.
 #[derive(Debug)]

@@ -14,16 +14,17 @@
 //!   an immutable bundle of `BeaconField` + `ErrorMap` + precomputed
 //!   placement answers, published through an epoch-stamped
 //!   [`SnapshotCell`](snapshot::SnapshotCell), so background re-surveys
-//!   rebuild off to the side while request workers never block,
+//!   rebuild off to the side while connection threads never block,
 //! * [`engine`] — the per-request compute, bit-identical to the batch
 //!   localizers (see [`engine::localize`]) and allocation-free on reused
 //!   [`engine::ServeScratch`] workspaces,
-//! * [`daemon`] — thread-per-core accept/worker loop with graceful
-//!   shutdown and per-connection allocation accounting,
+//! * [`daemon`] — an accept loop that gives every admitted connection
+//!   its own thread, up to the `max_conns` cap, with graceful shutdown
+//!   and per-connection allocation accounting,
 //! * [`metrics`] — the daemon's one ledger, counting every answered
 //!   frame once, in one opcode class: per-class counters and latency
 //!   histograms on ungated atomics, the daemon tallies, the gauges, and
-//!   the never-blocks-a-worker slowest-requests flight recorder (read
+//!   the never-blocks-a-request slowest-requests flight recorder (read
 //!   by the **stats** opcode, the optional `/metrics` listener and the
 //!   exit report — see `docs/OBSERVABILITY.md`). No instrument is
 //!   process-global; only the `serve_request` and `serve_rebuild` trace
@@ -37,9 +38,11 @@
 //!   daemon rewrites on every epoch publish and reloads at boot for a
 //!   bit-identical error map after a crash,
 //! * [`chaos`] — the `abp serve-chaos` battery: hostile clients (torn
-//!   frames, garbage opcodes, absurd prefixes, slowloris, floods) and
-//!   an injected in-handler panic thrown at a live daemon, asserting
-//!   it sheds, quarantines, and survives without leaking connections.
+//!   frames, garbage opcodes, absurd prefixes, slowloris, floods), idle
+//!   keep-alive peers beside an active client, and an injected
+//!   in-handler panic thrown at a live daemon, asserting it sheds,
+//!   quarantines, serves every client it admits, and survives without
+//!   leaking connections.
 //!
 //! # The zero-alloc serving invariant
 //!

@@ -128,7 +128,7 @@ struct FlightSlots {
 /// is full, only a request slower than the current floor (the fastest
 /// retained entry) takes the lock at all. The lock itself is `try_lock`
 /// — a contended offer is *dropped* (and counted) rather than ever
-/// blocking a worker, and nothing on this path allocates.
+/// blocking a connection thread, and nothing on this path allocates.
 pub struct FlightRecorder {
     /// Admission floor: 0 until the ring fills, then the smallest
     /// retained latency. Requests at or below it skip the lock.
@@ -234,7 +234,7 @@ impl ClassMetrics {
 }
 
 /// Number of daemon tallies (one per [`Tally`] variant).
-pub const TALLIES: usize = 13;
+pub const TALLIES: usize = 12;
 
 /// The daemon's monotone counters beside the per-class request counts.
 /// Each bump is one relaxed atomic add — safe on the request path, no
@@ -242,7 +242,8 @@ pub const TALLIES: usize = 13;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Tally {
-    /// Connections accepted (one shed at the accept gate is not).
+    /// Connections admitted and given a thread (one shed at the accept
+    /// gate is not).
     Connections = 0,
     /// Frames refused for their content: malformed (`BadFrame`,
     /// `BadOpcode`, `BadAlgo`), announcing more than
@@ -252,16 +253,17 @@ pub enum Tally {
     Refused = 1,
     /// Rebuilds completed: one per applied placement.
     Rebuilds = 2,
-    /// Connections and requests shed by admission control with
-    /// [`Status::Overloaded`](crate::protocol::Status::Overloaded), and
-    /// applies answered `applied = 0` because the rebuild backlog was
+    /// Connections shed with
+    /// [`Status::Overloaded`](crate::protocol::Status::Overloaded) — at
+    /// the accept gate, or because their thread could not be started —
+    /// and applies answered `applied = 0` because the rebuild backlog was
     /// full.
     Shed = 3,
     /// Requests answered
     /// [`Status::DeadlineExceeded`](crate::protocol::Status::DeadlineExceeded).
     DeadlineExceeded = 4,
-    /// Request-handler panics contained (the connection died, the
-    /// worker survived).
+    /// Panics contained on a connection thread, in a request handler
+    /// or anywhere else (the connection died, the daemon survived).
     Panics = 5,
     /// Connections quarantined for dribbling one frame slower than the
     /// daemon's frame window (slow-loris defense).
@@ -270,15 +272,12 @@ pub enum Tally {
     StateSaves = 7,
     /// World snapshots restored from the `--state` file at boot.
     StateLoads = 8,
-    /// Worker threads respawned after a panic escaped the per-request
-    /// `catch_unwind` (a backstop that should stay at zero).
-    WorkerRespawns = 9,
     /// Requests inside the post-warmup allocation windows.
-    MeasuredRequests = 10,
+    MeasuredRequests = 9,
     /// Allocator calls observed inside those windows.
-    MeasuredAllocs = 11,
+    MeasuredAllocs = 10,
     /// Bytes requested inside those windows.
-    MeasuredBytes = 12,
+    MeasuredBytes = 11,
 }
 
 /// All tallies, in index order (`ALL_TALLIES[i] as usize == i`).
@@ -292,7 +291,6 @@ pub const ALL_TALLIES: [Tally; TALLIES] = [
     Tally::Quarantines,
     Tally::StateSaves,
     Tally::StateLoads,
-    Tally::WorkerRespawns,
     Tally::MeasuredRequests,
     Tally::MeasuredAllocs,
     Tally::MeasuredBytes,
@@ -312,7 +310,6 @@ impl Tally {
             Tally::Quarantines => "serve_quarantines",
             Tally::StateSaves => "serve_state_saves",
             Tally::StateLoads => "serve_state_loads",
-            Tally::WorkerRespawns => "serve_worker_respawns",
             Tally::MeasuredRequests | Tally::MeasuredAllocs | Tally::MeasuredBytes => return None,
         })
     }
@@ -401,7 +398,8 @@ impl ServeMetrics {
         self.started.elapsed()
     }
 
-    /// A connection was accepted.
+    /// A connection was admitted: it counts as live until
+    /// [`Self::connection_closed`].
     #[inline]
     pub fn connection_opened(&self) {
         self.connections_live.fetch_add(1, Ordering::Relaxed);
@@ -417,7 +415,8 @@ impl ServeMetrics {
             });
     }
 
-    /// Connections currently being served.
+    /// Connections admitted and not yet closed: the number of
+    /// connection threads, which the admission cap bounds.
     pub fn connections_live(&self) -> u64 {
         self.connections_live.load(Ordering::Relaxed)
     }

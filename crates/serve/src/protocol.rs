@@ -102,21 +102,6 @@ pub enum Opcode {
     Stats = 4,
 }
 
-impl Opcode {
-    /// Decodes the wire tag. Used by the daemon's admission control to
-    /// classify a request from its first byte without decoding the
-    /// frame.
-    pub fn from_wire(tag: u8) -> Option<Opcode> {
-        match tag {
-            1 => Some(Opcode::Localize),
-            2 => Some(Opcode::Place),
-            3 => Some(Opcode::Info),
-            4 => Some(Opcode::Stats),
-            _ => None,
-        }
-    }
-}
-
 /// Placement algorithm selector for place requests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
@@ -168,8 +153,9 @@ pub enum Status {
     BadAlgo = 4,
     /// The announced frame length exceeds [`MAX_FRAME`].
     Oversize = 5,
-    /// The daemon is at capacity and shed this connection or request
-    /// instead of queueing it unboundedly. Retry later.
+    /// The daemon is at its connection cap, or could not start a thread
+    /// for this connection, and shed it without reading a request.
+    /// Retry later.
     Overloaded = 6,
     /// The request's handling exceeded the daemon's per-request deadline;
     /// any result was discarded.
@@ -714,7 +700,8 @@ pub struct StatsReply {
     /// Requests whose handling blew the per-request deadline
     /// ([`Status::DeadlineExceeded`]).
     pub deadline_exceeded: u64,
-    /// Requests whose handler panicked (connection killed, worker kept).
+    /// Panics contained on a connection thread (connection killed,
+    /// daemon kept).
     pub panics: u64,
     /// Connections quarantined for dribbling a frame slower than the
     /// daemon's frame window.

@@ -5,7 +5,7 @@
 //! `abp-trace`'s counting allocator, confined to this module. The
 //! handler does the one thing that is async-signal-safe: store a relaxed
 //! atomic flag. The daemon's accept loop polls [`triggered`] and runs an
-//! orderly shutdown (drain workers, join the rebuilder, dump counters)
+//! orderly shutdown (join the connection threads and the rebuilder, dump counters)
 //! from normal thread context.
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -36,7 +36,7 @@ use std::sync::{Arc, RwLock};
 pub const SERVE_POLICY: UnheardPolicy = UnheardPolicy::TerrainCenter;
 
 /// One immutable epoch of world state. Built by the rebuilder thread,
-/// shared with request workers via `Arc`, never mutated.
+/// shared with connection threads via `Arc`, never mutated.
 pub struct WorldSnapshot {
     epoch: u64,
     field: BeaconField,
@@ -289,7 +289,7 @@ impl SnapshotCell {
         self.current.read().expect("snapshot lock poisoned").clone()
     }
 
-    /// Creates a per-worker cached reader.
+    /// Creates a per-connection cached reader.
     pub fn reader(&self) -> SnapshotReader<'_> {
         SnapshotReader {
             cell: self,
@@ -306,7 +306,7 @@ impl std::fmt::Debug for SnapshotCell {
     }
 }
 
-/// A worker-local snapshot handle: one atomic load per request in steady
+/// A connection-local snapshot handle: one atomic load per request in steady
 /// state, a lock + `Arc` refresh only when the epoch actually changed.
 pub struct SnapshotReader<'a> {
     cell: &'a SnapshotCell,

@@ -131,7 +131,8 @@ fn encode_state(fingerprint: u64, epoch: u64, positions: &[Point]) -> Vec<u8> {
 /// place, so a crash mid-save leaves the previous good file intact.
 ///
 /// Control-plane only (runs on the rebuilder thread and at boot) — it
-/// allocates and does file I/O, and must never be called from a worker.
+/// allocates and does file I/O, and must never be called from a
+/// connection thread.
 ///
 /// # Errors
 ///

@@ -5,8 +5,8 @@
 //! cap** — not the server-side request decoder, not the client-side
 //! response decoders, not the shared frame reader. Malice and
 //! corruption must surface as typed [`Status`] errors (or
-//! `io::Error`s), never as an unwind into the worker's
-//! `catch_unwind` backstop.
+//! `io::Error`s), never as an unwind into the connection thread's
+//! per-request `catch_unwind` backstop.
 
 use abp_serve::protocol::{self as wire, MAX_FRAME};
 use proptest::prelude::*;

@@ -3,7 +3,8 @@
 //! that must equal a full `WorldSnapshot::build` of the same field bit
 //! for bit, and the final epoch must serve exactly what the batch
 //! localizer computes. A live daemon answers requests past a
-//! connection's warm-up without an allocator call.
+//! connection's warm-up without an allocator call, and serves every
+//! connection it admits while idle keep-alive peers hold theirs.
 
 use abp_field::BeaconField;
 use abp_geom::{Point, Terrain};
@@ -17,6 +18,7 @@ use rand::SeedableRng;
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Duration;
 
 const SIDE: f64 = 100.0;
 const STEP: f64 = 1.0;
@@ -100,10 +102,9 @@ fn incremental_epochs_equal_fresh_builds_at_paper_scale() {
 }
 
 /// Requests past each connection's 32-request warm-up make no allocator
-/// call, and a handler panic books neither its unwind nor the worker's
-/// fresh scratch against them: one connection localizes 40 times and
-/// closes, a second localizes 40 times and then sends a Place that
-/// panics inside the handler.
+/// call, and a handler panic does not book its unwind against them: one
+/// connection localizes 40 times and closes, a second localizes 40 times
+/// and then sends a Place that panics inside the handler.
 #[test]
 fn served_requests_past_warm_up_allocate_nothing_even_after_a_panic() {
     const PANIC_SEED: u64 = 0x0BAD_5EED;
@@ -135,4 +136,45 @@ fn served_requests_past_warm_up_allocate_nothing_even_after_a_panic() {
         "no request outlived the warm-up"
     );
     assert_eq!(stats.allocs_per_request(), 0.0, "{stats:?}");
+}
+
+/// Every admitted client is served: four connections each send one Info
+/// and then sit idle, holding their connections open, and a fifth still
+/// gets its 40 Localize answers and a Stats that counts all five live.
+#[test]
+fn a_client_behind_idle_keep_alive_peers_is_served() {
+    let daemon = Daemon::start(&ServeConfig::tiny()).unwrap();
+    let timeout = Some(Duration::from_secs(5));
+    let connect = || {
+        let conn = TcpStream::connect(daemon.local_addr()).unwrap();
+        conn.set_read_timeout(timeout).unwrap();
+        conn
+    };
+    let (mut request, mut frame) = (Vec::new(), Vec::new());
+    wire::encode_info_request(&mut request);
+    let mut idle: Vec<TcpStream> = (0..4).map(|_| connect()).collect();
+    for conn in &mut idle {
+        conn.write_all(&request).unwrap();
+    }
+
+    let mut active = connect();
+    wire::encode_localize_request(&mut request, &[0, 1, 2]);
+    for _ in 0..40 {
+        active.write_all(&request).unwrap();
+        wire::read_frame(&mut active, &mut frame)
+            .expect("the fifth connection is answered beside four idle peers");
+        assert_eq!(frame[0], Status::Ok as u8);
+    }
+    wire::encode_stats_request(&mut request);
+    active.write_all(&request).unwrap();
+    assert!(wire::read_frame(&mut active, &mut frame).unwrap());
+    let stats = wire::decode_stats_response(&frame).unwrap();
+    assert_eq!(stats.connections_live, 5);
+
+    for conn in &mut idle {
+        assert!(wire::read_frame(conn, &mut frame).unwrap());
+        assert!(wire::decode_info_response(&frame).is_ok());
+    }
+    drop((idle, active));
+    daemon.shutdown();
 }
